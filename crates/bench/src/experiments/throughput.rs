@@ -228,9 +228,10 @@ pub fn sim_throughput_rows(fast: bool) -> (String, Vec<ThroughputRow>) {
         rows.push(row);
     }
     t.note(
-        "fast = observer-free path (value-only macro-ops, arena state, schedule cache); \
-         slow = scoreboarded path every observed run takes. Both legs replay identical \
-         launch sequences and must agree bit for bit.",
+        "fast = observer-free path (replay blocks in the plain value domain, arena state, \
+         schedule cache); slow = every block in the tracked domain, the path every observed \
+         run takes. Both legs run the same kernel bodies over identical launch sequences \
+         and must agree bit for bit.",
     );
     record_throughput(rows.clone());
     (t.render(), rows)

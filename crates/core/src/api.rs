@@ -27,7 +27,6 @@ use regla_gpu_sim::{
     SanitizerMode, SanitizerReport,
 };
 use regla_model::{block_plan, Algorithm, Approach, ModelParams, Plan, PlanKey, Planner};
-use std::marker::PhantomData;
 
 /// Options controlling a batched run.
 ///
@@ -1185,16 +1184,15 @@ pub(crate) fn gemm_run<T: DeviceScalar>(
 
     let plan = block_plan(m.max(n), n.min(m), 0, ew);
     let lm = LayoutMap::new(Layout::TwoDCyclic, plan.threads, m, n);
-    let kern = GemmBlockKernel::<T::Dev> {
-        a: SubMat::whole(pa, m, kdim),
-        b: SubMat::whole(pb, kdim, n),
-        c: SubMat::whole(pc, m, n),
+    let kern = GemmBlockKernel::<T::Dev>::new(
+        SubMat::whole(pa, m, kdim),
+        SubMat::whole(pb, kdim, n),
+        SubMat::whole(pc, m, n),
         lm,
         kdim,
         count,
-        accumulate: false,
-        _e: PhantomData,
-    };
+        false,
+    );
     // GEMM's control flow is data-independent, so shape alone identifies
     // its schedule — no input digest needed.
     let key = fnv1a(0x03, &[m as u64, kdim as u64, n as u64, ew as u64]);

@@ -1,183 +1,73 @@
-//! Device element abstraction: one kernel source for real and complex.
+//! Device element abstraction: one kernel source for real and complex,
+//! tracked and plain.
 //!
 //! The paper's CUDA kernels are templated over the scalar type; here the
-//! same role is played by [`Elem`], implemented for tracked real ([`Rv`])
-//! and complex ([`CRv`]) register values. All arithmetic goes through the
-//! simulator's counted operations, so complex kernels automatically cost
-//! ~4x the FLOPs and 2x the memory traffic of their real counterparts.
+//! same role is played by [`Elem`], the value domain every register kernel
+//! is written against. It has four implementations:
+//!
+//! * tracked real ([`Rv`]) and complex ([`CRv`]) register values: every
+//!   operation goes through the simulator's scoreboard, every register
+//!   access through spill and fault accounting, so complex kernels
+//!   automatically cost ~4x the FLOPs and 2x the memory traffic of their
+//!   real counterparts;
+//! * plain `f32` and [`CVal`]: the same operations on bare values, through
+//!   the raw shared/global primitives of a fast (observer-free replay)
+//!   block.
+//!
+//! Each plain operation performs its tracked twin's `f32` operations in the
+//! same order — Rust never contracts float expressions — so a kernel body
+//! produces bit-identical values in either domain. [`run_in_domain`] picks
+//! the domain once per block.
 
 use crate::scalar::{Scalar, C32};
-use regla_gpu_sim::{CRv, DPtr, RegVal, Rv, ThreadCtx};
-
-/// A plain untracked value the fast path computes on: `f32` for real
-/// elements, [`CVal`] for complex. Every operation mirrors the
-/// corresponding `v_*` expansion on the tracked type bit for bit; the
-/// payoff is layout — slices of `FastVal` are dense machine floats, so
-/// the serial kernels' inner loops autovectorize instead of striding
-/// over `{value, ready}` register pairs.
-pub trait FastVal: Copy + Send + Sync + 'static {
-    fn imm(re: f32) -> Self;
-    /// Promote a real (imaginary part zero).
-    fn from_re(re: f32) -> Self;
-    fn add(a: Self, b: Self) -> Self;
-    fn sub(a: Self, b: Self) -> Self;
-    fn mul(a: Self, b: Self) -> Self;
-    fn fma(a: Self, b: Self, acc: Self) -> Self;
-    fn fnma(a: Self, b: Self, acc: Self) -> Self;
-    fn conj_fma(a: Self, b: Self, acc: Self) -> Self;
-    fn conj(a: Self) -> Self;
-    fn scale_re(a: Self, s: f32) -> Self;
-    fn abs2(a: Self) -> f32;
-    /// Multiplicative inverse (math-mode dependent, hence `t`).
-    fn recip(t: &ThreadCtx, a: Self) -> Self;
-    fn is_zero(a: Self) -> bool;
-    /// The real component.
-    fn re(self) -> f32;
-}
-
-impl FastVal for f32 {
-    fn imm(re: f32) -> Self {
-        re
-    }
-    fn from_re(re: f32) -> Self {
-        re
-    }
-    fn add(a: Self, b: Self) -> Self {
-        a + b
-    }
-    fn sub(a: Self, b: Self) -> Self {
-        a - b
-    }
-    fn mul(a: Self, b: Self) -> Self {
-        a * b
-    }
-    fn fma(a: Self, b: Self, acc: Self) -> Self {
-        a * b + acc
-    }
-    fn fnma(a: Self, b: Self, acc: Self) -> Self {
-        acc - a * b
-    }
-    fn conj_fma(a: Self, b: Self, acc: Self) -> Self {
-        a * b + acc
-    }
-    fn conj(a: Self) -> Self {
-        a
-    }
-    fn scale_re(a: Self, s: f32) -> Self {
-        a * s
-    }
-    fn abs2(a: Self) -> f32 {
-        a * a
-    }
-    fn recip(t: &ThreadCtx, a: Self) -> Self {
-        t.v_recip(a)
-    }
-    fn is_zero(a: Self) -> bool {
-        a == 0.0
-    }
-    fn re(self) -> f32 {
-        self
-    }
-}
-
-/// Untracked complex value (fast path); mirrors [`CRv`]'s `v_*`
-/// expansions exactly, including operand order in every fused
-/// multiply-add, so the rounding pattern is identical.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct CVal {
-    pub re: f32,
-    pub im: f32,
-}
-
-impl FastVal for CVal {
-    fn imm(re: f32) -> Self {
-        CVal { re, im: 0.0 }
-    }
-    fn from_re(re: f32) -> Self {
-        CVal { re, im: 0.0 }
-    }
-    fn add(a: Self, b: Self) -> Self {
-        CVal { re: a.re + b.re, im: a.im + b.im }
-    }
-    fn sub(a: Self, b: Self) -> Self {
-        CVal { re: a.re - b.re, im: a.im - b.im }
-    }
-    fn mul(a: Self, b: Self) -> Self {
-        let t1 = a.re * b.re;
-        let re = t1 - a.im * b.im;
-        let t2 = a.re * b.im;
-        let im = a.im * b.re + t2;
-        CVal { re, im }
-    }
-    fn fma(a: Self, b: Self, acc: Self) -> Self {
-        let t1 = a.re * b.re + acc.re;
-        let re = t1 - a.im * b.im;
-        let t2 = a.re * b.im + acc.im;
-        let im = a.im * b.re + t2;
-        CVal { re, im }
-    }
-    fn fnma(a: Self, b: Self, acc: Self) -> Self {
-        let t1 = acc.re - a.re * b.re;
-        let re = a.im * b.im + t1;
-        let t2 = acc.im - a.re * b.im;
-        let im = t2 - a.im * b.re;
-        CVal { re, im }
-    }
-    fn conj_fma(a: Self, b: Self, acc: Self) -> Self {
-        let aim = -a.im;
-        let t1 = a.re * b.re + acc.re;
-        let re = t1 - aim * b.im;
-        let t2 = a.re * b.im + acc.im;
-        let im = aim * b.re + t2;
-        CVal { re, im }
-    }
-    fn conj(a: Self) -> Self {
-        CVal { re: a.re, im: -a.im }
-    }
-    fn scale_re(a: Self, s: f32) -> Self {
-        CVal { re: a.re * s, im: a.im * s }
-    }
-    fn abs2(a: Self) -> f32 {
-        let t = a.re * a.re;
-        a.im * a.im + t
-    }
-    fn recip(t: &ThreadCtx, a: Self) -> Self {
-        let n = {
-            let sq = a.re * a.re;
-            a.im * a.im + sq
-        };
-        let r = t.v_recip(n);
-        CVal { re: a.re * r, im: -a.im * r }
-    }
-    fn is_zero(a: Self) -> bool {
-        let sq = a.re * a.re;
-        a.im * a.im + sq == 0.0
-    }
-    fn re(self) -> f32 {
-        self.re
-    }
-}
+use regla_gpu_sim::{BlockCtx, CRv, DPtr, Rv, ThreadCtx};
 
 /// A value that lives in device registers and can flow through the
 /// simulated shared/global memories.
-pub trait Elem: RegVal + Send + Sync + 'static {
+pub trait Elem: Copy + Send + Sync + 'static {
     /// The host scalar this element marshals to/from.
     type Host: Scalar;
-    /// The untracked value type the fast path computes on.
-    type Val: FastVal;
+    /// The real values of this domain (norms, pivots, flags).
+    type Re: Real;
+    /// The same element in the plain domain (`Self` for plain elements).
+    type Plain: Elem<Host = Self::Host>;
     /// 32-bit words per element.
     const WORDS: usize;
 
     /// Immediate (compile-time constant).
     fn imm(re: f32) -> Self;
-    /// Promote a real register value (imaginary part zero).
-    fn from_re(rv: Rv) -> Self;
+    /// Promote a real value (imaginary part zero).
+    fn from_re(r: Self::Re) -> Self;
+    /// The real component (free: register renaming).
+    fn re(self) -> Self::Re;
+
     /// Load element `idx` (element units) from global memory.
     fn gload(t: &mut ThreadCtx, p: DPtr, idx: usize) -> Self;
     fn gstore(t: &mut ThreadCtx, p: DPtr, idx: usize, v: Self);
+    /// Load `regs.len()` consecutive elements starting at element `idx`
+    /// into registers. Tracked: one [`Elem::gload`] and one register write
+    /// per element, in order; plain: one fused span transfer.
+    fn gload_span(t: &mut ThreadCtx, p: DPtr, idx: usize, regs: &mut [Self]) {
+        for k in 0..regs.len() {
+            let v = Self::gload(t, p, idx + k);
+            Self::reg_set(t, regs, k, v);
+        }
+    }
+    /// Store registers `regs` to consecutive elements starting at `idx`
+    /// (the mirror of [`Elem::gload_span`]).
+    fn gstore_span(t: &mut ThreadCtx, p: DPtr, idx: usize, regs: &[Self]) {
+        for k in 0..regs.len() {
+            let v = Self::reg_get(t, regs, k);
+            Self::gstore(t, p, idx + k, v);
+        }
+    }
     /// Load element `idx` (element units) from block shared memory.
     fn sload(t: &mut ThreadCtx, idx: usize) -> Self;
     fn sstore(t: &mut ThreadCtx, idx: usize, v: Self);
+    /// Read register `i` of a register array (tracked: spill accounting).
+    fn reg_get(t: &mut ThreadCtx, regs: &[Self], i: usize) -> Self;
+    /// Write register `i` (tracked: spill accounting and fault hook).
+    fn reg_set(t: &mut ThreadCtx, regs: &mut [Self], i: usize, v: Self);
 
     fn add(t: &mut ThreadCtx, a: Self, b: Self) -> Self;
     fn sub(t: &mut ThreadCtx, a: Self, b: Self) -> Self;
@@ -189,83 +79,58 @@ pub trait Elem: RegVal + Send + Sync + 'static {
     /// `acc + conj(a)*b` (plain fma for real elements).
     fn conj_fma(t: &mut ThreadCtx, a: Self, b: Self, acc: Self) -> Self;
     fn conj(t: &mut ThreadCtx, a: Self) -> Self;
-    /// Multiply by a real register value.
-    fn scale_re(t: &mut ThreadCtx, a: Self, s: Rv) -> Self;
-    /// Squared magnitude as a real register value.
-    fn abs2(t: &mut ThreadCtx, a: Self) -> Rv;
-    /// Multiplicative inverse.
+    /// Multiply by a real value.
+    fn scale_re(t: &mut ThreadCtx, a: Self, s: Self::Re) -> Self;
+    /// Squared magnitude as a real value.
+    fn abs2(t: &mut ThreadCtx, a: Self) -> Self::Re;
+    /// Multiplicative inverse (math-mode dependent).
     fn recip(t: &mut ThreadCtx, a: Self) -> Self;
     fn is_zero(t: &mut ThreadCtx, a: Self) -> bool;
-    /// The real component as a register value (free: register renaming).
-    fn re(self) -> Rv;
-    /// Host-side readback of the functional value.
-    fn host(self) -> Self::Host;
-    /// Construct from a host value (immediate).
-    fn from_host(v: Self::Host) -> Self;
+}
 
-    // ---- fast-path value-only ops ----
-    //
-    // Usable only when `t.fast()` is true (replay block, no observers).
-    // Each mirrors its scoreboarded counterpart's `f32` operations in the
-    // same order — Rust never contracts float expressions, so the values
-    // are bit-identical — while skipping issue/latency bookkeeping. On an
-    // untraced block every `Rv::ready` is 0 on both paths, so even the
-    // register state matches exactly.
+/// The real values of a domain: [`Rv`] when tracked, `f32` when plain.
+pub trait Real: Elem<Re = Self, Host = f32> {
+    /// Square root (math-mode dependent).
+    fn sqrt(t: &mut ThreadCtx, a: Self) -> Self;
+    /// Negation (a free source modifier).
+    fn neg(t: &mut ThreadCtx, a: Self) -> Self;
+    /// `a > b` (false when either is NaN).
+    fn gt(t: &mut ThreadCtx, a: Self, b: Self) -> bool;
+}
 
-    /// Fast global load (mirrors [`Elem::gload`]).
-    fn v_gload(t: &mut ThreadCtx, p: DPtr, idx: usize) -> Self;
-    /// Fast global store (mirrors [`Elem::gstore`]).
-    fn v_gstore(t: &mut ThreadCtx, p: DPtr, idx: usize, v: Self);
-    /// The untracked value of this register (fast path only — on an
-    /// untraced block both paths agree that `ready == 0`).
-    fn val(self) -> Self::Val;
-    /// Wrap an untracked value back into a register (ready = 0).
-    fn from_val(v: Self::Val) -> Self;
-    /// Fused bulk load of `dst.len()` consecutive elements starting at
-    /// element `idx` — one access-path dispatch for the whole span, same
-    /// values as `dst.len()` calls to [`Elem::v_gload`].
-    fn v_gload_vals(t: &mut ThreadCtx, p: DPtr, idx: usize, dst: &mut [Self::Val]);
-    /// Fused bulk store of `src.len()` consecutive elements at `idx`.
-    fn v_gstore_vals(t: &mut ThreadCtx, p: DPtr, idx: usize, src: &[Self::Val]);
-    /// Fast single-element store of an untracked value (mirrors
-    /// [`Elem::v_gstore`]).
-    fn v_gstore_val(t: &mut ThreadCtx, p: DPtr, idx: usize, v: Self::Val);
-    /// Fast shared load (mirrors [`Elem::sload`]).
-    fn v_sload(t: &ThreadCtx, idx: usize) -> Self;
-    /// Fast shared store (mirrors [`Elem::sstore`]).
-    fn v_sstore(t: &mut ThreadCtx, idx: usize, v: Self);
-    /// Fast `a + b`.
-    fn v_add(a: Self, b: Self) -> Self;
-    /// Fast `a - b`.
-    fn v_sub(a: Self, b: Self) -> Self;
-    /// Fast `a * b` (complex: the cmul expansion).
-    fn v_mul(a: Self, b: Self) -> Self;
-    /// Fast `acc + a*b`.
-    fn v_fma(a: Self, b: Self, acc: Self) -> Self;
-    /// Fast `acc - a*b`.
-    fn v_fnma(a: Self, b: Self, acc: Self) -> Self;
-    /// Fast `acc + conj(a)*b`.
-    fn v_conj_fma(a: Self, b: Self, acc: Self) -> Self;
-    /// Fast scale by a real.
-    fn v_scale_re(a: Self, s: Rv) -> Self;
-    /// Fast squared magnitude.
-    fn v_abs2(a: Self) -> Rv;
-    /// Fast multiplicative inverse (math-mode dependent, hence `t`).
-    fn v_recip(t: &ThreadCtx, a: Self) -> Self;
-    /// Fast zero test.
-    fn v_is_zero(a: Self) -> bool;
+/// A kernel written once over the value domain.
+pub trait DomainKernel {
+    /// The tracked element the kernel was instantiated with.
+    type Elem: Elem;
+    /// The kernel body, in domain `D`.
+    fn body<D: Elem>(&self, blk: &mut BlockCtx);
+}
+
+/// Run `k`'s body in the domain this block executes in: plain values on a
+/// fast block, tracked registers otherwise. Every register kernel's
+/// `BlockKernel::run` is this one call.
+pub fn run_in_domain<K: DomainKernel>(k: &K, blk: &mut BlockCtx) {
+    if blk.fast() {
+        k.body::<<K::Elem as Elem>::Plain>(blk)
+    } else {
+        k.body::<K::Elem>(blk)
+    }
 }
 
 impl Elem for Rv {
     type Host = f32;
-    type Val = f32;
+    type Re = Rv;
+    type Plain = f32;
     const WORDS: usize = 1;
 
     fn imm(re: f32) -> Self {
         Rv::imm(re)
     }
-    fn from_re(rv: Rv) -> Self {
-        rv
+    fn from_re(r: Rv) -> Self {
+        r
+    }
+    fn re(self) -> Rv {
+        self
     }
     fn gload(t: &mut ThreadCtx, p: DPtr, idx: usize) -> Self {
         t.gload(p, idx)
@@ -278,6 +143,12 @@ impl Elem for Rv {
     }
     fn sstore(t: &mut ThreadCtx, idx: usize, v: Self) {
         t.shared_store(idx, v)
+    }
+    fn reg_get(t: &mut ThreadCtx, regs: &[Self], i: usize) -> Self {
+        t.reg_get(regs, i)
+    }
+    fn reg_set(t: &mut ThreadCtx, regs: &mut [Self], i: usize, v: Self) {
+        t.reg_set(regs, i, v)
     }
     fn add(t: &mut ThreadCtx, a: Self, b: Self) -> Self {
         t.add(a, b)
@@ -312,88 +183,37 @@ impl Elem for Rv {
     fn is_zero(t: &mut ThreadCtx, a: Self) -> bool {
         t.is_zero(a)
     }
-    fn re(self) -> Rv {
-        self
-    }
-    fn host(self) -> f32 {
-        self.val()
-    }
-    fn from_host(v: f32) -> Self {
-        Rv::imm(v)
-    }
+}
 
-    fn v_gload(t: &mut ThreadCtx, p: DPtr, idx: usize) -> Self {
-        Rv::imm(t.gget(p, idx))
+impl Real for Rv {
+    fn sqrt(t: &mut ThreadCtx, a: Self) -> Self {
+        t.sqrt(a)
     }
-    fn v_gstore(t: &mut ThreadCtx, p: DPtr, idx: usize, v: Self) {
-        t.gset(p, idx, v.v);
+    fn neg(t: &mut ThreadCtx, a: Self) -> Self {
+        t.neg(a)
     }
-    fn val(self) -> f32 {
-        self.v
-    }
-    fn from_val(v: f32) -> Self {
-        Rv::imm(v)
-    }
-    fn v_gload_vals(t: &mut ThreadCtx, p: DPtr, idx: usize, dst: &mut [f32]) {
-        t.gget_span(p, idx, dst.len(), |k, v| dst[k] = v);
-    }
-    fn v_gstore_vals(t: &mut ThreadCtx, p: DPtr, idx: usize, src: &[f32]) {
-        t.gset_span(p, idx, src.len(), |k| src[k]);
-    }
-    fn v_gstore_val(t: &mut ThreadCtx, p: DPtr, idx: usize, v: f32) {
-        t.gset(p, idx, v);
-    }
-    fn v_sload(t: &ThreadCtx, idx: usize) -> Self {
-        Rv::imm(t.sget(idx))
-    }
-    fn v_sstore(t: &mut ThreadCtx, idx: usize, v: Self) {
-        t.sset(idx, v.v);
-    }
-    fn v_add(a: Self, b: Self) -> Self {
-        Rv::imm(a.v + b.v)
-    }
-    fn v_sub(a: Self, b: Self) -> Self {
-        Rv::imm(a.v - b.v)
-    }
-    fn v_mul(a: Self, b: Self) -> Self {
-        Rv::imm(a.v * b.v)
-    }
-    fn v_fma(a: Self, b: Self, acc: Self) -> Self {
-        Rv::imm(a.v * b.v + acc.v)
-    }
-    fn v_fnma(a: Self, b: Self, acc: Self) -> Self {
-        Rv::imm(acc.v - a.v * b.v)
-    }
-    fn v_conj_fma(a: Self, b: Self, acc: Self) -> Self {
-        Rv::imm(a.v * b.v + acc.v)
-    }
-    fn v_scale_re(a: Self, s: Rv) -> Self {
-        Rv::imm(a.v * s.v)
-    }
-    fn v_abs2(a: Self) -> Rv {
-        Rv::imm(a.v * a.v)
-    }
-    fn v_recip(t: &ThreadCtx, a: Self) -> Self {
-        Rv::imm(t.v_recip(a.v))
-    }
-    fn v_is_zero(a: Self) -> bool {
-        a.v == 0.0
+    fn gt(t: &mut ThreadCtx, a: Self, b: Self) -> bool {
+        t.gt(a, b)
     }
 }
 
 impl Elem for CRv {
     type Host = C32;
-    type Val = CVal;
+    type Re = Rv;
+    type Plain = CVal;
     const WORDS: usize = 2;
 
     fn imm(re: f32) -> Self {
         CRv::imm(re, 0.0)
     }
-    fn from_re(rv: Rv) -> Self {
+    fn from_re(r: Rv) -> Self {
         CRv {
-            re: rv,
+            re: r,
             im: Rv::imm(0.0),
         }
+    }
+    fn re(self) -> Rv {
+        self.re
     }
     fn gload(t: &mut ThreadCtx, p: DPtr, idx: usize) -> Self {
         t.cgload(p, idx)
@@ -406,6 +226,12 @@ impl Elem for CRv {
     }
     fn sstore(t: &mut ThreadCtx, idx: usize, v: Self) {
         t.cshared_store(2 * idx, v)
+    }
+    fn reg_get(t: &mut ThreadCtx, regs: &[Self], i: usize) -> Self {
+        t.reg_get(regs, i)
+    }
+    fn reg_set(t: &mut ThreadCtx, regs: &mut [Self], i: usize, v: Self) {
+        t.reg_set(regs, i, v)
     }
     fn add(t: &mut ThreadCtx, a: Self, b: Self) -> Self {
         t.cadd(a, b)
@@ -442,39 +268,133 @@ impl Elem for CRv {
         let n = t.cnorm_sq(a);
         t.is_zero(n)
     }
-    fn re(self) -> Rv {
+}
+
+impl Elem for f32 {
+    type Host = f32;
+    type Re = f32;
+    type Plain = f32;
+    const WORDS: usize = 1;
+
+    fn imm(re: f32) -> Self {
+        re
+    }
+    fn from_re(r: f32) -> Self {
+        r
+    }
+    fn re(self) -> f32 {
+        self
+    }
+    fn gload(t: &mut ThreadCtx, p: DPtr, idx: usize) -> Self {
+        t.gget(p, idx)
+    }
+    fn gstore(t: &mut ThreadCtx, p: DPtr, idx: usize, v: Self) {
+        t.gset(p, idx, v)
+    }
+    fn gload_span(t: &mut ThreadCtx, p: DPtr, idx: usize, regs: &mut [Self]) {
+        t.gget_span(p, idx, regs.len(), |k, v| regs[k] = v);
+    }
+    fn gstore_span(t: &mut ThreadCtx, p: DPtr, idx: usize, regs: &[Self]) {
+        t.gset_span(p, idx, regs.len(), |k| regs[k]);
+    }
+    fn sload(t: &mut ThreadCtx, idx: usize) -> Self {
+        t.sget(idx)
+    }
+    fn sstore(t: &mut ThreadCtx, idx: usize, v: Self) {
+        t.sset(idx, v)
+    }
+    fn reg_get(_t: &mut ThreadCtx, regs: &[Self], i: usize) -> Self {
+        regs[i]
+    }
+    fn reg_set(_t: &mut ThreadCtx, regs: &mut [Self], i: usize, v: Self) {
+        regs[i] = v;
+    }
+    fn add(_t: &mut ThreadCtx, a: Self, b: Self) -> Self {
+        a + b
+    }
+    fn sub(_t: &mut ThreadCtx, a: Self, b: Self) -> Self {
+        a - b
+    }
+    fn mul(_t: &mut ThreadCtx, a: Self, b: Self) -> Self {
+        a * b
+    }
+    fn fma(_t: &mut ThreadCtx, a: Self, b: Self, acc: Self) -> Self {
+        a * b + acc
+    }
+    fn fnma(_t: &mut ThreadCtx, a: Self, b: Self, acc: Self) -> Self {
+        acc - a * b
+    }
+    fn conj_fma(_t: &mut ThreadCtx, a: Self, b: Self, acc: Self) -> Self {
+        a * b + acc
+    }
+    fn conj(_t: &mut ThreadCtx, a: Self) -> Self {
+        a
+    }
+    fn scale_re(_t: &mut ThreadCtx, a: Self, s: f32) -> Self {
+        a * s
+    }
+    fn abs2(_t: &mut ThreadCtx, a: Self) -> f32 {
+        a * a
+    }
+    fn recip(t: &mut ThreadCtx, a: Self) -> Self {
+        t.v_recip(a)
+    }
+    fn is_zero(_t: &mut ThreadCtx, a: Self) -> bool {
+        a == 0.0
+    }
+}
+
+impl Real for f32 {
+    fn sqrt(t: &mut ThreadCtx, a: Self) -> Self {
+        t.v_sqrt(a)
+    }
+    fn neg(_t: &mut ThreadCtx, a: Self) -> Self {
+        -a
+    }
+    fn gt(_t: &mut ThreadCtx, a: Self, b: Self) -> bool {
+        a > b
+    }
+}
+
+/// Plain complex value: the [`CRv`] operations written out on bare
+/// floats, including operand order inside every fused multiply-add (see
+/// `ThreadCtx::{cmul, cfma, cfnma, crecip}`), so the rounding pattern is
+/// identical.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct CVal {
+    pub re: f32,
+    pub im: f32,
+}
+
+impl Elem for CVal {
+    type Host = C32;
+    type Re = f32;
+    type Plain = CVal;
+    const WORDS: usize = 2;
+
+    fn imm(re: f32) -> Self {
+        CVal { re, im: 0.0 }
+    }
+    fn from_re(re: f32) -> Self {
+        CVal { re, im: 0.0 }
+    }
+    fn re(self) -> f32 {
         self.re
     }
-    fn host(self) -> C32 {
-        let (re, im) = self.val();
-        C32::new(re, im)
+    fn gload(t: &mut ThreadCtx, p: DPtr, idx: usize) -> Self {
+        CVal {
+            re: t.gget(p, 2 * idx),
+            im: t.gget(p, 2 * idx + 1),
+        }
     }
-    fn from_host(v: C32) -> Self {
-        CRv::imm(v.re, v.im)
+    fn gstore(t: &mut ThreadCtx, p: DPtr, idx: usize, v: Self) {
+        t.gset(p, 2 * idx, v.re);
+        t.gset(p, 2 * idx + 1, v.im);
     }
-
-    // Each expansion below writes out the slow path's op sequence
-    // literally (see `ThreadCtx::{cmul, cfma, cfnma, crecip}`), including
-    // operand order inside every fused multiply-add, so the rounding
-    // pattern is identical.
-
-    fn v_gload(t: &mut ThreadCtx, p: DPtr, idx: usize) -> Self {
-        CRv::imm(t.gget(p, 2 * idx), t.gget(p, 2 * idx + 1))
-    }
-    fn v_gstore(t: &mut ThreadCtx, p: DPtr, idx: usize, v: Self) {
-        t.gset(p, 2 * idx, v.re.v);
-        t.gset(p, 2 * idx + 1, v.im.v);
-    }
-    fn val(self) -> CVal {
-        CVal { re: self.re.v, im: self.im.v }
-    }
-    fn from_val(v: CVal) -> Self {
-        CRv::imm(v.re, v.im)
-    }
-    fn v_gload_vals(t: &mut ThreadCtx, p: DPtr, idx: usize, dst: &mut [CVal]) {
+    fn gload_span(t: &mut ThreadCtx, p: DPtr, idx: usize, regs: &mut [Self]) {
         // Interleaved (re, im) word pairs: even words fill `re`, odd `im`.
-        t.gget_span(p, 2 * idx, 2 * dst.len(), |k, v| {
-            let e = &mut dst[k / 2];
+        t.gget_span(p, 2 * idx, 2 * regs.len(), |k, v| {
+            let e = &mut regs[k / 2];
             if k % 2 == 0 {
                 e.re = v;
             } else {
@@ -482,78 +402,93 @@ impl Elem for CRv {
             }
         });
     }
-    fn v_gstore_vals(t: &mut ThreadCtx, p: DPtr, idx: usize, src: &[CVal]) {
-        t.gset_span(p, 2 * idx, 2 * src.len(), |k| {
-            let e = src[k / 2];
-            if k % 2 == 0 { e.re } else { e.im }
+    fn gstore_span(t: &mut ThreadCtx, p: DPtr, idx: usize, regs: &[Self]) {
+        t.gset_span(p, 2 * idx, 2 * regs.len(), |k| {
+            let e = regs[k / 2];
+            if k % 2 == 0 {
+                e.re
+            } else {
+                e.im
+            }
         });
     }
-    fn v_gstore_val(t: &mut ThreadCtx, p: DPtr, idx: usize, v: CVal) {
-        t.gset(p, 2 * idx, v.re);
-        t.gset(p, 2 * idx + 1, v.im);
+    fn sload(t: &mut ThreadCtx, idx: usize) -> Self {
+        CVal {
+            re: t.sget(2 * idx),
+            im: t.sget(2 * idx + 1),
+        }
     }
-    fn v_sload(t: &ThreadCtx, idx: usize) -> Self {
-        CRv::imm(t.sget(2 * idx), t.sget(2 * idx + 1))
+    fn sstore(t: &mut ThreadCtx, idx: usize, v: Self) {
+        t.sset(2 * idx, v.re);
+        t.sset(2 * idx + 1, v.im);
     }
-    fn v_sstore(t: &mut ThreadCtx, idx: usize, v: Self) {
-        t.sset(2 * idx, v.re.v);
-        t.sset(2 * idx + 1, v.im.v);
+    fn reg_get(_t: &mut ThreadCtx, regs: &[Self], i: usize) -> Self {
+        regs[i]
     }
-    fn v_add(a: Self, b: Self) -> Self {
-        CRv::imm(a.re.v + b.re.v, a.im.v + b.im.v)
+    fn reg_set(_t: &mut ThreadCtx, regs: &mut [Self], i: usize, v: Self) {
+        regs[i] = v;
     }
-    fn v_sub(a: Self, b: Self) -> Self {
-        CRv::imm(a.re.v - b.re.v, a.im.v - b.im.v)
+    fn add(_t: &mut ThreadCtx, a: Self, b: Self) -> Self {
+        CVal {
+            re: a.re + b.re,
+            im: a.im + b.im,
+        }
     }
-    fn v_mul(a: Self, b: Self) -> Self {
-        let t1 = a.re.v * b.re.v;
-        let re = t1 - a.im.v * b.im.v;
-        let t2 = a.re.v * b.im.v;
-        let im = a.im.v * b.re.v + t2;
-        CRv::imm(re, im)
+    fn sub(_t: &mut ThreadCtx, a: Self, b: Self) -> Self {
+        CVal {
+            re: a.re - b.re,
+            im: a.im - b.im,
+        }
     }
-    fn v_fma(a: Self, b: Self, acc: Self) -> Self {
-        let t1 = a.re.v * b.re.v + acc.re.v;
-        let re = t1 - a.im.v * b.im.v;
-        let t2 = a.re.v * b.im.v + acc.im.v;
-        let im = a.im.v * b.re.v + t2;
-        CRv::imm(re, im)
+    fn mul(_t: &mut ThreadCtx, a: Self, b: Self) -> Self {
+        let t1 = a.re * b.re;
+        let re = t1 - a.im * b.im;
+        let t2 = a.re * b.im;
+        let im = a.im * b.re + t2;
+        CVal { re, im }
     }
-    fn v_fnma(a: Self, b: Self, acc: Self) -> Self {
-        let t1 = acc.re.v - a.re.v * b.re.v;
-        let re = a.im.v * b.im.v + t1;
-        let t2 = acc.im.v - a.re.v * b.im.v;
-        let im = t2 - a.im.v * b.re.v;
-        CRv::imm(re, im)
+    fn fma(_t: &mut ThreadCtx, a: Self, b: Self, acc: Self) -> Self {
+        let t1 = a.re * b.re + acc.re;
+        let re = t1 - a.im * b.im;
+        let t2 = a.re * b.im + acc.im;
+        let im = a.im * b.re + t2;
+        CVal { re, im }
     }
-    fn v_conj_fma(a: Self, b: Self, acc: Self) -> Self {
-        // conj(a) then cfma: the conjugated imaginary part is an exact
-        // sign flip, kept explicit to mirror the slow path.
-        let aim = -a.im.v;
-        let t1 = a.re.v * b.re.v + acc.re.v;
-        let re = t1 - aim * b.im.v;
-        let t2 = a.re.v * b.im.v + acc.im.v;
-        let im = aim * b.re.v + t2;
-        CRv::imm(re, im)
+    fn fnma(_t: &mut ThreadCtx, a: Self, b: Self, acc: Self) -> Self {
+        let t1 = acc.re - a.re * b.re;
+        let re = a.im * b.im + t1;
+        let t2 = acc.im - a.re * b.im;
+        let im = t2 - a.im * b.re;
+        CVal { re, im }
     }
-    fn v_scale_re(a: Self, s: Rv) -> Self {
-        CRv::imm(a.re.v * s.v, a.im.v * s.v)
+    fn conj_fma(t: &mut ThreadCtx, a: Self, b: Self, acc: Self) -> Self {
+        let ac = Self::conj(t, a);
+        Self::fma(t, ac, b, acc)
     }
-    fn v_abs2(a: Self) -> Rv {
-        let t = a.re.v * a.re.v;
-        Rv::imm(a.im.v * a.im.v + t)
+    fn conj(_t: &mut ThreadCtx, a: Self) -> Self {
+        CVal {
+            re: a.re,
+            im: -a.im,
+        }
     }
-    fn v_recip(t: &ThreadCtx, a: Self) -> Self {
-        let n = {
-            let sq = a.re.v * a.re.v;
-            a.im.v * a.im.v + sq
-        };
+    fn scale_re(_t: &mut ThreadCtx, a: Self, s: f32) -> Self {
+        CVal {
+            re: a.re * s,
+            im: a.im * s,
+        }
+    }
+    fn abs2(_t: &mut ThreadCtx, a: Self) -> f32 {
+        let sq = a.re * a.re;
+        a.im * a.im + sq
+    }
+    fn recip(t: &mut ThreadCtx, a: Self) -> Self {
+        let n = Self::abs2(t, a);
         let r = t.v_recip(n);
-        CRv::imm(a.re.v * r, -a.im.v * r)
+        let c = Self::conj(t, a);
+        Self::scale_re(t, c, r)
     }
-    fn v_is_zero(a: Self) -> bool {
-        let sq = a.re.v * a.re.v;
-        a.im.v * a.im.v + sq == 0.0
+    fn is_zero(t: &mut ThreadCtx, a: Self) -> bool {
+        Self::abs2(t, a) == 0.0
     }
 }
 

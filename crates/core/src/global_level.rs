@@ -21,7 +21,7 @@ use crate::elem::Elem;
 use crate::per_block::SubMat;
 use crate::tiled::MultiLaunch;
 use regla_gpu_sim::{
-    BlockCtx, BlockKernel, DPtr, ExecMode, GlobalMemory, Gpu, LaunchConfig, MathMode,
+    BlockCtx, BlockKernel, DPtr, ExecMode, GlobalMemory, Gpu, LaunchConfig, MathMode, Rv,
 };
 use std::marker::PhantomData;
 
@@ -49,7 +49,7 @@ impl Default for GlobalLevelOpts {
 
 /// Column norm of column `k` of every problem, written to `d_out[bid]`
 /// alongside alpha; one block per problem (a CUBLAS `snrm2`).
-struct NormKernel<E: Elem> {
+struct NormKernel<E: Elem<Re = Rv>> {
     a: SubMat,
     m: usize,
     k: usize,
@@ -58,7 +58,7 @@ struct NormKernel<E: Elem> {
     _e: PhantomData<E>,
 }
 
-impl<E: Elem> BlockKernel for NormKernel<E> {
+impl<E: Elem<Re = Rv>> BlockKernel for NormKernel<E> {
     fn run(&self, blk: &mut BlockCtx) {
         let bid = blk.block_id;
         if bid >= self.count {
@@ -97,7 +97,7 @@ impl<E: Elem> BlockKernel for NormKernel<E> {
 
 /// Form the reflector for column k in place and stash tau/beta (a fused
 /// `sscal` + housekeeping call; one block per problem).
-struct ReflectKernel<E: Elem> {
+struct ReflectKernel<E: Elem<Re = Rv>> {
     a: SubMat,
     m: usize,
     k: usize,
@@ -107,7 +107,7 @@ struct ReflectKernel<E: Elem> {
     _e: PhantomData<E>,
 }
 
-impl<E: Elem> BlockKernel for ReflectKernel<E> {
+impl<E: Elem<Re = Rv>> BlockKernel for ReflectKernel<E> {
     fn run(&self, blk: &mut BlockCtx) {
         let bid = blk.block_id;
         if bid >= self.count {
@@ -249,7 +249,7 @@ impl<E: Elem> BlockKernel for GerKernel<E> {
 /// Householder QR of a device batch through grid-level BLAS-style calls.
 /// Returns the accumulated launch statistics; the factorization is left
 /// in place (R upper, reflectors below, LAPACK-style).
-pub fn global_level_qr<E: Elem>(
+pub fn global_level_qr<E: Elem<Re = Rv>>(
     gpu: &Gpu,
     gmem: &mut GlobalMemory,
     a: SubMat,

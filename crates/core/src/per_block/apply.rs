@@ -7,7 +7,7 @@
 //! each trailing column is streamed through shared memory, having the nb
 //! reflectors applied in sequence.
 
-use crate::elem::Elem;
+use crate::elem::{run_in_domain, DomainKernel, Elem};
 use crate::layout::LayoutMap;
 use crate::per_block::common::{load_tile, OwnTables, SubMat, TileRegs};
 use regla_gpu_sim::{BlockCtx, BlockKernel, DPtr};
@@ -27,10 +27,39 @@ pub struct QrApplyKernel<E: Elem> {
     pub nb: usize,
     pub tcols: usize,
     pub count: usize,
+    /// Ownership tables, built once per launch instead of once per
+    /// simulated block.
+    own: OwnTables,
     pub _e: PhantomData<E>,
 }
 
 impl<E: Elem> QrApplyKernel<E> {
+    /// Apply the `nb` reflectors stored in `v` (scales at `d_tau`, read
+    /// with `tau_stride = nb`, `tau_off = 0`) to the `tcols` columns of
+    /// `a`, for `count` problems.
+    pub fn new(
+        v: SubMat,
+        a: SubMat,
+        d_tau: DPtr,
+        lm: LayoutMap,
+        tcols: usize,
+        count: usize,
+    ) -> Self {
+        QrApplyKernel {
+            v,
+            a,
+            d_tau,
+            tau_stride: lm.cols,
+            tau_off: 0,
+            own: OwnTables::new(&lm),
+            nb: lm.cols,
+            lm,
+            tcols,
+            count,
+            _e: PhantomData,
+        }
+    }
+
     /// Shared layout: column buffer (rows), reduction partials
     /// (red_width), staged taus (nb), scalars (2).
     pub fn shared_words(&self) -> usize {
@@ -40,11 +69,19 @@ impl<E: Elem> QrApplyKernel<E> {
 
 impl<E: Elem> BlockKernel for QrApplyKernel<E> {
     fn run(&self, blk: &mut BlockCtx) {
+        run_in_domain(self, blk)
+    }
+}
+
+impl<E: Elem> DomainKernel for QrApplyKernel<E> {
+    type Elem = E;
+
+    fn body<D: Elem>(&self, blk: &mut BlockCtx) {
         if blk.block_id >= self.count {
             return;
         }
         let lm = self.lm;
-        let own = OwnTables::new(&lm);
+        let own = &self.own;
         let lrows = lm.lrows;
         let rows = lm.rows;
         let nb = self.nb;
@@ -57,16 +94,16 @@ impl<E: Elem> BlockKernel for QrApplyKernel<E> {
         let s_tau = rows + rw;
         let s_tw = rows + rw + nb;
 
-        let mut vregs = TileRegs::<E>::new(p, lm.local_len());
-        load_tile(blk, &lm, &own, &self.v, &mut vregs);
+        let mut vregs = TileRegs::<D>::new(p, lm.local_len());
+        load_tile(blk, &lm, own, &self.v, &mut vregs);
 
         // Stage this panel's taus once.
         let (d_tau, tau_stride, tau_off) = (self.d_tau, self.tau_stride, self.tau_off);
         blk.phase_label_with(|| "stage-tau".to_string());
         blk.for_each(|t| {
             if t.tid < nb {
-                let tau = E::gload(t, d_tau, bid * tau_stride + tau_off + t.tid);
-                E::sstore(t, s_tau + t.tid, tau);
+                let tau = D::gload(t, d_tau, bid * tau_stride + tau_off + t.tid);
+                D::sstore(t, s_tau + t.tid, tau);
             }
         });
         blk.sync();
@@ -78,8 +115,8 @@ impl<E: Elem> BlockKernel for QrApplyKernel<E> {
             blk.for_each(|t| {
                 let mut i = t.tid;
                 while i < rows {
-                    let v = E::gload(t, a.ptr, a.index(bid, i, c));
-                    E::sstore(t, s_col + i, v);
+                    let v = D::gload(t, a.ptr, a.index(bid, i, c));
+                    D::sstore(t, s_col + i, v);
                     i += p;
                 }
             });
@@ -93,35 +130,19 @@ impl<E: Elem> BlockKernel for QrApplyKernel<E> {
                     if !lm.owns_col(t.tid, k) {
                         return;
                     }
-                    if t.fast() {
-                        let trows = own.rows_from(t.tid, k + 1);
-                        let r0 = own.row_base(t.tid, k + 1);
-                        let ck = own.col_base(t.tid, k);
-                        let tile = vregs.tile(t.tid);
-                        let mut acc = E::imm(0.0);
-                        for (rr, &i) in trows.iter().enumerate() {
-                            let x = E::v_sload(t, s_col + i);
-                            acc = E::v_conj_fma(tile[(r0 + rr) + lrows * ck], x, acc);
-                        }
-                        if t.tid == diag_owner {
-                            let x = E::v_sload(t, s_col + k);
-                            acc = E::v_add(acc, x);
-                        }
-                        E::v_sstore(t, s_part + lm.owner_rank(t.tid), acc);
-                        return;
-                    }
-                    let mut acc = E::imm(0.0);
-                    for &i in own.rows_from(t.tid, k + 1) {
-                        let v = vregs.get(t, lm.local_index(i, k));
-                        let x = E::sload(t, s_col + i);
-                        acc = E::conj_fma(t, v, x, acc);
+                    let col = own.row_base(t.tid, k + 1) + lrows * own.col_base(t.tid, k);
+                    let mut acc = D::imm(0.0);
+                    for (rr, &i) in own.rows_from(t.tid, k + 1).iter().enumerate() {
+                        let v = vregs.get(t, col + rr);
+                        let x = D::sload(t, s_col + i);
+                        acc = D::conj_fma(t, v, x, acc);
                     }
                     if t.tid == diag_owner {
                         // v_k = 1 implicit.
-                        let x = E::sload(t, s_col + k);
-                        acc = E::add(t, acc, x);
+                        let x = D::sload(t, s_col + k);
+                        acc = D::add(t, acc, x);
                     }
-                    E::sstore(t, s_part + lm.owner_rank(t.tid), acc);
+                    D::sstore(t, s_part + lm.owner_rank(t.tid), acc);
                 });
                 blk.sync();
 
@@ -130,15 +151,15 @@ impl<E: Elem> BlockKernel for QrApplyKernel<E> {
                     if t.tid != diag_owner {
                         return;
                     }
-                    let mut w = E::imm(0.0);
+                    let mut w = D::imm(0.0);
                     for r in 0..rw {
-                        let pr = E::sload(t, s_part + r);
-                        w = E::add(t, pr, w);
+                        let pr = D::sload(t, s_part + r);
+                        w = D::add(t, pr, w);
                     }
-                    let tau = E::sload(t, s_tau + k);
-                    let tch = E::conj(t, tau);
-                    let tw = E::mul(t, tch, w);
-                    E::sstore(t, s_tw, tw);
+                    let tau = D::sload(t, s_tau + k);
+                    let tch = D::conj(t, tau);
+                    let tw = D::mul(t, tch, w);
+                    D::sstore(t, s_tw, tw);
                 });
                 blk.sync();
 
@@ -148,33 +169,18 @@ impl<E: Elem> BlockKernel for QrApplyKernel<E> {
                     if !lm.owns_col(t.tid, k) {
                         return;
                     }
-                    if t.fast() {
-                        let tw = E::v_sload(t, s_tw);
-                        if t.tid == diag_owner {
-                            let x = E::v_sload(t, s_col + k);
-                            E::v_sstore(t, s_col + k, E::v_sub(x, tw));
-                        }
-                        let trows = own.rows_from(t.tid, k + 1);
-                        let r0 = own.row_base(t.tid, k + 1);
-                        let ck = own.col_base(t.tid, k);
-                        for (rr, &i) in trows.iter().enumerate() {
-                            let v = vregs.tile(t.tid)[(r0 + rr) + lrows * ck];
-                            let x = E::v_sload(t, s_col + i);
-                            E::v_sstore(t, s_col + i, E::v_fnma(v, tw, x));
-                        }
-                        return;
-                    }
-                    let tw = E::sload(t, s_tw);
+                    let tw = D::sload(t, s_tw);
                     if t.tid == diag_owner {
-                        let x = E::sload(t, s_col + k);
-                        let nx = E::sub(t, x, tw);
-                        E::sstore(t, s_col + k, nx);
+                        let x = D::sload(t, s_col + k);
+                        let nx = D::sub(t, x, tw);
+                        D::sstore(t, s_col + k, nx);
                     }
-                    for &i in own.rows_from(t.tid, k + 1) {
-                        let v = vregs.get(t, lm.local_index(i, k));
-                        let x = E::sload(t, s_col + i);
-                        let nx = E::fnma(t, v, tw, x);
-                        E::sstore(t, s_col + i, nx);
+                    let col = own.row_base(t.tid, k + 1) + lrows * own.col_base(t.tid, k);
+                    for (rr, &i) in own.rows_from(t.tid, k + 1).iter().enumerate() {
+                        let v = vregs.get(t, col + rr);
+                        let x = D::sload(t, s_col + i);
+                        let nx = D::fnma(t, v, tw, x);
+                        D::sstore(t, s_col + i, nx);
                     }
                 });
                 blk.sync();
@@ -185,8 +191,8 @@ impl<E: Elem> BlockKernel for QrApplyKernel<E> {
             blk.for_each(|t| {
                 let mut i = t.tid;
                 while i < rows {
-                    let v = E::sload(t, s_col + i);
-                    E::gstore(t, a.ptr, a.index(bid, i, c), v);
+                    let v = D::sload(t, s_col + i);
+                    D::gstore(t, a.ptr, a.index(bid, i, c), v);
                     i += p;
                 }
             });

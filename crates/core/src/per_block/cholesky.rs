@@ -4,9 +4,11 @@
 //! trailing update — but restricted to the lower triangle and using a
 //! square root on the pivot.
 
-use crate::elem::Elem;
+use crate::elem::{run_in_domain, DomainKernel, Elem, Real};
 use crate::layout::LayoutMap;
-use crate::per_block::common::{load_tile, store_tile, OwnTables, SharedMap, SubMat, TileRegs};
+use crate::per_block::common::{
+    flag_first_failure, hoist, load_tile, store_tile, OwnTables, SharedMap, SubMat, TileRegs,
+};
 use regla_gpu_sim::{BlockCtx, BlockKernel, DPtr};
 use std::marker::PhantomData;
 
@@ -42,6 +44,14 @@ impl<E: Elem> CholeskyBlockKernel<E> {
 
 impl<E: Elem> BlockKernel for CholeskyBlockKernel<E> {
     fn run(&self, blk: &mut BlockCtx) {
+        run_in_domain(self, blk)
+    }
+}
+
+impl<E: Elem> DomainKernel for CholeskyBlockKernel<E> {
+    type Elem = E;
+
+    fn body<D: Elem>(&self, blk: &mut BlockCtx) {
         if blk.block_id >= self.count {
             return;
         }
@@ -54,7 +64,8 @@ impl<E: Elem> BlockKernel for CholeskyBlockKernel<E> {
         let bid = blk.block_id;
         let d_flag = self.d_flag;
 
-        let mut regs = TileRegs::<E>::new(lm.p, lm.local_len());
+        let mut regs = TileRegs::<D>::new(lm.p, lm.local_len());
+        let mut lv = Vec::new();
         load_tile(blk, &lm, own, &self.a, &mut regs);
 
         for k in 0..n {
@@ -69,23 +80,18 @@ impl<E: Elem> BlockKernel for CholeskyBlockKernel<E> {
                 }
                 let akk = regs.get(t, lm.local_index(k, k));
                 let d = akk.re();
-                let zero = t.lit(0.0);
-                if !t.gt(d, zero) {
-                    E::sstore(t, sm.se(2), E::imm(0.0));
-                    // First failure wins: record `column + 1` (0 = solved).
+                let zero = D::Re::imm(0.0);
+                if !D::Re::gt(t, d, zero) {
+                    D::sstore(t, sm.se(2), D::imm(0.0));
                     if let Some(f) = d_flag {
-                        let cur = t.gload(f, bid);
-                        if t.is_zero(cur) {
-                            let v = t.lit((k + 1) as f32);
-                            t.gstore(f, bid, v);
-                        }
+                        flag_first_failure::<D>(t, f, bid, k);
                     }
                     return;
                 }
-                let lkk = t.sqrt(d);
-                let inv = t.recip(lkk);
-                regs.set(t, lm.local_index(k, k), E::from_re(lkk));
-                E::sstore(t, sm.se(2), E::from_re(inv));
+                let lkk = D::Re::sqrt(t, d);
+                let inv = D::Re::recip(t, lkk);
+                regs.set(t, lm.local_index(k, k), D::from_re(lkk));
+                D::sstore(t, sm.se(2), D::from_re(inv));
             });
             blk.sync();
 
@@ -98,28 +104,13 @@ impl<E: Elem> BlockKernel for CholeskyBlockKernel<E> {
                 if rows.is_empty() {
                     return;
                 }
-                if t.fast() {
-                    let inv = E::v_sload(t, sm.se(2));
-                    let inv_re = inv.re();
-                    let r0 = own.row_base(t.tid, k + 1);
-                    let ck = own.col_base(t.tid, k);
-                    let tile = regs.tile_mut(t.tid);
-                    for (rr, &i) in rows.iter().enumerate() {
-                        let idx = (r0 + rr) + lrows * ck;
-                        let l = E::v_scale_re(tile[idx], inv_re);
-                        tile[idx] = l;
-                        E::v_sstore(t, sm.sv(i), l);
-                    }
-                    return;
-                }
-                let inv = E::sload(t, sm.se(2));
-                let inv_re = inv.re();
-                for &i in rows {
-                    let idx = lm.local_index(i, k);
-                    let a = regs.get(t, idx);
-                    let l = E::scale_re(t, a, inv_re);
-                    regs.set(t, idx, l);
-                    E::sstore(t, sm.sv(i), l);
+                let inv = D::sload(t, sm.se(2)).re();
+                let col = own.row_base(t.tid, k + 1) + lrows * own.col_base(t.tid, k);
+                for (rr, &i) in rows.iter().enumerate() {
+                    let a = regs.get(t, col + rr);
+                    let l = D::scale_re(t, a, inv);
+                    regs.set(t, col + rr, l);
+                    D::sstore(t, sm.sv(i), l);
                 }
             });
             blk.sync();
@@ -133,42 +124,25 @@ impl<E: Elem> BlockKernel for CholeskyBlockKernel<E> {
                 if trows.is_empty() || tcols.is_empty() {
                     return;
                 }
-                if t.fast() {
-                    // Fused lower-triangle update: rows are sorted, so the
-                    // i >= j suffix starts at a partition point.
-                    let r0 = own.row_base(t.tid, k + 1);
-                    let c0 = own.col_base(t.tid, k + 1);
-                    let tile = regs.tile_mut(t.tid);
-                    for (cc, &j) in tcols.iter().enumerate() {
-                        let lj = E::v_sload(t, sm.sv(j));
-                        let ljc = E::conj(t, lj);
-                        let start = trows.partition_point(|&i| i < j);
-                        let col = lrows * (c0 + cc) + r0;
-                        for (rr, &i) in trows.iter().enumerate().skip(start) {
-                            let li = E::v_sload(t, sm.sv(i));
-                            tile[col + rr] = E::v_fnma(li, ljc, tile[col + rr]);
-                        }
-                    }
-                    return;
-                }
-                let l: Vec<E> = trows.iter().map(|&i| E::sload(t, sm.sv(i))).collect();
-                for &j in tcols {
-                    let lj = E::sload(t, sm.sv(j));
-                    let ljc = E::conj(t, lj);
-                    for (li, &i) in l.iter().zip(trows) {
-                        if i < j {
-                            continue;
-                        }
-                        let idx = lm.local_index(i, j);
-                        let a = regs.get(t, idx);
-                        let na = E::fnma(t, *li, ljc, a);
-                        regs.set(t, idx, na);
+                hoist(t, &mut lv, trows.iter().map(|&i| sm.sv(i)));
+                let r0 = own.row_base(t.tid, k + 1);
+                let c0 = own.col_base(t.tid, k + 1);
+                for (cc, &j) in tcols.iter().enumerate() {
+                    let lj = D::sload(t, sm.sv(j));
+                    let ljc = D::conj(t, lj);
+                    let col = r0 + lrows * (c0 + cc);
+                    // Rows are sorted: the i >= j part is a suffix.
+                    let start = trows.partition_point(|&i| i < j);
+                    for (rr, &li) in lv.iter().enumerate().skip(start) {
+                        let a = regs.get(t, col + rr);
+                        let na = D::fnma(t, li, ljc, a);
+                        regs.set(t, col + rr, na);
                     }
                 }
             });
             blk.sync();
         }
 
-        store_tile(blk, &lm, own, &self.a, &mut regs);
+        store_tile(blk, &lm, own, &self.a, &regs);
     }
 }

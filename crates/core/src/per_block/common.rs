@@ -2,7 +2,7 @@
 
 use crate::elem::Elem;
 use crate::layout::LayoutMap;
-use regla_gpu_sim::{BlockCtx, DPtr, RegArray, ThreadCtx};
+use regla_gpu_sim::{BlockCtx, DPtr, ThreadCtx};
 
 /// A (sub)matrix view into a device batch: problem `b`'s element (i, j)
 /// lives at `b*stride + (col0 + j)*lda + row0 + i` (element units).
@@ -137,8 +137,8 @@ impl OwnTables {
     ///
     /// For every shipped layout the w-th entry of a thread's owned-row
     /// list has local row index w (ownership is an arithmetic
-    /// progression), so fused fast-path loops can index the register tile
-    /// as `(row_base + rr) + lrows * (col_base + cc)` with no divisions;
+    /// progression), so kernels index the register tile as
+    /// `(row_base + rr) + lrows * (col_base + cc)` with no divisions;
     /// `tile_index_matches_layout` pins the invariant.
     #[inline]
     pub fn row_base(&self, t: usize, r0: usize) -> usize {
@@ -154,84 +154,60 @@ impl OwnTables {
 
 /// Every thread's register tile in one allocation.
 ///
-/// One `RegArray` per thread was `p` heap allocations per simulated block;
-/// batch workloads run tens of thousands of blocks, so the flat array
-/// matters. Accessors take the thread context and address the calling
-/// thread's tile, so kernels read exactly as before; the per-access spill
-/// accounting is unchanged (it was always per-thread, not per-array).
-pub struct TileRegs<E: Elem> {
-    regs: RegArray<E>,
+/// One register array per thread was `p` heap allocations per simulated
+/// block; batch workloads run tens of thousands of blocks, so the flat
+/// array matters. Accessors take the thread context and address the
+/// calling thread's tile. In a tracked domain every access is charged to
+/// that thread's spill accounting, exactly as a per-thread array would be.
+pub struct TileRegs<D: Elem> {
+    regs: Vec<D>,
     llen: usize,
 }
 
-impl<E: Elem> TileRegs<E> {
+impl<D: Elem> TileRegs<D> {
     /// Zeroed tiles for `p` threads of `llen` local elements each.
     pub fn new(p: usize, llen: usize) -> Self {
         TileRegs {
-            regs: RegArray::zeroed(p * llen),
+            regs: vec![D::imm(0.0); p * llen],
             llen,
         }
     }
 
-    /// Scoreboarded read of the calling thread's local element `i`.
+    /// Read the calling thread's local element `i`.
     #[inline]
-    pub fn get(&self, t: &mut ThreadCtx, i: usize) -> E {
+    pub fn get(&self, t: &mut ThreadCtx, i: usize) -> D {
         debug_assert!(i < self.llen);
-        self.regs.get(t, t.tid * self.llen + i)
+        D::reg_get(t, &self.regs, t.tid * self.llen + i)
     }
 
-    /// Scoreboarded write of the calling thread's local element `i`.
+    /// Write the calling thread's local element `i`.
     #[inline]
-    pub fn set(&mut self, t: &mut ThreadCtx, i: usize, x: E) {
+    pub fn set(&mut self, t: &mut ThreadCtx, i: usize, x: D) {
         debug_assert!(i < self.llen);
-        self.regs.set(t, t.tid * self.llen + i, x)
-    }
-
-    /// Raw view of thread `tid`'s tile (fast path only).
-    #[inline]
-    pub fn tile(&self, tid: usize) -> &[E] {
-        &self.regs.raw()[tid * self.llen..][..self.llen]
-    }
-
-    /// Raw mutable view of thread `tid`'s tile (fast path only).
-    #[inline]
-    pub fn tile_mut(&mut self, tid: usize) -> &mut [E] {
-        &mut self.regs.raw_mut()[tid * self.llen..][..self.llen]
+        D::reg_set(t, &mut self.regs, t.tid * self.llen + i, x)
     }
 }
 
 /// Load each thread's 2D-cyclic (or 1D) register tile from global memory
-/// (the paper's Listing 4).
-pub fn load_tile<E: Elem>(
+/// (the paper's Listing 4). Tiles are indexed without divisions: the
+/// position in the owned lists is the local index (see
+/// `OwnTables::row_base`).
+pub fn load_tile<D: Elem>(
     blk: &mut BlockCtx,
     lm: &LayoutMap,
     own: &OwnTables,
     a: &SubMat,
-    regs: &mut TileRegs<E>,
+    regs: &mut TileRegs<D>,
 ) {
     let bid = blk.block_id;
     blk.phase_label("load");
     let lrows = lm.lrows;
     blk.for_each(|t| {
-        if t.fast() {
-            // Fused macro-op: both loops over the thread's whole tile with
-            // division-free local indexing (position in the owned list IS
-            // the local index — see `OwnTables::row_base`).
-            let rows = own.rows_from(t.tid, 0);
-            let cols = own.cols_from(t.tid, 0);
-            let tile = regs.tile_mut(t.tid);
-            for (lr, &i) in rows.iter().enumerate() {
-                for (lc, &j) in cols.iter().enumerate() {
-                    debug_assert_eq!(lr + lrows * lc, lm.local_index(i, j));
-                    tile[lr + lrows * lc] = E::v_gload(t, a.ptr, a.index(bid, i, j));
-                }
-            }
-            return;
-        }
-        for &i in own.rows_from(t.tid, 0) {
-            for &j in own.cols_from(t.tid, 0) {
-                let v = E::gload(t, a.ptr, a.index(bid, i, j));
-                regs.set(t, lm.local_index(i, j), v);
+        let cols = own.cols_from(t.tid, 0);
+        for (lr, &i) in own.rows_from(t.tid, 0).iter().enumerate() {
+            for (lc, &j) in cols.iter().enumerate() {
+                let v = D::gload(t, a.ptr, a.index(bid, i, j));
+                regs.set(t, lr + lrows * lc, v);
             }
         }
     });
@@ -239,52 +215,51 @@ pub fn load_tile<E: Elem>(
 }
 
 /// Store the register tiles back to global memory.
-pub fn store_tile<E: Elem>(
+pub fn store_tile<D: Elem>(
     blk: &mut BlockCtx,
     lm: &LayoutMap,
     own: &OwnTables,
     a: &SubMat,
-    regs: &mut TileRegs<E>,
+    regs: &TileRegs<D>,
 ) {
     let bid = blk.block_id;
     blk.phase_label("store");
     let lrows = lm.lrows;
     blk.for_each(|t| {
-        if t.fast() {
-            let rows = own.rows_from(t.tid, 0);
-            let cols = own.cols_from(t.tid, 0);
-            let tile = regs.tile(t.tid);
-            for (lr, &i) in rows.iter().enumerate() {
-                for (lc, &j) in cols.iter().enumerate() {
-                    E::v_gstore(t, a.ptr, a.index(bid, i, j), tile[lr + lrows * lc]);
-                }
-            }
-            return;
-        }
-        for &i in own.rows_from(t.tid, 0) {
-            for &j in own.cols_from(t.tid, 0) {
-                let v = regs.get(t, lm.local_index(i, j));
-                E::gstore(t, a.ptr, a.index(bid, i, j), v);
+        let cols = own.cols_from(t.tid, 0);
+        for (lr, &i) in own.rows_from(t.tid, 0).iter().enumerate() {
+            for (lc, &j) in cols.iter().enumerate() {
+                let v = regs.get(t, lr + lrows * lc);
+                D::gstore(t, a.ptr, a.index(bid, i, j), v);
             }
         }
     });
 }
 
+/// Load the shared slots `slots` into `buf` (cleared first), in order:
+/// a thread hoisting a shared vector into registers before a loop nest.
+/// The buffer is per-block scratch, reused by every thread and step.
+pub fn hoist<D: Elem>(t: &mut ThreadCtx, buf: &mut Vec<D>, slots: impl Iterator<Item = usize>) {
+    buf.clear();
+    buf.extend(slots.map(|s| D::sload(t, s)));
+}
+
+/// Record `col + 1` in problem `pid`'s failure flag unless an earlier
+/// column already failed there (first failure wins; 0 = solved).
+pub fn flag_first_failure<D: Elem>(t: &mut ThreadCtx, f: DPtr, pid: usize, col: usize) {
+    let cur = D::Re::gload(t, f, pid);
+    if D::Re::is_zero(t, cur) {
+        D::Re::gstore(t, f, pid, D::Re::imm((col + 1) as f32));
+    }
+}
+
 /// Serial reduction of the partials for column `j` (ranks `0..red_width`),
 /// performed by the calling thread; returns the sum.
-pub fn reduce_column<E: Elem>(t: &mut ThreadCtx, sm: &SharedMap, j: usize) -> E {
-    if t.fast() {
-        let mut acc = E::imm(0.0);
-        for r in 0..sm.red_width {
-            let p = E::v_sload(t, sm.part(j, r));
-            acc = E::v_add(p, acc);
-        }
-        return acc;
-    }
-    let mut acc = E::imm(0.0);
+pub fn reduce_column<D: Elem>(t: &mut ThreadCtx, sm: &SharedMap, j: usize) -> D {
+    let mut acc = D::imm(0.0);
     for r in 0..sm.red_width {
-        let p = E::sload(t, sm.part(j, r));
-        acc = E::add(t, p, acc);
+        let p = D::sload(t, sm.part(j, r));
+        acc = D::add(t, p, acc);
     }
     acc
 }
@@ -328,9 +303,8 @@ mod tests {
 
     #[test]
     fn tile_index_matches_layout() {
-        // The fused fast-path loops index register tiles by position in
-        // the owned lists; that must agree with `LayoutMap::local_index`
-        // for every layout.
+        // Kernels index register tiles by position in the owned lists;
+        // that must agree with `LayoutMap::local_index` for every layout.
         for layout in [Layout::TwoDCyclic, Layout::RowCyclic, Layout::ColCyclic] {
             let lm = LayoutMap::new(layout, 16, 12, 13);
             let own = OwnTables::new(&lm);

@@ -4,9 +4,9 @@
 //! (the speech-recognition GMM example) and by the hybrid baseline's
 //! trailing-matrix updates.
 
-use crate::elem::Elem;
+use crate::elem::{run_in_domain, DomainKernel, Elem};
 use crate::layout::LayoutMap;
-use crate::per_block::common::{load_tile, store_tile, OwnTables, SubMat, TileRegs};
+use crate::per_block::common::{hoist, load_tile, store_tile, OwnTables, SubMat, TileRegs};
 use regla_gpu_sim::{BlockCtx, BlockKernel};
 use std::marker::PhantomData;
 
@@ -22,10 +22,37 @@ pub struct GemmBlockKernel<E: Elem> {
     pub count: usize,
     /// When false, C is overwritten instead of accumulated.
     pub accumulate: bool,
+    /// Ownership tables, built once per launch instead of once per
+    /// simulated block.
+    own: OwnTables,
     pub _e: PhantomData<E>,
 }
 
 impl<E: Elem> GemmBlockKernel<E> {
+    /// `C = A·B` (or `C += A·B` when `accumulate`) over `count` problems,
+    /// with C laid out over the block by `lm` and inner dimension `kdim`.
+    pub fn new(
+        a: SubMat,
+        b: SubMat,
+        c: SubMat,
+        lm: LayoutMap,
+        kdim: usize,
+        count: usize,
+        accumulate: bool,
+    ) -> Self {
+        GemmBlockKernel {
+            a,
+            b,
+            c,
+            own: OwnTables::new(&lm),
+            lm,
+            kdim,
+            count,
+            accumulate,
+            _e: PhantomData,
+        }
+    }
+
     /// Shared words: one column of A (m) plus one row of B (n).
     pub fn shared_words(&self) -> usize {
         (self.lm.rows + self.lm.cols) * E::WORDS
@@ -34,11 +61,19 @@ impl<E: Elem> GemmBlockKernel<E> {
 
 impl<E: Elem> BlockKernel for GemmBlockKernel<E> {
     fn run(&self, blk: &mut BlockCtx) {
+        run_in_domain(self, blk)
+    }
+}
+
+impl<E: Elem> DomainKernel for GemmBlockKernel<E> {
+    type Elem = E;
+
+    fn body<D: Elem>(&self, blk: &mut BlockCtx) {
         if blk.block_id >= self.count {
             return;
         }
         let lm = self.lm;
-        let own = OwnTables::new(&lm);
+        let own = &self.own;
         let lrows = lm.lrows;
         let (m, n) = (lm.rows, lm.cols);
         let bid = blk.block_id;
@@ -46,18 +81,15 @@ impl<E: Elem> BlockKernel for GemmBlockKernel<E> {
         let kdim = self.kdim;
         let (a, b) = (self.a, self.b);
 
-        let mut regs = TileRegs::<E>::new(p, lm.local_len());
+        let mut regs = TileRegs::<D>::new(p, lm.local_len());
+        let (mut av, mut bv) = (Vec::new(), Vec::new());
         if self.accumulate {
-            load_tile(blk, &lm, &own, &self.c, &mut regs);
+            load_tile(blk, &lm, own, &self.c, &mut regs);
         } else {
             blk.phase_label_with(|| "zero".to_string());
             blk.for_each(|t| {
-                if t.fast() {
-                    regs.tile_mut(t.tid).fill(E::imm(0.0));
-                    return;
-                }
                 for l in 0..lm.local_len() {
-                    regs.set(t, l, E::imm(0.0));
+                    regs.set(t, l, D::imm(0.0));
                 }
             });
             blk.sync();
@@ -67,31 +99,16 @@ impl<E: Elem> BlockKernel for GemmBlockKernel<E> {
             // Stage A[:, kk] and B[kk, :] into shared memory cooperatively.
             blk.phase_label_with(|| "stage".to_string());
             blk.for_each(|t| {
-                if t.fast() {
-                    let mut i = t.tid;
-                    while i < m {
-                        let v = E::v_gload(t, a.ptr, a.index(bid, i, kk));
-                        E::v_sstore(t, i, v);
-                        i += p;
-                    }
-                    let mut j = t.tid;
-                    while j < n {
-                        let v = E::v_gload(t, b.ptr, b.index(bid, kk, j));
-                        E::v_sstore(t, m + j, v);
-                        j += p;
-                    }
-                    return;
-                }
                 let mut i = t.tid;
                 while i < m {
-                    let v = E::gload(t, a.ptr, a.index(bid, i, kk));
-                    E::sstore(t, i, v);
+                    let v = D::gload(t, a.ptr, a.index(bid, i, kk));
+                    D::sstore(t, i, v);
                     i += p;
                 }
                 let mut j = t.tid;
                 while j < n {
-                    let v = E::gload(t, b.ptr, b.index(bid, kk, j));
-                    E::sstore(t, m + j, v);
+                    let v = D::gload(t, b.ptr, b.index(bid, kk, j));
+                    D::sstore(t, m + j, v);
                     j += p;
                 }
             });
@@ -104,34 +121,21 @@ impl<E: Elem> BlockKernel for GemmBlockKernel<E> {
                 if trows.is_empty() || tcols.is_empty() {
                     return;
                 }
-                if t.fast() {
-                    // Fused rank-1 accumulate over the full owned tile
-                    // (row/col bases are 0: the lists start at row/col 0).
-                    let tile = regs.tile_mut(t.tid);
-                    for (cc, &j) in tcols.iter().enumerate() {
-                        let bj = E::v_sload(t, m + j);
-                        let col = lrows * cc;
-                        for (rr, &i) in trows.iter().enumerate() {
-                            let ai = E::v_sload(t, i);
-                            tile[col + rr] = E::v_fma(ai, bj, tile[col + rr]);
-                        }
-                    }
-                    return;
-                }
-                let av: Vec<E> = trows.iter().map(|&i| E::sload(t, i)).collect();
-                let bv: Vec<E> = tcols.iter().map(|&j| E::sload(t, m + j)).collect();
-                for (bj, &j) in bv.iter().zip(tcols) {
-                    for (ai, &i) in av.iter().zip(trows) {
-                        let idx = lm.local_index(i, j);
-                        let c = regs.get(t, idx);
-                        let nc = E::fma(t, *ai, *bj, c);
-                        regs.set(t, idx, nc);
+                hoist(t, &mut av, trows.iter().copied());
+                hoist(t, &mut bv, tcols.iter().map(|&j| m + j));
+                // Row and column bases are 0: the lists start at 0.
+                for (cc, &bj) in bv.iter().enumerate() {
+                    let col = lrows * cc;
+                    for (rr, &ai) in av.iter().enumerate() {
+                        let c = regs.get(t, col + rr);
+                        let nc = D::fma(t, ai, bj, c);
+                        regs.set(t, col + rr, nc);
                     }
                 }
             });
             blk.sync();
         }
 
-        store_tile(blk, &lm, &own, &self.c, &mut regs);
+        store_tile(blk, &lm, own, &self.c, &regs);
     }
 }

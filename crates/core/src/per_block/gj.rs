@@ -5,9 +5,11 @@
 //! outer product of the scaled row and the pivot column updates everything
 //! to the right, above and below the pivot.
 
-use crate::elem::Elem;
+use crate::elem::{run_in_domain, DomainKernel, Elem};
 use crate::layout::LayoutMap;
-use crate::per_block::common::{load_tile, store_tile, OwnTables, SharedMap, SubMat, TileRegs};
+use crate::per_block::common::{
+    flag_first_failure, hoist, load_tile, store_tile, OwnTables, SharedMap, SubMat, TileRegs,
+};
 use regla_gpu_sim::{BlockCtx, BlockKernel, DPtr};
 use std::marker::PhantomData;
 
@@ -47,6 +49,14 @@ impl<E: Elem> GjBlockKernel<E> {
 
 impl<E: Elem> BlockKernel for GjBlockKernel<E> {
     fn run(&self, blk: &mut BlockCtx) {
+        run_in_domain(self, blk)
+    }
+}
+
+impl<E: Elem> DomainKernel for GjBlockKernel<E> {
+    type Elem = E;
+
+    fn body<D: Elem>(&self, blk: &mut BlockCtx) {
         if blk.block_id >= self.count {
             return;
         }
@@ -59,7 +69,8 @@ impl<E: Elem> BlockKernel for GjBlockKernel<E> {
         let bid = blk.block_id;
         let d_flag = self.d_flag;
 
-        let mut regs = TileRegs::<E>::new(lm.p, lm.local_len());
+        let mut regs = TileRegs::<D>::new(lm.p, lm.local_len());
+        let (mut lv, mut uv) = (Vec::new(), Vec::new());
         load_tile(blk, &lm, own, &self.a, &mut regs);
 
         for k in 0..n {
@@ -72,19 +83,14 @@ impl<E: Elem> BlockKernel for GjBlockKernel<E> {
                     return;
                 }
                 let akk = regs.get(t, lm.local_index(k, k));
-                if E::is_zero(t, akk) {
-                    E::sstore(t, sm.se(2), E::imm(0.0));
-                    // First failure wins: record `column + 1` (0 = solved).
+                if D::is_zero(t, akk) {
+                    D::sstore(t, sm.se(2), D::imm(0.0));
                     if let Some(f) = d_flag {
-                        let cur = t.gload(f, bid);
-                        if t.is_zero(cur) {
-                            let v = t.lit((k + 1) as f32);
-                            t.gstore(f, bid, v);
-                        }
+                        flag_first_failure::<D>(t, f, bid, k);
                     }
                 } else {
-                    let s = E::recip(t, akk);
-                    E::sstore(t, sm.se(2), s);
+                    let s = D::recip(t, akk);
+                    D::sstore(t, sm.se(2), s);
                 }
             });
             blk.sync();
@@ -92,53 +98,28 @@ impl<E: Elem> BlockKernel for GjBlockKernel<E> {
             // Scale the pivot row (j >= k) and publish it; publish the
             // pivot column as the elimination multipliers l_i.
             blk.for_each(|t| {
-                if t.fast() {
-                    // Fused macro-ops over the pivot row and pivot column.
-                    if own.rows_from(t.tid, k).first() == Some(&k) {
-                        let s = E::v_sload(t, sm.se(2));
-                        let rk = own.row_base(t.tid, k);
-                        let c0 = own.col_base(t.tid, k);
-                        let tile = regs.tile_mut(t.tid);
-                        for (cc, &j) in own.cols_from(t.tid, k).iter().enumerate() {
-                            let idx = rk + lrows * (c0 + cc);
-                            let u = E::v_mul(tile[idx], s);
-                            tile[idx] = u;
-                            if j > k {
-                                E::v_sstore(t, sm.sr(j), u);
-                            }
-                        }
-                    }
-                    if lm.owns_col(t.tid, k) {
-                        let ck = own.col_base(t.tid, k);
-                        for (rr, &i) in own.rows_from(t.tid, 0).iter().enumerate() {
-                            if i == k {
-                                continue;
-                            }
-                            let l = regs.tile(t.tid)[rr + lrows * ck];
-                            E::v_sstore(t, sm.sv(i), l);
-                        }
-                    }
-                    return;
-                }
                 if own.rows_from(t.tid, k).first() == Some(&k) {
-                    let s = E::sload(t, sm.se(2));
-                    for &j in own.cols_from(t.tid, k) {
-                        let idx = lm.local_index(k, j);
+                    let s = D::sload(t, sm.se(2));
+                    let rk = own.row_base(t.tid, k);
+                    let c0 = own.col_base(t.tid, k);
+                    for (cc, &j) in own.cols_from(t.tid, k).iter().enumerate() {
+                        let idx = rk + lrows * (c0 + cc);
                         let a = regs.get(t, idx);
-                        let u = E::mul(t, a, s);
+                        let u = D::mul(t, a, s);
                         regs.set(t, idx, u);
                         if j > k {
-                            E::sstore(t, sm.sr(j), u);
+                            D::sstore(t, sm.sr(j), u);
                         }
                     }
                 }
                 if lm.owns_col(t.tid, k) {
-                    for &i in own.rows_from(t.tid, 0) {
+                    let col = lrows * own.col_base(t.tid, k);
+                    for (rr, &i) in own.rows_from(t.tid, 0).iter().enumerate() {
                         if i == k {
                             continue;
                         }
-                        let l = regs.get(t, lm.local_index(i, k));
-                        E::sstore(t, sm.sv(i), l);
+                        let l = regs.get(t, col + rr);
+                        D::sstore(t, sm.sv(i), l);
                     }
                 }
             });
@@ -148,70 +129,36 @@ impl<E: Elem> BlockKernel for GjBlockKernel<E> {
             // right of the pivot, and zero the pivot column.
             blk.phase_label_with(|| format!("panel {panel}: rank-1"));
             blk.for_each(|t| {
-                if t.fast() {
-                    // Fused outer-product update, skipping the pivot row in
-                    // place instead of collecting the filtered row list.
-                    let tcols = own.cols_from(t.tid, k + 1);
-                    let all = own.rows_from(t.tid, 0);
-                    if !all.is_empty() && !tcols.is_empty() {
-                        let c0 = own.col_base(t.tid, k + 1);
-                        let tile = regs.tile_mut(t.tid);
-                        for (cc, &j) in tcols.iter().enumerate() {
-                            let uj = E::v_sload(t, sm.sr(j));
-                            let col = lrows * (c0 + cc);
-                            for (rr, &i) in all.iter().enumerate() {
-                                if i == k {
-                                    continue;
-                                }
-                                let li = E::v_sload(t, sm.sv(i));
-                                tile[col + rr] = E::v_fnma(li, uj, tile[col + rr]);
-                            }
-                        }
-                    }
-                    if lm.owns_col(t.tid, k) {
-                        let ck = own.col_base(t.tid, k);
-                        let tile = regs.tile_mut(t.tid);
-                        for (rr, &i) in own.rows_from(t.tid, 0).iter().enumerate() {
-                            tile[rr + lrows * ck] =
-                                if i == k { E::imm(1.0) } else { E::imm(0.0) };
-                        }
-                    }
-                    return;
-                }
+                let rows = own.rows_from(t.tid, 0);
                 let tcols = own.cols_from(t.tid, k + 1);
-                let trows: Vec<usize> = own
-                    .rows_from(t.tid, 0)
-                    .iter()
-                    .copied()
-                    .filter(|&i| i != k)
-                    .collect();
-                if !trows.is_empty() && !tcols.is_empty() {
-                    let l: Vec<E> = trows.iter().map(|&i| E::sload(t, sm.sv(i))).collect();
-                    let u: Vec<E> = tcols.iter().map(|&j| E::sload(t, sm.sr(j))).collect();
-                    for (uj, &j) in u.iter().zip(tcols) {
-                        for (li, &i) in l.iter().zip(&trows) {
-                            let idx = lm.local_index(i, j);
-                            let a = regs.get(t, idx);
-                            let na = E::fnma(t, *li, *uj, a);
-                            regs.set(t, idx, na);
+                // The owned rows other than the pivot row, with their
+                // local indices.
+                let trows = || rows.iter().enumerate().filter(|&(_, &i)| i != k);
+                if trows().next().is_some() && !tcols.is_empty() {
+                    hoist(t, &mut lv, trows().map(|(_, &i)| sm.sv(i)));
+                    hoist(t, &mut uv, tcols.iter().map(|&j| sm.sr(j)));
+                    let c0 = own.col_base(t.tid, k + 1);
+                    for (cc, &uj) in uv.iter().enumerate() {
+                        let col = lrows * (c0 + cc);
+                        for ((rr, _), &li) in trows().zip(&lv) {
+                            let a = regs.get(t, col + rr);
+                            let na = D::fnma(t, li, uj, a);
+                            regs.set(t, col + rr, na);
                         }
                     }
                 }
                 // Clear the pivot column (RREF) and set the pivot to one.
                 if lm.owns_col(t.tid, k) {
-                    for &i in own.rows_from(t.tid, 0) {
-                        let idx = lm.local_index(i, k);
-                        if i == k {
-                            regs.set(t, idx, E::imm(1.0));
-                        } else {
-                            regs.set(t, idx, E::imm(0.0));
-                        }
+                    let col = lrows * own.col_base(t.tid, k);
+                    for (rr, &i) in rows.iter().enumerate() {
+                        let v = if i == k { D::imm(1.0) } else { D::imm(0.0) };
+                        regs.set(t, col + rr, v);
                     }
                 }
             });
             blk.sync();
         }
 
-        store_tile(blk, &lm, own, &self.a, &mut regs);
+        store_tile(blk, &lm, own, &self.a, &regs);
     }
 }

@@ -2,9 +2,11 @@
 //! Listings 5-7): scale the pivot column, publish l and u through shared
 //! memory, rank-1 update of the Schur complement.
 
-use crate::elem::Elem;
+use crate::elem::{run_in_domain, DomainKernel, Elem};
 use crate::layout::LayoutMap;
-use crate::per_block::common::{load_tile, store_tile, OwnTables, SharedMap, SubMat, TileRegs};
+use crate::per_block::common::{
+    flag_first_failure, hoist, load_tile, store_tile, OwnTables, SharedMap, SubMat, TileRegs,
+};
 use regla_gpu_sim::{BlockCtx, BlockKernel, DPtr};
 use std::marker::PhantomData;
 
@@ -59,6 +61,14 @@ impl<E: Elem> LuBlockKernel<E> {
 
 impl<E: Elem> BlockKernel for LuBlockKernel<E> {
     fn run(&self, blk: &mut BlockCtx) {
+        run_in_domain(self, blk)
+    }
+}
+
+impl<E: Elem> DomainKernel for LuBlockKernel<E> {
+    type Elem = E;
+
+    fn body<D: Elem>(&self, blk: &mut BlockCtx) {
         if blk.block_id >= self.count {
             return;
         }
@@ -70,8 +80,10 @@ impl<E: Elem> BlockKernel for LuBlockKernel<E> {
         let kmax = m.min(cols);
         let bid = blk.block_id;
         let d_flag = self.d_flag;
+        let listing7 = self.listing7;
 
-        let mut regs = TileRegs::<E>::new(lm.p, lm.local_len());
+        let mut regs = TileRegs::<D>::new(lm.p, lm.local_len());
+        let (mut lv, mut uv) = (Vec::new(), Vec::new());
         load_tile(blk, &lm, own, &self.a, &mut regs);
 
         for k in 0..kmax {
@@ -86,20 +98,16 @@ impl<E: Elem> BlockKernel for LuBlockKernel<E> {
                     return;
                 }
                 let akk = regs.get(t, lm.local_index(k, k));
-                if E::is_zero(t, akk) {
-                    E::sstore(t, sm.se(2), E::imm(0.0));
+                if D::is_zero(t, akk) {
+                    D::sstore(t, sm.se(2), D::imm(0.0));
                     // First failure wins: record `column + 1` so the host
                     // can report which pivot broke (0 = solved).
                     if let Some(f) = d_flag {
-                        let cur = t.gload(f, bid);
-                        if t.is_zero(cur) {
-                            let v = t.lit((k + 1) as f32);
-                            t.gstore(f, bid, v);
-                        }
+                        flag_first_failure::<D>(t, f, bid, k);
                     }
                 } else {
-                    let s = E::recip(t, akk);
-                    E::sstore(t, sm.se(2), s);
+                    let s = D::recip(t, akk);
+                    D::sstore(t, sm.se(2), s);
                 }
             });
             blk.sync();
@@ -107,50 +115,25 @@ impl<E: Elem> BlockKernel for LuBlockKernel<E> {
             // Scale the column into l while extracting it to shared memory
             // (Listing 6), and publish the pivot row as u.
             blk.for_each(|t| {
-                if t.fast() {
-                    // Fused macro-ops over contiguous column slices.
-                    if lm.owns_col(t.tid, k) {
-                        let rows = own.rows_from(t.tid, k + 1);
-                        if !rows.is_empty() {
-                            let s = E::v_sload(t, sm.se(2));
-                            let r0 = own.row_base(t.tid, k + 1);
-                            let ck = own.col_base(t.tid, k);
-                            let tile = regs.tile_mut(t.tid);
-                            for (rr, &i) in rows.iter().enumerate() {
-                                let idx = (r0 + rr) + lrows * ck;
-                                let l = E::v_mul(tile[idx], s);
-                                tile[idx] = l;
-                                E::v_sstore(t, sm.sv(i), l);
-                            }
-                        }
-                    }
-                    if own.rows_from(t.tid, k).first() == Some(&k) {
-                        let rk = own.row_base(t.tid, k);
-                        let c0 = own.col_base(t.tid, k + 1);
-                        for (cc, &j) in own.cols_from(t.tid, k + 1).iter().enumerate() {
-                            let u = regs.tile(t.tid)[rk + lrows * (c0 + cc)];
-                            E::v_sstore(t, sm.sr(j), u);
-                        }
-                    }
-                    return;
-                }
                 if lm.owns_col(t.tid, k) {
                     let rows = own.rows_from(t.tid, k + 1);
                     if !rows.is_empty() {
-                        let s = E::sload(t, sm.se(2));
-                        for &i in rows {
-                            let idx = lm.local_index(i, k);
-                            let a = regs.get(t, idx);
-                            let l = E::mul(t, a, s);
-                            regs.set(t, idx, l);
-                            E::sstore(t, sm.sv(i), l);
+                        let s = D::sload(t, sm.se(2));
+                        let col = own.row_base(t.tid, k + 1) + lrows * own.col_base(t.tid, k);
+                        for (rr, &i) in rows.iter().enumerate() {
+                            let a = regs.get(t, col + rr);
+                            let l = D::mul(t, a, s);
+                            regs.set(t, col + rr, l);
+                            D::sstore(t, sm.sv(i), l);
                         }
                     }
                 }
                 if own.rows_from(t.tid, k).first() == Some(&k) {
-                    for &j in own.cols_from(t.tid, k + 1) {
-                        let u = regs.get(t, lm.local_index(k, j));
-                        E::sstore(t, sm.sr(j), u);
+                    let rk = own.row_base(t.tid, k);
+                    let c0 = own.col_base(t.tid, k + 1);
+                    for (cc, &j) in own.cols_from(t.tid, k + 1).iter().enumerate() {
+                        let u = regs.get(t, rk + lrows * (c0 + cc));
+                        D::sstore(t, sm.sr(j), u);
                     }
                 }
             });
@@ -161,50 +144,34 @@ impl<E: Elem> BlockKernel for LuBlockKernel<E> {
             // `listing7` variant re-reads u per inner iteration, as the
             // paper's source does.
             blk.phase_label_with(|| format!("panel {panel}: rank-1"));
-            let listing7 = self.listing7;
             blk.for_each(|t| {
                 let trows = own.rows_from(t.tid, k + 1);
                 let tcols = own.cols_from(t.tid, k + 1);
                 if trows.is_empty() || tcols.is_empty() {
                     return;
                 }
-                if t.fast() {
-                    // Fused rank-1: the update is elementwise, so one loop
-                    // order serves both the hoisted and Listing-7 shapes
-                    // (values are identical either way).
-                    let r0 = own.row_base(t.tid, k + 1);
-                    let c0 = own.col_base(t.tid, k + 1);
-                    let tile = regs.tile_mut(t.tid);
-                    for (cc, &j) in tcols.iter().enumerate() {
-                        let uj = E::v_sload(t, sm.sr(j));
-                        let col = lrows * (c0 + cc) + r0;
-                        for (rr, &i) in trows.iter().enumerate() {
-                            let li = E::v_sload(t, sm.sv(i));
-                            tile[col + rr] = E::v_fnma(li, uj, tile[col + rr]);
-                        }
-                    }
-                    return;
-                }
+                let r0 = own.row_base(t.tid, k + 1);
+                let c0 = own.col_base(t.tid, k + 1);
                 if listing7 {
-                    for &i in trows {
-                        let li = E::sload(t, sm.sv(i));
-                        for &j in tcols {
-                            let uj = E::sload(t, sm.sr(j));
-                            let idx = lm.local_index(i, j);
+                    for (rr, &i) in trows.iter().enumerate() {
+                        let li = D::sload(t, sm.sv(i));
+                        for (cc, &j) in tcols.iter().enumerate() {
+                            let uj = D::sload(t, sm.sr(j));
+                            let idx = r0 + rr + lrows * (c0 + cc);
                             let a = regs.get(t, idx);
-                            let na = E::fnma(t, li, uj, a);
+                            let na = D::fnma(t, li, uj, a);
                             regs.set(t, idx, na);
                         }
                     }
                 } else {
-                    let l: Vec<E> = trows.iter().map(|&i| E::sload(t, sm.sv(i))).collect();
-                    let u: Vec<E> = tcols.iter().map(|&j| E::sload(t, sm.sr(j))).collect();
-                    for (uj, &j) in u.iter().zip(tcols) {
-                        for (li, &i) in l.iter().zip(trows) {
-                            let idx = lm.local_index(i, j);
-                            let a = regs.get(t, idx);
-                            let na = E::fnma(t, *li, *uj, a);
-                            regs.set(t, idx, na);
+                    hoist(t, &mut lv, trows.iter().map(|&i| sm.sv(i)));
+                    hoist(t, &mut uv, tcols.iter().map(|&j| sm.sr(j)));
+                    for (cc, &uj) in uv.iter().enumerate() {
+                        let col = r0 + lrows * (c0 + cc);
+                        for (rr, &li) in lv.iter().enumerate() {
+                            let a = regs.get(t, col + rr);
+                            let na = D::fnma(t, li, uj, a);
+                            regs.set(t, col + rr, na);
                         }
                     }
                 }
@@ -212,6 +179,6 @@ impl<E: Elem> BlockKernel for LuBlockKernel<E> {
             blk.sync();
         }
 
-        store_tile(blk, &lm, own, &self.a, &mut regs);
+        store_tile(blk, &lm, own, &self.a, &regs);
     }
 }

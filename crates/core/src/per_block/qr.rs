@@ -8,10 +8,12 @@
 //! reductions -> rank-1 update. This is the cost structure of Table VI and
 //! the per-panel breakdown of Figure 8.
 
-use crate::elem::Elem;
+use crate::elem::{run_in_domain, DomainKernel, Elem, Real};
 use crate::layout::LayoutMap;
-use crate::per_block::common::{load_tile, store_tile, OwnTables, SharedMap, SubMat, TileRegs};
-use regla_gpu_sim::{BlockCtx, BlockKernel, DPtr, Rv};
+use crate::per_block::common::{
+    hoist, load_tile, reduce_column, store_tile, OwnTables, SharedMap, SubMat, TileRegs,
+};
+use regla_gpu_sim::{BlockCtx, BlockKernel, DPtr};
 use std::marker::PhantomData;
 
 /// How cross-thread reductions are performed.
@@ -101,6 +103,14 @@ impl<E: Elem> QrBlockKernel<E> {
 
 impl<E: Elem> BlockKernel for QrBlockKernel<E> {
     fn run(&self, blk: &mut BlockCtx) {
+        run_in_domain(self, blk)
+    }
+}
+
+impl<E: Elem> DomainKernel for QrBlockKernel<E> {
+    type Elem = E;
+
+    fn body<D: Elem>(&self, blk: &mut BlockCtx) {
         if blk.block_id >= self.count {
             return;
         }
@@ -112,8 +122,10 @@ impl<E: Elem> BlockKernel for QrBlockKernel<E> {
         let nfac = cols - self.rhs_cols;
         let kmax = nfac.min(m);
         let bid = blk.block_id;
+        let tree = self.reduction == Reduction::Tree;
 
-        let mut regs = TileRegs::<E>::new(lm.p, lm.local_len());
+        let mut regs = TileRegs::<D>::new(lm.p, lm.local_len());
+        let (mut vv, mut twv) = (Vec::new(), Vec::new());
         load_tile(blk, &lm, own, &self.a, &mut regs);
 
         for k in 0..kmax {
@@ -128,42 +140,25 @@ impl<E: Elem> BlockKernel for QrBlockKernel<E> {
                 if !lm.owns_col(t.tid, k) {
                     return;
                 }
-                if t.fast() {
-                    // Fused macro-op: walk the owned column slice directly.
-                    let rows = own.rows_from(t.tid, k + 1);
-                    let r0 = own.row_base(t.tid, k + 1);
-                    let ck = own.col_base(t.tid, k);
-                    let tile = regs.tile(t.tid);
-                    let mut acc = 0.0f32;
-                    for rr in 0..rows.len() {
-                        let a2 = E::v_abs2(tile[(r0 + rr) + lrows * ck]);
-                        acc += a2.v;
-                    }
-                    let rank = lm.owner_rank(t.tid);
-                    E::v_sstore(t, sm.part(k, rank), E::from_re(Rv::imm(acc)));
-                    if t.tid == diag_owner {
-                        let rk = own.row_base(t.tid, k);
-                        E::v_sstore(t, sm.se(0), tile[rk + lrows * ck]);
-                    }
-                    return;
+                let col = lrows * own.col_base(t.tid, k);
+                let r0 = own.row_base(t.tid, k + 1);
+                let mut acc = D::Re::imm(0.0);
+                for rr in 0..own.rows_from(t.tid, k + 1).len() {
+                    let a = regs.get(t, col + r0 + rr);
+                    let a2 = D::abs2(t, a);
+                    acc = D::Re::add(t, acc, a2);
                 }
-                let mut acc = t.lit(0.0);
-                for &i in own.rows_from(t.tid, k + 1) {
-                    let a = regs.get(t, lm.local_index(i, k));
-                    let a2 = E::abs2(t, a);
-                    acc = t.add(acc, a2);
-                }
-                E::sstore(t, sm.part(k, lm.owner_rank(t.tid)), E::from_re(acc));
+                D::sstore(t, sm.part(k, lm.owner_rank(t.tid)), D::from_re(acc));
                 if t.tid == diag_owner {
-                    let alpha = regs.get(t, lm.local_index(k, k));
-                    E::sstore(t, sm.se(0), alpha);
+                    let alpha = regs.get(t, col + own.row_base(t.tid, k));
+                    D::sstore(t, sm.se(0), alpha);
                 }
             });
             blk.sync();
 
             // Optional tree combine: halve the live partial ranks of
             // column k in log2 rounds, leaving the sum in rank 0.
-            if self.reduction == Reduction::Tree {
+            if tree {
                 let mut width = sm.red_width;
                 while width > 1 {
                     let half = width / 2;
@@ -173,10 +168,10 @@ impl<E: Elem> BlockKernel for QrBlockKernel<E> {
                         }
                         let r = lm.owner_rank(t.tid);
                         if r < half {
-                            let a = E::sload(t, sm.part(k, r));
-                            let b = E::sload(t, sm.part(k, r + half));
-                            let s = E::add(t, a, b);
-                            E::sstore(t, sm.part(k, r), s);
+                            let a = D::sload(t, sm.part(k, r));
+                            let b = D::sload(t, sm.part(k, r + half));
+                            let s = D::add(t, a, b);
+                            D::sstore(t, sm.part(k, r), s);
                         }
                     });
                     blk.sync();
@@ -187,50 +182,49 @@ impl<E: Elem> BlockKernel for QrBlockKernel<E> {
             // The diagonal owner reduces, forms beta / tau / inv and keeps
             // beta as the new R(k,k).
             let d_tau = self.d_tau;
-            let tree = self.reduction == Reduction::Tree;
             blk.for_each(|t| {
                 if t.tid != diag_owner {
                     return;
                 }
                 let x2e = if tree {
-                    E::sload(t, sm.part(k, 0))
+                    D::sload(t, sm.part(k, 0))
                 } else {
-                    crate::per_block::common::reduce_column::<E>(t, &sm, k)
+                    reduce_column::<D>(t, &sm, k)
                 };
                 let x2 = x2e.re();
-                let alpha = E::sload(t, sm.se(0));
-                let a2 = E::abs2(t, alpha);
-                let n2 = t.add(x2, a2);
-                if t.is_zero(n2) {
+                let alpha = D::sload(t, sm.se(0));
+                let a2 = D::abs2(t, alpha);
+                let n2 = D::Re::add(t, x2, a2);
+                if D::Re::is_zero(t, n2) {
                     // Degenerate column: no reflector.
-                    E::sstore(t, sm.se(1), E::imm(0.0));
-                    E::sstore(t, sm.se(2), E::imm(0.0));
+                    D::sstore(t, sm.se(1), D::imm(0.0));
+                    D::sstore(t, sm.se(2), D::imm(0.0));
                     if let Some(dt) = d_tau {
-                        E::gstore(t, dt, bid * kmax + k, E::imm(0.0));
+                        D::gstore(t, dt, bid * kmax + k, D::imm(0.0));
                     }
                     return;
                 }
-                let anorm = t.sqrt(n2);
+                let anorm = D::Re::sqrt(t, n2);
                 // beta = -sign(Re alpha) * ||x|| (one comparison).
-                let zero = t.lit(0.0);
-                let beta = if t.gt(alpha.re(), zero) {
-                    t.neg(anorm)
+                let zero = D::Re::imm(0.0);
+                let beta = if D::Re::gt(t, alpha.re(), zero) {
+                    D::Re::neg(t, anorm)
                 } else {
                     anorm
                 };
-                let beta_e = E::from_re(beta);
+                let beta_e = D::from_re(beta);
                 // tau = (beta - alpha) / beta
-                let num = E::sub(t, beta_e, alpha);
-                let binv = E::recip(t, beta_e);
-                let tau = E::mul(t, num, binv);
+                let num = D::sub(t, beta_e, alpha);
+                let binv = D::recip(t, beta_e);
+                let tau = D::mul(t, num, binv);
                 // inv = 1 / (alpha - beta), used to normalise v.
-                let den = E::sub(t, alpha, beta_e);
-                let inv = E::recip(t, den);
-                E::sstore(t, sm.se(1), tau);
-                E::sstore(t, sm.se(2), inv);
+                let den = D::sub(t, alpha, beta_e);
+                let inv = D::recip(t, den);
+                D::sstore(t, sm.se(1), tau);
+                D::sstore(t, sm.se(2), inv);
                 regs.set(t, lm.local_index(k, k), beta_e);
                 if let Some(dt) = d_tau {
-                    E::gstore(t, dt, bid * kmax + k, tau);
+                    D::gstore(t, dt, bid * kmax + k, tau);
                 }
             });
             blk.sync();
@@ -239,7 +233,7 @@ impl<E: Elem> BlockKernel for QrBlockKernel<E> {
             // paper's Listing 6 shape), with an implicit v_k = 1.
             blk.for_each(|t| {
                 if t.tid == diag_owner {
-                    E::sstore(t, sm.sv(k), E::imm(1.0));
+                    D::sstore(t, sm.sv(k), D::imm(1.0));
                 }
                 if !lm.owns_col(t.tid, k) {
                     return;
@@ -248,26 +242,13 @@ impl<E: Elem> BlockKernel for QrBlockKernel<E> {
                 if rows.is_empty() {
                     return;
                 }
-                if t.fast() {
-                    let inv = E::v_sload(t, sm.se(2));
-                    let r0 = own.row_base(t.tid, k + 1);
-                    let ck = own.col_base(t.tid, k);
-                    let tile = regs.tile_mut(t.tid);
-                    for (rr, &i) in rows.iter().enumerate() {
-                        let idx = (r0 + rr) + lrows * ck;
-                        let v = E::v_mul(tile[idx], inv);
-                        tile[idx] = v;
-                        E::v_sstore(t, sm.sv(i), v);
-                    }
-                    return;
-                }
-                let inv = E::sload(t, sm.se(2));
-                for &i in rows {
-                    let idx = lm.local_index(i, k);
-                    let a = regs.get(t, idx);
-                    let v = E::mul(t, a, inv);
-                    regs.set(t, idx, v);
-                    E::sstore(t, sm.sv(i), v);
+                let inv = D::sload(t, sm.se(2));
+                let col = own.row_base(t.tid, k + 1) + lrows * own.col_base(t.tid, k);
+                for (rr, &i) in rows.iter().enumerate() {
+                    let a = regs.get(t, col + rr);
+                    let v = D::mul(t, a, inv);
+                    regs.set(t, col + rr, v);
+                    D::sstore(t, sm.sv(i), v);
                 }
             });
             blk.sync();
@@ -281,49 +262,24 @@ impl<E: Elem> BlockKernel for QrBlockKernel<E> {
                 }
                 let trows = own.rows_from(t.tid, k);
                 let rank = lm.owner_rank(t.tid);
-                if t.fast() {
-                    // Fused macro-op: hoist the strided reflector reads
-                    // into a contiguous stack buffer, then run the
-                    // per-column fma chains eight columns at a time. Each
-                    // column still sees its accumulations in the original
-                    // order (bit-identical); blocking only makes the
-                    // chains independent so the host can overlap them.
-                    let r0 = own.row_base(t.tid, k);
-                    let c0 = own.col_base(t.tid, k + 1);
-                    let tile = regs.tile(t.tid);
-                    let mut cc = 0;
-                    while cc < tcols.len() {
-                        let w = (tcols.len() - cc).min(8);
-                        let mut acc = [E::imm(0.0); 8];
-                        for (rr, &i) in trows.iter().enumerate() {
-                            let vi = E::v_sload(t, sm.sv(i));
-                            for (u, a) in acc[..w].iter_mut().enumerate() {
-                                let x = tile[lrows * (c0 + cc + u) + r0 + rr];
-                                *a = E::v_conj_fma(vi, x, *a);
-                            }
-                        }
-                        for (u, a) in acc[..w].iter().enumerate() {
-                            E::v_sstore(t, sm.part(tcols[cc + u], rank), *a);
-                        }
-                        cc += w;
-                    }
-                    return;
-                }
                 // Hoist the reflector entries for this thread's rows.
-                let v: Vec<E> = trows.iter().map(|&i| E::sload(t, sm.sv(i))).collect();
-                for &j in tcols {
-                    let mut acc = E::imm(0.0);
-                    for (vi, &i) in v.iter().zip(trows) {
-                        let a = regs.get(t, lm.local_index(i, j));
-                        acc = E::conj_fma(t, *vi, a, acc);
+                hoist(t, &mut vv, trows.iter().map(|&i| sm.sv(i)));
+                let r0 = own.row_base(t.tid, k);
+                let c0 = own.col_base(t.tid, k + 1);
+                for (cc, &j) in tcols.iter().enumerate() {
+                    let col = r0 + lrows * (c0 + cc);
+                    let mut acc = D::imm(0.0);
+                    for (rr, &vi) in vv.iter().enumerate() {
+                        let a = regs.get(t, col + rr);
+                        acc = D::conj_fma(t, vi, a, acc);
                     }
-                    E::sstore(t, sm.part(j, rank), acc);
+                    D::sstore(t, sm.part(j, rank), acc);
                 }
             });
             blk.sync();
 
             // Tree combine of every trailing column's partials.
-            if self.reduction == Reduction::Tree {
+            if tree {
                 let mut width = sm.red_width;
                 while width > 1 {
                     let half = width / 2;
@@ -333,10 +289,10 @@ impl<E: Elem> BlockKernel for QrBlockKernel<E> {
                             return;
                         }
                         for &j in own.cols_from(t.tid, k + 1) {
-                            let a = E::sload(t, sm.part(j, r));
-                            let b = E::sload(t, sm.part(j, r + half));
-                            let s = E::add(t, a, b);
-                            E::sstore(t, sm.part(j, r), s);
+                            let a = D::sload(t, sm.part(j, r));
+                            let b = D::sload(t, sm.part(j, r + half));
+                            let s = D::add(t, a, b);
+                            D::sstore(t, sm.part(j, r), s);
                         }
                     });
                     blk.sync();
@@ -351,37 +307,21 @@ impl<E: Elem> BlockKernel for QrBlockKernel<E> {
             // so any thread can reduce any column. Under tree reduction
             // only the finishing tau-multiply remains.
             let p_threads = lm.p;
-            let tree = self.reduction == Reduction::Tree;
             blk.for_each(|t| {
                 let mut j = k + 1 + t.tid;
                 if j > cols {
                     return;
                 }
-                if t.fast() {
-                    let tau = E::v_sload(t, sm.se(1));
-                    let tch = E::conj(t, tau);
-                    while j < cols {
-                        let w = if tree {
-                            E::v_sload(t, sm.part(j, 0))
-                        } else {
-                            crate::per_block::common::reduce_column::<E>(t, &sm, j)
-                        };
-                        let tw = E::v_mul(tch, w);
-                        E::v_sstore(t, sm.sr(j), tw);
-                        j += p_threads;
-                    }
-                    return;
-                }
-                let tau = E::sload(t, sm.se(1));
-                let tch = E::conj(t, tau);
+                let tau = D::sload(t, sm.se(1));
+                let tch = D::conj(t, tau);
                 while j < cols {
                     let w = if tree {
-                        E::sload(t, sm.part(j, 0))
+                        D::sload(t, sm.part(j, 0))
                     } else {
-                        crate::per_block::common::reduce_column::<E>(t, &sm, j)
+                        reduce_column::<D>(t, &sm, j)
                     };
-                    let tw = E::mul(t, tch, w);
-                    E::sstore(t, sm.sr(j), tw);
+                    let tw = D::mul(t, tch, w);
+                    D::sstore(t, sm.sr(j), tw);
                     j += p_threads;
                 }
             });
@@ -395,40 +335,16 @@ impl<E: Elem> BlockKernel for QrBlockKernel<E> {
                 if tcols.is_empty() || trows.is_empty() {
                     return;
                 }
-                if t.fast() {
-                    // Fused macro-op: hoist the reflector into a stack
-                    // buffer once, then each column update is a contiguous
-                    // slice-on-slice axpy (independent elements, so the
-                    // host may vectorize it; values are unchanged).
-                    let r0 = own.row_base(t.tid, k);
-                    let c0 = own.col_base(t.tid, k + 1);
-                    let mut cc = 0;
-                    while cc < tcols.len() {
-                        let w = (tcols.len() - cc).min(8);
-                        let mut twv = [E::imm(0.0); 8];
-                        for (u, tw) in twv[..w].iter_mut().enumerate() {
-                            *tw = E::v_sload(t, sm.sr(tcols[cc + u]));
-                        }
-                        let tile = regs.tile_mut(t.tid);
-                        for (rr, &i) in trows.iter().enumerate() {
-                            let vi = E::v_sload(t, sm.sv(i));
-                            for (u, tw) in twv[..w].iter().enumerate() {
-                                let idx = lrows * (c0 + cc + u) + r0 + rr;
-                                tile[idx] = E::v_fnma(vi, *tw, tile[idx]);
-                            }
-                        }
-                        cc += w;
-                    }
-                    return;
-                }
-                let v: Vec<E> = trows.iter().map(|&i| E::sload(t, sm.sv(i))).collect();
-                let tw: Vec<E> = tcols.iter().map(|&j| E::sload(t, sm.sr(j))).collect();
-                for (twj, &j) in tw.iter().zip(tcols) {
-                    for (vi, &i) in v.iter().zip(trows) {
-                        let idx = lm.local_index(i, j);
-                        let a = regs.get(t, idx);
-                        let na = E::fnma(t, *vi, *twj, a);
-                        regs.set(t, idx, na);
+                hoist(t, &mut vv, trows.iter().map(|&i| sm.sv(i)));
+                hoist(t, &mut twv, tcols.iter().map(|&j| sm.sr(j)));
+                let r0 = own.row_base(t.tid, k);
+                let c0 = own.col_base(t.tid, k + 1);
+                for (cc, &twj) in twv.iter().enumerate() {
+                    let col = r0 + lrows * (c0 + cc);
+                    for (rr, &vi) in vv.iter().enumerate() {
+                        let a = regs.get(t, col + rr);
+                        let na = D::fnma(t, vi, twj, a);
+                        regs.set(t, col + rr, na);
                     }
                 }
             });
@@ -447,19 +363,19 @@ impl<E: Elem> BlockKernel for QrBlockKernel<E> {
                     blk.for_each(|t| {
                         if t.tid == rjj_owner {
                             let r = regs.get(t, lm.local_index(j, j));
-                            E::sstore(t, sm.se(0), r);
+                            D::sstore(t, sm.se(0), r);
                         }
                     });
                     blk.sync();
                     // x_j = y_j / R(j,j), published for the column owners.
                     blk.for_each(|t| {
                         if t.tid == xj_owner {
-                            let rjj = E::sload(t, sm.se(0));
+                            let rjj = D::sload(t, sm.se(0));
                             let y = regs.get(t, lm.local_index(j, rc));
-                            let inv = E::recip(t, rjj);
-                            let x = E::mul(t, y, inv);
+                            let inv = D::recip(t, rjj);
+                            let x = D::mul(t, y, inv);
                             regs.set(t, lm.local_index(j, rc), x);
-                            E::sstore(t, sm.se(3), x);
+                            D::sstore(t, sm.se(3), x);
                         }
                     });
                     blk.sync();
@@ -468,35 +384,17 @@ impl<E: Elem> BlockKernel for QrBlockKernel<E> {
                         if !lm.owns_col(t.tid, j) {
                             return;
                         }
-                        if t.fast() {
-                            let all = own.rows_from(t.tid, 0);
-                            let npre = all.partition_point(|&i| i < j);
-                            if npre == 0 {
-                                return;
-                            }
-                            let xj = E::v_sload(t, sm.se(3));
-                            let cj = own.col_base(t.tid, j);
-                            let tile = regs.tile(t.tid);
-                            for (rr, &i) in all[..npre].iter().enumerate() {
-                                let c = E::v_mul(tile[rr + lrows * cj], xj);
-                                E::v_sstore(t, sm.sv(i), c);
-                            }
-                            return;
-                        }
-                        let rows: Vec<usize> = own
-                            .rows_from(t.tid, 0)
-                            .iter()
-                            .copied()
-                            .take_while(|&i| i < j)
-                            .collect();
+                        let rows = own.rows_from(t.tid, 0);
+                        let rows = &rows[..rows.partition_point(|&i| i < j)];
                         if rows.is_empty() {
                             return;
                         }
-                        let xj = E::sload(t, sm.se(3));
-                        for i in rows {
-                            let r = regs.get(t, lm.local_index(i, j));
-                            let c = E::mul(t, r, xj);
-                            E::sstore(t, sm.sv(i), c);
+                        let xj = D::sload(t, sm.se(3));
+                        let col = lrows * own.col_base(t.tid, j);
+                        for (rr, &i) in rows.iter().enumerate() {
+                            let r = regs.get(t, col + rr);
+                            let c = D::mul(t, r, xj);
+                            D::sstore(t, sm.sv(i), c);
                         }
                     });
                     blk.sync();
@@ -505,27 +403,13 @@ impl<E: Elem> BlockKernel for QrBlockKernel<E> {
                         if !lm.owns_col(t.tid, rc) {
                             return;
                         }
-                        if t.fast() {
-                            let all = own.rows_from(t.tid, 0);
-                            let npre = all.partition_point(|&i| i < j);
-                            let crc = own.col_base(t.tid, rc);
-                            let tile = regs.tile_mut(t.tid);
-                            for (rr, &i) in all[..npre].iter().enumerate() {
-                                let c = E::v_sload(t, sm.sv(i));
-                                let idx = rr + lrows * crc;
-                                tile[idx] = E::v_sub(tile[idx], c);
-                            }
-                            return;
-                        }
-                        for &i in own.rows_from(t.tid, 0) {
-                            if i >= j {
-                                break;
-                            }
-                            let c = E::sload(t, sm.sv(i));
-                            let idx = lm.local_index(i, rc);
-                            let y = regs.get(t, idx);
-                            let ny = E::sub(t, y, c);
-                            regs.set(t, idx, ny);
+                        let rows = own.rows_from(t.tid, 0);
+                        let col = lrows * own.col_base(t.tid, rc);
+                        for (rr, &i) in rows.iter().take_while(|&&i| i < j).enumerate() {
+                            let c = D::sload(t, sm.sv(i));
+                            let y = regs.get(t, col + rr);
+                            let ny = D::sub(t, y, c);
+                            regs.set(t, col + rr, ny);
                         }
                     });
                     blk.sync();
@@ -533,6 +417,6 @@ impl<E: Elem> BlockKernel for QrBlockKernel<E> {
             }
         }
 
-        store_tile(blk, &lm, own, &self.a, &mut regs);
+        store_tile(blk, &lm, own, &self.a, &regs);
     }
 }

@@ -2,13 +2,14 @@
 //!
 //! For very small problems (n < 16) each thread stores an entire matrix in
 //! its register file and factors it serially; threads never communicate.
-//! The register array is the simulator's [`RegArray`], so sizes past the
-//! 64-register budget spill to local memory exactly like the `#pragma
-//! unroll`ed CUDA original — producing Figure 4's collapse at n = 8.
+//! In the tracked domain every register access goes through the
+//! simulator's spill accounting, so sizes past the 64-register budget
+//! spill to local memory exactly like the `#pragma unroll`ed CUDA original
+//! — producing Figure 4's collapse at n = 8.
 
-use crate::elem::{Elem, FastVal};
+use crate::elem::{run_in_domain, DomainKernel, Elem, Real};
 use crate::per_block::common::SubMat;
-use regla_gpu_sim::{BlockCtx, BlockKernel, DPtr, RegArray, ThreadCtx};
+use regla_gpu_sim::{BlockCtx, BlockKernel, DPtr, ThreadCtx};
 use std::marker::PhantomData;
 
 /// Which serial algorithm the kernel runs.
@@ -75,28 +76,38 @@ impl<E: Elem> PerThreadKernel<E> {
     }
 }
 
+/// One thread's register file: a whole problem, column-major.
+struct Regs<D>(Vec<D>);
+
+impl<D: Elem> Regs<D> {
+    #[inline]
+    fn get(&self, t: &mut ThreadCtx, i: usize) -> D {
+        D::reg_get(t, &self.0, i)
+    }
+
+    #[inline]
+    fn set(&mut self, t: &mut ThreadCtx, i: usize, v: D) {
+        D::reg_set(t, &mut self.0, i, v)
+    }
+}
+
 #[inline]
 fn idx(n: usize, i: usize, j: usize) -> usize {
     j * n + i
 }
 
-fn lu_serial<E: Elem>(
-    t: &mut ThreadCtx,
-    a: &mut RegArray<E>,
-    n: usize,
-    cols: usize,
-) -> Option<usize> {
+fn lu_serial<D: Elem>(t: &mut ThreadCtx, a: &mut Regs<D>, n: usize, cols: usize) -> Option<usize> {
     let mut fail = None;
     for k in 0..n {
         let akk = a.get(t, idx(n, k, k));
-        if E::is_zero(t, akk) {
+        if D::is_zero(t, akk) {
             fail.get_or_insert(k);
             continue;
         }
-        let inv = E::recip(t, akk);
+        let inv = D::recip(t, akk);
         for i in k + 1..n {
             let v = a.get(t, idx(n, i, k));
-            let l = E::mul(t, v, inv);
+            let l = D::mul(t, v, inv);
             a.set(t, idx(n, i, k), l);
         }
         for j in k + 1..cols {
@@ -104,7 +115,7 @@ fn lu_serial<E: Elem>(
             for i in k + 1..n {
                 let l = a.get(t, idx(n, i, k));
                 let v = a.get(t, idx(n, i, j));
-                let nv = E::fnma(t, l, u, v);
+                let nv = D::fnma(t, l, u, v);
                 a.set(t, idx(n, i, j), nv);
             }
         }
@@ -112,23 +123,18 @@ fn lu_serial<E: Elem>(
     fail
 }
 
-fn gj_serial<E: Elem>(
-    t: &mut ThreadCtx,
-    a: &mut RegArray<E>,
-    n: usize,
-    cols: usize,
-) -> Option<usize> {
+fn gj_serial<D: Elem>(t: &mut ThreadCtx, a: &mut Regs<D>, n: usize, cols: usize) -> Option<usize> {
     let mut fail = None;
     for k in 0..n {
         let akk = a.get(t, idx(n, k, k));
-        if E::is_zero(t, akk) {
+        if D::is_zero(t, akk) {
             fail.get_or_insert(k);
             continue;
         }
-        let s = E::recip(t, akk);
+        let s = D::recip(t, akk);
         for j in k..cols {
             let v = a.get(t, idx(n, k, j));
-            let u = E::mul(t, v, s);
+            let u = D::mul(t, v, s);
             a.set(t, idx(n, k, j), u);
         }
         for i in 0..n {
@@ -139,7 +145,7 @@ fn gj_serial<E: Elem>(
             for j in k..cols {
                 let u = a.get(t, idx(n, k, j));
                 let v = a.get(t, idx(n, i, j));
-                let nv = E::fnma(t, f, u, v);
+                let nv = D::fnma(t, f, u, v);
                 a.set(t, idx(n, i, j), nv);
             }
         }
@@ -147,98 +153,98 @@ fn gj_serial<E: Elem>(
     fail
 }
 
-fn qr_serial<E: Elem>(
+fn qr_serial<D: Elem>(
     t: &mut ThreadCtx,
-    a: &mut RegArray<E>,
+    a: &mut Regs<D>,
     n: usize,
     cols: usize,
     tau_out: Option<(DPtr, usize)>,
 ) {
     for k in 0..n {
-        let mut x2 = t.lit(0.0);
+        let mut x2 = D::Re::imm(0.0);
         for i in k + 1..n {
             let v = a.get(t, idx(n, i, k));
-            let v2 = E::abs2(t, v);
-            x2 = t.add(x2, v2);
+            let v2 = D::abs2(t, v);
+            x2 = D::Re::add(t, x2, v2);
         }
         let alpha = a.get(t, idx(n, k, k));
-        let a2 = E::abs2(t, alpha);
-        let n2 = t.add(x2, a2);
-        if t.is_zero(n2) {
+        let a2 = D::abs2(t, alpha);
+        let n2 = D::Re::add(t, x2, a2);
+        if D::Re::is_zero(t, n2) {
             if let Some((dt, base)) = tau_out {
-                E::gstore(t, dt, base + k, E::imm(0.0));
+                D::gstore(t, dt, base + k, D::imm(0.0));
             }
             continue;
         }
-        let anorm = t.sqrt(n2);
-        let zero = t.lit(0.0);
-        let beta = if t.gt(alpha.re(), zero) {
-            t.neg(anorm)
+        let anorm = D::Re::sqrt(t, n2);
+        let zero = D::Re::imm(0.0);
+        let beta = if D::Re::gt(t, alpha.re(), zero) {
+            D::Re::neg(t, anorm)
         } else {
             anorm
         };
-        let beta_e = E::from_re(beta);
-        let num = E::sub(t, beta_e, alpha);
-        let binv = E::recip(t, beta_e);
-        let tau = E::mul(t, num, binv);
-        let den = E::sub(t, alpha, beta_e);
-        let inv = E::recip(t, den);
+        let beta_e = D::from_re(beta);
+        let num = D::sub(t, beta_e, alpha);
+        let binv = D::recip(t, beta_e);
+        let tau = D::mul(t, num, binv);
+        let den = D::sub(t, alpha, beta_e);
+        let inv = D::recip(t, den);
         if let Some((dt, base)) = tau_out {
-            E::gstore(t, dt, base + k, tau);
+            D::gstore(t, dt, base + k, tau);
         }
         for i in k + 1..n {
             let v = a.get(t, idx(n, i, k));
-            let nv = E::mul(t, v, inv);
+            let nv = D::mul(t, v, inv);
             a.set(t, idx(n, i, k), nv);
         }
         a.set(t, idx(n, k, k), beta_e);
-        let tch = E::conj(t, tau);
+        let tch = D::conj(t, tau);
         for j in k + 1..cols {
             let mut w = a.get(t, idx(n, k, j));
             for i in k + 1..n {
                 let v = a.get(t, idx(n, i, k));
                 let x = a.get(t, idx(n, i, j));
-                w = E::conj_fma(t, v, x, w);
+                w = D::conj_fma(t, v, x, w);
             }
-            let tw = E::mul(t, tch, w);
+            let tw = D::mul(t, tch, w);
             let x = a.get(t, idx(n, k, j));
-            let nx = E::sub(t, x, tw);
+            let nx = D::sub(t, x, tw);
             a.set(t, idx(n, k, j), nx);
             for i in k + 1..n {
                 let v = a.get(t, idx(n, i, k));
                 let x = a.get(t, idx(n, i, j));
-                let nx = E::fnma(t, v, tw, x);
+                let nx = D::fnma(t, v, tw, x);
                 a.set(t, idx(n, i, j), nx);
             }
         }
     }
 }
 
-fn cholesky_serial<E: Elem>(t: &mut ThreadCtx, a: &mut RegArray<E>, n: usize) -> Option<usize> {
+fn cholesky_serial<D: Elem>(t: &mut ThreadCtx, a: &mut Regs<D>, n: usize) -> Option<usize> {
     let mut fail = None;
     for k in 0..n {
         let akk = a.get(t, idx(n, k, k));
         let d = akk.re();
-        let zero = t.lit(0.0);
-        if !t.gt(d, zero) {
+        let zero = D::Re::imm(0.0);
+        if !D::Re::gt(t, d, zero) {
             fail.get_or_insert(k);
             continue;
         }
-        let lkk = t.sqrt(d);
-        let inv = t.recip(lkk);
-        a.set(t, idx(n, k, k), E::from_re(lkk));
+        let lkk = D::Re::sqrt(t, d);
+        let inv = D::Re::recip(t, lkk);
+        a.set(t, idx(n, k, k), D::from_re(lkk));
         for i in k + 1..n {
             let v = a.get(t, idx(n, i, k));
-            let l = E::scale_re(t, v, inv);
+            let l = D::scale_re(t, v, inv);
             a.set(t, idx(n, i, k), l);
         }
         for j in k + 1..n {
             let lj = a.get(t, idx(n, j, k));
-            let ljc = E::conj(t, lj);
+            let ljc = D::conj(t, lj);
             for i in j..n {
                 let li = a.get(t, idx(n, i, k));
                 let v = a.get(t, idx(n, i, j));
-                let nv = E::fnma(t, li, ljc, v);
+                let nv = D::fnma(t, li, ljc, v);
                 a.set(t, idx(n, i, j), nv);
             }
         }
@@ -246,301 +252,72 @@ fn cholesky_serial<E: Elem>(t: &mut ThreadCtx, a: &mut RegArray<E>, n: usize) ->
     fail
 }
 
-fn back_substitute_serial<E: Elem>(
-    t: &mut ThreadCtx,
-    a: &mut RegArray<E>,
-    n: usize,
-    rc: usize,
-) {
+fn back_substitute_serial<D: Elem>(t: &mut ThreadCtx, a: &mut Regs<D>, n: usize, rc: usize) {
     for j in (0..n).rev() {
         let rjj = a.get(t, idx(n, j, j));
-        let inv = E::recip(t, rjj);
+        let inv = D::recip(t, rjj);
         let y = a.get(t, idx(n, j, rc));
-        let x = E::mul(t, y, inv);
+        let x = D::mul(t, y, inv);
         a.set(t, idx(n, j, rc), x);
         for i in 0..j {
             let r = a.get(t, idx(n, i, j));
             let y = a.get(t, idx(n, i, rc));
-            let ny = E::fnma(t, r, x, y);
+            let ny = D::fnma(t, r, x, y);
             a.set(t, idx(n, i, rc), ny);
-        }
-    }
-}
-
-
-// ---------------------------------------------------------------------------
-// Fast-path serial variants: the same algorithms over a plain element slice
-// with value-only ops. Each mirrors its instrumented twin operation for
-// operation (same expression order, same math-mode rounding), so the results
-// are bit-identical; only the scoreboard/shadow bookkeeping is elided.
-// Register-file spilling affects modeled timing, never values, so the slice
-// stands in for the `RegArray` exactly.
-// ---------------------------------------------------------------------------
-
-// The `_fast` kernels below mirror their scoreboarded twins op for op, in
-// the same order, but walk columns as slices: the bounds checks hoist out
-// of the inner loops and the independent fnma chains autovectorize, which
-// is where most of the fast path's interpreter overhead went.
-
-fn lu_serial_fast<V: FastVal>(t: &ThreadCtx, a: &mut [V], n: usize, cols: usize) -> Option<usize> {
-    debug_assert_eq!(a.len(), n * cols);
-    let mut fail = None;
-    for k in 0..n {
-        let akk = a[idx(n, k, k)];
-        if V::is_zero(akk) {
-            fail.get_or_insert(k);
-            continue;
-        }
-        let inv = V::recip(t, akk);
-        let (lo, hi) = a.split_at_mut((k + 1) * n);
-        let colk = &mut lo[k * n + k + 1..];
-        for x in colk.iter_mut() {
-            *x = V::mul(*x, inv);
-        }
-        for colj in hi.chunks_exact_mut(n) {
-            let u = colj[k];
-            for (x, &l) in colj[k + 1..].iter_mut().zip(colk.iter()) {
-                *x = V::fnma(l, u, *x);
-            }
-        }
-    }
-    fail
-}
-
-fn gj_serial_fast<V: FastVal>(
-    t: &ThreadCtx,
-    a: &mut [V],
-    n: usize,
-    cols: usize,
-    fcol: &mut [V],
-) -> Option<usize> {
-    debug_assert_eq!(a.len(), n * cols);
-    let mut fail = None;
-    for k in 0..n {
-        let akk = a[idx(n, k, k)];
-        if V::is_zero(akk) {
-            fail.get_or_insert(k);
-            continue;
-        }
-        let s = V::recip(t, akk);
-        for colj in a[k * n..].chunks_exact_mut(n) {
-            colj[k] = V::mul(colj[k], s);
-        }
-        // Capture the multiplier column before elimination overwrites it;
-        // every (i, j) update below is then an independent expression, so
-        // walking column-major computes bit-identical values to the
-        // scoreboarded row-major loop.
-        fcol[..n].copy_from_slice(&a[k * n..(k + 1) * n]);
-        for colj in a[k * n..].chunks_exact_mut(n) {
-            let akj = colj[k];
-            for (x, &f) in colj[..k].iter_mut().zip(&fcol[..k]) {
-                *x = V::fnma(f, akj, *x);
-            }
-            for (x, &f) in colj[k + 1..n].iter_mut().zip(&fcol[k + 1..n]) {
-                *x = V::fnma(f, akj, *x);
-            }
-        }
-    }
-    fail
-}
-
-fn qr_serial_fast<E: Elem>(
-    t: &mut ThreadCtx,
-    a: &mut [E::Val],
-    n: usize,
-    cols: usize,
-    tau_out: Option<(DPtr, usize)>,
-) {
-    type V<E> = <E as Elem>::Val;
-    debug_assert_eq!(a.len(), n * cols);
-    for k in 0..n {
-        let (lo, hi) = a.split_at_mut((k + 1) * n);
-        let colk = &mut lo[k * n..];
-        let mut x2 = 0.0f32;
-        for &x in &colk[k + 1..] {
-            x2 += V::<E>::abs2(x);
-        }
-        let alpha = colk[k];
-        let n2 = x2 + V::<E>::abs2(alpha);
-        if n2 == 0.0 {
-            if let Some((dt, base)) = tau_out {
-                E::v_gstore_val(t, dt, base + k, V::<E>::imm(0.0));
-            }
-            continue;
-        }
-        let anorm = t.v_sqrt(n2);
-        let beta = if V::<E>::re(alpha) > 0.0 { -anorm } else { anorm };
-        let beta_e = V::<E>::from_re(beta);
-        let num = V::<E>::sub(beta_e, alpha);
-        let binv = V::<E>::recip(t, beta_e);
-        let tau = V::<E>::mul(num, binv);
-        let den = V::<E>::sub(alpha, beta_e);
-        let inv = V::<E>::recip(t, den);
-        if let Some((dt, base)) = tau_out {
-            E::v_gstore_val(t, dt, base + k, tau);
-        }
-        for x in colk[k + 1..].iter_mut() {
-            *x = V::<E>::mul(*x, inv);
-        }
-        colk[k] = beta_e;
-        let v = &colk[k + 1..];
-        let tch = V::<E>::conj(tau);
-        for colj in hi.chunks_exact_mut(n) {
-            let mut w = colj[k];
-            for (&vi, &x) in v.iter().zip(&colj[k + 1..]) {
-                w = V::<E>::conj_fma(vi, x, w);
-            }
-            let tw = V::<E>::mul(tch, w);
-            colj[k] = V::<E>::sub(colj[k], tw);
-            for (x, &vi) in colj[k + 1..].iter_mut().zip(v) {
-                *x = V::<E>::fnma(vi, tw, *x);
-            }
-        }
-    }
-}
-
-fn cholesky_serial_fast<V: FastVal>(t: &ThreadCtx, a: &mut [V], n: usize) -> Option<usize> {
-    let mut fail = None;
-    for k in 0..n {
-        let d = V::re(a[idx(n, k, k)]);
-        // Non-positive or NaN pivot fails, exactly like the tracked
-        // kernel's `!t.gt(d, zero)`.
-        if d.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
-            fail.get_or_insert(k);
-            continue;
-        }
-        let lkk = t.v_sqrt(d);
-        let inv = t.v_recip(lkk);
-        let (lo, hi) = a.split_at_mut((k + 1) * n);
-        let colk = &mut lo[k * n..];
-        colk[k] = V::from_re(lkk);
-        for x in colk[k + 1..].iter_mut() {
-            *x = V::scale_re(*x, inv);
-        }
-        for (jj, colj) in hi.chunks_exact_mut(n).take(n - k - 1).enumerate() {
-            let j = k + 1 + jj;
-            let ljc = V::conj(colk[j]);
-            for (x, &v) in colj[j..].iter_mut().zip(&colk[j..]) {
-                *x = V::fnma(v, ljc, *x);
-            }
-        }
-    }
-    fail
-}
-
-fn back_substitute_serial_fast<V: FastVal>(t: &ThreadCtx, a: &mut [V], n: usize, rc: usize) {
-    let (lo, hi) = a.split_at_mut(rc * n);
-    let colrc = &mut hi[..n];
-    for j in (0..n).rev() {
-        let colj = &lo[j * n..(j + 1) * n];
-        let inv = V::recip(t, colj[j]);
-        let x = V::mul(colrc[j], inv);
-        colrc[j] = x;
-        for (r, &v) in colrc[..j].iter_mut().zip(colj) {
-            *r = V::fnma(v, x, *r);
         }
     }
 }
 
 impl<E: Elem> BlockKernel for PerThreadKernel<E> {
     fn run(&self, blk: &mut BlockCtx) {
+        run_in_domain(self, blk)
+    }
+}
+
+impl<E: Elem> DomainKernel for PerThreadKernel<E> {
+    type Elem = E;
+
+    fn body<D: Elem>(&self, blk: &mut BlockCtx) {
         let tpb = blk.num_threads();
         let bid = blk.block_id;
         let (n, cols) = (self.n, self.cols());
         let a = self.a;
-        let alg = self.alg;
-        let count = self.count;
-        let d_tau = self.d_tau;
-        let d_flag = self.d_flag;
         blk.phase_label_with(|| "per-thread".to_string());
-        // One scratch matrix reused across the block's threads: every
-        // problem fully overwrites it during its load loop, so reuse is
+        // One register file reused across the block's threads: every
+        // problem fully overwrites it during its load, so reuse is
         // indistinguishable from a fresh zeroed array.
-        let mut scratch = RegArray::<E>::zeroed(n * cols);
-        let mut fbuf: Vec<E::Val> = vec![<E::Val as FastVal>::imm(0.0); n * cols];
-        let mut fcol: Vec<E::Val> = vec![<E::Val as FastVal>::imm(0.0); n];
+        let mut regs = Regs(vec![D::imm(0.0); n * cols]);
         blk.for_each(|t| {
             let pid = bid * tpb + t.tid;
-            if pid >= count {
+            if pid >= self.count {
                 return;
             }
-            if t.fast() {
-                let buf = &mut fbuf[..];
-                // A full-matrix view stores each problem as one contiguous
-                // column-major span in `buf`'s own order, so the whole
-                // load/store collapses into a fused bulk transfer.
-                let contiguous = a.row0 == 0 && a.col0 == 0 && a.lda == n;
-                if contiguous {
-                    E::v_gload_vals(t, a.ptr, a.index(pid, 0, 0), buf);
-                } else {
-                    for j in 0..cols {
-                        for i in 0..n {
-                            buf[idx(n, i, j)] = E::v_gload(t, a.ptr, a.index(pid, i, j)).val();
-                        }
-                    }
-                }
-                let fail = match alg {
-                    PtAlg::Lu => lu_serial_fast(t, buf, n, cols),
-                    PtAlg::Gj => gj_serial_fast(t, buf, n, cols, &mut fcol),
-                    PtAlg::Qr => {
-                        let sink = d_tau.map(|dt| (dt, pid * n));
-                        qr_serial_fast::<E>(t, buf, n, cols, sink);
-                        None
-                    }
-                    PtAlg::QrSolve => {
-                        qr_serial_fast::<E>(t, buf, n, cols, None);
-                        back_substitute_serial_fast(t, buf, n, n);
-                        None
-                    }
-                    PtAlg::Cholesky => cholesky_serial_fast(t, buf, n),
-                };
-                if contiguous {
-                    E::v_gstore_vals(t, a.ptr, a.index(pid, 0, 0), buf);
-                } else {
-                    for j in 0..cols {
-                        for i in 0..n {
-                            E::v_gstore_val(t, a.ptr, a.index(pid, i, j), buf[idx(n, i, j)]);
-                        }
-                    }
-                }
-                if let (Some(f), Some(col)) = (d_flag, fail) {
-                    t.gset(f, pid, (col + 1) as f32);
-                }
-                return;
-            }
-            let regs = &mut scratch;
+            // Each column of a problem is a contiguous run in global memory.
             for j in 0..cols {
-                for i in 0..n {
-                    let v = E::gload(t, a.ptr, a.index(pid, i, j));
-                    regs.set(t, idx(n, i, j), v);
-                }
+                D::gload_span(t, a.ptr, a.index(pid, 0, j), &mut regs.0[j * n..][..n]);
             }
-            let fail = match alg {
-                PtAlg::Lu => lu_serial(t, regs, n, cols),
-                PtAlg::Gj => gj_serial(t, regs, n, cols),
+            let fail = match self.alg {
+                PtAlg::Lu => lu_serial(t, &mut regs, n, cols),
+                PtAlg::Gj => gj_serial(t, &mut regs, n, cols),
                 PtAlg::Qr => {
-                    let sink = d_tau.map(|dt| (dt, pid * n));
-                    qr_serial(t, regs, n, cols, sink);
+                    let sink = self.d_tau.map(|dt| (dt, pid * n));
+                    qr_serial(t, &mut regs, n, cols, sink);
                     None
                 }
                 PtAlg::QrSolve => {
-                    qr_serial(t, regs, n, cols, None);
-                    back_substitute_serial(t, regs, n, n);
+                    qr_serial(t, &mut regs, n, cols, None);
+                    back_substitute_serial(t, &mut regs, n, n);
                     None
                 }
-                PtAlg::Cholesky => cholesky_serial(t, regs, n),
+                PtAlg::Cholesky => cholesky_serial(t, &mut regs, n),
             };
             for j in 0..cols {
-                for i in 0..n {
-                    let v = regs.get(t, idx(n, i, j));
-                    E::gstore(t, a.ptr, a.index(pid, i, j), v);
-                }
+                D::gstore_span(t, a.ptr, a.index(pid, 0, j), &regs.0[j * n..][..n]);
             }
             // Per-problem failure flag: `first failing column + 1`
             // (0 = solved), same encoding as the per-block kernels.
-            if let (Some(f), Some(col)) = (d_flag, fail) {
-                let v = t.lit((col + 1) as f32);
-                t.gstore(f, pid, v);
+            if let (Some(f), Some(col)) = (self.d_flag, fail) {
+                D::Re::gstore(t, f, pid, D::Re::imm((col + 1) as f32));
             }
         });
     }

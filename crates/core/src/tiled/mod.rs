@@ -20,7 +20,6 @@ use crate::layout::{Layout, LayoutMap};
 use crate::per_block::{QrApplyKernel, QrBlockKernel, SubMat};
 use crate::status::RecoveryStats;
 use regla_gpu_sim::{GlobalMemory, Gpu, LaunchConfig, LaunchError, LaunchStats};
-use std::marker::PhantomData;
 
 pub use tsqr::tsqr;
 
@@ -123,18 +122,8 @@ pub fn tiled_qr<E: Elem>(
         // --- apply the reflectors to the trailing columns ---------------
         let tcols = cols - (j0 + pw);
         if tcols > 0 {
-            let apply = QrApplyKernel::<E> {
-                v: panel_view,
-                a: a.offset(j0, j0 + pw),
-                d_tau,
-                tau_stride: pw,
-                tau_off: 0,
-                lm,
-                nb: pw,
-                tcols,
-                count,
-                _e: PhantomData,
-            };
+            let apply =
+                QrApplyKernel::<E>::new(panel_view, a.offset(j0, j0 + pw), d_tau, lm, tcols, count);
             let lc = opts
                 .apply_observability(
                     LaunchConfig::new(count, threads)

@@ -156,8 +156,8 @@ fn lu_checksum<T: Scalar>(aug: &MatBatch<T>, out: &MatBatch<T>, p: usize, n: usi
     let w: Vec<V> = (0..n)
         .map(|i| {
             let mut s = u[i];
-            for k in 0..i {
-                s = s.add(V::of(out.get(p, i, k)).mul(u[k]));
+            for (k, &uk) in u.iter().enumerate().take(i) {
+                s = s.add(V::of(out.get(p, i, k)).mul(uk));
             }
             s
         })
@@ -182,8 +182,8 @@ fn cholesky_checksum<T: Scalar>(aug: &MatBatch<T>, out: &MatBatch<T>, p: usize, 
     let w: Vec<V> = (0..n)
         .map(|i| {
             let mut s = V::default();
-            for k in 0..=i {
-                s = s.add(V::of(out.get(p, i, k)).mul(t[k]));
+            for (k, &tk) in t.iter().enumerate().take(i + 1) {
+                s = s.add(V::of(out.get(p, i, k)).mul(tk));
             }
             s
         })
@@ -222,13 +222,13 @@ fn qr_checksum<T: Scalar>(
             continue;
         }
         let mut s = w[k];
-        for i in k + 1..m {
-            s = s.add(V::of(out.get(p, i, k)).conj().mul(w[i]));
+        for (i, &wi) in w.iter().enumerate().skip(k + 1) {
+            s = s.add(V::of(out.get(p, i, k)).conj().mul(wi));
         }
         let t = tau.mul(s);
         w[k] = w[k].sub(t);
-        for i in k + 1..m {
-            w[i] = w[i].sub(V::of(out.get(p, i, k)).mul(t));
+        for (i, wi) in w.iter_mut().enumerate().skip(k + 1) {
+            *wi = wi.sub(V::of(out.get(p, i, k)).mul(t));
         }
     }
     normalized(diff_norm(&w, &r), norm(&r), frob_a(aug, p, nfac))
@@ -242,8 +242,8 @@ fn gram_checksum<T: Scalar>(aug: &MatBatch<T>, out: &MatBatch<T>, p: usize, nfac
     let g1: Vec<V> = (0..nfac)
         .map(|j| {
             let mut s = V::default();
-            for i in 0..m {
-                s = s.add(V::of(aug.get(p, i, j)).conj().mul(ae[i]));
+            for (i, &aei) in ae.iter().enumerate().take(m) {
+                s = s.add(V::of(aug.get(p, i, j)).conj().mul(aei));
             }
             s
         })
@@ -260,8 +260,8 @@ fn gram_checksum<T: Scalar>(aug: &MatBatch<T>, out: &MatBatch<T>, p: usize, nfac
     let g2: Vec<V> = (0..nfac)
         .map(|j| {
             let mut s = V::default();
-            for i in 0..=j {
-                s = s.add(V::of(out.get(p, i, j)).conj().mul(re[i]));
+            for (i, &rei) in re.iter().enumerate().take(j + 1) {
+                s = s.add(V::of(out.get(p, i, j)).conj().mul(rei));
             }
             s
         })
@@ -295,8 +295,8 @@ fn solve_residual<T: Scalar>(aug: &MatBatch<T>, out: &MatBatch<T>, p: usize, nfa
     let ax: Vec<V> = (0..nfac)
         .map(|i| {
             let mut s = V::default();
-            for k in 0..nfac {
-                s = s.add(V::of(aug.get(p, i, k)).mul(xe[k]));
+            for (k, &xk) in xe.iter().enumerate() {
+                s = s.add(V::of(aug.get(p, i, k)).mul(xk));
             }
             s
         })

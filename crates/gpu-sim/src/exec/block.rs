@@ -149,6 +149,18 @@ impl<'a> BlockCtx<'a> {
         self.nthreads
     }
 
+    /// Whether this block runs on the fast path: a replay block of a
+    /// launch with no observers attached (no trace sink, sanitizer, fault
+    /// plan or watchdog, and no slow-path opt-out). Kernels may then
+    /// compute on plain values with the raw `sget`/`sset`/`gget`/`gset`
+    /// primitives, skipping per-op bookkeeping entirely; results are
+    /// bit-identical as long as the same `f32` operations run in the same
+    /// order.
+    #[inline]
+    pub fn fast(&self) -> bool {
+        self.fast
+    }
+
     /// Size of the shared-memory allocation in 32-bit words.
     pub fn shared_words(&self) -> usize {
         self.bufs.shared.len()

@@ -158,12 +158,8 @@ pub struct ThreadCtx<'a, 'm> {
     pub tid: usize,
     pub block_id: usize,
     pub(crate) traced: bool,
-    /// Fast-path flag: true only on replay blocks of a launch with no
-    /// observers attached (no trace sink, sanitizer, fault plan, or
-    /// watchdog). Kernels may then use the raw `sget`/`sset`/`gget`/`gset`
-    /// primitives and value-only arithmetic, skipping per-op bookkeeping
-    /// entirely; results are bit-identical because the raw ops perform the
-    /// same `f32` operations in the same order.
+    /// Fast-path flag (see [`crate::BlockCtx::fast`]); only checked by the
+    /// debug assertions guarding the raw primitives.
     pub(crate) fast: bool,
     pub(crate) cfg: &'a GpuConfig,
     pub(crate) math: MathMode,
@@ -687,21 +683,35 @@ impl ThreadCtx<'_, '_> {
         Some(ready)
     }
 
+    /// Scoreboarded read of register `i` of a register array held as a
+    /// plain slice: charges spill traffic like [`RegArray::get`].
+    #[inline]
+    pub fn reg_get<T: RegVal>(&mut self, regs: &[T], i: usize) -> T {
+        match self.reg_access(T::REG_WORDS, false) {
+            Some(ready) => regs[i].with_ready(ready),
+            None => regs[i],
+        }
+    }
+
+    /// Scoreboarded write of register `i` (spill traffic and the fault
+    /// plan's register hook, like [`RegArray::set`]).
+    #[inline]
+    pub fn reg_set<T: RegVal>(&mut self, regs: &mut [T], i: usize, x: T) {
+        self.reg_access(T::REG_WORDS, true);
+        regs[i] = match self.fault.on_reg_store() {
+            Some(bit) => x.flip_bit(bit),
+            None => x,
+        };
+    }
+
     // ---- fast-path raw primitives ----
     //
-    // Available only when `fast()` is true (replay block, no observers).
-    // They perform exactly the same memory/`f32` operations as the
-    // scoreboarded equivalents but skip all per-op bookkeeping: no
+    // Available only on fast blocks (`BlockCtx::fast`: replay block, no
+    // observers). They perform exactly the same memory/`f32` operations as
+    // the scoreboarded equivalents but skip all per-op bookkeeping: no
     // watchdog tick, no access records, no readiness tracking. Because the
     // launch was only eligible for the fast path with the sanitizer off and
     // no fault plan armed, skipping those hooks cannot change behaviour.
-
-    /// Whether this thread runs on the fast (observer-free) path. Kernels
-    /// branch on this once per fused loop, not per op.
-    #[inline]
-    pub fn fast(&self) -> bool {
-        self.fast
-    }
 
     /// Raw shared-memory load (fast path only).
     #[inline]
@@ -759,31 +769,12 @@ impl ThreadCtx<'_, '_> {
         }
     }
 
-    /// Value-only division (bit-identical to `div`).
-    #[inline]
-    pub fn v_div(&self, a: f32, b: f32) -> f32 {
-        match self.math {
-            MathMode::Fast => trunc22(a / b),
-            MathMode::Precise => a / b,
-        }
-    }
-
     /// Value-only square root (bit-identical to `sqrt`).
     #[inline]
     pub fn v_sqrt(&self, a: f32) -> f32 {
         match self.math {
             MathMode::Fast => trunc22(a.sqrt()),
             MathMode::Precise => a.sqrt(),
-        }
-    }
-
-    /// Value-only reciprocal square root (bit-identical to `rsqrt`).
-    #[inline]
-    pub fn v_rsqrt(&self, a: f32) -> f32 {
-        match self.math {
-            MathMode::Fast => trunc22(1.0 / a.sqrt()),
-            // Precise mode composes sqrt then recip, both exact.
-            MathMode::Precise => 1.0 / a.sqrt(),
         }
     }
 
@@ -967,32 +958,11 @@ impl<T: RegVal> RegArray<T> {
 
     #[inline]
     pub fn get(&self, t: &mut ThreadCtx, i: usize) -> T {
-        match t.reg_access(T::REG_WORDS, false) {
-            Some(ready) => self.v[i].with_ready(ready),
-            None => self.v[i],
-        }
+        t.reg_get(&self.v, i)
     }
 
     #[inline]
     pub fn set(&mut self, t: &mut ThreadCtx, i: usize, x: T) {
-        t.reg_access(T::REG_WORDS, true);
-        self.v[i] = match t.fault.on_reg_store() {
-            Some(bit) => x.flip_bit(bit),
-            None => x,
-        };
-    }
-
-    /// Raw view of the backing storage (fast path only): bypasses spill
-    /// accounting and fault hooks, which are inert on an observer-free
-    /// replay block anyway.
-    #[inline]
-    pub fn raw(&self) -> &[T] {
-        &self.v
-    }
-
-    /// Mutable raw view of the backing storage (fast path only).
-    #[inline]
-    pub fn raw_mut(&mut self) -> &mut [T] {
-        &mut self.v
+        t.reg_set(&mut self.v, i, x)
     }
 }
