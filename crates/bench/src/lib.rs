@@ -7,6 +7,7 @@
 
 pub mod bench_telemetry;
 pub mod experiments;
+pub mod golden;
 pub mod report;
 pub mod workloads;
 
