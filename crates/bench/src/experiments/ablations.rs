@@ -261,7 +261,7 @@ pub fn ablation_streams(fast: bool) -> String {
         let pb = session.run_with(Op::Qr, &a, None, &base(Approach::PerBlock)).unwrap().run.gflops();
         let cublas = |streams: usize| {
             let mut gmem = GlobalMemory::new(a.words_per_mat() * count + count * (n + 8) + 4096);
-            let ptr = a.to_device(&mut gmem);
+            let ptr = a.to_device(&mut gmem, std::slice::from_ref(&(0..count)));
             let opts = GlobalLevelOpts {
                 streams,
                 ..Default::default()

@@ -27,6 +27,8 @@ use regla_gpu_sim::{
     SanitizerMode, SanitizerReport,
 };
 use regla_model::{block_plan, Algorithm, Approach, ModelParams, Plan, PlanKey, Planner};
+use std::collections::BTreeSet;
+use std::ops::Range;
 
 /// Options controlling a batched run.
 ///
@@ -329,18 +331,28 @@ impl RunOptsBuilder {
 }
 
 /// Result of a batched operation.
+///
+/// Under [`ExecMode::Full`] every problem is computed. Under
+/// [`ExecMode::Sampled`] and [`ExecMode::Representative`] only the
+/// problems of the executed blocks are staged, computed and downloaded;
+/// every other problem reads as zeros in `out` and `taus` and keeps
+/// status `Ok`, meaning "not computed, not screened".
 #[derive(Clone, Debug)]
 #[non_exhaustive]
 pub struct BatchRun<T> {
     /// The output batch (factored matrices / reduced augmented systems).
+    /// Problems whose blocks did not execute hold zeros.
     pub out: MatBatch<T>,
     pub approach: Approach,
     pub stats: MultiLaunch,
     /// Householder reflector scales (QR factorizations only; `n x 1` per
-    /// problem, LAPACK `geqrf` convention).
+    /// problem, LAPACK `geqrf` convention). Zeros for problems whose
+    /// blocks did not execute.
     pub taus: Option<MatBatch<T>>,
     /// Per-problem verdict (the paper's `*notsolved` flag, upgraded to a
-    /// structured status), one entry per problem in every algorithm.
+    /// structured status), one entry per problem in every algorithm —
+    /// `count` entries whatever the exec mode. A problem whose block did
+    /// not execute was never computed or screened and reads `Ok`.
     pub status: Vec<ProblemStatus>,
     /// What the recovery layer did for this run.
     pub recovery: RecoveryStats,
@@ -528,6 +540,62 @@ fn device_for<T: DeviceScalar>(batch: &MatBatch<T>, extra_words: usize) -> Globa
 /// Per-thread kernels pack `tpb` problems into each block.
 const PER_THREAD_TPB: usize = 64;
 
+/// Problems per block of a launch: per-thread blocks cover
+/// [`PER_THREAD_TPB`] consecutive problems; per-block, tiled and GEMM
+/// launches map block b to problem b.
+fn problems_per_block(approach: Approach) -> usize {
+    if approach == Approach::PerThread {
+        PER_THREAD_TPB
+    } else {
+        1
+    }
+}
+
+/// The problems whose blocks execute under `exec`, as ascending, disjoint,
+/// non-adjacent ranges: [`LaunchConfig::executed_blocks`] through the
+/// block→problem map. [`ExecMode::Full`] is the one range `0..count`. The
+/// one list every stage of a run reads: upload, download, fault map,
+/// finite and verify screens.
+fn executed_ranges(count: usize, per_block: usize, exec: ExecMode) -> Vec<Range<usize>> {
+    let mut ranges: Vec<Range<usize>> = Vec::new();
+    let grid = count.div_ceil(per_block);
+    for b in LaunchConfig::new(grid, 1).exec(exec).executed_blocks() {
+        let r = b * per_block..((b + 1) * per_block).min(count);
+        match ranges.last_mut() {
+            Some(last) if last.end == r.start => last.end = r.end,
+            _ => ranges.push(r),
+        }
+    }
+    ranges
+}
+
+/// Reject the approach/algorithm/shape combinations the kernels cannot
+/// run, before anything is staged.
+fn check_supported(
+    approach: Approach,
+    alg: PtAlg,
+    m: usize,
+    nfac: usize,
+) -> Result<(), ReglaError> {
+    match approach {
+        Approach::PerThread if m != nfac => Err(ReglaError::DimensionMismatch(format!(
+            "the per-thread kernels handle square systems, got {m} rows for {nfac} factored columns"
+        ))),
+        Approach::Tiled if !matches!(alg, PtAlg::Qr | PtAlg::QrSolve) => {
+            Err(ReglaError::Unsupported(format!(
+                "the tiled path implements QR-based algorithms only, not {alg:?}"
+            )))
+        }
+        Approach::Tiled if m < nfac => Err(ReglaError::DimensionMismatch(format!(
+            "tiled QR needs a tall system, got {m} rows for {nfac} factored columns"
+        ))),
+        Approach::Hybrid => Err(ReglaError::Unsupported(
+            "the hybrid baseline lives in regla-hybrid".into(),
+        )),
+        _ => Ok(()),
+    }
+}
+
 /// The model-side algorithm for a kernel algorithm (the two enums exist at
 /// different layers; the mapping is 1:1 plus the solve variant).
 fn model_alg(alg: PtAlg) -> Algorithm {
@@ -598,6 +666,8 @@ struct Launched<T> {
     taus: Option<MatBatch<T>>,
     status: Vec<ProblemStatus>,
     profile: Option<ProfileReport>,
+    /// The problems the run computed (see [`executed_ranges`]).
+    executed: Vec<Range<usize>>,
 }
 
 /// All words of problem `k` (and its taus, if any) are finite.
@@ -618,7 +688,8 @@ pub(crate) fn problem_is_finite<T: DeviceScalar>(
 }
 
 /// Run one of the in-place factorization kernels over a batch (single
-/// attempt — recovery happens in [`run_recovered`]).
+/// attempt — recovery happens in [`run_recovered`]). Only the problems of
+/// the executed blocks are staged, downloaded and screened.
 fn run_inplace<T: DeviceScalar>(
     gpu: &Gpu,
     aug: &MatBatch<T>,
@@ -630,26 +701,26 @@ fn run_inplace<T: DeviceScalar>(
 ) -> Result<Launched<T>, ReglaError> {
     let approach = plan.approach;
     let (m, cols, count) = (aug.rows(), aug.cols(), aug.count());
+    check_supported(approach, alg, m, nfac)?;
     let rhs = cols - nfac;
     let ew = T::WORDS;
+    let ppb = problems_per_block(approach);
+    let executed = executed_ranges(count, ppb, opts.exec);
     let tau_words = count * nfac * ew;
     let mut gmem = device_for(aug, tau_words + count);
-    let ptr = aug.to_device(&mut gmem);
+    let ptr = aug.to_device(&mut gmem, &executed);
     let d_tau = gmem.alloc(tau_words.max(1));
     let d_flag = gmem.alloc(count);
     // The kernels read the flag words (to keep earlier failing columns)
     // before ever writing them: declare the all-clear state as an input.
-    gmem.h2d(d_flag, &vec![0.0; count]);
+    for r in &executed {
+        gmem.slice_mut(d_flag.offset(r.start), r.len()).fill(0.0);
+    }
     let view = SubMat::whole(ptr, m, cols);
     let mut stats = MultiLaunch::default();
 
     match approach {
         Approach::PerThread => {
-            if m != nfac {
-                return Err(ReglaError::DimensionMismatch(format!(
-                    "the per-thread kernels handle square systems, got {m} rows for {nfac} factored columns"
-                )));
-            }
             let mut kern =
                 PerThreadKernel::<T::Dev>::new(view, nfac, rhs, count, alg).with_flag(d_flag);
             if alg == PtAlg::Qr {
@@ -741,16 +812,6 @@ fn run_inplace<T: DeviceScalar>(
             stats.push(gpu.launch(launch.as_ref(), &lc, &mut gmem)?);
         }
         Approach::Tiled => {
-            if !matches!(alg, PtAlg::Qr | PtAlg::QrSolve) {
-                return Err(ReglaError::Unsupported(format!(
-                    "the tiled path implements QR-based algorithms only, not {alg:?}"
-                )));
-            }
-            if m < nfac {
-                return Err(ReglaError::DimensionMismatch(format!(
-                    "tiled QR needs a tall system, got {m} rows for {nfac} factored columns"
-                )));
-            }
             let agg = tiled_qr::<T::Dev>(
                 gpu, &mut gmem, view, m, nfac, rhs, count, d_tau, plan.panel, opts,
             )?;
@@ -758,68 +819,45 @@ fn run_inplace<T: DeviceScalar>(
                 stats.push(l);
             }
         }
-        Approach::Hybrid => {
-            return Err(ReglaError::Unsupported(
-                "the hybrid baseline lives in regla-hybrid".into(),
-            ))
-        }
+        Approach::Hybrid => unreachable!("check_supported rejects the hybrid approach"),
     }
 
-    let out = MatBatch::<T>::from_device(m, cols, count, &gmem, ptr);
+    let mut out = MatBatch::<T>::zeros(m, cols, count);
+    out.copy_from_device(&gmem, ptr, &executed);
     // The per-thread and per-block QR kernels leave LAPACK-style taus in
     // the scratch buffer; the tiled path reuses it per panel, so no
     // coherent tau set survives there.
-    let taus = if alg == PtAlg::Qr && approach != Approach::Tiled {
-        Some(MatBatch::<T>::from_device(nfac, 1, count, &gmem, d_tau))
-    } else {
-        None
-    };
-    // Per-problem singularity flags (the paper's `*notsolved`, upgraded to
-    // carry the first failing column as `col + 1`).
-    let mut flag_words = vec![0.0f32; count];
-    gmem.d2h(d_flag, &mut flag_words);
+    let taus = (alg == PtAlg::Qr && approach != Approach::Tiled).then(|| {
+        let mut t = MatBatch::<T>::zeros(nfac, 1, count);
+        t.copy_from_device(&gmem, d_tau, &executed);
+        t
+    });
 
     // ---- per-problem verdicts ------------------------------------------
-    // Block -> problem mapping: per-thread blocks cover `tpb` consecutive
-    // problems, per-block and tiled launches map block b to problem b.
-    let ppb = if approach == Approach::PerThread {
-        PER_THREAD_TPB
-    } else {
-        1
-    };
-    let grid = count.div_ceil(ppb);
-    let problems_of = |b: usize| (b * ppb)..((b + 1) * ppb).min(count);
-
     // Faults the simulator recorded (its ECC/machine-check report) taint
     // every problem the corrupted block computed — even when the flipped
-    // bit produced a finite-looking value.
-    let mut fault_problem = vec![false; count];
-    for l in &stats.launches {
-        for f in &l.faults {
-            for p in problems_of(f.block) {
-                fault_problem[p] = true;
-            }
-        }
-    }
-    // Under Sampled/Representative execution only some blocks computed
-    // results; screening the others would flag stale input bytes.
-    let mut executed = vec![false; count];
-    for b in LaunchConfig::new(grid, 1).exec(opts.exec).executed_blocks() {
-        for p in problems_of(b) {
-            executed[p] = true;
-        }
-    }
-
+    // bit produced a finite-looking value. Faults land on executed blocks
+    // only.
+    let faulted: BTreeSet<usize> = stats
+        .launches
+        .iter()
+        .flat_map(|l| l.faults.iter().map(|f| f.block))
+        .collect();
     let mut status = vec![ProblemStatus::Ok; count];
-    for p in 0..count {
-        if fault_problem[p] {
-            status[p] = ProblemStatus::FaultDetected;
-        } else if flag_words[p] != 0.0 {
-            status[p] = ProblemStatus::ZeroPivot {
-                col: flag_words[p] as usize - 1,
-            };
-        } else if executed[p] && !problem_is_finite(&out, taus.as_ref(), p) {
-            status[p] = ProblemStatus::NonFinite;
+    for r in &executed {
+        // Per-problem singularity flags (the paper's `*notsolved`, upgraded
+        // to carry the first failing column as `col + 1`).
+        let flags = gmem.slice(d_flag.offset(r.start), r.len());
+        for (p, &flag) in r.clone().zip(flags) {
+            if faulted.contains(&(p / ppb)) {
+                status[p] = ProblemStatus::FaultDetected;
+            } else if flag != 0.0 {
+                status[p] = ProblemStatus::ZeroPivot {
+                    col: flag as usize - 1,
+                };
+            } else if !problem_is_finite(&out, taus.as_ref(), p) {
+                status[p] = ProblemStatus::NonFinite;
+            }
         }
     }
 
@@ -849,6 +887,7 @@ fn run_inplace<T: DeviceScalar>(
         taus,
         status,
         profile: None,
+        executed,
     })
 }
 
@@ -1134,9 +1173,10 @@ pub(crate) fn least_squares_run<T: DeviceScalar>(
         _ => {
             plan.approach = Approach::Tiled;
             let (l, rec) = run_recovered(gpu, params, &aug, n, PtAlg::Qr, plan, opts, false)?;
-            // Host back-substitution of R x = (Qᴴ b)[..n].
+            // Host back-substitution of R x = (Qᴴ b)[..n] for the problems
+            // the device computed; the others keep a zero solution.
             let mut x = MatBatch::zeros(n, 1, aug.count());
-            for k in 0..aug.count() {
+            for k in l.executed.iter().flat_map(|r| r.clone()) {
                 let f = l.out.mat(k);
                 let y: Vec<T> = (0..n).map(|i| f[(i, n)]).collect();
                 let sol = crate::host::qr::back_substitute(&f.submatrix(0, 0, n, n), &y);
@@ -1175,12 +1215,14 @@ pub(crate) fn gemm_run<T: DeviceScalar>(
         )));
     }
     let ew = T::WORDS;
-    let c = MatBatch::<T>::zeros(m, n, count);
-    let total_words = (a.words_per_mat() + b.words_per_mat() + c.words_per_mat()) * count;
+    let executed = executed_ranges(count, 1, opts.exec);
+    let c_words = m * n * ew * count;
+    let total_words = (a.words_per_mat() + b.words_per_mat()) * count + c_words;
     let mut gmem = GlobalMemory::new(total_words + 4096);
-    let pa = a.to_device(&mut gmem);
-    let pb = b.to_device(&mut gmem);
-    let pc = c.to_device(&mut gmem);
+    let pa = a.to_device(&mut gmem, &executed);
+    let pb = b.to_device(&mut gmem, &executed);
+    // C is overwritten, never read: no upload.
+    let pc = gmem.alloc(c_words);
 
     let plan = block_plan(m.max(n), n.min(m), 0, ew);
     let lm = LayoutMap::new(Layout::TwoDCyclic, plan.threads, m, n);
@@ -1208,15 +1250,12 @@ pub(crate) fn gemm_run<T: DeviceScalar>(
         .schedule_key(key);
     let mut stats = MultiLaunch::default();
     stats.push(gpu.launch(&kern, &lc, &mut gmem)?);
-    let out = MatBatch::<T>::from_device(m, n, count, &gmem, pc);
+    let mut out = MatBatch::<T>::zeros(m, n, count);
+    out.copy_from_device(&gmem, pc, &executed);
     let mut status = vec![ProblemStatus::Ok; count];
-    let mut executed = vec![false; count];
-    for bk in LaunchConfig::new(count, 1).exec(opts.exec).executed_blocks() {
-        executed[bk] = true;
-    }
-    for (p, st) in status.iter_mut().enumerate() {
-        if executed[p] && !problem_is_finite(&out, None, p) {
-            *st = ProblemStatus::NonFinite;
+    for p in executed.iter().flat_map(|r| r.clone()) {
+        if !problem_is_finite(&out, None, p) {
+            status[p] = ProblemStatus::NonFinite;
         }
     }
     let sanitizer = merge_sanitizer(&stats);
@@ -1260,11 +1299,15 @@ pub(crate) fn tsqr_run<T: DeviceScalar>(
     }
     let aug = MatBatch::augment(a, b);
     // TSQR roughly triples the footprint (stages + scratch).
+    // TSQR's gather stages map blocks to (problem, pair), not to
+    // problems, so it stages and downloads the whole batch.
+    let all = 0..count;
     let mut gmem = device_for(&aug, 4 * aug.words_per_mat() * count);
-    let ptr = aug.to_device(&mut gmem);
+    let ptr = aug.to_device(&mut gmem, std::slice::from_ref(&all));
     let view = SubMat::whole(ptr, m, n + 1);
     let (rptr, stats) = tsqr::<T::Dev>(gpu, &mut gmem, view, m, n, 1, count, opts)?;
-    let compact = MatBatch::<T>::from_device(n, n + 1, count, &gmem, rptr);
+    let mut compact = MatBatch::<T>::zeros(n, n + 1, count);
+    compact.copy_from_device(&gmem, rptr, std::slice::from_ref(&all));
     let mut x = MatBatch::zeros(n, 1, count);
     for k in 0..count {
         let f = compact.mat(k);

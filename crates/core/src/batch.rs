@@ -7,6 +7,7 @@
 use crate::matrix::Mat;
 use crate::scalar::Scalar;
 use regla_gpu_sim::{DPtr, GlobalMemory};
+use std::ops::Range;
 
 /// A batch of `count` matrices, each `rows x cols`, stored contiguously.
 #[derive(Clone, Debug)]
@@ -100,56 +101,63 @@ impl<T: Scalar> MatBatch<T> {
         &self.data
     }
 
-    /// Upload the batch to the device; returns the device pointer.
-    pub fn to_device(&self, gmem: &mut GlobalMemory) -> DPtr {
-        let words = self.words_per_mat() * self.count;
-        let ptr = gmem.alloc(words);
-        let mut buf = Vec::with_capacity(words);
-        for x in &self.data {
-            let w = x.to_words();
-            buf.extend_from_slice(&w[..T::WORDS]);
+    /// Upload the problems in `problems` into a fresh device allocation
+    /// sized for the whole batch and return its pointer. Each element's
+    /// words are written straight into device memory. Problems outside
+    /// the ranges are never written: they read as zero and stay
+    /// uninitialized for the sanitizer's initcheck. Pass `&[0..count]`
+    /// to upload everything.
+    pub fn to_device(&self, gmem: &mut GlobalMemory, problems: &[Range<usize>]) -> DPtr {
+        let (e, wpm) = (self.elems_per_mat(), self.words_per_mat());
+        let ptr = gmem.alloc(wpm * self.count);
+        for r in problems {
+            let dst = gmem.slice_mut(ptr.offset(r.start * wpm), r.len() * wpm);
+            for (d, x) in dst
+                .chunks_exact_mut(T::WORDS)
+                .zip(&self.data[r.start * e..r.end * e])
+            {
+                d.copy_from_slice(&x.to_words()[..T::WORDS]);
+            }
         }
-        gmem.h2d(ptr, &buf);
         ptr
     }
 
-    /// Download the batch from the device (shape must match).
-    pub fn from_device(
-        rows: usize,
-        cols: usize,
-        count: usize,
-        gmem: &GlobalMemory,
-        ptr: DPtr,
-    ) -> Self {
-        let words = rows * cols * T::WORDS * count;
-        let mut buf = vec![0.0f32; words];
-        gmem.d2h(ptr, &mut buf);
-        let mut data = Vec::with_capacity(rows * cols * count);
-        for chunk in buf.chunks(T::WORDS) {
-            let mut w = [0.0f32; 2];
-            w[..T::WORDS].copy_from_slice(chunk);
-            data.push(T::from_words(w));
-        }
-        MatBatch {
-            rows,
-            cols,
-            count,
-            data,
+    /// Download the problems in `problems` of a device batch of this shape
+    /// at `ptr` straight into `self`; every other problem keeps its value.
+    pub fn copy_from_device(&mut self, gmem: &GlobalMemory, ptr: DPtr, problems: &[Range<usize>]) {
+        let (e, wpm) = (self.elems_per_mat(), self.words_per_mat());
+        for r in problems {
+            let src = gmem.slice(ptr.offset(r.start * wpm), r.len() * wpm);
+            for (x, w) in self.data[r.start * e..r.end * e]
+                .iter_mut()
+                .zip(src.chunks_exact(T::WORDS))
+            {
+                let mut words = [0.0f32; 2];
+                words[..T::WORDS].copy_from_slice(w);
+                *x = T::from_words(words);
+            }
         }
     }
 
     /// Horizontally concatenate two batches: `[A | B]` per problem (the
-    /// augmented systems the solvers consume).
+    /// augmented systems the solvers consume). Storage is column-major, so
+    /// each augmented problem is A's columns followed by B's: two
+    /// contiguous slice copies.
     pub fn augment(a: &MatBatch<T>, b: &MatBatch<T>) -> MatBatch<T> {
         assert_eq!(a.rows, b.rows, "row mismatch");
         assert_eq!(a.count, b.count, "batch size mismatch");
-        MatBatch::from_fn(a.rows, a.cols + b.cols, a.count, |k, i, j| {
-            if j < a.cols {
-                a.get(k, i, j)
-            } else {
-                b.get(k, i, j - a.cols)
-            }
-        })
+        let (ea, eb) = (a.elems_per_mat(), b.elems_per_mat());
+        let mut data = Vec::with_capacity((ea + eb) * a.count);
+        for k in 0..a.count {
+            data.extend_from_slice(&a.data[k * ea..(k + 1) * ea]);
+            data.extend_from_slice(&b.data[k * eb..(k + 1) * eb]);
+        }
+        MatBatch {
+            rows: a.rows,
+            cols: a.cols + b.cols,
+            count: a.count,
+            data,
+        }
     }
 
     /// Copy problems `start .. start + len` into a new batch. Problems are
@@ -229,8 +237,10 @@ mod tests {
     fn device_round_trip_f32() {
         let b = MatBatch::from_fn(3, 2, 4, |k, i, j| (k + i * 7 + j * 13) as f32);
         let mut mem = GlobalMemory::with_bytes(1 << 16);
-        let ptr = b.to_device(&mut mem);
-        let back = MatBatch::<f32>::from_device(3, 2, 4, &mem, ptr);
+        let all = 0..4;
+        let ptr = b.to_device(&mut mem, std::slice::from_ref(&all));
+        let mut back = MatBatch::<f32>::zeros(3, 2, 4);
+        back.copy_from_device(&mem, ptr, std::slice::from_ref(&all));
         assert_eq!(back.max_frob_dist(&b), 0.0);
     }
 
@@ -238,10 +248,46 @@ mod tests {
     fn device_round_trip_complex() {
         let b = MatBatch::from_fn(2, 2, 2, |k, i, j| C32::new(k as f32 + i as f32, j as f32));
         let mut mem = GlobalMemory::with_bytes(1 << 16);
-        let ptr = b.to_device(&mut mem);
+        let all = 0..2;
+        let ptr = b.to_device(&mut mem, std::slice::from_ref(&all));
         assert_eq!(mem.allocated_words(), 2 * 2 * 2 * 2);
-        let back = MatBatch::<C32>::from_device(2, 2, 2, &mem, ptr);
+        let mut back = MatBatch::<C32>::zeros(2, 2, 2);
+        back.copy_from_device(&mem, ptr, std::slice::from_ref(&all));
         assert_eq!(back.max_frob_dist(&b), 0.0);
+    }
+
+    #[test]
+    fn range_staging_moves_only_the_listed_problems() {
+        let b = MatBatch::from_fn(2, 3, 5, |k, i, j| (k * 100 + i * 10 + j + 1) as f32);
+        let mut mem = GlobalMemory::with_bytes(1 << 16);
+        let ptr = b.to_device(&mut mem, &[1..2, 3..5]);
+        assert_eq!(mem.allocated_words(), 2 * 3 * 5);
+        let mut back = MatBatch::<f32>::zeros(2, 3, 5);
+        back.copy_from_device(&mem, ptr, std::slice::from_ref(&(0..5)));
+        for k in 0..5 {
+            let want = if matches!(k, 1 | 3 | 4) {
+                b.mat(k)
+            } else {
+                Mat::from_fn(2, 3, |_, _| 0.0)
+            };
+            assert_eq!(back.mat(k), want, "problem {k}");
+        }
+    }
+
+    #[test]
+    fn augment_appends_the_rhs_columns() {
+        let a = MatBatch::from_fn(3, 2, 4, |k, i, j| (k * 100 + i * 10 + j) as f32);
+        let b = MatBatch::from_fn(3, 1, 4, |k, i, _| -((k * 100 + i) as f32));
+        let aug = MatBatch::augment(&a, &b);
+        assert_eq!((aug.rows(), aug.cols(), aug.count()), (3, 3, 4));
+        let want = MatBatch::from_fn(3, 3, 4, |k, i, j| {
+            if j < 2 {
+                a.get(k, i, j)
+            } else {
+                b.get(k, i, 0)
+            }
+        });
+        assert_eq!(aug.data(), want.data());
     }
 
     #[test]

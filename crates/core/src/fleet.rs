@@ -9,7 +9,10 @@
 //!   predictive model's throughput estimate for the operation on *that*
 //!   device, so a GT200 next to a Quadro 6000 gets fewer problems, not
 //!   half. Shares are contiguous problem ranges split into a few chunks
-//!   per device so stragglers can be stolen.
+//!   per device so stragglers can be stolen. Under
+//!   [`regla_gpu_sim::ExecMode::Full`] the merged output is bit-identical
+//!   to one [`Session`] run; under the sampled modes each chunk runs its
+//!   own sample, so a different set of problems is computed.
 //! * **Health gating** — every device carries a circuit breaker
 //!   (Closed → Open → HalfOpen) fed by consecutive dispatch errors and
 //!   by the fault-detection rate of successful runs. An open breaker
@@ -690,7 +693,9 @@ impl Fleet {
 
     /// Shard `a` (and `b`) across the fleet and run `op`, with failover,
     /// stealing, deadlines and the chaos plan applied. The merged output
-    /// is in original problem order.
+    /// is in original problem order (bit-identical to one [`Session`] run
+    /// under [`regla_gpu_sim::ExecMode::Full`]; each chunk samples on its
+    /// own under the sampled modes).
     pub fn run<T: DeviceScalar>(
         &self,
         op: Op,

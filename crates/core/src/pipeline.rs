@@ -7,9 +7,11 @@
 //! is the host-side driver for that pipeline:
 //!
 //! * the batch is split into `chunks` contiguous problem ranges,
-//! * every chunk is executed through [`Session::run_with`] (so results are
-//!   bit-identical to a synchronous run — chunking only re-groups problems
-//!   whose kernels never interact),
+//! * every chunk is executed through [`Session::run_with`] (so under
+//!   [`regla_gpu_sim::ExecMode::Full`] results are bit-identical to a
+//!   synchronous run — chunking only re-groups problems whose kernels never
+//!   interact; under the sampled modes each chunk runs its own sample, so
+//!   a different set of problems is computed),
 //! * the chunk's H2D copy, kernel, and D2H copy are enqueued on one of
 //!   `streams` round-robined [`regla_gpu_sim::Stream`]s of a
 //!   [`regla_gpu_sim::Timeline`], whose discrete-event resolution decides
@@ -61,7 +63,8 @@ impl PipelineOpts {
 }
 
 /// Result of a pipelined run: the merged outputs (bit-identical to a
-/// synchronous [`Session::run`]) plus the end-to-end overlap report.
+/// synchronous [`Session::run`] under [`regla_gpu_sim::ExecMode::Full`])
+/// plus the end-to-end overlap report.
 #[derive(Clone, Debug)]
 pub struct PipelinedRun<T> {
     /// Merged outputs of every chunk, in problem order.

@@ -119,9 +119,10 @@ impl<T: crate::scalar::Scalar> OpOutput<T> {
     /// Split a coalesced output back into per-request outputs: `lens[i]`
     /// problems each, in order, covering the whole batch. The de-interleave
     /// step of a serving front-end — every per-problem artifact (`out`,
-    /// `taus`, `status`, `solution`) is sliced problem-wise, so each piece
-    /// is bit-identical to running that request's problems alone (the
-    /// kernels are batch-size-independent per problem).
+    /// `taus`, `status`, `solution`) is sliced problem-wise, so under
+    /// [`regla_gpu_sim::ExecMode::Full`] each piece is bit-identical to
+    /// running that request's problems alone (the kernels are
+    /// batch-size-independent per problem).
     ///
     /// Aggregate run artifacts (launch stats, recovery, profile, sanitizer)
     /// describe the coalesced dispatch and are not divisible; each split
@@ -457,9 +458,10 @@ impl Session {
     /// is split into [`crate::PipelineOpts::chunks`] pieces round-robined
     /// over [`crate::PipelineOpts::streams`], and the resulting H2D /
     /// kernel / D2H schedule is resolved on the device's stream timeline.
-    /// Results are bit-identical to [`Session::run`]; the gain (if the
-    /// device's copy engines allow any) is end-to-end time, reported in
-    /// [`crate::PipelinedRun::report`].
+    /// Under [`regla_gpu_sim::ExecMode::Full`] results are bit-identical
+    /// to [`Session::run`] (under the sampled modes each chunk runs its own
+    /// sample); the gain (if the device's copy engines allow any) is
+    /// end-to-end time, reported in [`crate::PipelinedRun::report`].
     pub fn pipelined<T: DeviceScalar>(
         &self,
         op: Op,

@@ -33,6 +33,7 @@ use crate::elem::DeviceScalar;
 use crate::per_thread::PtAlg;
 use crate::scalar::Scalar;
 use crate::status::{ProblemStatus, VerifyScreen};
+use std::ops::Range;
 
 pub use regla_model::VerifyMode;
 
@@ -332,10 +333,10 @@ fn checksum_norm<T: Scalar>(
 
 /// Run the configured screens over a launched batch, demoting `Ok`
 /// problems whose checksum or residual breaks tolerance to
-/// [`ProblemStatus::VerifyFailed`]. Only `executed` problems are
-/// screened (under sampled execution the rest hold stale input bytes);
-/// non-`Ok` problems already have a stronger verdict. Returns how many
-/// problems were flagged.
+/// [`ProblemStatus::VerifyFailed`]. Only the `executed` problem ranges
+/// are screened (under sampled execution the others were never computed
+/// and hold zeros); non-`Ok` problems already have a stronger verdict.
+/// Returns how many problems were flagged.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn screen_problems<T: DeviceScalar>(
     aug: &MatBatch<T>,
@@ -344,7 +345,7 @@ pub(crate) fn screen_problems<T: DeviceScalar>(
     solved: bool,
     out: &MatBatch<T>,
     taus: Option<&MatBatch<T>>,
-    executed: &[bool],
+    executed: &[Range<usize>],
     status: &mut [ProblemStatus],
     mode: VerifyMode,
 ) -> usize {
@@ -353,8 +354,8 @@ pub(crate) fn screen_problems<T: DeviceScalar>(
     }
     let tol = tolerance(aug.rows());
     let mut flagged = 0;
-    for p in 0..aug.count() {
-        if !executed[p] || !status[p].is_ok() {
+    for p in executed.iter().flat_map(|r| r.clone()) {
+        if !status[p].is_ok() {
             continue;
         }
         if mode.checksum() {
@@ -510,7 +511,7 @@ mod tests {
             ProblemStatus::Ok,
             ProblemStatus::FaultDetected,
         ];
-        let executed = vec![true, false, true];
+        let executed = [0..1, 2..3];
         let flagged = screen_problems(
             &aug,
             n,

@@ -618,7 +618,8 @@ fn global_level_qr_matches_host() {
     let mut r = rng(60);
     let a = rand_f32_batch(&mut r, 12, 12, 3, true);
     let mut gmem = GlobalMemory::new(a.words_per_mat() * 3 + 4096);
-    let ptr = a.to_device(&mut gmem);
+    let all = 0..3;
+    let ptr = a.to_device(&mut gmem, std::slice::from_ref(&all));
     let opts = GlobalLevelOpts {
         exec: regla_gpu_sim::ExecMode::Full,
         ..Default::default()
@@ -629,7 +630,8 @@ fn global_level_qr_matches_host() {
     .unwrap();
     // 4 launches per column (minus the last column's updates).
     assert!(stats.launches.len() >= 40);
-    let out = MatBatch::<f32>::from_device(12, 12, 3, &gmem, ptr);
+    let mut out = MatBatch::<f32>::zeros(12, 12, 3);
+    out.copy_from_device(&gmem, ptr, std::slice::from_ref(&all));
     for k in 0..3 {
         let mut f = a.mat(k);
         host::householder_qr_in_place(&mut f);
@@ -655,7 +657,7 @@ fn streams_do_not_help_fine_grained_launches() {
     let a = rand_f32_batch(&mut r, 16, 16, 64, true);
     let run = |streams: usize| {
         let mut gmem = GlobalMemory::new(a.words_per_mat() * 64 + 8192);
-        let ptr = a.to_device(&mut gmem);
+        let ptr = a.to_device(&mut gmem, std::slice::from_ref(&(0..64)));
         let opts = GlobalLevelOpts {
             streams,
             ..Default::default()

@@ -31,15 +31,23 @@ pub enum ExecMode {
     /// Run every block: outputs are valid for the whole batch.
     #[default]
     Full,
-    /// Run the traced block plus `k-1` further evenly-spaced blocks, so a
-    /// spread of problems across the batch gets real outputs (enough for
-    /// spot-checking numerics) at a fraction of `Full`'s host cost. `k`
-    /// counts executed blocks including block 0 and is clamped to the grid;
-    /// `Sampled(0)` is rejected at launch.
+    /// Run the traced block plus `k-1` further evenly-spaced blocks
+    /// (blocks `i * grid / k` for `i < k`), so a spread of problems across
+    /// the batch gets real outputs (enough for spot-checking numerics) at a
+    /// fraction of `Full`'s host cost; timing still covers the whole grid.
+    /// `k` counts executed blocks including block 0 and is clamped to the
+    /// grid; `Sampled(0)` is rejected at launch. Blocks that do not execute
+    /// leave device memory untouched, and `regla-core` stages and downloads
+    /// only the executed blocks' problems: every other problem of its
+    /// `BatchRun` reads as zeros in `out` and `taus`, with status `Ok`
+    /// (never computed, never screened).
     Sampled(usize),
     /// Run only the traced block (block 0): timing is exact (all blocks
-    /// execute identical code), but only problem 0's output is computed.
-    /// Used by the performance harnesses to sweep large batches quickly.
+    /// execute identical code), and only block 0's problems are computed —
+    /// all of its threads' problems (64) for a per-thread kernel, problem 0
+    /// when each block solves one problem. The other problems read as
+    /// under `Sampled`. Used by the performance harnesses to sweep large
+    /// batches quickly.
     Representative,
 }
 

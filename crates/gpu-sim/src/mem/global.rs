@@ -314,13 +314,15 @@ impl GlobalMemory {
         dst.copy_from_slice(&self.data[p.0..p.0 + dst.len()]);
     }
 
-    /// Borrow a device range as a slice (testing convenience).
+    /// Borrow a device range as a slice (a host read, like `d2h` without
+    /// the copy).
     pub fn slice(&self, p: DPtr, len: usize) -> &[f32] {
         &self.data[p.0..p.0 + len]
     }
 
-    /// Borrow a device range mutably (testing convenience). The whole
-    /// range counts as host-initialized for the sanitizer.
+    /// Borrow a device range mutably (a host write, like `h2d` without
+    /// the copy). The whole range counts as host-initialized for the
+    /// sanitizer.
     pub fn slice_mut(&mut self, p: DPtr, len: usize) -> &mut [f32] {
         self.mark_init(p.0, len);
         &mut self.data[p.0..p.0 + len]

@@ -231,6 +231,33 @@ fn malformed_inputs_are_structured_errors() {
     let gb = MatBatch::<f32>::zeros(6, 3, 2);
     let err = session.gemm(&ga, &gb).unwrap_err();
     assert!(matches!(err, ReglaError::DimensionMismatch(_)), "{err}");
+
+    // Forced approaches the kernels cannot run, rejected before staging.
+    let forced = |approach| RunOpts::builder().approach(approach).build().unwrap();
+    let tall = MatBatch::<f32>::zeros(10, 8, 2);
+    let err = session
+        .run_with(Op::Qr, &tall, None, &forced(Approach::PerThread))
+        .unwrap_err();
+    assert!(matches!(err, ReglaError::DimensionMismatch(_)), "{err}");
+    assert!(
+        err.to_string()
+            .contains("per-thread kernels handle square systems"),
+        "{err}"
+    );
+    let wide = MatBatch::<f32>::zeros(6, 8, 2);
+    let err = session
+        .run_with(Op::Qr, &wide, None, &forced(Approach::Tiled))
+        .unwrap_err();
+    assert!(matches!(err, ReglaError::DimensionMismatch(_)), "{err}");
+    assert!(
+        err.to_string().contains("tiled QR needs a tall system"),
+        "{err}"
+    );
+    let err = session
+        .run_with(Op::Lu, &a, None, &forced(Approach::Hybrid))
+        .unwrap_err();
+    assert!(matches!(err, ReglaError::Unsupported(_)), "{err}");
+    assert!(err.to_string().contains("hybrid"), "{err}");
 }
 
 proptest! {
