@@ -540,17 +540,6 @@ fn device_for<T: DeviceScalar>(batch: &MatBatch<T>, extra_words: usize) -> Globa
 /// Per-thread kernels pack `tpb` problems into each block.
 const PER_THREAD_TPB: usize = 64;
 
-/// Problems per block of a launch: per-thread blocks cover
-/// [`PER_THREAD_TPB`] consecutive problems; per-block, tiled and GEMM
-/// launches map block b to problem b.
-fn problems_per_block(approach: Approach) -> usize {
-    if approach == Approach::PerThread {
-        PER_THREAD_TPB
-    } else {
-        1
-    }
-}
-
 /// The problems whose blocks execute under `exec`, as ascending, disjoint,
 /// non-adjacent ranges: [`LaunchConfig::executed_blocks`] through the
 /// block→problem map. [`ExecMode::Full`] is the one range `0..count`. The
@@ -704,7 +693,14 @@ fn run_inplace<T: DeviceScalar>(
     check_supported(approach, alg, m, nfac)?;
     let rhs = cols - nfac;
     let ew = T::WORDS;
-    let ppb = problems_per_block(approach);
+    // Block -> problem map: per-thread blocks cover `PER_THREAD_TPB`
+    // consecutive problems, per-block and tiled launches map block b to
+    // problem b.
+    let ppb = if approach == Approach::PerThread {
+        PER_THREAD_TPB
+    } else {
+        1
+    };
     let executed = executed_ranges(count, ppb, opts.exec);
     let tau_words = count * nfac * ew;
     let mut gmem = device_for(aug, tau_words + count);
@@ -1422,6 +1418,17 @@ mod tests {
 
     fn forced(ft: usize) -> Result<RunOpts, ReglaError> {
         RunOpts::builder().force_threads(ft).build()
+    }
+
+    #[test]
+    fn executed_ranges_merge_adjacent_blocks() {
+        assert_eq!(executed_ranges(150, 64, ExecMode::Full), vec![0..150]);
+        assert_eq!(executed_ranges(150, 64, ExecMode::Sampled(2)), vec![0..128]);
+        assert_eq!(executed_ranges(150, 64, ExecMode::Representative), vec![0..64]);
+        assert_eq!(
+            executed_ranges(7, 1, ExecMode::Sampled(3)),
+            vec![0..1, 2..3, 4..5]
+        );
     }
 
     #[test]

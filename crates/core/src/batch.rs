@@ -105,8 +105,8 @@ impl<T: Scalar> MatBatch<T> {
     /// sized for the whole batch and return its pointer. Each element's
     /// words are written straight into device memory. Problems outside
     /// the ranges are never written: they read as zero and stay
-    /// uninitialized for the sanitizer's initcheck. Pass `&[0..count]`
-    /// to upload everything.
+    /// uninitialized for the sanitizer's initcheck. The one range
+    /// `0..count` uploads everything.
     pub fn to_device(&self, gmem: &mut GlobalMemory, problems: &[Range<usize>]) -> DPtr {
         let (e, wpm) = (self.elems_per_mat(), self.words_per_mat());
         let ptr = gmem.alloc(wpm * self.count);
