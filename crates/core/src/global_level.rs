@@ -17,7 +17,7 @@
 //! could achieve better performance solving the problems sequentially on
 //! the CPU."
 
-use crate::elem::Elem;
+use crate::elem::{Elem, Slab};
 use crate::per_block::SubMat;
 use crate::tiled::MultiLaunch;
 use regla_gpu_sim::{
@@ -71,7 +71,7 @@ impl<E: Elem<Re = Rv>> BlockKernel for NormKernel<E> {
             let mut acc = t.lit(0.0);
             let mut i = k + t.tid;
             while i < m {
-                let v = E::gload(t, a.ptr, a.index(bid, i, k));
+                let v = E::gload(t, a.slab(), a.at(i, k));
                 let v2 = E::abs2(t, v);
                 acc = t.add(acc, v2);
                 i += nthreads;
@@ -122,9 +122,9 @@ impl<E: Elem<Re = Rv>> BlockKernel for ReflectKernel<E> {
                 return;
             }
             let norm = t.gload(d_norm, bid);
-            let alpha = E::gload(t, a.ptr, a.index(bid, k, k));
+            let alpha = E::gload(t, a.slab(), a.at(k, k));
             if t.is_zero(norm) {
-                E::gstore(t, d_tau, bid, E::imm(0.0));
+                E::gstore(t, Slab::new(d_tau, 1), 0, E::imm(0.0));
                 E::sstore(t, 0, E::imm(0.0));
                 return;
             }
@@ -140,8 +140,8 @@ impl<E: Elem<Re = Rv>> BlockKernel for ReflectKernel<E> {
             let tau = E::mul(t, num, binv);
             let den = E::sub(t, alpha, beta_e);
             let inv = E::recip(t, den);
-            E::gstore(t, d_tau, bid, tau);
-            E::gstore(t, a.ptr, a.index(bid, k, k), beta_e);
+            E::gstore(t, Slab::new(d_tau, 1), 0, tau);
+            E::gstore(t, a.slab(), a.at(k, k), beta_e);
             E::sstore(t, 0, inv);
         });
         blk.sync();
@@ -150,10 +150,9 @@ impl<E: Elem<Re = Rv>> BlockKernel for ReflectKernel<E> {
             let inv = E::sload(t, 0);
             let mut i = k + 1 + t.tid;
             while i < m {
-                let idx = a.index(bid, i, k);
-                let v = E::gload(t, a.ptr, idx);
+                let v = E::gload(t, a.slab(), a.at(i, k));
                 let s = E::mul(t, v, inv);
-                E::gstore(t, a.ptr, idx, s);
+                E::gstore(t, a.slab(), a.at(i, k), s);
                 i += nthreads;
             }
         });
@@ -184,18 +183,18 @@ impl<E: Elem> BlockKernel for GemvKernel<E> {
         let (d_tau, d_w) = (self.d_tau, self.d_w);
         blk.phase_label("cublas: gemv");
         blk.for_each(|t| {
-            let tau = E::gload(t, d_tau, bid);
+            let tau = E::gload(t, Slab::new(d_tau, 1), 0);
             let tch = E::conj(t, tau);
             let mut j = k + 1 + t.tid;
             while j < n {
-                let mut acc = E::gload(t, a.ptr, a.index(bid, k, j));
+                let mut acc = E::gload(t, a.slab(), a.at(k, j));
                 for i in k + 1..m {
-                    let v = E::gload(t, a.ptr, a.index(bid, i, k));
-                    let x = E::gload(t, a.ptr, a.index(bid, i, j));
+                    let v = E::gload(t, a.slab(), a.at(i, k));
+                    let x = E::gload(t, a.slab(), a.at(i, j));
                     acc = E::conj_fma(t, v, x, acc);
                 }
                 let tw = E::mul(t, tch, acc);
-                E::gstore(t, d_w, bid * n + j, tw);
+                E::gstore(t, Slab::new(d_w, n), j, tw);
                 j += nthreads;
             }
         });
@@ -230,16 +229,15 @@ impl<E: Elem> BlockKernel for GerKernel<E> {
             while e < rows * cols {
                 let i = k + e % rows;
                 let j = k + 1 + e / rows;
-                let tw = E::gload(t, d_w, bid * n + j);
+                let tw = E::gload(t, Slab::new(d_w, n), j);
                 let v = if i == k {
                     E::imm(1.0)
                 } else {
-                    E::gload(t, a.ptr, a.index(bid, i, k))
+                    E::gload(t, a.slab(), a.at(i, k))
                 };
-                let idx = a.index(bid, i, j);
-                let x = E::gload(t, a.ptr, idx);
+                let x = E::gload(t, a.slab(), a.at(i, j));
                 let nx = E::fnma(t, v, tw, x);
-                E::gstore(t, a.ptr, idx, nx);
+                E::gstore(t, a.slab(), a.at(i, j), nx);
                 e += nthreads;
             }
         });

@@ -7,7 +7,7 @@
 //! each trailing column is streamed through shared memory, having the nb
 //! reflectors applied in sequence.
 
-use crate::elem::{run_in_domain, DomainKernel, Elem};
+use crate::elem::{run_in_domain, DomainKernel, Elem, Slab};
 use crate::layout::LayoutMap;
 use crate::per_block::common::{load_tile, OwnTables, SubMat, TileRegs};
 use regla_gpu_sim::{BlockCtx, BlockKernel, DPtr};
@@ -71,13 +71,17 @@ impl<E: Elem> BlockKernel for QrApplyKernel<E> {
     fn run(&self, blk: &mut BlockCtx) {
         run_in_domain(self, blk)
     }
+
+    fn lane_capable(&self) -> bool {
+        true
+    }
 }
 
 impl<E: Elem> DomainKernel for QrApplyKernel<E> {
     type Elem = E;
 
     fn body<D: Elem>(&self, blk: &mut BlockCtx) {
-        if blk.block_id >= self.count {
+        if blk.uniform(|b| b >= self.count) {
             return;
         }
         let lm = self.lm;
@@ -85,7 +89,6 @@ impl<E: Elem> DomainKernel for QrApplyKernel<E> {
         let lrows = lm.lrows;
         let rows = lm.rows;
         let nb = self.nb;
-        let bid = blk.block_id;
         let p = lm.p;
         let rw = lm.red_width();
         // Shared slots (element units).
@@ -98,11 +101,11 @@ impl<E: Elem> DomainKernel for QrApplyKernel<E> {
         load_tile(blk, &lm, own, &self.v, &mut vregs);
 
         // Stage this panel's taus once.
-        let (d_tau, tau_stride, tau_off) = (self.d_tau, self.tau_stride, self.tau_off);
+        let (d_tau, tau_off) = (Slab::new(self.d_tau, self.tau_stride), self.tau_off);
         blk.phase_label_with(|| "stage-tau".to_string());
         blk.for_each(|t| {
             if t.tid < nb {
-                let tau = D::gload(t, d_tau, bid * tau_stride + tau_off + t.tid);
+                let tau = D::gload(t, d_tau, tau_off + t.tid);
                 D::sstore(t, s_tau + t.tid, tau);
             }
         });
@@ -115,7 +118,7 @@ impl<E: Elem> DomainKernel for QrApplyKernel<E> {
             blk.for_each(|t| {
                 let mut i = t.tid;
                 while i < rows {
-                    let v = D::gload(t, a.ptr, a.index(bid, i, c));
+                    let v = D::gload(t, a.slab(), a.at(i, c));
                     D::sstore(t, s_col + i, v);
                     i += p;
                 }
@@ -192,7 +195,7 @@ impl<E: Elem> DomainKernel for QrApplyKernel<E> {
                 let mut i = t.tid;
                 while i < rows {
                     let v = D::sload(t, s_col + i);
-                    D::gstore(t, a.ptr, a.index(bid, i, c), v);
+                    D::gstore(t, a.slab(), a.at(i, c), v);
                     i += p;
                 }
             });

@@ -46,13 +46,17 @@ impl<E: Elem> BlockKernel for CholeskyBlockKernel<E> {
     fn run(&self, blk: &mut BlockCtx) {
         run_in_domain(self, blk)
     }
+
+    fn lane_capable(&self) -> bool {
+        true
+    }
 }
 
 impl<E: Elem> DomainKernel for CholeskyBlockKernel<E> {
     type Elem = E;
 
     fn body<D: Elem>(&self, blk: &mut BlockCtx) {
-        if blk.block_id >= self.count {
+        if blk.uniform(|b| b >= self.count) {
             return;
         }
         let lm = self.lm;
@@ -61,7 +65,6 @@ impl<E: Elem> DomainKernel for CholeskyBlockKernel<E> {
         let lrows = lm.lrows;
         let n = lm.rows;
         assert_eq!(lm.cols, n, "Cholesky needs a square matrix");
-        let bid = blk.block_id;
         let d_flag = self.d_flag;
 
         let mut regs = TileRegs::<D>::new(lm.p, lm.local_len());
@@ -84,7 +87,7 @@ impl<E: Elem> DomainKernel for CholeskyBlockKernel<E> {
                 if !D::Re::gt(t, d, zero) {
                     D::sstore(t, sm.se(2), D::imm(0.0));
                     if let Some(f) = d_flag {
-                        flag_first_failure::<D>(t, f, bid, k);
+                        flag_first_failure::<D>(t, f, k);
                     }
                     return;
                 }

@@ -1,6 +1,6 @@
 //! Shared machinery for the one-problem-per-block kernels.
 
-use crate::elem::Elem;
+use crate::elem::{Elem, Slab};
 use crate::layout::LayoutMap;
 use regla_gpu_sim::{BlockCtx, DPtr, ThreadCtx};
 
@@ -41,7 +41,19 @@ impl SubMat {
     /// Element index of (i, j) in problem `b`.
     #[inline]
     pub fn index(&self, b: usize, i: usize, j: usize) -> usize {
-        b * self.stride + (self.col0 + j) * self.lda + self.row0 + i
+        b * self.stride + self.at(i, j)
+    }
+
+    /// Offset of (i, j) within one problem.
+    #[inline]
+    pub fn at(&self, i: usize, j: usize) -> usize {
+        (self.col0 + j) * self.lda + self.row0 + i
+    }
+
+    /// The per-block slab of a one-problem-per-block launch: block `b`
+    /// holds problem `b`.
+    pub fn slab(&self) -> Slab {
+        Slab::new(self.ptr, self.stride)
     }
 }
 
@@ -101,7 +113,7 @@ impl SharedMap {
     }
 }
 
-/// Per-thread ownership tables, precomputed once per block to keep the
+/// Per-thread ownership tables, precomputed once per launch to keep the
 /// functional simulation fast. Suffix slices stand in for the loop bounds
 /// a CUDA kernel would resolve at compile time.
 pub struct OwnTables {
@@ -109,28 +121,46 @@ pub struct OwnTables {
     pub rows: Vec<Vec<usize>>,
     /// Sorted owned global columns, per thread.
     pub cols: Vec<Vec<usize>>,
+    /// Matrix rows and columns.
+    m: usize,
+    n: usize,
+    /// `row_start[t * (m + 1) + r0]`: position of thread `t`'s first owned
+    /// row >= r0, for every `r0` in `0..=m`.
+    row_start: Vec<usize>,
+    /// The same for columns, `c0` in `0..=n`.
+    col_start: Vec<usize>,
+}
+
+/// For every bound `b` in `0..=n`, the number of entries of the sorted
+/// list `v` below `b`.
+fn starts(v: &[usize], n: usize) -> impl Iterator<Item = usize> + '_ {
+    (0..=n).map(|b| v.partition_point(|&x| x < b))
 }
 
 impl OwnTables {
     pub fn new(lm: &LayoutMap) -> Self {
+        let rows: Vec<Vec<usize>> = (0..lm.p).map(|t| lm.owned_rows(t, 0)).collect();
+        let cols: Vec<Vec<usize>> = (0..lm.p).map(|t| lm.owned_cols(t, 0, lm.cols)).collect();
         OwnTables {
-            rows: (0..lm.p).map(|t| lm.owned_rows(t, 0)).collect(),
-            cols: (0..lm.p).map(|t| lm.owned_cols(t, 0, lm.cols)).collect(),
+            row_start: rows.iter().flat_map(|v| starts(v, lm.rows)).collect(),
+            col_start: cols.iter().flat_map(|v| starts(v, lm.cols)).collect(),
+            rows,
+            cols,
+            m: lm.rows,
+            n: lm.cols,
         }
     }
 
     /// Owned rows >= r0 for thread `t`.
     #[inline]
     pub fn rows_from(&self, t: usize, r0: usize) -> &[usize] {
-        let v = &self.rows[t];
-        &v[v.partition_point(|&i| i < r0)..]
+        &self.rows[t][self.row_base(t, r0)..]
     }
 
     /// Owned cols >= c0 for thread `t`.
     #[inline]
     pub fn cols_from(&self, t: usize, c0: usize) -> &[usize] {
-        let v = &self.cols[t];
-        &v[v.partition_point(|&j| j < c0)..]
+        &self.cols[t][self.col_base(t, c0)..]
     }
 
     /// Local row index of the first element of `rows_from(t, r0)`.
@@ -142,13 +172,13 @@ impl OwnTables {
     /// `tile_index_matches_layout` pins the invariant.
     #[inline]
     pub fn row_base(&self, t: usize, r0: usize) -> usize {
-        self.rows[t].partition_point(|&i| i < r0)
+        self.row_start[t * (self.m + 1) + r0.min(self.m)]
     }
 
     /// Local column index of the first element of `cols_from(t, c0)`.
     #[inline]
     pub fn col_base(&self, t: usize, c0: usize) -> usize {
-        self.cols[t].partition_point(|&j| j < c0)
+        self.col_start[t * (self.n + 1) + c0.min(self.n)]
     }
 }
 
@@ -199,14 +229,14 @@ pub fn load_tile<D: Elem>(
     a: &SubMat,
     regs: &mut TileRegs<D>,
 ) {
-    let bid = blk.block_id;
     blk.phase_label("load");
     let lrows = lm.lrows;
+    let slab = a.slab();
     blk.for_each(|t| {
         let cols = own.cols_from(t.tid, 0);
         for (lr, &i) in own.rows_from(t.tid, 0).iter().enumerate() {
             for (lc, &j) in cols.iter().enumerate() {
-                let v = D::gload(t, a.ptr, a.index(bid, i, j));
+                let v = D::gload(t, slab, a.at(i, j));
                 regs.set(t, lr + lrows * lc, v);
             }
         }
@@ -222,15 +252,15 @@ pub fn store_tile<D: Elem>(
     a: &SubMat,
     regs: &TileRegs<D>,
 ) {
-    let bid = blk.block_id;
     blk.phase_label("store");
     let lrows = lm.lrows;
+    let slab = a.slab();
     blk.for_each(|t| {
         let cols = own.cols_from(t.tid, 0);
         for (lr, &i) in own.rows_from(t.tid, 0).iter().enumerate() {
             for (lc, &j) in cols.iter().enumerate() {
                 let v = regs.get(t, lr + lrows * lc);
-                D::gstore(t, a.ptr, a.index(bid, i, j), v);
+                D::gstore(t, slab, a.at(i, j), v);
             }
         }
     });
@@ -244,12 +274,14 @@ pub fn hoist<D: Elem>(t: &mut ThreadCtx, buf: &mut Vec<D>, slots: impl Iterator<
     buf.extend(slots.map(|s| D::sload(t, s)));
 }
 
-/// Record `col + 1` in problem `pid`'s failure flag unless an earlier
-/// column already failed there (first failure wins; 0 = solved).
-pub fn flag_first_failure<D: Elem>(t: &mut ThreadCtx, f: DPtr, pid: usize, col: usize) {
-    let cur = D::Re::gload(t, f, pid);
+/// Record `col + 1` in the block's problem's failure flag (one word per
+/// block at `f`) unless an earlier column already failed there (first
+/// failure wins; 0 = solved).
+pub fn flag_first_failure<D: Elem>(t: &mut ThreadCtx, f: DPtr, col: usize) {
+    let flag = Slab::new(f, 1);
+    let cur = D::Re::gload(t, flag, 0);
     if D::Re::is_zero(t, cur) {
-        D::Re::gstore(t, f, pid, D::Re::imm((col + 1) as f32));
+        D::Re::gstore(t, flag, 0, D::Re::imm((col + 1) as f32));
     }
 }
 

@@ -63,20 +63,23 @@ impl<E: Elem> BlockKernel for GemmBlockKernel<E> {
     fn run(&self, blk: &mut BlockCtx) {
         run_in_domain(self, blk)
     }
+
+    fn lane_capable(&self) -> bool {
+        true
+    }
 }
 
 impl<E: Elem> DomainKernel for GemmBlockKernel<E> {
     type Elem = E;
 
     fn body<D: Elem>(&self, blk: &mut BlockCtx) {
-        if blk.block_id >= self.count {
+        if blk.uniform(|b| b >= self.count) {
             return;
         }
         let lm = self.lm;
         let own = &self.own;
         let lrows = lm.lrows;
         let (m, n) = (lm.rows, lm.cols);
-        let bid = blk.block_id;
         let p = lm.p;
         let kdim = self.kdim;
         let (a, b) = (self.a, self.b);
@@ -101,13 +104,13 @@ impl<E: Elem> DomainKernel for GemmBlockKernel<E> {
             blk.for_each(|t| {
                 let mut i = t.tid;
                 while i < m {
-                    let v = D::gload(t, a.ptr, a.index(bid, i, kk));
+                    let v = D::gload(t, a.slab(), a.at(i, kk));
                     D::sstore(t, i, v);
                     i += p;
                 }
                 let mut j = t.tid;
                 while j < n {
-                    let v = D::gload(t, b.ptr, b.index(bid, kk, j));
+                    let v = D::gload(t, b.slab(), b.at(kk, j));
                     D::sstore(t, m + j, v);
                     j += p;
                 }

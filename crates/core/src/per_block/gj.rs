@@ -51,13 +51,17 @@ impl<E: Elem> BlockKernel for GjBlockKernel<E> {
     fn run(&self, blk: &mut BlockCtx) {
         run_in_domain(self, blk)
     }
+
+    fn lane_capable(&self) -> bool {
+        true
+    }
 }
 
 impl<E: Elem> DomainKernel for GjBlockKernel<E> {
     type Elem = E;
 
     fn body<D: Elem>(&self, blk: &mut BlockCtx) {
-        if blk.block_id >= self.count {
+        if blk.uniform(|b| b >= self.count) {
             return;
         }
         let lm = self.lm;
@@ -66,7 +70,6 @@ impl<E: Elem> DomainKernel for GjBlockKernel<E> {
         let lrows = lm.lrows;
         let n = lm.cols - self.rhs_cols;
         assert_eq!(lm.rows, n, "Gauss-Jordan needs a square system");
-        let bid = blk.block_id;
         let d_flag = self.d_flag;
 
         let mut regs = TileRegs::<D>::new(lm.p, lm.local_len());
@@ -86,7 +89,7 @@ impl<E: Elem> DomainKernel for GjBlockKernel<E> {
                 if D::is_zero(t, akk) {
                     D::sstore(t, sm.se(2), D::imm(0.0));
                     if let Some(f) = d_flag {
-                        flag_first_failure::<D>(t, f, bid, k);
+                        flag_first_failure::<D>(t, f, k);
                     }
                 } else {
                     let s = D::recip(t, akk);

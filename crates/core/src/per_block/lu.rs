@@ -63,13 +63,17 @@ impl<E: Elem> BlockKernel for LuBlockKernel<E> {
     fn run(&self, blk: &mut BlockCtx) {
         run_in_domain(self, blk)
     }
+
+    fn lane_capable(&self) -> bool {
+        true
+    }
 }
 
 impl<E: Elem> DomainKernel for LuBlockKernel<E> {
     type Elem = E;
 
     fn body<D: Elem>(&self, blk: &mut BlockCtx) {
-        if blk.block_id >= self.count {
+        if blk.uniform(|b| b >= self.count) {
             return;
         }
         let lm = self.lm;
@@ -78,7 +82,6 @@ impl<E: Elem> DomainKernel for LuBlockKernel<E> {
         let lrows = lm.lrows;
         let (m, cols) = (lm.rows, lm.cols);
         let kmax = m.min(cols);
-        let bid = blk.block_id;
         let d_flag = self.d_flag;
         let listing7 = self.listing7;
 
@@ -103,7 +106,7 @@ impl<E: Elem> DomainKernel for LuBlockKernel<E> {
                     // First failure wins: record `column + 1` so the host
                     // can report which pivot broke (0 = solved).
                     if let Some(f) = d_flag {
-                        flag_first_failure::<D>(t, f, bid, k);
+                        flag_first_failure::<D>(t, f, k);
                     }
                 } else {
                     let s = D::recip(t, akk);

@@ -8,7 +8,7 @@
 //! reductions -> rank-1 update. This is the cost structure of Table VI and
 //! the per-panel breakdown of Figure 8.
 
-use crate::elem::{run_in_domain, DomainKernel, Elem, Real};
+use crate::elem::{run_in_domain, DomainKernel, Elem, Real, Slab};
 use crate::layout::LayoutMap;
 use crate::per_block::common::{
     hoist, load_tile, reduce_column, store_tile, OwnTables, SharedMap, SubMat, TileRegs,
@@ -105,13 +105,17 @@ impl<E: Elem> BlockKernel for QrBlockKernel<E> {
     fn run(&self, blk: &mut BlockCtx) {
         run_in_domain(self, blk)
     }
+
+    fn lane_capable(&self) -> bool {
+        true
+    }
 }
 
 impl<E: Elem> DomainKernel for QrBlockKernel<E> {
     type Elem = E;
 
     fn body<D: Elem>(&self, blk: &mut BlockCtx) {
-        if blk.block_id >= self.count {
+        if blk.uniform(|b| b >= self.count) {
             return;
         }
         let lm = self.lm;
@@ -121,7 +125,6 @@ impl<E: Elem> DomainKernel for QrBlockKernel<E> {
         let (m, cols) = (lm.rows, lm.cols);
         let nfac = cols - self.rhs_cols;
         let kmax = nfac.min(m);
-        let bid = blk.block_id;
         let tree = self.reduction == Reduction::Tree;
 
         let mut regs = TileRegs::<D>::new(lm.p, lm.local_len());
@@ -181,7 +184,7 @@ impl<E: Elem> DomainKernel for QrBlockKernel<E> {
 
             // The diagonal owner reduces, forms beta / tau / inv and keeps
             // beta as the new R(k,k).
-            let d_tau = self.d_tau;
+            let d_tau = self.d_tau.map(|dt| Slab::new(dt, kmax));
             blk.for_each(|t| {
                 if t.tid != diag_owner {
                     return;
@@ -200,18 +203,14 @@ impl<E: Elem> DomainKernel for QrBlockKernel<E> {
                     D::sstore(t, sm.se(1), D::imm(0.0));
                     D::sstore(t, sm.se(2), D::imm(0.0));
                     if let Some(dt) = d_tau {
-                        D::gstore(t, dt, bid * kmax + k, D::imm(0.0));
+                        D::gstore(t, dt, k, D::imm(0.0));
                     }
                     return;
                 }
                 let anorm = D::Re::sqrt(t, n2);
                 // beta = -sign(Re alpha) * ||x|| (one comparison).
                 let zero = D::Re::imm(0.0);
-                let beta = if D::Re::gt(t, alpha.re(), zero) {
-                    D::Re::neg(t, anorm)
-                } else {
-                    anorm
-                };
+                let beta = D::Re::neg_if_gt(t, anorm, alpha.re(), zero);
                 let beta_e = D::from_re(beta);
                 // tau = (beta - alpha) / beta
                 let num = D::sub(t, beta_e, alpha);
@@ -224,7 +223,7 @@ impl<E: Elem> DomainKernel for QrBlockKernel<E> {
                 D::sstore(t, sm.se(2), inv);
                 regs.set(t, lm.local_index(k, k), beta_e);
                 if let Some(dt) = d_tau {
-                    D::gstore(t, dt, bid * kmax + k, tau);
+                    D::gstore(t, dt, k, tau);
                 }
             });
             blk.sync();

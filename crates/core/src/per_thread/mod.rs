@@ -7,7 +7,7 @@
 //! spill to local memory exactly like the `#pragma unroll`ed CUDA original
 //! — producing Figure 4's collapse at n = 8.
 
-use crate::elem::{run_in_domain, DomainKernel, Elem, Real};
+use crate::elem::{run_in_domain, DomainKernel, Elem, Real, Slab};
 use crate::per_block::common::SubMat;
 use regla_gpu_sim::{BlockCtx, BlockKernel, DPtr, ThreadCtx};
 use std::marker::PhantomData;
@@ -158,7 +158,7 @@ fn qr_serial<D: Elem>(
     a: &mut Regs<D>,
     n: usize,
     cols: usize,
-    tau_out: Option<(DPtr, usize)>,
+    tau_out: Option<(Slab, usize)>,
 ) {
     for k in 0..n {
         let mut x2 = D::Re::imm(0.0);
@@ -178,11 +178,7 @@ fn qr_serial<D: Elem>(
         }
         let anorm = D::Re::sqrt(t, n2);
         let zero = D::Re::imm(0.0);
-        let beta = if D::Re::gt(t, alpha.re(), zero) {
-            D::Re::neg(t, anorm)
-        } else {
-            anorm
-        };
+        let beta = D::Re::neg_if_gt(t, anorm, alpha.re(), zero);
         let beta_e = D::from_re(beta);
         let num = D::sub(t, beta_e, alpha);
         let binv = D::recip(t, beta_e);
@@ -272,6 +268,10 @@ impl<E: Elem> BlockKernel for PerThreadKernel<E> {
     fn run(&self, blk: &mut BlockCtx) {
         run_in_domain(self, blk)
     }
+
+    fn lane_capable(&self) -> bool {
+        true
+    }
 }
 
 impl<E: Elem> DomainKernel for PerThreadKernel<E> {
@@ -279,28 +279,29 @@ impl<E: Elem> DomainKernel for PerThreadKernel<E> {
 
     fn body<D: Elem>(&self, blk: &mut BlockCtx) {
         let tpb = blk.num_threads();
-        let bid = blk.block_id;
         let (n, cols) = (self.n, self.cols());
         let a = self.a;
+        // Each block's slab holds its threads' `tpb` consecutive problems.
+        let slab = Slab::new(a.ptr, tpb * a.stride);
         blk.phase_label_with(|| "per-thread".to_string());
         // One register file reused across the block's threads: every
         // problem fully overwrites it during its load, so reuse is
         // indistinguishable from a fresh zeroed array.
         let mut regs = Regs(vec![D::imm(0.0); n * cols]);
         blk.for_each(|t| {
-            let pid = bid * tpb + t.tid;
-            if pid >= self.count {
+            let tid = t.tid;
+            if t.uniform(|b| b * tpb + tid >= self.count) {
                 return;
             }
             // Each column of a problem is a contiguous run in global memory.
             for j in 0..cols {
-                D::gload_span(t, a.ptr, a.index(pid, 0, j), &mut regs.0[j * n..][..n]);
+                D::gload_span(t, slab, a.index(tid, 0, j), &mut regs.0[j * n..][..n]);
             }
             let fail = match self.alg {
                 PtAlg::Lu => lu_serial(t, &mut regs, n, cols),
                 PtAlg::Gj => gj_serial(t, &mut regs, n, cols),
                 PtAlg::Qr => {
-                    let sink = self.d_tau.map(|dt| (dt, pid * n));
+                    let sink = self.d_tau.map(|dt| (Slab::new(dt, tpb * n), tid * n));
                     qr_serial(t, &mut regs, n, cols, sink);
                     None
                 }
@@ -312,12 +313,12 @@ impl<E: Elem> DomainKernel for PerThreadKernel<E> {
                 PtAlg::Cholesky => cholesky_serial(t, &mut regs, n),
             };
             for j in 0..cols {
-                D::gstore_span(t, a.ptr, a.index(pid, 0, j), &regs.0[j * n..][..n]);
+                D::gstore_span(t, slab, a.index(tid, 0, j), &regs.0[j * n..][..n]);
             }
             // Per-problem failure flag: `first failing column + 1`
             // (0 = solved), same encoding as the per-block kernels.
             if let (Some(f), Some(col)) = (self.d_flag, fail) {
-                D::Re::gstore(t, f, pid, D::Re::imm((col + 1) as f32));
+                D::Re::gstore(t, Slab::new(f, tpb), tid, D::Re::imm((col + 1) as f32));
             }
         });
     }

@@ -15,7 +15,7 @@
 //! what the radar pipeline needs, which only consumes `R` and `Qᴴb`.
 
 use crate::api::RunOpts;
-use crate::elem::Elem;
+use crate::elem::{Elem, Slab};
 use crate::layout::{Layout, LayoutMap};
 use crate::per_block::{QrBlockKernel, SubMat};
 use crate::tiled::MultiLaunch;
@@ -48,10 +48,12 @@ impl<E: Elem> BlockKernel for GatherPairs<E> {
         let (p, q) = (bid / self.pairs, bid % self.pairs);
         let n = self.n;
         let cols = self.cols;
-        let dst_base = (p * self.pairs + q) * 2 * n * cols;
         let nthreads = blk.num_threads();
         blk.phase_label("tsqr: gather");
-        let (src, dst) = (self.src, self.dst);
+        // Block `p * pairs + q` fills its own stacked pair; its sources sit
+        // in problem `p`, addressed absolutely.
+        let src = Slab::new(self.src, 0);
+        let dst = Slab::new(self.dst, 2 * n * cols);
         let (src_lda, src_stride) = (self.src_lda, self.src_stride);
         let blocks = &self.src_blocks;
         blk.for_each(|t| {
@@ -62,7 +64,7 @@ impl<E: Elem> BlockKernel for GatherPairs<E> {
                     let mut e = t.tid;
                     while e < n * cols {
                         let (i, j) = (e % n, e / n);
-                        let di = dst_base + j * 2 * n + which * n + i;
+                        let di = j * 2 * n + which * n + i;
                         E::gstore(t, dst, di, E::imm(0.0));
                         e += nthreads;
                     }
@@ -75,7 +77,7 @@ impl<E: Elem> BlockKernel for GatherPairs<E> {
                 while e < n * cols {
                     let (i, j) = (e % n, e / n);
                     let si = p * src_stride + j * src_lda + row0 + i;
-                    let di = dst_base + j * 2 * n + which * n + i;
+                    let di = j * 2 * n + which * n + i;
                     if i <= j {
                         let v = E::gload(t, src, si);
                         E::gstore(t, dst, di, v);
@@ -253,14 +255,15 @@ impl<E: Elem> BlockKernel for CompactTop<E> {
         }
         let (n, cols) = (self.n, self.cols);
         let nthreads = blk.num_threads();
-        let (src, dst) = (self.src, self.dst);
+        let src = Slab::new(self.src, 2 * n * cols);
+        let dst = Slab::new(self.dst, n * cols);
         blk.phase_label("tsqr: compact");
         blk.for_each(|t| {
             let mut e = t.tid;
             while e < n * cols {
                 let (i, j) = (e % n, e / n);
-                let v = E::gload(t, src, p * 2 * n * cols + j * 2 * n + i);
-                E::gstore(t, dst, p * n * cols + j * n + i, v);
+                let v = E::gload(t, src, j * 2 * n + i);
+                E::gstore(t, dst, j * n + i, v);
                 e += nthreads;
             }
         });

@@ -11,6 +11,7 @@
 use crate::config::{GpuConfig, MathMode};
 use crate::exec::arena::{BlockBufs, BufPool};
 use crate::exec::thread::{AccessRec, PhaseAccum, SpillInfo, ThreadCtx};
+use crate::exec::{uniform, LANES};
 use crate::fault::{FaultMap, FaultRecord, FaultState};
 use crate::mem::global::GmemAccess;
 use crate::mem::shared::{bank_conflict_replays, coalesced_transactions, distinct_lines};
@@ -31,13 +32,23 @@ pub(crate) struct SanitizeHook<'a> {
 
 /// Execution context for one thread block.
 pub struct BlockCtx<'a> {
+    /// The executing block (the first lane's block in a lane group).
     pub block_id: usize,
     pub grid_blocks: usize,
     nthreads: usize,
     traced: bool,
-    /// True when the launch runs observer-free and this context executes
-    /// replay (untraced) blocks: threads expose the raw fast primitives.
+    /// The launch lets unarmed replay blocks run observer-free.
+    fast_launch: bool,
+    /// True when this context executes a replay (untraced) block of an
+    /// observer-free launch that no fault is armed in: threads expose the
+    /// raw fast primitives.
     fast: bool,
+    /// The blocks of the lane group being executed (when `lanes`).
+    group: [usize; LANES],
+    lanes: bool,
+    /// Shared-memory words per block (the buffer is `LANES` times wider
+    /// in a lane group).
+    shared_words: usize,
     cfg: &'a GpuConfig,
     math: MathMode,
     spill: SpillInfo,
@@ -67,7 +78,7 @@ impl<'a> BlockCtx<'a> {
         block_id: usize,
         grid_blocks: usize,
         traced: bool,
-        fast: bool,
+        fast_launch: bool,
         nthreads: usize,
         shared_words: usize,
         cfg: &'a GpuConfig,
@@ -79,7 +90,7 @@ impl<'a> BlockCtx<'a> {
         sanitize: SanitizeHook<'a>,
         pool: &'a BufPool,
     ) -> Self {
-        debug_assert!(!(fast && traced), "the traced block is never fast");
+        debug_assert!(!(fast_launch && traced), "the traced block is never fast");
         let mut fault = FaultState::default();
         fault.arm(fault_map, block_id);
         let mut san = SanitizerState::new(sanitize.on, sanitize.wd_limit, shared_words, nthreads);
@@ -89,7 +100,11 @@ impl<'a> BlockCtx<'a> {
             grid_blocks,
             nthreads,
             traced,
-            fast,
+            fast_launch,
+            fast: fast_launch && !fault.armed(),
+            group: [block_id; LANES],
+            lanes: false,
+            shared_words,
             cfg,
             math,
             spill,
@@ -129,9 +144,36 @@ impl<'a> BlockCtx<'a> {
 
     /// Reuse this context for another (untraced) block without reallocating.
     pub(crate) fn reset_for_block(&mut self, block_id: usize) {
+        self.lanes = false;
+        self.reset(block_id, self.shared_words);
+        self.fast = self.fast_launch && !self.fault.armed();
+    }
+
+    /// Reuse this context for a lane group: `group`'s blocks (none of them
+    /// armed by a fault plan) execute at once over `LANES`-wide values.
+    pub(crate) fn reset_for_group(&mut self, group: [usize; LANES]) {
+        debug_assert!(self.fast_launch, "lane groups replay observer-free");
+        self.lanes = true;
+        self.group = group;
+        self.reset(group[0], self.shared_words * LANES);
+        debug_assert!(!self.fault.armed(), "lane groups hold unarmed blocks");
+        self.fast = true;
+        self.gmem.begin_group();
+    }
+
+    /// Close the lane group started by [`reset_for_group`]: keep its
+    /// global stores, or undo them when the group is `abandon`ed.
+    ///
+    /// [`reset_for_group`]: Self::reset_for_group
+    pub(crate) fn end_group(&mut self, abandon: bool) {
+        self.gmem.end_group(abandon);
+    }
+
+    fn reset(&mut self, block_id: usize, shared_len: usize) {
         self.block_id = block_id;
         self.gmem.set_block(block_id);
-        self.bufs.shared.fill(0.0);
+        self.bufs.shared.clear();
+        self.bufs.shared.resize(shared_len, 0.0);
         self.bufs.shared_ready.fill(0);
         for t in &mut self.bufs.threads {
             t.reset_phase(0);
@@ -150,10 +192,11 @@ impl<'a> BlockCtx<'a> {
     }
 
     /// Whether this block runs on the fast path: a replay block of a
-    /// launch with no observers attached (no trace sink, sanitizer, fault
-    /// plan or watchdog, and no slow-path opt-out). Kernels may then
-    /// compute on plain values with the raw `sget`/`sset`/`gget`/`gset`
-    /// primitives, skipping per-op bookkeeping entirely; results are
+    /// launch with no observers attached (no trace sink, sanitizer or
+    /// watchdog, and no slow-path opt-out) that its fault plan, if any,
+    /// does not arm. Kernels may then compute on plain values with the raw
+    /// `sget`/`sset`/`gget`/`gset` primitives (or their `_lanes` forms in
+    /// a lane group), skipping per-op bookkeeping entirely; results are
     /// bit-identical as long as the same `f32` operations run in the same
     /// order.
     #[inline]
@@ -163,7 +206,36 @@ impl<'a> BlockCtx<'a> {
 
     /// Size of the shared-memory allocation in 32-bit words.
     pub fn shared_words(&self) -> usize {
-        self.bufs.shared.len()
+        self.shared_words
+    }
+
+    /// Whether this context executes a lane group: [`LANES`] replay blocks
+    /// of a lane-capable kernel ([`crate::BlockKernel::lane_capable`]) at
+    /// once. Kernels then compute on `LANES`-wide plain values through the
+    /// `ThreadCtx::*_lanes` primitives, lane `l` belonging to the group's
+    /// `l`-th block.
+    #[inline]
+    pub fn lane_group(&self) -> bool {
+        self.lanes
+    }
+
+    /// The blocks this context executes: its own block, or the [`LANES`]
+    /// blocks of a lane group.
+    #[inline]
+    fn lane_blocks(&self) -> &[usize] {
+        if self.lanes {
+            &self.group
+        } else {
+            std::slice::from_ref(&self.block_id)
+        }
+    }
+
+    /// `pred` of the executing block, for a branch on the block id (such
+    /// as `block_id >= count`). In a lane group every lane must agree (see
+    /// [`uniform`]).
+    #[inline]
+    pub fn uniform(&self, pred: impl Fn(usize) -> bool) -> bool {
+        uniform(self.lane_blocks().iter().map(|&b| pred(b)))
     }
 
     /// Whether labels are being kept (traced block, sanitizer or watchdog
@@ -201,6 +273,8 @@ impl<'a> BlockCtx<'a> {
             let mut t = ThreadCtx {
                 tid,
                 block_id: self.block_id,
+                group: &self.group,
+                lanes: self.lanes,
                 traced: self.traced,
                 fast: self.fast,
                 cfg: self.cfg,

@@ -8,7 +8,7 @@ pub mod thread;
 
 use crate::config::{GpuConfig, MathMode};
 use crate::error::LaunchError;
-use crate::fault::{FaultPlan, FaultRecord};
+use crate::fault::{FaultMap, FaultPlan, FaultRecord};
 use crate::mem::global::GmemAccess;
 use crate::mem::{GlobalMemory, MemHier};
 use crate::sanitize::{
@@ -222,15 +222,19 @@ impl LaunchConfig {
     }
 
     /// Whether this configuration is eligible for the fast (observer-free)
-    /// execution path: no trace sink, sanitizer, fault plan, or watchdog,
-    /// and `slow_path` not forced. On the fast path replay blocks elide
-    /// all per-op scoreboard/shadow bookkeeping; results, statuses, and
-    /// modeled cycle totals are bit-identical to the slow path.
+    /// execution path: no trace sink, sanitizer or watchdog, and
+    /// `slow_path` not forced. On the fast path replay blocks elide all
+    /// per-op scoreboard/shadow bookkeeping, and a lane-capable kernel
+    /// replays [`LANES`] blocks per pass (see [`BlockKernel::lane_capable`]);
+    /// results, statuses, and modeled cycle totals are bit-identical to the
+    /// slow path. A fault plan does not disqualify the launch: the fast
+    /// decision is made per replay block, and only the blocks the plan arms
+    /// replay instrumented — every other block's fault hooks would pass
+    /// each value through unchanged.
     pub fn fast_eligible(&self) -> bool {
         !self.slow_path
             && self.trace.is_none()
             && !self.sanitize.is_on()
-            && self.fault.is_none()
             && self.watchdog.is_none()
     }
 
@@ -358,15 +362,174 @@ fn replay_blocks(lc: &LaunchConfig) -> Vec<usize> {
     }
 }
 
+/// Replay blocks per lane group: a lane-capable kernel's fast replay runs
+/// its body once for this many blocks (see [`BlockKernel::lane_capable`]).
+pub const LANES: usize = 8;
+
+/// Unwind payload that abandons a lane group whose lanes disagree on a
+/// branch (see [`uniform`]).
+struct LaneDivergence;
+
+/// The common value of a branch condition evaluated on every lane of the
+/// executing block or lane group (one value outside a group).
+///
+/// Every problem of a batch follows the same control flow unless its data
+/// says otherwise (a zero pivot, a non-SPD diagonal), and the lanes of a
+/// group are independent blocks. When lanes disagree, the group is
+/// abandoned: `Gpu::launch` undoes its global stores and replays its
+/// blocks one at a time. The unwind skips the panic hook, so nothing is
+/// printed.
+pub fn uniform(lanes: impl IntoIterator<Item = bool>) -> bool {
+    let mut lanes = lanes.into_iter();
+    let first = lanes.next().expect("a branch has at least one lane");
+    if lanes.any(|b| b != first) {
+        std::panic::resume_unwind(Box::new(LaneDivergence));
+    }
+    first
+}
+
 /// A device kernel: runs once per thread block.
 pub trait BlockKernel {
     fn run(&self, blk: &mut BlockCtx);
+
+    /// Whether `run` can execute a lane group ([`BlockCtx::lane_group`]):
+    /// [`LANES`] fast replay blocks at once over `LANES`-wide plain
+    /// values. Such a kernel addresses global memory only through per-block
+    /// slabs (the `ThreadCtx::*_lanes` primitives), never by multiplying
+    /// `block_id`, and takes every data- or block-dependent branch through
+    /// [`uniform`].
+    fn lane_capable(&self) -> bool {
+        false
+    }
 }
 
 impl<F: Fn(&mut BlockCtx)> BlockKernel for F {
     fn run(&self, blk: &mut BlockCtx) {
         self(blk)
     }
+}
+
+/// One unit of replay work: a lane group or a single block.
+#[derive(Clone, Copy, Debug)]
+enum Unit {
+    Group([usize; LANES]),
+    Block(usize),
+}
+
+impl Unit {
+    fn first(&self) -> usize {
+        match *self {
+            Unit::Group(g) => g[0],
+            Unit::Block(b) => b,
+        }
+    }
+
+    /// Relative replay cost: lanes replay a block about four times faster.
+    fn cost(&self) -> usize {
+        match self {
+            Unit::Group(_) => 2,
+            Unit::Block(_) => 1,
+        }
+    }
+}
+
+/// Split the replay list into lane groups and single blocks. With `lanes`
+/// (a fast launch of a lane-capable kernel), every `LANES` groupable blocks
+/// form a group; blocks the fault plan arms, the grid's last block (the
+/// only one a per-thread launch can leave partial) and the leftovers that
+/// cannot fill a group replay alone. Grouping depends only on the launch,
+/// never on the host thread count.
+fn plan_units(
+    blocks: &[usize],
+    lanes: bool,
+    grid_blocks: usize,
+    fault_map: Option<&FaultMap>,
+) -> Vec<Unit> {
+    let mut units = Vec::with_capacity(blocks.len());
+    let mut pending = Vec::with_capacity(LANES);
+    for &b in blocks {
+        let groupable =
+            lanes && b + 1 != grid_blocks && !fault_map.is_some_and(|m| m.contains_key(&b));
+        if !groupable {
+            units.push(Unit::Block(b));
+            continue;
+        }
+        pending.push(b);
+        if pending.len() == LANES {
+            units.push(Unit::Group(
+                pending[..].try_into().expect("pending holds LANES blocks"),
+            ));
+            pending.clear();
+        }
+    }
+    units.extend(pending.into_iter().map(Unit::Block));
+    units
+}
+
+/// Split `units` into at most `workers` contiguous, non-empty shards of
+/// roughly equal replay cost.
+fn shard_units(units: &[Unit], workers: usize) -> Vec<&[Unit]> {
+    let total: usize = units.iter().map(Unit::cost).sum();
+    let mut shards = Vec::with_capacity(workers);
+    let (mut start, mut acc) = (0, 0);
+    for (i, u) in units.iter().enumerate() {
+        acc += u.cost();
+        if shards.len() + 1 < workers && acc * workers >= total * (shards.len() + 1) {
+            shards.push(&units[start..=i]);
+            start = i + 1;
+        }
+    }
+    shards.push(&units[start..]);
+    shards.retain(|s| !s.is_empty());
+    shards
+}
+
+/// What one replay worker did besides its blocks' stores.
+#[derive(Default)]
+struct ShardReport {
+    busy: std::time::Duration,
+    faults: Vec<FaultRecord>,
+    findings: ContextFindings,
+    lane_blocks: usize,
+    groups_abandoned: usize,
+}
+
+/// Replay `units` on one reused block context. A lane group that
+/// diverges (or panics) is undone and its blocks replay one at a time, so
+/// a genuine kernel panic is reported against its own block.
+fn replay_units<K: BlockKernel + Sync + ?Sized>(
+    kernel: &K,
+    blk: &mut BlockCtx,
+    units: &[Unit],
+) -> Result<ShardReport, LaunchError> {
+    let t0 = Instant::now();
+    let mut report = ShardReport::default();
+    for unit in units {
+        match *unit {
+            Unit::Block(b) => {
+                blk.reset_for_block(b);
+                run_contained(kernel, blk)?;
+            }
+            Unit::Group(group) => {
+                blk.reset_for_group(group);
+                let ok = catch_unwind(AssertUnwindSafe(|| kernel.run(&mut *blk))).is_ok();
+                blk.end_group(!ok);
+                if ok {
+                    report.lane_blocks += LANES;
+                    continue;
+                }
+                report.groups_abandoned += 1;
+                for b in group {
+                    blk.reset_for_block(b);
+                    run_contained(kernel, blk)?;
+                }
+            }
+        }
+    }
+    report.faults = blk.take_applied_faults();
+    report.findings = blk.take_findings();
+    report.busy = t0.elapsed();
+    Ok(report)
 }
 
 /// The simulated GPU.
@@ -481,7 +644,9 @@ impl Gpu {
     /// [`LaunchConfig::host_threads`]); simulated results — `LaunchStats`
     /// and device memory — are bit-identical at every thread count, because
     /// timing comes solely from the traced block and each replayed block
-    /// writes only its own problem's output.
+    /// writes only its own problem's output. On a fast launch a
+    /// lane-capable kernel replays [`LANES`] blocks per pass of its body
+    /// (see [`BlockKernel::lane_capable`] and [`uniform`]).
     pub fn launch<K: BlockKernel + Sync + ?Sized>(
         &self,
         kernel: &K,
@@ -543,14 +708,15 @@ impl Gpu {
 
         let mut memhier = MemHier::new(&self.cfg);
 
-        // Fast (observer-free) path: replay blocks elide all per-op
-        // bookkeeping; results and modeled timing stay bit-identical.
+        // Fast (observer-free) path: replay blocks the fault plan does not
+        // arm elide all per-op bookkeeping; results and modeled timing
+        // stay bit-identical.
         let fast = lc.fast_eligible() && !force_slow_path();
 
-        // Schedule cache: only consulted on the fast path and only when the
-        // caller supplied a kernel identity (its promise that launches
-        // sharing key + shape trace identically).
-        let sched_key = (fast && schedule_cache_enabled())
+        // Schedule cache: only consulted on a fast launch without a fault
+        // plan and only when the caller supplied a kernel identity (its
+        // promise that launches sharing key + shape trace identically).
+        let sched_key = (fast && lc.fault.is_none() && schedule_cache_enabled())
             .then_some(lc.schedule_key)
             .flatten()
             .map(|kernel| ScheduleKey {
@@ -584,7 +750,7 @@ impl Gpu {
                 &self.cfg,
                 lc.math,
                 spill,
-                GmemAccess::Excl(gmem),
+                GmemAccess::excl(gmem),
                 &mut memhier,
                 fault_map,
                 hook,
@@ -601,18 +767,28 @@ impl Gpu {
         };
 
         // Functional execution of the rest of the grid, sharded over host
-        // worker threads. Each worker gets a contiguous chunk of the block
-        // list, its own reused block context and memory hierarchy, and a
-        // shared read / per-block write view of device memory.
+        // worker threads. Each worker gets a contiguous run of replay units
+        // (lane groups and single blocks), its own reused block context and
+        // memory hierarchy, and a shared read / per-block write view of
+        // device memory. The calling thread replays the first shard.
+        let units = plan_units(
+            &blocks,
+            fast && kernel.lane_capable(),
+            lc.grid_blocks,
+            fault_map,
+        );
         let mut workers = 1usize;
         let mut utilization = 1.0f64;
-        if !blocks.is_empty() {
-            workers = resolve_host_threads(lc).min(blocks.len());
+        let (mut lane_blocks, mut groups_abandoned) = (0, 0);
+        if !units.is_empty() {
             let check = check_writes_enabled();
-            if workers == 1 && !check {
+            let shards = shard_units(&units, resolve_host_threads(lc));
+            workers = shards.len();
+            let replay_start = Instant::now();
+            let reports: Vec<Result<ShardReport, LaunchError>> = if workers == 1 && !check {
                 // Zero-overhead sequential path through the exclusive borrow.
                 let mut blk = BlockCtx::new(
-                    blocks[0],
+                    units[0].first(),
                     lc.grid_blocks,
                     false,
                     fast,
@@ -621,85 +797,61 @@ impl Gpu {
                     &self.cfg,
                     lc.math,
                     spill,
-                    GmemAccess::Excl(gmem),
+                    GmemAccess::excl(gmem),
                     &mut memhier,
                     fault_map,
                     hook,
                     &self.pool,
                 );
-                run_contained(kernel, &mut blk)?;
-                for &b in &blocks[1..] {
-                    blk.reset_for_block(b);
-                    run_contained(kernel, &mut blk)?;
-                }
-                applied.extend(blk.take_applied_faults());
-                collected.absorb(blk.take_findings());
+                vec![replay_units(kernel, &mut blk, &units)]
             } else {
                 let shared = gmem.share(check, sanitizing);
-                let replay_start = Instant::now();
-                let chunk = blocks.len().div_ceil(workers);
-                type ShardOutcome = Result<
-                    (std::time::Duration, Vec<FaultRecord>, ContextFindings),
-                    LaunchError,
-                >;
-                let outcomes: Vec<ShardOutcome> = std::thread::scope(|s| {
-                    let handles: Vec<_> = blocks
-                        .chunks(chunk)
-                        .map(|shard| {
-                            let shared = &shared;
-                            let cfg = &self.cfg;
-                            let pool = &*self.pool;
-                            s.spawn(move || -> ShardOutcome {
-                                let t0 = Instant::now();
-                                let mut memhier = MemHier::new(cfg);
-                                let mut blk = BlockCtx::new(
-                                    shard[0],
-                                    lc.grid_blocks,
-                                    false,
-                                    fast,
-                                    lc.threads_per_block,
-                                    lc.shared_words,
-                                    cfg,
-                                    lc.math,
-                                    spill,
-                                    GmemAccess::Worker(shared.worker(shard[0])),
-                                    &mut memhier,
-                                    fault_map,
-                                    hook,
-                                    pool,
-                                );
-                                run_contained(kernel, &mut blk)?;
-                                for &b in &shard[1..] {
-                                    blk.reset_for_block(b);
-                                    run_contained(kernel, &mut blk)?;
-                                }
-                                Ok((
-                                    t0.elapsed(),
-                                    blk.take_applied_faults(),
-                                    blk.take_findings(),
-                                ))
-                            })
-                        })
+                let run_shard = |shard: &[Unit]| {
+                    let mut memhier = MemHier::new(&self.cfg);
+                    let mut blk = BlockCtx::new(
+                        shard[0].first(),
+                        lc.grid_blocks,
+                        false,
+                        fast,
+                        lc.threads_per_block,
+                        lc.shared_words,
+                        &self.cfg,
+                        lc.math,
+                        spill,
+                        GmemAccess::worker(shared.worker(shard[0].first())),
+                        &mut memhier,
+                        fault_map,
+                        hook,
+                        &self.pool,
+                    );
+                    replay_units(kernel, &mut blk, shard)
+                };
+                std::thread::scope(|s| {
+                    let handles: Vec<_> = shards[1..]
+                        .iter()
+                        .map(|&shard| s.spawn(move || run_shard(shard)))
                         .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| {
-                            h.join()
-                                .unwrap_or_else(|e| std::panic::resume_unwind(e))
-                        })
-                        .collect()
-                });
-                let replay_wall = replay_start.elapsed().as_secs_f64();
-                let mut busy_s = 0.0f64;
-                for outcome in outcomes {
-                    let (busy, faults, findings) = outcome?;
-                    busy_s += busy.as_secs_f64();
-                    applied.extend(faults);
-                    collected.absorb(findings);
-                }
-                if replay_wall > 0.0 {
-                    utilization = (busy_s / (workers as f64 * replay_wall)).min(1.0);
-                }
+                    let mut reports = vec![run_shard(shards[0])];
+                    reports.extend(
+                        handles
+                            .into_iter()
+                            .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e))),
+                    );
+                    reports
+                })
+            };
+            let replay_wall = replay_start.elapsed().as_secs_f64();
+            let mut busy_s = 0.0f64;
+            for report in reports {
+                let report = report?;
+                busy_s += report.busy.as_secs_f64();
+                applied.extend(report.faults);
+                collected.absorb(report.findings);
+                lane_blocks += report.lane_blocks;
+                groups_abandoned += report.groups_abandoned;
+            }
+            if workers > 1 && replay_wall > 0.0 {
+                utilization = (busy_s / (workers as f64 * replay_wall)).min(1.0);
             }
         }
 
@@ -716,7 +868,9 @@ impl Gpu {
         stats.sim_blocks = blocks.len();
         stats.sim_host_threads = workers;
         stats.sim_worker_utilization = utilization;
-        stats.sim_fast = fast;
+        stats.sim_fast = fast && lc.fault.is_none();
+        stats.sim_lane_blocks = lane_blocks;
+        stats.sim_lane_groups_abandoned = groups_abandoned;
         stats.sim_sched_cache_hit = cached.is_some();
         // Chaos-injected stream stall: a pure timing perturbation applied
         // before the deadline check, so a stalled stream on an otherwise
@@ -798,11 +952,13 @@ impl Gpu {
         if sim_verbose() {
             eprintln!(
                 "regla-gpu-sim: launch '{}' took the {} path ({}{} functional \
-                 blocks, {} workers)",
+                 blocks, {} in lane groups, {} groups abandoned, {} workers)",
                 lc.name,
                 if fast { "fast" } else { "slow" },
                 if cached.is_some() { "cached schedule, " } else { "" },
                 functional_blocks,
+                lane_blocks,
+                groups_abandoned,
                 workers,
             );
         }

@@ -10,6 +10,7 @@
 //! high-occupancy streaming kernels reach the throughput bounds.
 
 use crate::config::{GpuConfig, MathMode};
+use crate::exec::{uniform, LANES};
 use crate::fault::FaultState;
 use crate::mem::global::GmemAccess;
 use crate::mem::{DPtr, MemHier};
@@ -156,7 +157,12 @@ pub(crate) struct SpillInfo {
 /// only ever see `&mut ThreadCtx`.
 pub struct ThreadCtx<'a, 'm> {
     pub tid: usize,
+    /// The executing block (the first lane's block in a lane group).
     pub block_id: usize,
+    /// The blocks of the lane group (see [`crate::BlockCtx::lane_group`]);
+    /// only meaningful when `lanes` is set.
+    pub(crate) group: &'a [usize; LANES],
+    pub(crate) lanes: bool,
     pub(crate) traced: bool,
     /// Fast-path flag (see [`crate::BlockCtx::fast`]); only checked by the
     /// debug assertions guarding the raw primitives.
@@ -180,6 +186,25 @@ pub struct ThreadCtx<'a, 'm> {
 }
 
 impl ThreadCtx<'_, '_> {
+    /// The blocks this thread executes: its own block, or the
+    /// [`LANES`] blocks of a lane group.
+    #[inline]
+    fn lane_blocks(&self) -> &[usize] {
+        if self.lanes {
+            self.group
+        } else {
+            std::slice::from_ref(&self.block_id)
+        }
+    }
+
+    /// `pred` of the executing block, for a branch on the block id (a
+    /// per-block problem guard such as `pid >= count`). In a lane group
+    /// every lane must agree (see [`uniform`]).
+    #[inline]
+    pub fn uniform(&self, pred: impl Fn(usize) -> bool) -> bool {
+        uniform(self.lane_blocks().iter().map(|&b| pred(b)))
+    }
+
     /// Watchdog tick: every scoreboarded op counts against the per-block
     /// budget, traced or not, so a livelocked replay block trips too. The
     /// trip unwinds as a typed payload that `Gpu::launch` converts into
@@ -707,23 +732,24 @@ impl ThreadCtx<'_, '_> {
     // ---- fast-path raw primitives ----
     //
     // Available only on fast blocks (`BlockCtx::fast`: replay block, no
-    // observers). They perform exactly the same memory/`f32` operations as
-    // the scoreboarded equivalents but skip all per-op bookkeeping: no
-    // watchdog tick, no access records, no readiness tracking. Because the
-    // launch was only eligible for the fast path with the sanitizer off and
-    // no fault plan armed, skipping those hooks cannot change behaviour.
+    // observers) outside lane groups. They perform exactly the same
+    // memory/`f32` operations as the scoreboarded equivalents but skip
+    // all per-op bookkeeping: no watchdog tick, no access records, no
+    // readiness tracking. Because a block is only fast with the sanitizer
+    // off and no fault armed in it, skipping those hooks cannot change
+    // behaviour.
 
     /// Raw shared-memory load (fast path only).
     #[inline]
     pub fn sget(&self, word: usize) -> f32 {
-        debug_assert!(self.fast, "sget is a fast-path primitive");
+        debug_assert!(self.fast && !self.lanes, "sget is a fast-path primitive");
         self.shared[word]
     }
 
     /// Raw shared-memory store (fast path only).
     #[inline]
     pub fn sset(&mut self, word: usize, v: f32) {
-        debug_assert!(self.fast, "sset is a fast-path primitive");
+        debug_assert!(self.fast && !self.lanes, "sset is a fast-path primitive");
         self.shared[word] = v;
     }
 
@@ -732,14 +758,14 @@ impl ThreadCtx<'_, '_> {
     /// keeps seeing every access.
     #[inline]
     pub fn gget(&mut self, p: DPtr, idx: usize) -> f32 {
-        debug_assert!(self.fast, "gget is a fast-path primitive");
+        debug_assert!(self.fast && !self.lanes, "gget is a fast-path primitive");
         self.gmem.read(p, idx)
     }
 
     /// Raw global-memory store (fast path only).
     #[inline]
     pub fn gset(&mut self, p: DPtr, idx: usize, v: f32) {
-        debug_assert!(self.fast, "gset is a fast-path primitive");
+        debug_assert!(self.fast && !self.lanes, "gset is a fast-path primitive");
         self.gmem.write(p, idx, v);
     }
 
@@ -748,15 +774,86 @@ impl ThreadCtx<'_, '_> {
     /// which matters when a kernel streams whole problems to registers.
     #[inline]
     pub fn gget_span(&mut self, p: DPtr, idx: usize, len: usize, f: impl FnMut(usize, f32)) {
-        debug_assert!(self.fast, "gget_span is a fast-path primitive");
+        debug_assert!(self.fast && !self.lanes, "gget_span is a fast-path primitive");
         self.gmem.read_span(p, idx, len, f);
     }
 
     /// Bulk raw store of `len` consecutive words (fast path only).
     #[inline]
     pub fn gset_span(&mut self, p: DPtr, idx: usize, len: usize, f: impl FnMut(usize) -> f32) {
-        debug_assert!(self.fast, "gset_span is a fast-path primitive");
+        debug_assert!(self.fast && !self.lanes, "gset_span is a fast-path primitive");
         self.gmem.write_span(p, idx, len, f);
+    }
+
+    // ---- lane-group primitives ----
+    //
+    // Available only in a lane group (`BlockCtx::lane_group`): lane `l`
+    // of every value belongs to the group's `l`-th block `b_l`. Shared
+    // memory is `LANES` wide (word `w` of lane `l` at `w * LANES + l`), and
+    // global accesses name the per-block slab — lane `l` reaches word
+    // `p + b_l * stride + off` — so one access serves every
+    // lane's own problem. Global stores are logged so an abandoned group
+    // can be undone.
+
+    /// Lane-wide raw shared-memory load.
+    #[inline]
+    pub fn sget_lanes(&self, word: usize) -> [f32; LANES] {
+        debug_assert!(self.lanes, "sget_lanes is a lane-group primitive");
+        let w = &self.shared[word * LANES..][..LANES];
+        std::array::from_fn(|l| w[l])
+    }
+
+    /// Lane-wide raw shared-memory store.
+    #[inline]
+    pub fn sset_lanes(&mut self, word: usize, v: [f32; LANES]) {
+        debug_assert!(self.lanes, "sset_lanes is a lane-group primitive");
+        self.shared[word * LANES..][..LANES].copy_from_slice(&v);
+    }
+
+    /// Lane-wide raw global load of word `off` of each lane's slab.
+    #[inline]
+    pub fn gget_lanes(&mut self, p: DPtr, stride: usize, off: usize) -> [f32; LANES] {
+        debug_assert!(self.lanes, "gget_lanes is a lane-group primitive");
+        self.gmem.read_lanes(p, stride, off, self.group)
+    }
+
+    /// Lane-wide raw global store to word `off` of each lane's slab.
+    #[inline]
+    pub fn gset_lanes(&mut self, p: DPtr, stride: usize, off: usize, v: [f32; LANES]) {
+        debug_assert!(self.lanes, "gset_lanes is a lane-group primitive");
+        self.gmem.write_lanes(p, stride, off, self.group, v);
+    }
+
+    /// Lane-wide bulk load of words `off..off + len` of each lane's slab,
+    /// handing `(offset, lane, value)` to `f`.
+    #[inline]
+    pub fn gget_span_lanes(
+        &mut self,
+        p: DPtr,
+        stride: usize,
+        off: usize,
+        len: usize,
+        f: impl FnMut(usize, usize, f32),
+    ) {
+        debug_assert!(self.lanes, "gget_span_lanes is a lane-group primitive");
+        self.gmem
+            .read_span_lanes(p, stride, off, len, self.group, f);
+    }
+
+    /// Lane-wide bulk store of `f(offset, lane)` to words `off..off + len`
+    /// of each lane's slab.
+    #[inline]
+    pub fn gset_span_lanes(
+        &mut self,
+        p: DPtr,
+        stride: usize,
+        off: usize,
+        len: usize,
+        f: impl FnMut(usize, usize) -> f32,
+    ) {
+        debug_assert!(self.lanes, "gset_span_lanes is a lane-group primitive");
+        self.gmem
+            .write_span_lanes(p, stride, off, len, self.group, f);
     }
 
     /// Value-only reciprocal with the launch's math-mode semantics

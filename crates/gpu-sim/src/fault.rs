@@ -157,6 +157,13 @@ impl FaultState {
         self.rstores = 0;
     }
 
+    /// Whether the plan armed a fault in the current block. An unarmed
+    /// block's hooks pass every value through unchanged, so it may replay
+    /// in the plain domain.
+    pub(crate) fn armed(&self) -> bool {
+        self.pending.is_some()
+    }
+
     fn fire(&mut self, f: BlockFault, nth: u32) {
         self.applied.push(FaultRecord {
             block: self.block,

@@ -35,6 +35,7 @@ impl DPtr {
     }
 }
 
+use crate::exec::LANES;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 /// Flat simulated DRAM with a bump allocator.
@@ -51,44 +52,115 @@ pub struct GlobalMemory {
 }
 
 /// How a block context reaches device memory: exclusively (traced block,
-/// sequential replay) or through a shared worker view (parallel replay).
+/// sequential replay) or through a shared worker view (parallel replay),
+/// plus the undo log of the lane group it is running, if any.
 ///
 /// Kernels never see this type; they go through `ThreadCtx::gload` /
-/// `gstore`, which delegate here. Keeping the enum `pub(crate)` is what
-/// lets the parallel path exist without any `unsafe` or raw-pointer type
-/// leaking into the public API: `Gpu::launch` still takes
-/// `&mut GlobalMemory`, and every aliased access is confined to
-/// [`WorkerGmem`] below.
-pub(crate) enum GmemAccess<'m> {
+/// `gstore`, which delegate here. Keeping it `pub(crate)` is what lets the
+/// parallel path exist without any `unsafe` or raw-pointer type leaking
+/// into the public API: `Gpu::launch` still takes `&mut GlobalMemory`,
+/// and every aliased access is confined to [`WorkerGmem`] below.
+pub(crate) struct GmemAccess<'m> {
+    view: GmemView<'m>,
+    /// `(word, previous value)` of every store made while a lane group
+    /// runs, in store order; rolled back when the group is abandoned.
+    undo: Vec<(usize, f32)>,
+    logging: bool,
+}
+
+enum GmemView<'m> {
     /// Exclusive access through the normal borrow-checked path.
     Excl(&'m mut GlobalMemory),
     /// One replay worker's handle onto memory shared across workers.
     Worker(WorkerGmem<'m>),
 }
 
-impl GmemAccess<'_> {
-    #[inline]
-    pub(crate) fn read(&self, p: DPtr, idx: usize) -> f32 {
-        match self {
-            GmemAccess::Excl(g) => g.read(p, idx),
-            GmemAccess::Worker(w) => w.read(p.0 + idx),
+/// Word `off` of every lane's per-block slab: lane `l` addresses
+/// `p + blocks[l] * stride + off`.
+#[inline]
+fn lane_words(p: DPtr, stride: usize, off: usize, blocks: &[usize; LANES]) -> [usize; LANES] {
+    std::array::from_fn(|l| p.0 + blocks[l] * stride + off)
+}
+
+impl<'m> GmemAccess<'m> {
+    pub(crate) fn excl(g: &'m mut GlobalMemory) -> Self {
+        Self::from_view(GmemView::Excl(g))
+    }
+
+    pub(crate) fn worker(w: WorkerGmem<'m>) -> Self {
+        Self::from_view(GmemView::Worker(w))
+    }
+
+    fn from_view(view: GmemView<'m>) -> Self {
+        GmemAccess {
+            view,
+            undo: Vec::new(),
+            logging: false,
         }
     }
 
     #[inline]
+    fn read_word(&self, word: usize) -> f32 {
+        match &self.view {
+            GmemView::Excl(g) => g.data[word],
+            GmemView::Worker(w) => w.read(word),
+        }
+    }
+
+    /// Store `v` at `word` on behalf of `block` (the disjoint-write
+    /// checker's owner tag), logging the old value inside a lane group.
+    #[inline]
+    fn write_word(&mut self, word: usize, v: f32, block: usize) {
+        if self.logging {
+            let old = self.read_word(word);
+            self.undo.push((word, old));
+        }
+        match &mut self.view {
+            GmemView::Excl(g) => g.write(DPtr(word), 0, v),
+            GmemView::Worker(w) => w.write_as(word, v, block as u32 + 1),
+        }
+    }
+
+    #[inline]
+    pub(crate) fn read(&self, p: DPtr, idx: usize) -> f32 {
+        self.read_word(p.0 + idx)
+    }
+
+    #[inline]
     pub(crate) fn write(&mut self, p: DPtr, idx: usize, v: f32) {
-        match self {
-            GmemAccess::Excl(g) => g.write(p, idx, v),
-            GmemAccess::Worker(w) => w.write(p.0 + idx, v),
+        match &mut self.view {
+            GmemView::Excl(g) => g.write(p, idx, v),
+            GmemView::Worker(w) => w.write(p.0 + idx, v),
         }
     }
 
     /// Inform the disjoint-write checker which block now owns this context
     /// (no-op for exclusive access).
     pub(crate) fn set_block(&mut self, block_id: usize) {
-        if let GmemAccess::Worker(w) = self {
+        if let GmemView::Worker(w) = &mut self.view {
             w.block_id = block_id as u32 + 1;
         }
+    }
+
+    /// Start logging stores for a lane group.
+    pub(crate) fn begin_group(&mut self) {
+        self.undo.clear();
+        self.logging = true;
+    }
+
+    /// Finish a lane group: keep its stores, or (`abandon`) restore every
+    /// word it stored to, newest first.
+    pub(crate) fn end_group(&mut self, abandon: bool) {
+        self.logging = false;
+        if abandon {
+            for &(word, old) in self.undo.iter().rev() {
+                match &mut self.view {
+                    GmemView::Excl(g) => g.data[word] = old,
+                    GmemView::Worker(w) => w.restore(word, old),
+                }
+            }
+        }
+        self.undo.clear();
     }
 
     /// Read `len` consecutive words starting at `p + idx`, handing each
@@ -96,13 +168,13 @@ impl GmemAccess<'_> {
     /// check cover the whole span, instead of one of each per word.
     #[inline]
     pub(crate) fn read_span(&self, p: DPtr, idx: usize, len: usize, mut f: impl FnMut(usize, f32)) {
-        match self {
-            GmemAccess::Excl(g) => {
+        match &self.view {
+            GmemView::Excl(g) => {
                 for (k, &v) in g.slice(p.offset(idx), len).iter().enumerate() {
                     f(k, v);
                 }
             }
-            GmemAccess::Worker(w) => {
+            GmemView::Worker(w) => {
                 let base = p.0 + idx;
                 let words = &w.words[base..base + len];
                 for (k, word) in words.iter().enumerate() {
@@ -123,17 +195,80 @@ impl GmemAccess<'_> {
         len: usize,
         mut f: impl FnMut(usize) -> f32,
     ) {
-        match self {
-            GmemAccess::Excl(g) => {
+        match &mut self.view {
+            GmemView::Excl(g) => {
                 for (k, d) in g.slice_mut(p.offset(idx), len).iter_mut().enumerate() {
                     *d = f(k);
                 }
             }
-            GmemAccess::Worker(w) => {
+            GmemView::Worker(w) => {
                 let base = p.0 + idx;
                 for k in 0..len {
                     w.write(base + k, f(k));
                 }
+            }
+        }
+    }
+
+    /// Read word `off` of every lane's slab (see [`lane_words`]).
+    #[inline]
+    pub(crate) fn read_lanes(
+        &self,
+        p: DPtr,
+        stride: usize,
+        off: usize,
+        blocks: &[usize; LANES],
+    ) -> [f32; LANES] {
+        lane_words(p, stride, off, blocks).map(|w| self.read_word(w))
+    }
+
+    /// Store lane `l`'s value to word `off` of its slab.
+    #[inline]
+    pub(crate) fn write_lanes(
+        &mut self,
+        p: DPtr,
+        stride: usize,
+        off: usize,
+        blocks: &[usize; LANES],
+        v: [f32; LANES],
+    ) {
+        for (l, w) in lane_words(p, stride, off, blocks).into_iter().enumerate() {
+            self.write_word(w, v[l], blocks[l]);
+        }
+    }
+
+    /// Read words `off..off + len` of every lane's slab, handing each
+    /// `(offset, lane, value)` to `f`.
+    #[inline]
+    pub(crate) fn read_span_lanes(
+        &self,
+        p: DPtr,
+        stride: usize,
+        off: usize,
+        len: usize,
+        blocks: &[usize; LANES],
+        mut f: impl FnMut(usize, usize, f32),
+    ) {
+        for (l, base) in lane_words(p, stride, off, blocks).into_iter().enumerate() {
+            self.read_span(DPtr(base), 0, len, |k, v| f(k, l, v));
+        }
+    }
+
+    /// Store `f(offset, lane)` to words `off..off + len` of every lane's
+    /// slab.
+    #[inline]
+    pub(crate) fn write_span_lanes(
+        &mut self,
+        p: DPtr,
+        stride: usize,
+        off: usize,
+        len: usize,
+        blocks: &[usize; LANES],
+        mut f: impl FnMut(usize, usize) -> f32,
+    ) {
+        for (l, base) in lane_words(p, stride, off, blocks).into_iter().enumerate() {
+            for k in 0..len {
+                self.write_word(base + k, f(k, l), blocks[l]);
             }
         }
     }
@@ -221,15 +356,22 @@ impl WorkerGmem<'_> {
 
     #[inline]
     pub(crate) fn write(&mut self, word: usize, v: f32) {
+        self.write_as(word, v, self.block_id);
+    }
+
+    /// Store on behalf of the block tagged `tag` (`block_id + 1`): a lane
+    /// group's stores each carry their own lane's block.
+    #[inline]
+    fn write_as(&mut self, word: usize, v: f32, tag: u32) {
         if let Some(owners) = self.owners {
-            let prev = owners[word].swap(self.block_id, Ordering::Relaxed);
+            let prev = owners[word].swap(tag, Ordering::Relaxed);
             assert!(
-                prev == 0 || prev == self.block_id,
+                prev == 0 || prev == tag,
                 "cross-block write overlap at device word {word}: block {} \
                  stored over block {}'s output — batched kernels must write \
                  disjoint per-problem slabs for the parallel replay to be \
                  deterministic",
-                self.block_id - 1,
+                tag - 1,
                 prev - 1,
             );
         }
@@ -237,6 +379,12 @@ impl WorkerGmem<'_> {
             init[word / 64].fetch_or(1 << (word % 64), Ordering::Relaxed);
         }
         self.words[word].store(v.to_bits(), Ordering::Relaxed);
+    }
+
+    /// Put back a word an abandoned lane group overwrote. The owner tag
+    /// stays: the same block stores the word again when it replays alone.
+    fn restore(&mut self, word: usize, old: f32) {
+        self.words[word].store(old.to_bits(), Ordering::Relaxed);
     }
 }
 

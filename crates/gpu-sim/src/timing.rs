@@ -93,10 +93,20 @@ pub struct LaunchStats {
     pub sim_blocks: usize,
     /// Host worker threads used for the functional replay (1 = sequential).
     pub sim_host_threads: usize,
-    /// Whether the launch took the fast (observer-free) execution path.
-    /// Purely host-side telemetry: fast and slow launches produce
-    /// bit-identical results, statuses and modeled cycles.
+    /// Whether the launch took the fast (observer-free) execution path for
+    /// every replay block: fast-eligible and without a fault plan (a
+    /// plan's armed blocks replay instrumented, the rest fast). Purely
+    /// host-side telemetry: fast and slow launches produce bit-identical
+    /// results, statuses and modeled cycles.
     pub sim_fast: bool,
+    /// Replay blocks executed in lane groups ([`crate::exec::LANES`]
+    /// blocks per pass of the kernel body), counting only groups that ran
+    /// to completion. Depends on the launch alone, not on the host thread
+    /// count.
+    pub sim_lane_blocks: usize,
+    /// Lane groups abandoned because their lanes disagreed on a branch;
+    /// their blocks replayed one at a time.
+    pub sim_lane_groups_abandoned: usize,
     /// Whether the traced block's schedule came from the cross-launch
     /// cache (block 0 was demoted to a plain functional block).
     pub sim_sched_cache_hit: bool,
@@ -327,6 +337,8 @@ pub(crate) fn combine(
         sim_blocks: 0,
         sim_host_threads: 1,
         sim_fast: false,
+        sim_lane_blocks: 0,
+        sim_lane_groups_abandoned: 0,
         sim_sched_cache_hit: false,
         sim_worker_utilization: 1.0,
         faults: Vec::new(),
