@@ -1,338 +1,111 @@
-//! Per-experiment wall-clock telemetry for the benchmark harness.
+//! Per-experiment telemetry for the benchmark harness, written as
+//! `results/BENCH_sim.json` so regressions in *simulator* speed — as
+//! opposed to simulated GPU time — are visible across commits.
 //!
-//! The simulator keeps process-wide counters of its own host-side cost
-//! (`regla_gpu_sim::telemetry`); this module drains them once per
-//! experiment and renders the collected records as `results/BENCH_sim.json`
-//! so regressions in *simulator* speed — as opposed to simulated GPU time —
-//! are visible across commits. JSON is hand-rolled: the workspace has no
-//! serde, and the schema is flat.
-//!
-//! Fault campaigns ride on the same channel: each record also drains the
-//! simulator's injected-fault count and the recovery totals experiments
-//! file via [`file_recovery`] from their `Session`/`Fleet` counters
-//! (detected / retried / fell-back / recovered / unrecovered), so
-//! `results/BENCH_sim.json` shows whether a resilience experiment left
-//! anything unrecovered.
+//! A [`Collector`] belongs to one harness run (`run_all` or a campaign
+//! binary). Experiments hand it their rows ([`Collector::add`]) and the
+//! [`RecoveryStats`] of the runs their tables report
+//! ([`Collector::add_recovery`]); [`Collector::record`] closes one
+//! experiment, draining the simulator's process-wide launch counters
+//! (`regla_gpu_sim::telemetry`) and the recovery handed in since the
+//! previous record. One writer renders every section from each row's key
+//! list. JSON is hand-rolled: the workspace has no serde, and the schema
+//! is flat.
 
-use regla_core::RecoveryTelemetry;
+use regla_core::RecoveryStats;
 use regla_gpu_sim::{telemetry, SimTelemetry};
-use std::sync::Mutex;
+use std::fmt;
 
-// Recovery counters live on each `Session`/`Fleet` (there is no
-// process-wide shim anymore), so experiments that exercise the recovery
-// layer file their drained totals here and [`Collector::record`] folds
-// everything filed since the previous experiment into that record.
-static RECOVERY: Mutex<Option<RecoveryTelemetry>> = Mutex::new(None);
-
-/// File recovery totals drained from a `Session::take_recovery_totals` /
-/// `Fleet::take_recovery_totals` for the current experiment. Totals
-/// accumulate until the next [`Collector::record`] call drains them.
-pub fn file_recovery(t: RecoveryTelemetry) {
-    let mut g = RECOVERY.lock().unwrap();
-    let acc = g.get_or_insert_with(RecoveryTelemetry::default);
-    acc.faults_detected += t.faults_detected;
-    acc.retried += t.retried;
-    acc.fell_back += t.fell_back;
-    acc.recovered += t.recovered;
-    acc.unrecovered += t.unrecovered;
-    acc.device_failovers += t.device_failovers;
-    acc.shards_stolen += t.shards_stolen;
-    acc.deadline_misses += t.deadline_misses;
-    acc.breaker_trips += t.breaker_trips;
-    acc.cpu_degraded += t.cpu_degraded;
-    acc.verify_failures += t.verify_failures;
-    acc.verify_recovered += t.verify_recovered;
+/// One JSON value of a BENCH row, with the number format of its key.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Val {
+    Str(String),
+    Int(u64),
+    /// A float written with this many decimals (`null` when not finite).
+    Num(f64, usize),
+    Bool(bool),
 }
 
-/// Drain the filed recovery totals.
-fn take_recovery() -> RecoveryTelemetry {
-    RECOVERY.lock().unwrap().take().unwrap_or_default()
+impl From<&str> for Val {
+    fn from(s: &str) -> Self {
+        Val::Str(s.to_string())
+    }
 }
 
-/// One (algorithm, shape) summary row from the `model_discrepancy`
-/// experiment: how far the analytic model's per-phase cycle estimates sit
-/// from the simulator's recorded phase spans.
-#[derive(Clone, Debug)]
-pub struct DiscrepancyRow {
-    pub alg: String,
-    pub shape: String,
-    pub approach: String,
-    /// Number of joined phase labels.
-    pub phases: usize,
-    /// Mean of per-phase `|predicted - simulated| / simulated` in percent.
-    pub mean_abs_error_pct: f64,
-    /// Signed whole-wave error in percent.
-    pub total_error_pct: f64,
+impl From<String> for Val {
+    fn from(s: String) -> Self {
+        Val::Str(s)
+    }
 }
 
-static DISCREPANCY: Mutex<Vec<DiscrepancyRow>> = Mutex::new(Vec::new());
-
-/// File the discrepancy experiment's summary rows for the harness run;
-/// [`Collector::to_json`] embeds them in `results/BENCH_sim.json`.
-/// Replaces any previously filed rows (the experiment is the only writer).
-pub fn record_discrepancy(rows: Vec<DiscrepancyRow>) {
-    *DISCREPANCY.lock().unwrap() = rows;
+impl From<usize> for Val {
+    fn from(v: usize) -> Self {
+        Val::Int(v as u64)
+    }
 }
 
-/// Snapshot of the currently filed discrepancy rows.
-pub fn discrepancy_rows() -> Vec<DiscrepancyRow> {
-    DISCREPANCY.lock().unwrap().clone()
+impl From<u64> for Val {
+    fn from(v: u64) -> Self {
+        Val::Int(v)
+    }
 }
 
-/// One (device, op, shape) summary row from the `pipeline` experiment:
-/// end-to-end time of the chunked stream pipeline against the synchronous
-/// schedule, measured on the timeline and predicted by the model.
-#[derive(Clone, Debug)]
-pub struct PipelineRow {
-    /// Device configuration name (e.g. `quadro_6000_dual_copy`).
-    pub config: String,
-    pub op: String,
-    pub shape: String,
-    pub batch: usize,
-    pub chunks: usize,
-    pub streams: usize,
-    pub copy_engines: usize,
-    /// Synchronous (no-overlap) end-to-end milliseconds of the same
-    /// chunked schedule.
-    pub sync_ms: f64,
-    /// Resolved stream-timeline end-to-end milliseconds.
-    pub pipelined_ms: f64,
-    /// `sync_ms / pipelined_ms`.
-    pub speedup: f64,
-    /// The model's predicted end-to-end speedup for the same schedule.
-    pub predicted_speedup: f64,
-    /// Signed `(predicted_pipelined - pipelined) / pipelined` in percent.
-    pub model_error_pct: f64,
-    /// False when the kernel stage reused the measured mean (no analytic
-    /// kernel model for the op) rather than a model prediction.
-    pub kernel_modeled: bool,
+impl From<bool> for Val {
+    fn from(v: bool) -> Self {
+        Val::Bool(v)
+    }
 }
 
-static PIPELINE: Mutex<Vec<PipelineRow>> = Mutex::new(Vec::new());
-
-/// File the pipeline experiment's summary rows for the harness run;
-/// [`Collector::to_json`] embeds them in `results/BENCH_sim.json`.
-/// Replaces any previously filed rows (the experiment is the only writer).
-pub fn record_pipeline(rows: Vec<PipelineRow>) {
-    *PIPELINE.lock().unwrap() = rows;
+impl fmt::Display for Val {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Val::Str(s) => write!(f, "\"{}\"", escape(s)),
+            Val::Int(v) => write!(f, "{v}"),
+            Val::Num(v, decimals) if v.is_finite() => write!(f, "{v:.decimals$}"),
+            Val::Num(..) => f.write_str("null"),
+            Val::Bool(v) => write!(f, "{v}"),
+        }
+    }
 }
 
-/// Snapshot of the currently filed pipeline rows.
-pub fn pipeline_rows() -> Vec<PipelineRow> {
-    PIPELINE.lock().unwrap().clone()
+/// One BENCH row: `(key, value)` pairs in output order.
+pub type Row = Vec<(&'static str, Val)>;
+
+/// The row sections of `BENCH_sim.json` that follow `experiments`, in
+/// output order.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Section {
+    ModelDiscrepancy,
+    Pipeline,
+    SimThroughput,
+    Fleet,
+    Serve,
+    Tune,
+    Verify,
 }
 
-/// One (workload, solver, shape) row from the `sim_throughput`
-/// experiment: simulator throughput of the fast (observer-free) execution
-/// path against the fully instrumented slow path over an identical launch
-/// sequence.
-#[derive(Clone, Debug)]
-pub struct ThroughputRow {
-    /// Workload family (`fig10_pt`, `fig10_pb`, `sched_sweep`, ...).
-    pub workload: String,
-    pub op: String,
-    pub shape: String,
-    /// Functional blocks each leg replayed (equal by construction).
-    pub sim_blocks: usize,
-    /// Simulator seconds per leg (`sim_wall_s`, transfers excluded).
-    pub fast_sim_s: f64,
-    pub slow_sim_s: f64,
-    /// Blocks per second per leg.
-    pub fast_blocks_per_sec: f64,
-    pub slow_blocks_per_sec: f64,
-    /// `slow_sim_s / fast_sim_s`.
-    pub speedup: f64,
-    /// Whether the two legs produced bit-identical device results.
-    pub bit_identical: bool,
-}
+impl Section {
+    pub const ALL: [Section; 7] = [
+        Section::ModelDiscrepancy,
+        Section::Pipeline,
+        Section::SimThroughput,
+        Section::Fleet,
+        Section::Serve,
+        Section::Tune,
+        Section::Verify,
+    ];
 
-static THROUGHPUT: Mutex<Vec<ThroughputRow>> = Mutex::new(Vec::new());
-
-/// File the throughput experiment's rows for the harness run;
-/// [`Collector::to_json`] embeds them in `results/BENCH_sim.json`.
-/// Replaces any previously filed rows (the experiment is the only writer).
-pub fn record_throughput(rows: Vec<ThroughputRow>) {
-    *THROUGHPUT.lock().unwrap() = rows;
-}
-
-/// Snapshot of the currently filed throughput rows.
-pub fn throughput_rows() -> Vec<ThroughputRow> {
-    THROUGHPUT.lock().unwrap().clone()
-}
-
-/// One (campaign, device) row from the `chaos_campaign` experiment: what
-/// the fleet scheduler did on one device — planned shard, chunks actually
-/// run, steals/rescues, failed dispatches, breaker activity — plus a
-/// `cpu-pool` pseudo-device for work degraded to the host.
-#[derive(Clone, Debug)]
-pub struct FleetRow {
-    pub campaign: String,
-    /// Device config name, or `"cpu-pool"` for the degraded mode.
-    pub device: String,
-    /// Problems the throughput-proportional sharding planned here.
-    pub planned_problems: usize,
-    pub chunks_run: usize,
-    pub problems_run: usize,
-    pub steals: usize,
-    pub rescues: usize,
-    pub failed_dispatches: usize,
-    pub deadline_misses: usize,
-    pub breaker_trips: usize,
-    /// Breaker state at campaign end (`Closed` / `Open` / `HalfOpen`).
-    pub breaker_state: String,
-    /// The device's simulated clock at campaign end.
-    pub sim_time_s: f64,
-}
-
-static FLEET: Mutex<Vec<FleetRow>> = Mutex::new(Vec::new());
-
-/// File the chaos experiment's per-device rows for the harness run;
-/// [`Collector::to_json`] embeds them in `results/BENCH_sim.json`.
-/// Replaces any previously filed rows (the experiment is the only writer).
-pub fn record_fleet(rows: Vec<FleetRow>) {
-    *FLEET.lock().unwrap() = rows;
-}
-
-/// Snapshot of the currently filed fleet rows.
-pub fn fleet_rows() -> Vec<FleetRow> {
-    FLEET.lock().unwrap().clone()
-}
-
-/// One scenario row from the `serve_load` experiment: the aggregate
-/// metrics of a served open-loop campaign (see `regla_serve::ServeReport`)
-/// under one service configuration.
-#[derive(Clone, Debug)]
-pub struct ServeRow {
-    /// Scenario label (`coalesced`, `uncoalesced`, `overload`, `chaos`).
-    pub scenario: String,
-    pub offered: usize,
-    pub served: usize,
-    pub shed: usize,
-    pub request_errors: usize,
-    /// Coalesced fleet dispatches issued.
-    pub dispatches: usize,
-    pub problems: usize,
-    /// Served requests per dispatch.
-    pub coalescing: f64,
-    pub shed_rate: f64,
-    /// Request latency percentiles on the simulated clock, milliseconds.
-    pub p50_ms: f64,
-    pub p99_ms: f64,
-    pub p999_ms: f64,
-    /// Served requests that blew their latency budget.
-    pub late: usize,
-    /// Served problems per simulated second of makespan.
-    pub problems_per_sec: f64,
-    /// Served problems per simulated second of busy time (the coalescing
-    /// gate's capacity metric).
-    pub busy_problems_per_sec: f64,
-    /// Flattened per-device dispatch counts (`name:count; ...`).
-    pub device_dispatches: String,
-}
-
-static SERVE: Mutex<Vec<ServeRow>> = Mutex::new(Vec::new());
-
-/// File the serve experiment's scenario rows for the harness run;
-/// [`Collector::to_json`] embeds them in `results/BENCH_sim.json`.
-/// Replaces any previously filed rows (the experiment is the only writer).
-pub fn record_serve(rows: Vec<ServeRow>) {
-    *SERVE.lock().unwrap() = rows;
-}
-
-/// Snapshot of the currently filed serve rows.
-pub fn serve_rows() -> Vec<ServeRow> {
-    SERVE.lock().unwrap().clone()
-}
-
-/// One (alg, shape, batch) row from the `autotune` experiment: the tuned
-/// plan against the paper's hand heuristic and the exhaustive-search
-/// winner, with regret in simulated cycles.
-#[derive(Clone, Debug)]
-pub struct TuneRow {
-    pub alg: String,
-    /// `m x n` (+`rhs` carried columns when nonzero).
-    pub shape: String,
-    pub batch: usize,
-    /// Model-priced candidates in the enumerated design space.
-    pub candidates: usize,
-    /// Distinct execution shapes the tuner validated in the simulator.
-    pub validated: usize,
-    /// Compact plan strings (`approach/layout/threads/panel`).
-    pub heuristic: String,
-    pub tuned: String,
-    pub best: String,
-    /// Model-predicted cycles of the tuned plan.
-    pub predicted_cycles: f64,
-    /// Simulated cycles: tuned pick, heuristic pick, exhaustive winner.
-    pub tuned_sim_cycles: f64,
-    pub heuristic_sim_cycles: f64,
-    pub exhaustive_sim_cycles: f64,
-    /// `(tuned - exhaustive) / exhaustive`, percent (the gate metric).
-    pub regret_pct: f64,
-    /// `(heuristic - exhaustive) / exhaustive`, percent.
-    pub heuristic_regret_pct: f64,
-    /// Whether tuning changed the execution shape vs the hand heuristic.
-    pub plan_changed: bool,
-}
-
-static TUNE: Mutex<Vec<TuneRow>> = Mutex::new(Vec::new());
-
-/// File the autotune experiment's per-key rows for the harness run;
-/// [`Collector::to_json`] embeds them in `results/BENCH_sim.json`.
-/// Replaces any previously filed rows (the experiment is the only writer).
-pub fn record_tune(rows: Vec<TuneRow>) {
-    *TUNE.lock().unwrap() = rows;
-}
-
-/// Snapshot of the currently filed autotune rows.
-pub fn tune_rows() -> Vec<TuneRow> {
-    TUNE.lock().unwrap().clone()
-}
-
-/// One (alg, shape) row from the `verify_campaign` experiment: silent
-/// corruption injected by the simulator against what the ABFT checksum /
-/// residual screens caught, plus the measured and model-predicted cost of
-/// screening a clean sweep.
-#[derive(Clone, Debug)]
-pub struct VerifyRow {
-    pub alg: String,
-    pub shape: String,
-    pub approach: String,
-    pub problems: usize,
-    /// Silent faults the simulator actually fired (ground truth from
-    /// `LaunchStats::silent_faults`; invisible to the recovery layer).
-    pub injected: usize,
-    /// Injected faults whose block produced at least one `VerifyFailed`.
-    pub detected: usize,
-    /// `detected / injected` (1.0 when nothing was injected).
-    pub detection_rate: f64,
-    /// `VerifyFailed` verdicts on problems no silent fault touched.
-    pub false_positives: usize,
-    /// Flagged problems the recovery layer re-solved to a settled verdict.
-    pub recovered: usize,
-    /// Whether the clean sweep's outputs with verification on and off
-    /// match bit for bit (the screens must be strictly observational).
-    pub bit_identical: bool,
-    /// Measured host wall-clock of the screens over the clean sweep,
-    /// milliseconds (best-of-N delta between verified and unverified).
-    pub measured_screen_ms: f64,
-    /// The model's predicted screen cost for the same sweep,
-    /// milliseconds (`regla_model::verify_seconds`).
-    pub predicted_screen_ms: f64,
-}
-
-static VERIFY: Mutex<Vec<VerifyRow>> = Mutex::new(Vec::new());
-
-/// File the verify experiment's rows for the harness run;
-/// [`Collector::to_json`] embeds them in `results/BENCH_sim.json`.
-/// Replaces any previously filed rows (the experiment is the only writer).
-pub fn record_verify(rows: Vec<VerifyRow>) {
-    *VERIFY.lock().unwrap() = rows;
-}
-
-/// Snapshot of the currently filed verify rows.
-pub fn verify_rows() -> Vec<VerifyRow> {
-    VERIFY.lock().unwrap().clone()
+    pub fn name(self) -> &'static str {
+        match self {
+            Section::ModelDiscrepancy => "model_discrepancy",
+            Section::Pipeline => "pipeline",
+            Section::SimThroughput => "sim_throughput",
+            Section::Fleet => "fleet",
+            Section::Serve => "serve",
+            Section::Tune => "tune",
+            Section::Verify => "verify",
+        }
+    }
 }
 
 /// One experiment's host-side cost.
@@ -344,47 +117,77 @@ pub struct ExperimentTelemetry {
     /// The simulator's share: launches, functional blocks, wall time,
     /// replay thread counts, injected faults.
     pub sim: SimTelemetry,
-    /// What the recovery layer did during the experiment.
-    pub recovery: RecoveryTelemetry,
+    /// What the recovery layer did in the runs the experiment reports.
+    pub recovery: RecoveryStats,
 }
 
-/// Collects per-experiment simulator telemetry for one harness run.
+impl ExperimentTelemetry {
+    /// The `experiments` row: every simulator column, then only the
+    /// recovery counters that are non-zero.
+    fn row(&self) -> Row {
+        let sim = &self.sim;
+        let mut row: Row = vec![
+            ("id", self.id.as_str().into()),
+            ("wall_s", Val::Num(self.wall_s, 6)),
+            ("sim_wall_s", Val::Num(sim.wall_s, 6)),
+            // Wall minus the simulator's share, clamped at zero.
+            ("harness_overhead_s", Val::Num((self.wall_s - sim.wall_s).max(0.0), 6)),
+            ("launches", sim.launches.into()),
+            ("functional_blocks", sim.functional_blocks.into()),
+            ("blocks_per_sec", Val::Num(sim.blocks_per_sec(), 1)),
+            ("host_threads", sim.max_host_threads.max(1).into()),
+            ("faults_injected", sim.faults_injected.into()),
+        ];
+        row.extend(
+            self.recovery
+                .counters()
+                .into_iter()
+                .filter(|&(_, v)| v > 0)
+                .map(|(k, v)| (k, Val::Int(v))),
+        );
+        row
+    }
+}
+
+/// Collects per-experiment telemetry and section rows for one harness
+/// run.
 #[derive(Default)]
 pub struct Collector {
     records: Vec<ExperimentTelemetry>,
+    /// Recovery handed in since the last [`Collector::record`].
+    recovery: RecoveryStats,
+    rows: Vec<(Section, Row)>,
 }
 
 impl Collector {
-    /// Start collecting; resets the simulator's and the filed recovery
-    /// counters so the first experiment doesn't inherit earlier launches.
+    /// Start collecting; resets the simulator's counters so the first
+    /// experiment doesn't inherit earlier launches.
     pub fn new() -> Self {
         telemetry::take();
-        take_recovery();
-        record_discrepancy(Vec::new());
-        record_pipeline(Vec::new());
-        record_throughput(Vec::new());
-        record_fleet(Vec::new());
-        record_serve(Vec::new());
-        record_tune(Vec::new());
-        record_verify(Vec::new());
         Collector::default()
     }
 
+    /// Count the recovery of a run the current experiment reports.
+    pub fn add_recovery(&mut self, s: &RecoveryStats) {
+        self.recovery.merge(s);
+    }
+
+    /// Append rows to `section`.
+    pub fn add(&mut self, section: Section, rows: impl IntoIterator<Item = Row>) {
+        self.rows.extend(rows.into_iter().map(|r| (section, r)));
+    }
+
     /// Close out one experiment: drain the simulator counters and the
-    /// recovery totals filed via [`file_recovery`] since the previous
-    /// call, and file them under `id`.
+    /// recovery handed in since the previous call, and file them under
+    /// `id`.
     pub fn record(&mut self, id: &str, wall_s: f64) -> &ExperimentTelemetry {
         self.records.push(ExperimentTelemetry {
             id: id.to_string(),
             wall_s,
             sim: telemetry::take(),
-            recovery: take_recovery(),
+            recovery: std::mem::take(&mut self.recovery),
         });
-        self.records.last().unwrap()
-    }
-
-    pub fn records(&self) -> &[ExperimentTelemetry] {
-        &self.records
+        self.records.last().expect("a record was just pushed")
     }
 
     /// One-line human summary of an experiment's simulator cost.
@@ -420,227 +223,37 @@ impl Collector {
         line
     }
 
-    /// Render every record as a JSON document.
+    /// Render the `experiments` records and every section (empty ones
+    /// included) as a JSON document.
     pub fn to_json(&self) -> String {
-        let mut s = String::from("{\n  \"experiments\": [\n");
-        for (i, r) in self.records.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"id\": \"{}\", \"wall_s\": {:.6}, \"sim_wall_s\": {:.6}, \
-                 \"harness_overhead_s\": {:.6}, \
-                 \"launches\": {}, \"functional_blocks\": {}, \
-                 \"blocks_per_sec\": {:.1}, \"host_threads\": {}, \
-                 \"faults_injected\": {}, \"faults_detected\": {}, \
-                 \"retried\": {}, \"fell_back\": {}, \"recovered\": {}, \
-                 \"unrecovered\": {}, \"device_failovers\": {}, \
-                 \"shards_stolen\": {}, \"deadline_misses\": {}, \
-                 \"breaker_trips\": {}, \"cpu_degraded\": {}, \
-                 \"verify_failures\": {}, \"verify_recovered\": {}}}{}\n",
-                escape(&r.id),
-                r.wall_s,
-                r.sim.wall_s,
-                (r.wall_s - r.sim.wall_s).max(0.0),
-                r.sim.launches,
-                r.sim.functional_blocks,
-                r.sim.blocks_per_sec(),
-                r.sim.max_host_threads.max(1),
-                r.sim.faults_injected,
-                r.recovery.faults_detected,
-                r.recovery.retried,
-                r.recovery.fell_back,
-                r.recovery.recovered,
-                r.recovery.unrecovered,
-                r.recovery.device_failovers,
-                r.recovery.shards_stolen,
-                r.recovery.deadline_misses,
-                r.recovery.breaker_trips,
-                r.recovery.cpu_degraded,
-                r.recovery.verify_failures,
-                r.recovery.verify_recovered,
-                if i + 1 < self.records.len() { "," } else { "" },
-            ));
+        let experiments: Vec<Row> = self.records.iter().map(ExperimentTelemetry::row).collect();
+        let mut sections = vec![render_section("experiments", experiments.iter())];
+        for section in Section::ALL {
+            let rows = self.rows.iter().filter(|(s, _)| *s == section);
+            sections.push(render_section(section.name(), rows.map(|(_, r)| r)));
         }
-        s.push_str("  ],\n  \"model_discrepancy\": [\n");
-        let rows = discrepancy_rows();
-        for (i, r) in rows.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"alg\": \"{}\", \"shape\": \"{}\", \"approach\": \"{}\", \
-                 \"phases\": {}, \"mean_abs_error_pct\": {:.2}, \
-                 \"total_error_pct\": {:.2}}}{}\n",
-                escape(&r.alg),
-                escape(&r.shape),
-                escape(&r.approach),
-                r.phases,
-                r.mean_abs_error_pct,
-                r.total_error_pct,
-                if i + 1 < rows.len() { "," } else { "" },
-            ));
-        }
-        s.push_str("  ],\n  \"pipeline\": [\n");
-        let rows = pipeline_rows();
-        for (i, r) in rows.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"config\": \"{}\", \"op\": \"{}\", \"shape\": \"{}\", \
-                 \"batch\": {}, \"chunks\": {}, \"streams\": {}, \
-                 \"copy_engines\": {}, \"sync_ms\": {:.4}, \
-                 \"pipelined_ms\": {:.4}, \"speedup\": {:.3}, \
-                 \"predicted_speedup\": {:.3}, \"model_error_pct\": {:.2}, \
-                 \"kernel_modeled\": {}}}{}\n",
-                escape(&r.config),
-                escape(&r.op),
-                escape(&r.shape),
-                r.batch,
-                r.chunks,
-                r.streams,
-                r.copy_engines,
-                r.sync_ms,
-                r.pipelined_ms,
-                r.speedup,
-                r.predicted_speedup,
-                r.model_error_pct,
-                r.kernel_modeled,
-                if i + 1 < rows.len() { "," } else { "" },
-            ));
-        }
-        s.push_str("  ],\n  \"sim_throughput\": [\n");
-        let rows = throughput_rows();
-        for (i, r) in rows.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"workload\": \"{}\", \"op\": \"{}\", \"shape\": \"{}\", \
-                 \"sim_blocks\": {}, \"fast_sim_s\": {:.6}, \
-                 \"slow_sim_s\": {:.6}, \"fast_blocks_per_sec\": {:.1}, \
-                 \"slow_blocks_per_sec\": {:.1}, \"speedup\": {:.2}, \
-                 \"bit_identical\": {}}}{}\n",
-                escape(&r.workload),
-                escape(&r.op),
-                escape(&r.shape),
-                r.sim_blocks,
-                r.fast_sim_s,
-                r.slow_sim_s,
-                r.fast_blocks_per_sec,
-                r.slow_blocks_per_sec,
-                r.speedup,
-                r.bit_identical,
-                if i + 1 < rows.len() { "," } else { "" },
-            ));
-        }
-        s.push_str("  ],\n  \"fleet\": [\n");
-        let rows = fleet_rows();
-        for (i, r) in rows.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"campaign\": \"{}\", \"device\": \"{}\", \
-                 \"planned_problems\": {}, \"chunks_run\": {}, \
-                 \"problems_run\": {}, \"steals\": {}, \"rescues\": {}, \
-                 \"failed_dispatches\": {}, \"deadline_misses\": {}, \
-                 \"breaker_trips\": {}, \"breaker_state\": \"{}\", \
-                 \"sim_time_s\": {:.6}}}{}\n",
-                escape(&r.campaign),
-                escape(&r.device),
-                r.planned_problems,
-                r.chunks_run,
-                r.problems_run,
-                r.steals,
-                r.rescues,
-                r.failed_dispatches,
-                r.deadline_misses,
-                r.breaker_trips,
-                escape(&r.breaker_state),
-                r.sim_time_s,
-                if i + 1 < rows.len() { "," } else { "" },
-            ));
-        }
-        s.push_str("  ],\n  \"serve\": [\n");
-        let rows = serve_rows();
-        for (i, r) in rows.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"scenario\": \"{}\", \"offered\": {}, \"served\": {}, \
-                 \"shed\": {}, \"request_errors\": {}, \"dispatches\": {}, \
-                 \"problems\": {}, \"coalescing\": {:.2}, \
-                 \"shed_rate\": {:.4}, \"p50_ms\": {:.4}, \"p99_ms\": {:.4}, \
-                 \"p999_ms\": {:.4}, \"late\": {}, \
-                 \"problems_per_sec\": {:.1}, \
-                 \"busy_problems_per_sec\": {:.1}, \
-                 \"device_dispatches\": \"{}\"}}{}\n",
-                escape(&r.scenario),
-                r.offered,
-                r.served,
-                r.shed,
-                r.request_errors,
-                r.dispatches,
-                r.problems,
-                r.coalescing,
-                r.shed_rate,
-                r.p50_ms,
-                r.p99_ms,
-                r.p999_ms,
-                r.late,
-                r.problems_per_sec,
-                r.busy_problems_per_sec,
-                escape(&r.device_dispatches),
-                if i + 1 < rows.len() { "," } else { "" },
-            ));
-        }
-        s.push_str("  ],\n  \"tune\": [\n");
-        let rows = tune_rows();
-        for (i, r) in rows.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"alg\": \"{}\", \"shape\": \"{}\", \"batch\": {}, \
-                 \"candidates\": {}, \"validated\": {}, \
-                 \"heuristic\": \"{}\", \"tuned\": \"{}\", \"best\": \"{}\", \
-                 \"predicted_cycles\": {:.1}, \"tuned_sim_cycles\": {:.1}, \
-                 \"heuristic_sim_cycles\": {:.1}, \
-                 \"exhaustive_sim_cycles\": {:.1}, \"regret_pct\": {:.3}, \
-                 \"heuristic_regret_pct\": {:.3}, \"plan_changed\": {}}}{}\n",
-                escape(&r.alg),
-                escape(&r.shape),
-                r.batch,
-                r.candidates,
-                r.validated,
-                escape(&r.heuristic),
-                escape(&r.tuned),
-                escape(&r.best),
-                r.predicted_cycles,
-                r.tuned_sim_cycles,
-                r.heuristic_sim_cycles,
-                r.exhaustive_sim_cycles,
-                r.regret_pct,
-                r.heuristic_regret_pct,
-                r.plan_changed,
-                if i + 1 < rows.len() { "," } else { "" },
-            ));
-        }
-        s.push_str("  ],\n  \"verify\": [\n");
-        let rows = verify_rows();
-        for (i, r) in rows.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"alg\": \"{}\", \"shape\": \"{}\", \
-                 \"approach\": \"{}\", \"problems\": {}, \"injected\": {}, \
-                 \"detected\": {}, \"detection_rate\": {:.4}, \
-                 \"false_positives\": {}, \"recovered\": {}, \
-                 \"bit_identical\": {}, \"measured_screen_ms\": {:.3}, \
-                 \"predicted_screen_ms\": {:.3}}}{}\n",
-                escape(&r.alg),
-                escape(&r.shape),
-                escape(&r.approach),
-                r.problems,
-                r.injected,
-                r.detected,
-                r.detection_rate,
-                r.false_positives,
-                r.recovered,
-                r.bit_identical,
-                r.measured_screen_ms,
-                r.predicted_screen_ms,
-                if i + 1 < rows.len() { "," } else { "" },
-            ));
-        }
-        s.push_str("  ]\n}\n");
-        s
+        format!("{{\n{}\n}}\n", sections.join(",\n"))
     }
 
     /// Write the JSON document to `path`.
     pub fn write(&self, path: &str) -> std::io::Result<()> {
         std::fs::write(path, self.to_json())
     }
+}
+
+/// One section: its name, then one row object per line.
+fn render_section<'a>(name: &str, rows: impl Iterator<Item = &'a Row>) -> String {
+    let rows: Vec<String> = rows
+        .map(|row| {
+            let fields: Vec<String> = row.iter().map(|(k, v)| format!("\"{k}\": {v}")).collect();
+            format!("    {{{}}}", fields.join(", "))
+        })
+        .collect();
+    let mut body = rows.join(",\n");
+    if !body.is_empty() {
+        body.push('\n');
+    }
+    format!("  \"{name}\": [\n{body}  ]")
 }
 
 fn escape(s: &str) -> String {
@@ -657,14 +270,13 @@ fn escape(s: &str) -> String {
 mod tests {
     use super::*;
 
-    // The discrepancy rows are process-global; serialize the tests that
-    // touch them.
-    static TEST_LOCK: Mutex<()> = Mutex::new(());
-
     #[test]
     fn json_has_one_entry_per_experiment() {
-        let _g = TEST_LOCK.lock().unwrap();
         let mut c = Collector::new();
+        c.add_recovery(&RecoveryStats {
+            verify_failures: 3,
+            ..RecoveryStats::default()
+        });
         c.record("exp_a", 0.5);
         c.record("exp_b", 1.5);
         let j = c.to_json();
@@ -672,23 +284,60 @@ mod tests {
         assert!(j.contains("\"id\": \"exp_b\""));
         assert!(j.contains("\"wall_s\": 1.500000"));
         assert!(j.contains("\"faults_injected\""));
-        assert!(j.contains("\"unrecovered\""));
         assert_eq!(j.matches("\"launches\"").count(), 2);
+        // Recovery counters are sparse: the one filed non-zero counter
+        // lands in its experiment's record only, and zero counters are
+        // left out.
+        assert_eq!(j.matches("\"verify_failures\": 3").count(), 1);
+        assert!(!j.contains("\"unrecovered\""));
+        assert!(!j.contains("\"device_failovers\""));
         // Exactly one trailing comma between the two entries.
         assert_eq!(j.matches("},\n").count(), 1);
-        // The discrepancy section is present even when no rows are filed.
-        assert!(j.contains("\"model_discrepancy\": ["));
+        // Every section is present even when no rows are filed.
+        for s in Section::ALL {
+            assert!(j.contains(&format!("\"{}\": [\n  ]", s.name())), "{}", s.name());
+        }
         // Harness overhead = wall minus simulator share, clamped at zero.
         assert!(j.contains("\"harness_overhead_s\": 0.500000"));
         assert!(j.contains("\"harness_overhead_s\": 1.500000"));
     }
 
     #[test]
-    fn throughput_rows_land_in_the_json() {
-        let _g = TEST_LOCK.lock().unwrap();
+    fn rows_render_in_their_section_with_their_formats() {
         let mut c = Collector::new();
-        c.record("sim_throughput", 0.1);
-        record_throughput(vec![ThroughputRow {
+        c.record("serve_load", 0.3);
+        let row = |p99: f64| -> Row {
+            vec![
+                ("scenario", "coalesced".into()),
+                ("offered", 400usize.into()),
+                ("p99_ms", Val::Num(p99, 4)),
+                ("bit_identical", true.into()),
+            ]
+        };
+        c.add(Section::Serve, [row(4.5), row(f64::NAN)]);
+        let j = c.to_json();
+        assert!(j.contains(
+            "  \"serve\": [\n    {\"scenario\": \"coalesced\", \"offered\": 400, \
+             \"p99_ms\": 4.5000, \"bit_identical\": true},\n"
+        ));
+        // A non-finite float stays valid JSON.
+        assert!(j.contains("\"p99_ms\": null"));
+        assert!(j.contains("\"tune\": [\n  ]"));
+    }
+
+    #[test]
+    fn experiment_rows_keep_their_keys_and_formats() {
+        use crate::experiments::{
+            chaos::{fleet_rows, ChaosOutcome},
+            serve::serve_row,
+            throughput::ThroughputRow,
+            verify::{outcome_row, VerifyAlg, VerifyOutcome},
+        };
+        use regla_core::{DeviceReport, FleetReport};
+        use regla_model::Approach;
+
+        let mut c = Collector::new();
+        let throughput = ThroughputRow {
             workload: "fig10_pt".into(),
             op: "QrSolve".into(),
             shape: "32x32x6400".into(),
@@ -699,129 +348,78 @@ mod tests {
             slow_blocks_per_sec: 100.0,
             speedup: 20.0,
             bit_identical: true,
-        }]);
-        let j = c.to_json();
-        assert!(j.contains("\"sim_throughput\": ["));
-        assert!(j.contains("\"workload\": \"fig10_pt\""));
-        assert!(j.contains("\"speedup\": 20.00"));
-        assert!(j.contains("\"bit_identical\": true"));
-        record_throughput(Vec::new());
-    }
-
-    #[test]
-    fn discrepancy_rows_land_in_the_json() {
-        let _g = TEST_LOCK.lock().unwrap();
-        let mut c = Collector::new();
-        c.record("model_discrepancy", 0.1);
-        record_discrepancy(vec![DiscrepancyRow {
-            alg: "Householder QR".into(),
-            shape: "56x56".into(),
-            approach: "PerBlock".into(),
-            phases: 23,
-            mean_abs_error_pct: 12.5,
-            total_error_pct: -3.25,
-        }]);
-        let j = c.to_json();
-        assert!(j.contains("\"alg\": \"Householder QR\""));
-        assert!(j.contains("\"shape\": \"56x56\""));
-        assert!(j.contains("\"phases\": 23"));
-        assert!(j.contains("\"mean_abs_error_pct\": 12.50"));
-        assert!(j.contains("\"total_error_pct\": -3.25"));
-        record_discrepancy(Vec::new());
-    }
-
-    #[test]
-    fn fleet_rows_land_in_the_json() {
-        let _g = TEST_LOCK.lock().unwrap();
-        let mut c = Collector::new();
-        c.record("chaos_campaign", 0.2);
-        record_fleet(vec![FleetRow {
-            campaign: "QR 8x8".into(),
-            device: "quadro-6000".into(),
-            planned_problems: 1365,
-            chunks_run: 9,
-            problems_run: 2048,
-            steals: 3,
-            rescues: 2,
-            failed_dispatches: 1,
-            deadline_misses: 1,
-            breaker_trips: 1,
-            breaker_state: "Closed".into(),
-            sim_time_s: 0.0123,
-        }]);
-        let j = c.to_json();
-        assert!(j.contains("\"fleet\": ["));
-        assert!(j.contains("\"device\": \"quadro-6000\""));
-        assert!(j.contains("\"rescues\": 2"));
-        assert!(j.contains("\"breaker_state\": \"Closed\""));
-        // The experiment records carry the device-level counters too.
-        assert!(j.contains("\"device_failovers\""));
-        assert!(j.contains("\"cpu_degraded\""));
-        record_fleet(Vec::new());
-    }
-
-    #[test]
-    fn serve_rows_land_in_the_json() {
-        let _g = TEST_LOCK.lock().unwrap();
-        let mut c = Collector::new();
-        c.record("serve_load", 0.3);
-        record_serve(vec![ServeRow {
-            scenario: "coalesced".into(),
-            offered: 400,
-            served: 398,
-            shed: 2,
-            request_errors: 0,
-            dispatches: 40,
-            problems: 25000,
+        };
+        c.add(Section::SimThroughput, [throughput.row()]);
+        let chaos = ChaosOutcome {
+            problems: 2053,
+            devices_killed: 0,
+            all_ok: true,
+            reproducible: true,
+            recovery: RecoveryStats {
+                cpu_degraded: 5,
+                ..RecoveryStats::default()
+            },
+            report: FleetReport {
+                devices: vec![DeviceReport {
+                    name: "quadro-6000".into(),
+                    problems_run: 2048,
+                    rescues: 2,
+                    sim_time_s: 0.0123,
+                    ..DeviceReport::default()
+                }],
+                chunks: 4,
+                cpu_pool_chunks: 1,
+            },
+        };
+        c.add(Section::Fleet, fleet_rows("QR 8x8", &chaos));
+        let serve = regla_serve::ServeReport {
             coalescing: 9.95,
-            shed_rate: 0.005,
-            p50_ms: 1.25,
             p99_ms: 4.5,
-            p999_ms: 6.0,
-            late: 3,
-            problems_per_sec: 120000.0,
             busy_problems_per_sec: 300000.0,
-            device_dispatches: "quadro:25; gt200:15".into(),
-        }]);
-        let j = c.to_json();
-        assert!(j.contains("\"serve\": ["));
-        assert!(j.contains("\"scenario\": \"coalesced\""));
-        assert!(j.contains("\"coalescing\": 9.95"));
-        assert!(j.contains("\"p99_ms\": 4.5000"));
-        assert!(j.contains("\"busy_problems_per_sec\": 300000.0"));
-        assert!(j.contains("\"device_dispatches\": \"quadro:25; gt200:15\""));
-        record_serve(Vec::new());
-    }
-
-    #[test]
-    fn verify_rows_land_in_the_json() {
-        let _g = TEST_LOCK.lock().unwrap();
-        let mut c = Collector::new();
-        c.record("verify_campaign", 0.2);
-        record_verify(vec![VerifyRow {
-            alg: "Householder QR".into(),
-            shape: "16x16".into(),
-            approach: "PerThread".into(),
-            problems: 4096,
+            device_dispatches: vec![("quadro".into(), 25), ("gt200".into(), 15)],
+            ..Default::default()
+        };
+        c.add(Section::Serve, [serve_row("coalesced", &serve)]);
+        let verify = VerifyOutcome {
             injected: 64,
             detected: 64,
             detection_rate: 1.0,
             false_positives: 0,
-            recovered: 64,
-            bit_identical: true,
+            recovery: RecoveryStats {
+                verify_failures: 64,
+                verify_recovered: 64,
+                ..RecoveryStats::default()
+            },
+            clean_bit_identical: true,
+            reproducible: true,
             measured_screen_ms: 3.5,
             predicted_screen_ms: 2.75,
-        }]);
+        };
+        c.add(
+            Section::Verify,
+            [outcome_row(VerifyAlg::Qr, Approach::PerThread, 16, 4096, &verify)],
+        );
         let j = c.to_json();
-        assert!(j.contains("\"verify\": ["));
-        assert!(j.contains("\"detection_rate\": 1.0000"));
-        assert!(j.contains("\"false_positives\": 0"));
-        assert!(j.contains("\"bit_identical\": true"));
-        assert!(j.contains("\"predicted_screen_ms\": 2.750"));
-        // The experiment records carry the per-run verify counters too.
-        assert!(j.contains("\"verify_failures\""));
-        assert!(j.contains("\"verify_recovered\""));
-        record_verify(Vec::new());
+        for want in [
+            "\"workload\": \"fig10_pt\"",
+            "\"speedup\": 20.00",
+            "\"device\": \"quadro-6000\"",
+            "\"rescues\": 2",
+            "\"sim_time_s\": 0.012300",
+            "\"device\": \"cpu-pool\", \"planned_problems\": 0, \"chunks_run\": 1, \"problems_run\": 5",
+            "\"breaker_state\": \"Closed\"",
+            "\"coalescing\": 9.95",
+            "\"p99_ms\": 4.5000",
+            "\"busy_problems_per_sec\": 300000.0",
+            "\"device_dispatches\": \"quadro:25; gt200:15\"",
+            "\"alg\": \"Householder QR\", \"shape\": \"16x16\"",
+            "\"detection_rate\": 1.0000",
+            "\"recovered\": 64",
+            "\"bit_identical\": true",
+            "\"predicted_screen_ms\": 2.750",
+        ] {
+            assert!(j.contains(want), "{want} missing from {j}");
+        }
     }
 
     #[test]
@@ -838,13 +436,13 @@ mod tests {
                 faults_injected: 5,
                 ..SimTelemetry::default()
             },
-            recovery: RecoveryTelemetry {
+            recovery: RecoveryStats {
                 faults_detected: 5,
                 retried: 5,
                 fell_back: 1,
                 recovered: 5,
                 unrecovered: 0,
-                ..RecoveryTelemetry::default()
+                ..RecoveryStats::default()
             },
         };
         let line = Collector::summary_line(&r);

@@ -10,8 +10,8 @@
 //! `results/decision_table.txt`. Exits non-zero on any violation
 //! (`REGLA_FAST=1` shrinks the sweep).
 
-use regla_bench::bench_telemetry::Collector;
-use regla_bench::experiments::tune::{autotune_artifacts, fig10_keys, same_execution};
+use regla_bench::bench_telemetry::{Collector, Section};
+use regla_bench::experiments::tune::{autotune_artifacts, fig10_keys, same_execution, TuneRow};
 use regla_bench::workloads::f32_batch;
 use regla_core::{MatBatch, Op, Planner, ProblemStatus, RunOpts, Session};
 use regla_model::{heuristic_plan, Algorithm, DecisionTable, PlanKey, TableEntry};
@@ -169,6 +169,7 @@ fn main() {
     );
 
     // -- gate 3: the tune section lands in BENCH_sim.json ----------------
+    telemetry.add(Section::Tune, rows.iter().map(TuneRow::row));
     telemetry.record("autotune", t0.elapsed().as_secs_f64());
     telemetry
         .write("results/BENCH_sim.json")

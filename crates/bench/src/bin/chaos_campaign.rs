@@ -10,7 +10,7 @@
 //! (`REGLA_FAST=1` shrinks the batches).
 
 use regla_bench::bench_telemetry::Collector;
-use regla_bench::experiments::chaos::{fleet_rows, run_chaos_campaign};
+use regla_bench::experiments::chaos::chaos_cases;
 use regla_core::{ChaosPlan, Fleet, FleetPolicy, MatBatch, Op, ReglaError};
 use regla_gpu_sim::GpuConfig;
 use std::time::Instant;
@@ -46,7 +46,6 @@ fn structured_error_smoke() -> Vec<String> {
 
 fn main() {
     let fast = regla_bench::fast_mode();
-    let count = if fast { 1024 } else { 4096 };
     let mut telemetry = Collector::new();
     let t0 = Instant::now();
     let mut failures = 0;
@@ -59,9 +58,8 @@ fn main() {
         println!("ok   smoke: zero-device and all-dead fleets fail with FleetUnavailable");
     }
 
-    let mut rows = Vec::new();
-    for (name, op) in [("QR 8x8", Op::Qr), ("LU 8x8", Op::Lu)] {
-        let o = run_chaos_campaign(op, 8, count, 0xC4A0_5EED);
+    for (name, o) in chaos_cases(fast, &mut telemetry) {
+        let rec = &o.recovery;
         let mut bad = Vec::new();
         if !o.all_ok {
             bad.push("not every problem came back Ok".to_string());
@@ -77,13 +75,13 @@ fn main() {
         }
         // ... and their work must have been rescued by a healthy device
         // or degraded to the CPU pool.
-        if o.failovers == 0 && o.report.cpu_pool_chunks == 0 {
+        if rec.device_failovers == 0 && o.report.cpu_pool_chunks == 0 {
             bad.push("no failed chunk was rescued or CPU-degraded".into());
         }
-        if o.deadline_misses == 0 {
+        if rec.deadline_misses == 0 {
             bad.push("the killer stall did not register a deadline miss".into());
         }
-        if o.breaker_trips == 0 {
+        if rec.breaker_trips == 0 {
             bad.push("no breaker tripped despite device deaths".into());
         }
         if !o.reproducible {
@@ -95,27 +93,30 @@ fn main() {
             .iter()
             .map(|d| d.problems_run)
             .sum::<usize>()
-            + o.report.cpu_pool_problems;
-        if run_by_devices != count {
+            + rec.cpu_degraded as usize;
+        if run_by_devices != o.problems {
             bad.push(format!(
-                "devices + CPU pool ran {run_by_devices} problems, batch holds {count}"
+                "devices + CPU pool ran {run_by_devices} problems, batch holds {}",
+                o.problems
             ));
         }
         if bad.is_empty() {
             println!(
                 "ok   {name}: {} problems, {} failovers, {} steals, {} deadline \
                  misses, {} breaker trips, {} CPU degraded, reproducible",
-                o.problems, o.failovers, o.steals, o.deadline_misses, o.breaker_trips,
-                o.cpu_degraded,
+                o.problems,
+                rec.device_failovers,
+                rec.shards_stolen,
+                rec.deadline_misses,
+                rec.breaker_trips,
+                rec.cpu_degraded,
             );
         } else {
             failures += 1;
             println!("FAIL {name}: {}", bad.join("; "));
         }
-        rows.extend(fleet_rows(name, &o.report));
     }
 
-    regla_bench::bench_telemetry::record_fleet(rows);
     telemetry.record("chaos_campaign", t0.elapsed().as_secs_f64());
     std::fs::create_dir_all("results").expect("create results dir");
     telemetry

@@ -28,14 +28,15 @@ fn main() {
         }
         // Per-thread blocks carry 64 problems each; per-block carry one.
         let ppb = if *approach == Approach::PerThread { 64 } else { 1 };
-        if o.detected_problems != o.injected * ppb {
+        let rec = &o.recovery;
+        if rec.faults_detected != (o.injected * ppb) as u64 {
             bad.push(format!(
                 "detected {} problems for {} applied faults (x{ppb} expected)",
-                o.detected_problems, o.injected
+                rec.faults_detected, o.injected
             ));
         }
-        if o.unrecovered != 0 {
-            bad.push(format!("{} problems left unrecovered", o.unrecovered));
+        if rec.unrecovered != 0 {
+            bad.push(format!("{} problems left unrecovered", rec.unrecovered));
         }
         if o.max_residual > 2e-3 {
             bad.push(format!("max residual {:.2e} above 2e-3", o.max_residual));
@@ -47,7 +48,7 @@ fn main() {
             println!(
                 "ok   {name}: {} injected, {} tainted, {} retried, {} CPU \
                  fallback, max residual {:.2e}, reproducible",
-                o.injected, o.detected_problems, o.retried, o.fell_back, o.max_residual
+                o.injected, rec.faults_detected, rec.retried, rec.fell_back, o.max_residual
             );
         } else {
             failures += 1;

@@ -46,7 +46,7 @@ fn main() {
     for (id, title, run) in regla_bench::experiments::ALL {
         let t0 = Instant::now();
         eprintln!("running {id} ...");
-        let report = run(fast);
+        let report = run(fast, &mut telemetry);
         let secs = t0.elapsed().as_secs_f64();
         fs::write(format!("results/{id}.md"), &report).expect("write report");
         fs::write(format!("results/{id}.csv"), md_to_csv(&report)).expect("write csv");

@@ -9,7 +9,7 @@
 //! violation (`REGLA_FAST=1` shrinks the campaign).
 
 use regla_bench::bench_telemetry::Collector;
-use regla_bench::experiments::serve::{run_serve_scenario, serve_row, standard_scenarios};
+use regla_bench::experiments::serve::{run_serve_scenario, standard_scenarios};
 use std::time::Instant;
 
 fn bits(b: &regla_core::MatBatch<f32>) -> Vec<u32> {
@@ -26,7 +26,7 @@ fn main() {
         println!("FAIL {msg}");
     };
 
-    let scenarios = standard_scenarios(requests);
+    let scenarios = standard_scenarios(requests, &mut telemetry);
     let report = |name: &str| {
         &scenarios
             .iter()
@@ -117,7 +117,7 @@ fn main() {
     }
 
     // -- the chaos campaign reproduces bit-identically -------------------
-    let rerun = run_serve_scenario(requests, 2500.0, true, true, None);
+    let (rerun, _) = run_serve_scenario(requests, 2500.0, true, true, None);
     let first = &scenarios.iter().find(|(n, _)| *n == "chaos").unwrap().1;
     let mut identical = first.report == rerun.report;
     for (a, b) in first.responses.iter().zip(&rerun.responses) {
@@ -133,12 +133,7 @@ fn main() {
         println!("ok   reproducibility: chaos campaign rerun is bit-identical");
     }
 
-    // -- file the serve section --------------------------------------------
-    let rows = scenarios
-        .iter()
-        .map(|(name, o)| serve_row(name, &o.report))
-        .collect();
-    regla_bench::bench_telemetry::record_serve(rows);
+    // -- write the serve section -------------------------------------------
     telemetry.record("serve_load", t0.elapsed().as_secs_f64());
     std::fs::create_dir_all("results").expect("create results dir");
     telemetry

@@ -10,21 +10,20 @@
 //! run it as a smoke test (`REGLA_FAST=1` shrinks the batches).
 
 use regla_bench::bench_telemetry::Collector;
-use regla_bench::experiments::verify::{outcome_row, run_verify_campaign, VERIFY_CASES};
+use regla_bench::experiments::verify::verify_cases;
 use std::time::Instant;
 
 fn main() {
     let fast = regla_bench::fast_mode();
-    let (count, faults) = if fast { (512, 32) } else { (4096, 64) };
     let mut telemetry = Collector::new();
     let t0 = Instant::now();
-    let mut rows = Vec::new();
     let mut total_injected = 0;
+    let mut total_flagged = 0;
     let mut failures = 0;
-    for (name, alg, approach, n) in VERIFY_CASES {
-        let o = run_verify_campaign(*alg, *approach, *n, count, faults, 0x51_1E_47);
-        rows.push(outcome_row(*alg, *approach, *n, count, &o));
+    for (name, o) in verify_cases(fast, &mut telemetry) {
+        let rec = &o.recovery;
         total_injected += o.injected;
+        total_flagged += rec.verify_failures;
         let mut bad = Vec::new();
         if o.injected == 0 {
             bad.push("no silent faults fired".to_string());
@@ -43,14 +42,14 @@ fn main() {
                 o.false_positives
             ));
         }
-        if o.flagged > 0 && o.recovered != o.flagged {
+        if rec.verify_recovered != rec.verify_failures {
             bad.push(format!(
                 "recovery settled {} of {} flagged problems",
-                o.recovered, o.flagged
+                rec.verify_recovered, rec.verify_failures
             ));
         }
-        if o.unrecovered != 0 {
-            bad.push(format!("{} problems left unsettled", o.unrecovered));
+        if rec.unrecovered != 0 {
+            bad.push(format!("{} problems left unsettled", rec.unrecovered));
         }
         if !o.clean_bit_identical {
             bad.push("clean outputs differ with verification on".into());
@@ -65,8 +64,8 @@ fn main() {
                 o.detected,
                 o.injected,
                 o.false_positives,
-                o.recovered,
-                o.flagged,
+                rec.verify_recovered,
+                rec.verify_failures,
                 o.measured_screen_ms,
                 o.predicted_screen_ms
             );
@@ -79,8 +78,16 @@ fn main() {
         failures += 1;
         println!("FAIL campaign too small: {total_injected} silent flips (< 100)");
     }
-    regla_bench::bench_telemetry::record_verify(rows);
-    telemetry.record("verify_campaign", t0.elapsed().as_secs_f64());
+    // The record counts each case's gated leg once: its verify_failures
+    // must equal the table's summed "flagged" column.
+    let record = telemetry.record("verify_campaign", t0.elapsed().as_secs_f64());
+    if record.recovery.verify_failures != total_flagged {
+        failures += 1;
+        println!(
+            "FAIL the verify_campaign record counts {} verify failures, the cases flagged {}",
+            record.recovery.verify_failures, total_flagged
+        );
+    }
     std::fs::create_dir_all("results").expect("create results dir");
     telemetry
         .write("results/BENCH_sim.json")

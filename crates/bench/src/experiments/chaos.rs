@@ -3,12 +3,12 @@
 //! deadline, and a fault storm — verifying that health-gated failover,
 //! work stealing and the CPU degraded mode keep every problem solved,
 //! bit-identically across reruns. Per-device shard/failover/steal
-//! telemetry is filed for `results/BENCH_sim.json`.
+//! telemetry goes to the `fleet` section of `results/BENCH_sim.json`.
 
-use crate::bench_telemetry::{record_fleet, FleetRow};
+use crate::bench_telemetry::{Collector, Row, Section, Val};
 use crate::report::Table;
 use crate::workloads::f32_batch;
-use regla_core::{ChaosPlan, Fleet, FleetPolicy, FleetReport, Op};
+use regla_core::{ChaosPlan, DeviceReport, Fleet, FleetPolicy, FleetReport, Op, RecoveryStats};
 use regla_gpu_sim::GpuConfig;
 
 /// A stall so long no model-derived deadline budget survives it
@@ -24,13 +24,11 @@ pub struct ChaosOutcome {
     pub devices_killed: usize,
     /// Every problem came back [`regla_core::ProblemStatus::Ok`].
     pub all_ok: bool,
-    pub failovers: usize,
-    pub steals: usize,
-    pub deadline_misses: usize,
-    pub breaker_trips: usize,
-    pub cpu_degraded: usize,
     /// The same plan reproduced bit-identical output and telemetry.
     pub reproducible: bool,
+    /// What the fleet's recovery did in the first run (the rerun only
+    /// checks reproducibility).
+    pub recovery: RecoveryStats,
     pub report: FleetReport,
 }
 
@@ -69,12 +67,9 @@ pub fn run_chaos_campaign(op: Op, n: usize, count: usize, seed: u64) -> ChaosOut
     let a = f32_batch(n, n, count, true, seed ^ 0x000C_4A05);
     let b = op.needs_rhs().then(|| f32_batch(n, 1, count, false, seed ^ 0xB0_07));
     let once = || {
-        let fleet = campaign_fleet(seed);
-        let run = fleet
+        campaign_fleet(seed)
             .run(op, &a, b.as_ref())
-            .expect("chaos campaign batch is valid");
-        crate::bench_telemetry::file_recovery(fleet.take_recovery_totals());
-        run
+            .expect("chaos campaign batch is valid")
     };
     let run = once();
     let rerun = once();
@@ -86,65 +81,67 @@ pub fn run_chaos_campaign(op: Op, n: usize, count: usize, seed: u64) -> ChaosOut
         && run.output.run.recovery == rerun.output.run.recovery
         && run.report == rerun.report;
 
-    let rec = &run.output.run.recovery;
     ChaosOutcome {
         problems: count,
         devices_killed: 2,
         all_ok: run.output.run.status.iter().all(|s| s.is_ok()),
-        failovers: rec.device_failovers,
-        steals: rec.shards_stolen,
-        deadline_misses: rec.deadline_misses,
-        breaker_trips: rec.breaker_trips,
-        cpu_degraded: rec.cpu_degraded,
         reproducible,
+        recovery: run.output.run.recovery,
         report: run.report,
     }
 }
 
-/// Flatten a campaign's fleet report into per-device telemetry rows for
-/// `results/BENCH_sim.json` (plus a `cpu-pool` pseudo-device when the
-/// degraded mode ran).
-pub fn fleet_rows(campaign: &str, report: &FleetReport) -> Vec<FleetRow> {
-    let mut rows: Vec<FleetRow> = report
+/// Flatten a campaign's fleet report into per-device rows for the
+/// `fleet` section of `results/BENCH_sim.json` (plus a `cpu-pool`
+/// pseudo-device when the degraded mode ran).
+pub fn fleet_rows(campaign: &str, o: &ChaosOutcome) -> Vec<Row> {
+    let pool = (o.recovery.cpu_degraded > 0).then(|| DeviceReport {
+        name: "cpu-pool".into(),
+        chunks_run: o.report.cpu_pool_chunks,
+        problems_run: o.recovery.cpu_degraded as usize,
+        ..DeviceReport::default()
+    });
+    o.report
         .devices
         .iter()
-        .map(|d| FleetRow {
-            campaign: campaign.to_string(),
-            device: d.name.clone(),
-            planned_problems: d.planned_problems,
-            chunks_run: d.chunks_run,
-            problems_run: d.problems_run,
-            steals: d.steals,
-            rescues: d.rescues,
-            failed_dispatches: d.failed_dispatches,
-            deadline_misses: d.deadline_misses,
-            breaker_trips: d.breaker_trips,
-            breaker_state: format!("{:?}", d.breaker_state),
-            sim_time_s: d.sim_time_s,
+        .chain(&pool)
+        .map(|d| {
+            vec![
+                ("campaign", campaign.into()),
+                ("device", d.name.as_str().into()),
+                ("planned_problems", d.planned_problems.into()),
+                ("chunks_run", d.chunks_run.into()),
+                ("problems_run", d.problems_run.into()),
+                ("steals", d.steals.into()),
+                ("rescues", d.rescues.into()),
+                ("failed_dispatches", d.failed_dispatches.into()),
+                ("deadline_misses", d.deadline_misses.into()),
+                ("breaker_trips", d.breaker_trips.into()),
+                ("breaker_state", format!("{:?}", d.breaker_state).into()),
+                ("sim_time_s", Val::Num(d.sim_time_s, 6)),
+            ]
         })
-        .collect();
-    if report.cpu_pool_problems > 0 {
-        rows.push(FleetRow {
-            campaign: campaign.to_string(),
-            device: "cpu-pool".to_string(),
-            planned_problems: 0,
-            chunks_run: report.cpu_pool_chunks,
-            problems_run: report.cpu_pool_problems,
-            steals: 0,
-            rescues: 0,
-            failed_dispatches: 0,
-            deadline_misses: 0,
-            breaker_trips: 0,
-            breaker_state: "Closed".to_string(),
-            sim_time_s: 0.0,
-        });
-    }
-    rows
+        .collect()
+}
+
+/// Run the QR and LU chaos campaigns at harness scale, handing each one's
+/// fleet rows and first-run recovery to `c`.
+pub fn chaos_cases(fast: bool, c: &mut Collector) -> Vec<(&'static str, ChaosOutcome)> {
+    let count = if fast { 1024 } else { 4096 };
+    [("QR 8x8", Op::Qr), ("LU 8x8", Op::Lu)]
+        .into_iter()
+        .map(|(name, op)| {
+            let o = run_chaos_campaign(op, 8, count, 0xC4A0_5EED);
+            c.add_recovery(&o.recovery);
+            c.add(Section::Fleet, fleet_rows(name, &o));
+            (name, o)
+        })
+        .collect()
 }
 
 /// The chaos table: seeded device-death / stall / fault-storm campaigns
 /// over QR and LU on a three-device fleet.
-pub fn chaos_campaign(fast: bool) -> String {
+pub fn chaos_campaign(fast: bool, c: &mut Collector) -> String {
     let count = if fast { 1024 } else { 4096 };
     let mut t = Table::new(
         format!(
@@ -163,23 +160,20 @@ pub fn chaos_campaign(fast: bool) -> String {
             "reproducible",
         ],
     );
-    let mut rows = Vec::new();
-    for (name, op, n) in [("QR 8x8", Op::Qr, 8), ("LU 8x8", Op::Lu, 8)] {
-        let o = run_chaos_campaign(op, n, count, 0xC4A0_5EED);
+    for (name, o) in chaos_cases(fast, c) {
+        let rec = &o.recovery;
         t.row(&[
             name.to_string(),
             o.problems.to_string(),
-            o.failovers.to_string(),
-            o.steals.to_string(),
-            o.deadline_misses.to_string(),
-            o.breaker_trips.to_string(),
-            o.cpu_degraded.to_string(),
+            rec.device_failovers.to_string(),
+            rec.shards_stolen.to_string(),
+            rec.deadline_misses.to_string(),
+            rec.breaker_trips.to_string(),
+            rec.cpu_degraded.to_string(),
             if o.all_ok { "yes" } else { "NO" }.to_string(),
             if o.reproducible { "yes" } else { "NO" }.to_string(),
         ]);
-        rows.extend(fleet_rows(name, &o.report));
     }
-    record_fleet(rows);
     t.note(
         "Each campaign shards its batch across a Quadro 6000, a dual-copy \
          Quadro 6000 and a GT200 by modeled throughput. The chaos plan kills \

@@ -5,13 +5,13 @@
 //! estimates (`regla_model::phase_estimates`), phase label by phase label
 //! — the finest granularity at which the paper's model makes a claim.
 //!
-//! Side products: the per-(algorithm, shape) summary rows are filed with
-//! [`crate::bench_telemetry`] so `run_all` lands them in
+//! Side products: the per-(algorithm, shape) summary rows go to the
+//! harness's [`Collector`] so `run_all` lands them in
 //! `results/BENCH_sim.json`, and every recorded launch is exported as
 //! Chrome-trace JSON (`results/model_discrepancy_trace.json`, loadable in
 //! Perfetto / chrome://tracing).
 
-use crate::bench_telemetry::{self, DiscrepancyRow};
+use crate::bench_telemetry::{Collector, Section, Val};
 use crate::report::{f, Table};
 use crate::workloads::f32_batch;
 use regla_core::{BatchRun, Op, ProfileReport, RunOpts, Session};
@@ -28,7 +28,7 @@ fn worst_phase(r: &ProfileReport) -> (String, f64) {
 }
 
 /// Per-phase predicted-vs-simulated discrepancy across algorithms/shapes.
-pub fn model_discrepancy(fast: bool) -> String {
+pub fn model_discrepancy(fast: bool, c: &mut Collector) -> String {
     let session = Session::new();
     let count = if fast { 224 } else { 2016 };
     let pt_count = if fast { 3584 } else { 64_000 };
@@ -39,7 +39,8 @@ pub fn model_discrepancy(fast: bool) -> String {
             "alg", "shape", "approach", "phases", "mean |err| %", "total err %", "worst phase",
         ],
     );
-    let mut rows: Vec<DiscrepancyRow> = Vec::new();
+    // Per-run mean |error|, for the summary note.
+    let mut errs: Vec<f64> = Vec::new();
 
     let mut file = |t: &mut Table, run: &BatchRun<f32>, shape: String| {
         let r = run
@@ -56,14 +57,18 @@ pub fn model_discrepancy(fast: bool) -> String {
             f(r.total_error_pct()),
             format!("{wlabel} ({}%)", f(werr)),
         ]);
-        rows.push(DiscrepancyRow {
-            alg: r.alg.name().to_string(),
-            shape,
-            approach: format!("{:?}", r.approach),
-            phases: r.entries.len(),
-            mean_abs_error_pct: r.mean_abs_error_pct,
-            total_error_pct: r.total_error_pct(),
-        });
+        c.add(
+            Section::ModelDiscrepancy,
+            [vec![
+                ("alg", r.alg.name().into()),
+                ("shape", shape.into()),
+                ("approach", format!("{:?}", r.approach).into()),
+                ("phases", r.entries.len().into()),
+                ("mean_abs_error_pct", Val::Num(r.mean_abs_error_pct, 2)),
+                ("total_error_pct", Val::Num(r.total_error_pct(), 2)),
+            ]],
+        );
+        errs.push(r.mean_abs_error_pct);
     };
 
     let opts = |approach: Approach| -> RunOpts {
@@ -122,8 +127,6 @@ pub fn model_discrepancy(fast: bool) -> String {
         file(&mut t, &run, format!("{n}x{n}+1"));
     }
 
-    bench_telemetry::record_discrepancy(rows.clone());
-
     // Export everything the profiler saw as a Chrome-trace document.
     let json = profiler.chrome_trace_json();
     let trace_path = "results/model_discrepancy_trace.json";
@@ -131,11 +134,7 @@ pub fn model_discrepancy(fast: bool) -> String {
         .and_then(|()| std::fs::write(trace_path, &json))
         .is_ok();
 
-    let mean = if rows.is_empty() {
-        0.0
-    } else {
-        rows.iter().map(|r| r.mean_abs_error_pct).sum::<f64>() / rows.len() as f64
-    };
+    let mean = errs.iter().sum::<f64>() / errs.len().max(1) as f64;
     t.note(format!(
         "Mean of per-run mean |error|: {}% over {} runs ({} launches traced{}). \
          Per-block rows join each labeled phase (panel k: form-hh/matvec/rank-1, \
@@ -144,7 +143,7 @@ pub fn model_discrepancy(fast: bool) -> String {
          Load/store rows inherit the model's streamed-DRAM assumption, so they \
          carry most of the error on small shapes.",
         f(mean),
-        rows.len(),
+        errs.len(),
         profiler.launch_count(),
         if exported {
             format!("; Chrome trace written to {trace_path}")

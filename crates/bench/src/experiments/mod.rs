@@ -29,60 +29,64 @@ pub use throughput::*;
 pub use tune::*;
 pub use verify::*;
 
-/// (id, title, runner) for every experiment, in paper order.
-pub type Runner = fn(bool) -> String;
+use crate::bench_telemetry::Collector;
 
+/// An experiment: renders its report at full or fast (`true`) scale and
+/// hands its BENCH rows and reported recovery to the collector.
+pub type Runner = fn(bool, &mut Collector) -> String;
+
+/// (id, title, runner) for every experiment, in paper order.
 pub const ALL: &[(&str, &str, Runner)] = &[
-    ("table1_config", "Table I — device summary", tables::table1),
-    ("table2_bandwidth", "Table II — bandwidths", tables::table2),
-    ("table3_latency", "Table III — latencies", tables::table3),
-    ("table4_params", "Table IV — model parameters", tables::table4),
-    ("table5_cycles", "Table V — 56x56 cycle counts", tables::table5),
-    ("table6_estimates", "Table VI — cost model estimates", tables::table6),
-    ("table7_stap", "Table VII — RT_STAP complex QR", tables::table7),
-    ("fig1_global_latency", "Figure 1 — global latency vs stride", figures::fig1),
-    ("fig2_sync_latency", "Figure 2 — synchronization latency", figures::fig2),
-    ("fig4_per_thread", "Figure 4 — one problem per thread", figures::fig4),
-    ("fig7_layouts", "Figure 7 — 1D vs 2D layouts", figures::fig7),
-    ("fig8_panels", "Figure 8 — QR per-panel breakdown", figures::fig8),
-    ("fig9_per_block", "Figure 9 — one problem per block", figures::fig9),
-    ("fig10_design_space", "Figure 10 — three approaches", figures::fig10),
-    ("fig11_vs_libraries", "Figure 11 — vs MKL and MAGMA", figures::fig11),
-    ("fig12_solvers", "Figure 12 — linear solvers vs MKL", figures::fig12),
+    ("table1_config", "Table I — device summary", |f, _| tables::table1(f)),
+    ("table2_bandwidth", "Table II — bandwidths", |f, _| tables::table2(f)),
+    ("table3_latency", "Table III — latencies", |f, _| tables::table3(f)),
+    ("table4_params", "Table IV — model parameters", |f, _| tables::table4(f)),
+    ("table5_cycles", "Table V — 56x56 cycle counts", |f, _| tables::table5(f)),
+    ("table6_estimates", "Table VI — cost model estimates", |f, _| tables::table6(f)),
+    ("table7_stap", "Table VII — RT_STAP complex QR", |f, _| tables::table7(f)),
+    ("fig1_global_latency", "Figure 1 — global latency vs stride", |f, _| figures::fig1(f)),
+    ("fig2_sync_latency", "Figure 2 — synchronization latency", |f, _| figures::fig2(f)),
+    ("fig4_per_thread", "Figure 4 — one problem per thread", |f, _| figures::fig4(f)),
+    ("fig7_layouts", "Figure 7 — 1D vs 2D layouts", |f, _| figures::fig7(f)),
+    ("fig8_panels", "Figure 8 — QR per-panel breakdown", |f, _| figures::fig8(f)),
+    ("fig9_per_block", "Figure 9 — one problem per block", |f, _| figures::fig9(f)),
+    ("fig10_design_space", "Figure 10 — three approaches", |f, _| figures::fig10(f)),
+    ("fig11_vs_libraries", "Figure 11 — vs MKL and MAGMA", |f, _| figures::fig11(f)),
+    ("fig12_solvers", "Figure 12 — linear solvers vs MKL", |f, _| figures::fig12(f)),
     (
         "ablation_fastmath",
         "Ablation — fast vs precise math",
-        ablations::ablation_fastmath,
+        |f, _| ablations::ablation_fastmath(f),
     ),
     (
         "ablation_reduction",
         "Ablation — serial vs tree reductions",
-        ablations::ablation_reduction,
+        |f, _| ablations::ablation_reduction(f),
     ),
     (
         "ablation_threads",
         "Ablation — 64 vs 256 threads per block",
-        ablations::ablation_threads,
+        |f, _| ablations::ablation_threads(f),
     ),
     (
         "ablation_batch",
         "Ablation — batch-size saturation",
-        ablations::ablation_batch,
+        |f, _| ablations::ablation_batch(f),
     ),
     (
         "ablation_lu_style",
         "Ablation — LU trailing-update style",
-        ablations::ablation_lu_style,
+        |f, _| ablations::ablation_lu_style(f),
     ),
     (
         "ablation_streams",
         "Section VI-C — CUBLAS + streams",
-        ablations::ablation_streams,
+        |f, _| ablations::ablation_streams(f),
     ),
     (
         "ablation_tsqr",
         "Ablation — tiled vs TSQR",
-        ablations::ablation_tsqr,
+        |f, _| ablations::ablation_tsqr(f),
     ),
     (
         "pipeline",
@@ -92,7 +96,7 @@ pub const ALL: &[(&str, &str, Runner)] = &[
     (
         "model_accuracy",
         "Model accuracy summary",
-        accuracy::model_accuracy,
+        |f, _| accuracy::model_accuracy(f),
     ),
     (
         "model_discrepancy",
@@ -112,7 +116,7 @@ pub const ALL: &[(&str, &str, Runner)] = &[
     (
         "sanitize_campaign",
         "Sanitizer — buggy fixtures + clean sweep",
-        sanitize::sanitize_campaign,
+        |f, _| sanitize::sanitize_campaign(f),
     ),
     (
         "sim_throughput",

@@ -5,7 +5,7 @@
 //! configuration of the same chip, where the classic three-stage
 //! H2D / kernel / D2H pipeline emerges.
 
-use crate::bench_telemetry::{record_pipeline, PipelineRow};
+use crate::bench_telemetry::{Collector, Section, Val};
 use crate::report::{f, Table};
 use crate::workloads::f32_batch;
 use regla_core::{Op, PipelineOpts, RunOpts, Session};
@@ -18,7 +18,7 @@ struct Case {
     count: usize,
 }
 
-pub fn pipeline(fast: bool) -> String {
+pub fn pipeline(fast: bool, c: &mut Collector) -> String {
     let scale = if fast { 8 } else { 1 };
     // The flagship transfer-bound shape (4096 x QR 32x32) first: small
     // matrices move almost as many bytes as they compute, so overlap pays
@@ -42,7 +42,8 @@ pub fn pipeline(fast: bool) -> String {
             "speedup", "predicted", "model err %",
         ],
     );
-    let mut rows = Vec::new();
+    // |model error| of the rows whose kernel stage the model priced.
+    let mut modeled = Vec::new();
     for (name, cfg) in configs {
         let session = Session::with_config(cfg);
         for case in &cases {
@@ -64,30 +65,31 @@ pub fn pipeline(fast: bool) -> String {
                 format!("{}x", f(rep.predicted_speedup())),
                 format!("{:+.1}", rep.pipelined_error_pct()),
             ]);
-            rows.push(PipelineRow {
-                config: name.into(),
-                op: rep.op.into(),
-                shape: format!("{}x{}", case.n, case.n),
-                batch: rep.batch,
-                chunks: rep.chunks,
-                streams: rep.streams,
-                copy_engines: rep.copy_engines,
-                sync_ms: rep.sync_s * 1e3,
-                pipelined_ms: rep.pipelined_s * 1e3,
-                speedup: rep.speedup(),
-                predicted_speedup: rep.predicted_speedup(),
-                model_error_pct: rep.pipelined_error_pct(),
-                kernel_modeled: rep.kernel_modeled,
-            });
+            c.add(
+                Section::Pipeline,
+                [vec![
+                    ("config", name.into()),
+                    ("op", rep.op.into()),
+                    ("shape", format!("{}x{}", case.n, case.n).into()),
+                    ("batch", rep.batch.into()),
+                    ("chunks", rep.chunks.into()),
+                    ("streams", rep.streams.into()),
+                    ("copy_engines", rep.copy_engines.into()),
+                    ("sync_ms", Val::Num(rep.sync_s * 1e3, 4)),
+                    ("pipelined_ms", Val::Num(rep.pipelined_s * 1e3, 4)),
+                    ("speedup", Val::Num(rep.speedup(), 3)),
+                    ("predicted_speedup", Val::Num(rep.predicted_speedup(), 3)),
+                    ("model_error_pct", Val::Num(rep.pipelined_error_pct(), 2)),
+                    // False when the kernel stage reused the measured mean.
+                    ("kernel_modeled", rep.kernel_modeled.into()),
+                ]],
+            );
+            if rep.kernel_modeled {
+                modeled.push(rep.pipelined_error_pct().abs());
+            }
         }
     }
-    let modeled: Vec<f64> = rows
-        .iter()
-        .filter(|r| r.kernel_modeled)
-        .map(|r| r.model_error_pct.abs())
-        .collect();
     let mean_err = modeled.iter().sum::<f64>() / modeled.len().max(1) as f64;
-    record_pipeline(rows);
     t.note(format!(
         "One copy engine (the paper's board): the driver serializes every \
          transfer, the timeline collapses to the synchronous schedule, and \

@@ -2,9 +2,10 @@
 //! QR/LU batches, with the detection / retry / CPU-fallback accounting
 //! that the recovery layer reports (and `results/BENCH_sim.json` records).
 
+use crate::bench_telemetry::Collector;
 use crate::report::Table;
 use crate::workloads::f32_batch;
-use regla_core::{MatBatch, Op, ProblemStatus, RunOpts, Session};
+use regla_core::{MatBatch, Op, RecoveryStats, RunOpts, Session};
 use regla_gpu_sim::FaultPlan;
 use regla_model::Approach;
 
@@ -21,11 +22,9 @@ pub enum CampaignAlg {
 pub struct CampaignOutcome {
     /// Faults the simulator applied (its ECC/machine-check records).
     pub injected: usize,
-    /// Problems the recovery layer saw as fault-tainted.
-    pub detected_problems: usize,
-    pub retried: usize,
-    pub fell_back: usize,
-    pub unrecovered: usize,
+    /// What the recovery layer did in the first run (the rerun only
+    /// checks reproducibility).
+    pub recovery: RecoveryStats,
     /// Worst relative factorization residual over the faulted problems
     /// after recovery (`‖L·U − A‖/‖A‖` or `‖RᴴR − AᴴA‖/‖AᴴA‖`).
     pub max_residual: f64,
@@ -99,18 +98,10 @@ pub fn run_campaign(
     let reproducible = bits(&run.out) == bits(&rerun.out)
         && run.status == rerun.status
         && run.recovery == rerun.recovery;
-    crate::bench_telemetry::file_recovery(session.take_recovery_totals());
 
     CampaignOutcome {
         injected: run.stats.launches.iter().map(|l| l.faults.len()).sum(),
-        detected_problems: run.recovery.faults_detected,
-        retried: run.recovery.retried,
-        fell_back: run.recovery.fell_back,
-        unrecovered: run
-            .status
-            .iter()
-            .filter(|s| !matches!(s, ProblemStatus::Ok | ProblemStatus::ZeroPivot { .. }))
-            .count(),
+        recovery: run.recovery,
         max_residual,
         reproducible,
     }
@@ -118,7 +109,7 @@ pub fn run_campaign(
 
 /// The campaign table: seeded fault injection over QR and LU batches on
 /// the per-thread and per-block paths.
-pub fn resilience_campaign(fast: bool) -> String {
+pub fn resilience_campaign(fast: bool, c: &mut Collector) -> String {
     let (count, faults) = if fast { (512, 32) } else { (4096, 128) };
     let mut t = Table::new(
         format!(
@@ -144,13 +135,14 @@ pub fn resilience_campaign(fast: bool) -> String {
     ];
     for (name, alg, approach, n) in cases {
         let o = run_campaign(*alg, *approach, *n, count, faults, 0x0D1E5E1);
+        c.add_recovery(&o.recovery);
         t.row(&[
             name.to_string(),
             o.injected.to_string(),
-            o.detected_problems.to_string(),
-            o.retried.to_string(),
-            o.fell_back.to_string(),
-            o.unrecovered.to_string(),
+            o.recovery.faults_detected.to_string(),
+            o.recovery.retried.to_string(),
+            o.recovery.fell_back.to_string(),
+            o.recovery.unrecovered.to_string(),
             format!("{:.2e}", o.max_residual),
             if o.reproducible { "yes" } else { "NO" }.to_string(),
         ]);

@@ -3,12 +3,12 @@
 //! configurations — micro-batching on, micro-batching off (the baseline
 //! the coalescing gate compares against), an overload run that exercises
 //! admission-control shedding, and a chaos run with a device death under
-//! load. Scenario rows are filed for the `serve` section of
+//! load. Scenario rows go to the `serve` section of
 //! `results/BENCH_sim.json`.
 
-use crate::bench_telemetry::{record_serve, ServeRow};
+use crate::bench_telemetry::{Collector, Row, Section, Val};
 use crate::report::Table;
-use regla_core::{ChaosPlan, Fleet};
+use regla_core::{ChaosPlan, Fleet, RecoveryStats};
 use regla_gpu_sim::GpuConfig;
 use regla_serve::{
     generate_requests, ServeConfig, ServeEngine, ServeOutcome, ServeReport, TrafficConfig,
@@ -34,14 +34,15 @@ fn serve_fleet(chaos: Option<ChaosPlan>) -> Fleet {
 /// `backlog_budget_s = None` disables admission shedding (infinite budget
 /// and queue) so throughput scenarios serve every request; `Some(budget)`
 /// uses the bounded queue and the model-priced backlog controller.
-/// `chaos = true` kills the GT200 after its second dispatch.
+/// `chaos = true` kills the GT200 after its second dispatch. Returns the
+/// outcome and the fleet's recovery over the whole scenario.
 pub fn run_serve_scenario(
     requests: usize,
     rate_rps: f64,
     coalesce: bool,
     chaos: bool,
     backlog_budget_s: Option<f64>,
-) -> ServeOutcome<f32> {
+) -> (ServeOutcome<f32>, RecoveryStats) {
     let plan = chaos.then(|| ChaosPlan::new(CAMPAIGN_SEED).device_death(1, 2));
     let fleet = serve_fleet(plan);
     let mut cfg = ServeConfig::default().coalesce(coalesce);
@@ -56,49 +57,60 @@ pub fn run_serve_scenario(
     let mut engine = ServeEngine::new(fleet, cfg);
     let traffic = TrafficConfig::mixed(requests, rate_rps, CAMPAIGN_SEED);
     let outcome = engine.serve(generate_requests(&traffic));
-    crate::bench_telemetry::file_recovery(engine.fleet().take_recovery_totals());
-    outcome
+    (outcome, engine.fleet().take_recovery_totals())
 }
 
-/// Flatten one scenario's aggregate report into a telemetry row.
-pub fn serve_row(scenario: &str, r: &ServeReport) -> ServeRow {
-    ServeRow {
-        scenario: scenario.to_string(),
-        offered: r.offered,
-        served: r.served,
-        shed: r.shed,
-        request_errors: r.request_errors,
-        dispatches: r.dispatches,
-        problems: r.problems,
-        coalescing: r.coalescing,
-        shed_rate: r.shed_rate,
-        p50_ms: r.p50_ms,
-        p99_ms: r.p99_ms,
-        p999_ms: r.p999_ms,
-        late: r.late,
-        problems_per_sec: r.problems_per_sec,
-        busy_problems_per_sec: r.busy_problems_per_sec,
-        device_dispatches: r
-            .device_dispatches
-            .iter()
-            .map(|(name, count)| format!("{name}:{count}"))
-            .collect::<Vec<_>>()
-            .join("; "),
-    }
-}
-
-/// The four standard scenarios at a given campaign size.
-pub fn standard_scenarios(requests: usize) -> Vec<(&'static str, ServeOutcome<f32>)> {
+/// Flatten one scenario's aggregate report into its `serve` row.
+pub fn serve_row(scenario: &str, r: &ServeReport) -> Row {
+    let device_dispatches: Vec<String> = r
+        .device_dispatches
+        .iter()
+        .map(|(name, count)| format!("{name}:{count}"))
+        .collect();
     vec![
-        ("coalesced", run_serve_scenario(requests, 2500.0, true, false, None)),
-        ("uncoalesced", run_serve_scenario(requests, 2500.0, false, false, None)),
-        ("overload", run_serve_scenario(requests, 100_000.0, true, false, Some(1e-4))),
-        ("chaos", run_serve_scenario(requests, 2500.0, true, true, None)),
+        ("scenario", scenario.into()),
+        ("offered", r.offered.into()),
+        ("served", r.served.into()),
+        ("shed", r.shed.into()),
+        ("request_errors", r.request_errors.into()),
+        ("dispatches", r.dispatches.into()),
+        ("problems", r.problems.into()),
+        ("coalescing", Val::Num(r.coalescing, 2)),
+        ("shed_rate", Val::Num(r.shed_rate, 4)),
+        ("p50_ms", Val::Num(r.p50_ms, 4)),
+        ("p99_ms", Val::Num(r.p99_ms, 4)),
+        ("p999_ms", Val::Num(r.p999_ms, 4)),
+        ("late", r.late.into()),
+        ("problems_per_sec", Val::Num(r.problems_per_sec, 1)),
+        ("busy_problems_per_sec", Val::Num(r.busy_problems_per_sec, 1)),
+        ("device_dispatches", device_dispatches.join("; ").into()),
     ]
 }
 
+/// The four standard scenarios at a given campaign size, each handing
+/// its `serve` row and fleet recovery to `c`.
+pub fn standard_scenarios(
+    requests: usize,
+    c: &mut Collector,
+) -> Vec<(&'static str, ServeOutcome<f32>)> {
+    [
+        ("coalesced", 2500.0, true, false, None),
+        ("uncoalesced", 2500.0, false, false, None),
+        ("overload", 100_000.0, true, false, Some(1e-4)),
+        ("chaos", 2500.0, true, true, None),
+    ]
+    .into_iter()
+    .map(|(name, rate, coalesce, chaos, budget)| {
+        let (outcome, recovery) = run_serve_scenario(requests, rate, coalesce, chaos, budget);
+        c.add_recovery(&recovery);
+        c.add(Section::Serve, [serve_row(name, &outcome.report)]);
+        (name, outcome)
+    })
+    .collect()
+}
+
 /// The serve table: the mixed workload through all four scenarios.
-pub fn serve_load(fast: bool) -> String {
+pub fn serve_load(fast: bool, c: &mut Collector) -> String {
     let requests = if fast { 160 } else { 480 };
     let mut t = Table::new(
         format!(
@@ -119,8 +131,7 @@ pub fn serve_load(fast: bool) -> String {
             "busy prob/s",
         ],
     );
-    let mut rows = Vec::new();
-    for (name, outcome) in standard_scenarios(requests) {
+    for (name, outcome) in standard_scenarios(requests, c) {
         let r = &outcome.report;
         t.row(&[
             name.to_string(),
@@ -135,9 +146,7 @@ pub fn serve_load(fast: bool) -> String {
             r.late.to_string(),
             format!("{:.0}", r.busy_problems_per_sec),
         ]);
-        rows.push(serve_row(name, r));
     }
-    record_serve(rows);
     t.note(
         "Open-loop Poisson-ish traffic on the simulated clock: LU 8x8, QR \
          10x10 and GJ-solve 8x8 requests from 8 seeded client streams. \

@@ -18,12 +18,52 @@
 //! pages and primes the fast leg's schedule cache, so the timed runs
 //! measure the steady state of each engine rather than first-touch costs.
 
-use crate::bench_telemetry::{record_throughput, ThroughputRow};
+use crate::bench_telemetry::{Collector, Row, Section, Val};
 use crate::report::{f, Table};
 use crate::workloads::f32_batch;
 use regla_core::{MatBatch, Op, OpOutput, ProblemStatus, RunOpts, Session};
 use regla_gpu_sim::ExecMode;
 use regla_model::Approach;
+
+/// One (workload, solver, shape) row: simulator throughput of the fast
+/// path against the slow path over an identical launch sequence.
+#[derive(Clone, Debug)]
+pub struct ThroughputRow {
+    /// Workload family (`fig10_pt`, `fig10_pb`, `sched_sweep`, ...).
+    pub workload: String,
+    pub op: String,
+    pub shape: String,
+    /// Functional blocks each leg replayed (equal by construction).
+    pub sim_blocks: usize,
+    /// Simulator seconds per leg (`sim_wall_s`, transfers excluded).
+    pub fast_sim_s: f64,
+    pub slow_sim_s: f64,
+    /// Blocks per second per leg.
+    pub fast_blocks_per_sec: f64,
+    pub slow_blocks_per_sec: f64,
+    /// `slow_sim_s / fast_sim_s`.
+    pub speedup: f64,
+    /// Whether the two legs produced bit-identical device results.
+    pub bit_identical: bool,
+}
+
+impl ThroughputRow {
+    /// The row's `sim_throughput` entry in `BENCH_sim.json`.
+    pub fn row(&self) -> Row {
+        vec![
+            ("workload", self.workload.as_str().into()),
+            ("op", self.op.as_str().into()),
+            ("shape", self.shape.as_str().into()),
+            ("sim_blocks", self.sim_blocks.into()),
+            ("fast_sim_s", Val::Num(self.fast_sim_s, 6)),
+            ("slow_sim_s", Val::Num(self.slow_sim_s, 6)),
+            ("fast_blocks_per_sec", Val::Num(self.fast_blocks_per_sec, 1)),
+            ("slow_blocks_per_sec", Val::Num(self.slow_blocks_per_sec, 1)),
+            ("speedup", Val::Num(self.speedup, 2)),
+            ("bit_identical", self.bit_identical.into()),
+        ]
+    }
+}
 
 /// Everything a leg produced, as exact bits.
 #[derive(PartialEq)]
@@ -152,7 +192,6 @@ fn opts(c: &Case, slow: bool) -> RunOpts {
 }
 
 /// Run the experiment and return (rendered report, per-case rows).
-/// Rows are also filed with [`record_throughput`] for `BENCH_sim.json`.
 pub fn sim_throughput_rows(fast: bool) -> (String, Vec<ThroughputRow>) {
     let mut t = Table::new(
         "Simulator throughput — fast path vs instrumented slow path \
@@ -233,11 +272,12 @@ pub fn sim_throughput_rows(fast: bool) -> (String, Vec<ThroughputRow>) {
          run takes. Both legs run the same kernel bodies over identical launch sequences \
          and must agree bit for bit.",
     );
-    record_throughput(rows.clone());
     (t.render(), rows)
 }
 
 /// Harness entry point (see `experiments::ALL`).
-pub fn sim_throughput(fast: bool) -> String {
-    sim_throughput_rows(fast).0
+pub fn sim_throughput(fast: bool, c: &mut Collector) -> String {
+    let (report, rows) = sim_throughput_rows(fast);
+    c.add(Section::SimThroughput, rows.iter().map(ThroughputRow::row));
+    report
 }

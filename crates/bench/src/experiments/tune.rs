@@ -16,11 +16,65 @@
 //! of the exhaustive oracle on every key; rows land in the `tune` section
 //! of `results/BENCH_sim.json`.
 
-use crate::bench_telemetry::{record_tune, TuneRow};
+use crate::bench_telemetry::{Collector, Row, Section, Val};
 use crate::report::Table;
 use regla_gpu_sim::{GpuConfig, MathMode};
 use regla_model::{heuristic_plan, Algorithm, Approach, DecisionTable, ModelParams, Plan, PlanKey};
 use regla_tune::{TuneSpace, Tuner};
+
+/// One (alg, shape, batch) row: the tuned plan against the paper's hand
+/// heuristic and the exhaustive-search winner, with regret in simulated
+/// cycles.
+#[derive(Clone, Debug)]
+pub struct TuneRow {
+    pub alg: String,
+    /// `m x n` (+`rhs` carried columns when nonzero).
+    pub shape: String,
+    pub batch: usize,
+    /// Model-priced candidates in the enumerated design space.
+    pub candidates: usize,
+    /// Distinct execution shapes the tuner validated in the simulator.
+    pub validated: usize,
+    /// Compact plan strings (`approach/layout/threads/panel`).
+    pub heuristic: String,
+    pub tuned: String,
+    pub best: String,
+    /// Model-predicted cycles of the tuned plan.
+    pub predicted_cycles: f64,
+    /// Simulated cycles: tuned pick, heuristic pick, exhaustive winner.
+    pub tuned_sim_cycles: f64,
+    pub heuristic_sim_cycles: f64,
+    pub exhaustive_sim_cycles: f64,
+    /// `(tuned - exhaustive) / exhaustive`, percent (the gate metric).
+    pub regret_pct: f64,
+    /// `(heuristic - exhaustive) / exhaustive`, percent.
+    pub heuristic_regret_pct: f64,
+    /// Whether tuning changed the execution shape vs the hand heuristic.
+    pub plan_changed: bool,
+}
+
+impl TuneRow {
+    /// The row's `tune` entry in `BENCH_sim.json`.
+    pub fn row(&self) -> Row {
+        vec![
+            ("alg", self.alg.as_str().into()),
+            ("shape", self.shape.as_str().into()),
+            ("batch", self.batch.into()),
+            ("candidates", self.candidates.into()),
+            ("validated", self.validated.into()),
+            ("heuristic", self.heuristic.as_str().into()),
+            ("tuned", self.tuned.as_str().into()),
+            ("best", self.best.as_str().into()),
+            ("predicted_cycles", Val::Num(self.predicted_cycles, 1)),
+            ("tuned_sim_cycles", Val::Num(self.tuned_sim_cycles, 1)),
+            ("heuristic_sim_cycles", Val::Num(self.heuristic_sim_cycles, 1)),
+            ("exhaustive_sim_cycles", Val::Num(self.exhaustive_sim_cycles, 1)),
+            ("regret_pct", Val::Num(self.regret_pct, 3)),
+            ("heuristic_regret_pct", Val::Num(self.heuristic_regret_pct, 3)),
+            ("plan_changed", self.plan_changed.into()),
+        ]
+    }
+}
 
 /// Compact `approach/layout/threads/panel` plan label for reports.
 fn plan_str(p: &Plan) -> String {
@@ -85,9 +139,8 @@ pub fn fig10_keys(fast: bool) -> Vec<PlanKey> {
 }
 
 /// Run the autotune sweep and return (rendered report, per-key rows, the
-/// emitted decision table). Rows are also filed via [`record_tune`] for
-/// `BENCH_sim.json`; the table is what the acceptance bin writes to
-/// `results/decision_table.txt`.
+/// emitted decision table). The table is what the acceptance bin writes
+/// to `results/decision_table.txt`.
 pub fn autotune_artifacts(fast: bool) -> (String, Vec<TuneRow>, DecisionTable) {
     let space = if fast {
         TuneSpace::fast()
@@ -175,11 +228,12 @@ pub fn autotune_artifacts(fast: bool) -> (String, Vec<TuneRow>, DecisionTable) {
         max_regret,
         mean_h,
     ));
-    record_tune(rows.clone());
     (t.render(), rows, outcome.table)
 }
 
 /// Harness entry point (see `experiments::ALL`).
-pub fn autotune(fast: bool) -> String {
-    autotune_artifacts(fast).0
+pub fn autotune(fast: bool, c: &mut Collector) -> String {
+    let (report, rows, _) = autotune_artifacts(fast);
+    c.add(Section::Tune, rows.iter().map(TuneRow::row));
+    report
 }

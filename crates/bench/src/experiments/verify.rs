@@ -22,10 +22,11 @@
 //! The clean pair also times the screens (host wall-clock) against the
 //! model's [`regla_model::verify_seconds`] prediction.
 
+use crate::bench_telemetry::{Collector, Row, Section, Val};
 use crate::report::Table;
 use crate::workloads::f32_batch;
 use regla_core::{
-    MatBatch, Op, ProblemStatus, RecoveryPolicy, RunOpts, Session, VerifyMode,
+    MatBatch, Op, ProblemStatus, RecoveryPolicy, RecoveryStats, RunOpts, Session, VerifyMode,
 };
 use regla_gpu_sim::{FaultKind, FaultPlan};
 use regla_model::{Algorithm, Approach};
@@ -67,12 +68,9 @@ pub struct VerifyOutcome {
     /// `VerifyFailed` problems outside every faulted block, plus any
     /// flagged problem in the clean sweep.
     pub false_positives: usize,
-    /// `RecoveryStats::verify_failures` of the gated-recovery leg.
-    pub flagged: usize,
-    /// `RecoveryStats::verify_recovered` of the gated-recovery leg.
-    pub recovered: usize,
-    /// Problems still unsettled after gated recovery.
-    pub unrecovered: usize,
+    /// What the recovery layer did in the gated-recovery leg (the other
+    /// legs only check detection, transparency and reproducibility).
+    pub recovery: RecoveryStats,
     /// Clean sweep produced bit-identical outputs with verify off and on.
     pub clean_bit_identical: bool,
     /// The verified faulted leg reran bit-identically (same seed).
@@ -155,7 +153,6 @@ pub fn run_verify_campaign(
         .build()
         .unwrap();
     let gated = once(&gated_opts);
-    let unrecovered = gated.status.iter().filter(|s| !s.is_settled()).count();
 
     // Leg 4 (cheap, reuse leg 2): bit-identical rerun under the same seed.
     let rerun = once(&gated_opts);
@@ -194,8 +191,6 @@ pub fn run_verify_campaign(
     let predicted_screen_ms =
         regla_model::verify_seconds(alg.model(), n, n, 0, count, VerifyMode::Full) * 1e3;
 
-    crate::bench_telemetry::file_recovery(session.take_recovery_totals());
-
     VerifyOutcome {
         injected,
         detected,
@@ -205,9 +200,7 @@ pub fn run_verify_campaign(
             detected as f64 / injected as f64
         },
         false_positives,
-        flagged: gated.recovery.verify_failures,
-        recovered: gated.recovery.verify_recovered,
-        unrecovered,
+        recovery: gated.recovery,
         clean_bit_identical,
         reproducible,
         measured_screen_ms,
@@ -215,47 +208,59 @@ pub fn run_verify_campaign(
     }
 }
 
-/// Telemetry row for one campaign outcome (shared by the report and the
-/// `verify_campaign` acceptance binary).
+/// The `verify` row of one campaign outcome.
 pub fn outcome_row(
     alg: VerifyAlg,
     approach: Approach,
     n: usize,
     count: usize,
     o: &VerifyOutcome,
-) -> crate::bench_telemetry::VerifyRow {
-    crate::bench_telemetry::VerifyRow {
-        alg: match alg {
-            VerifyAlg::Qr => "Householder QR".into(),
-            VerifyAlg::Lu => "LU".into(),
-        },
-        shape: format!("{n}x{n}"),
-        approach: format!("{approach:?}"),
-        problems: count,
-        injected: o.injected,
-        detected: o.detected,
-        detection_rate: o.detection_rate,
-        false_positives: o.false_positives,
-        recovered: o.recovered,
-        bit_identical: o.clean_bit_identical && o.reproducible,
-        measured_screen_ms: o.measured_screen_ms,
-        predicted_screen_ms: o.predicted_screen_ms,
-    }
+) -> Row {
+    let alg = match alg {
+        VerifyAlg::Qr => "Householder QR",
+        VerifyAlg::Lu => "LU",
+    };
+    vec![
+        ("alg", alg.into()),
+        ("shape", format!("{n}x{n}").into()),
+        ("approach", format!("{approach:?}").into()),
+        ("problems", count.into()),
+        ("injected", o.injected.into()),
+        ("detected", o.detected.into()),
+        ("detection_rate", Val::Num(o.detection_rate, 4)),
+        ("false_positives", o.false_positives.into()),
+        ("recovered", o.recovery.verify_recovered.into()),
+        ("bit_identical", (o.clean_bit_identical && o.reproducible).into()),
+        ("measured_screen_ms", Val::Num(o.measured_screen_ms, 3)),
+        ("predicted_screen_ms", Val::Num(o.predicted_screen_ms, 3)),
+    ]
 }
 
-/// The campaign cases shared by the report and the `verify_campaign`
-/// acceptance binary.
-pub const VERIFY_CASES: &[(&str, VerifyAlg, Approach, usize)] = &[
-    ("QR 8x8 per-thread", VerifyAlg::Qr, Approach::PerThread, 8),
-    ("QR 24x24 per-block", VerifyAlg::Qr, Approach::PerBlock, 24),
-    ("LU 8x8 per-thread", VerifyAlg::Lu, Approach::PerThread, 8),
-    ("LU 24x24 per-block", VerifyAlg::Lu, Approach::PerBlock, 24),
-];
+/// Run every campaign case at harness scale (shared by the report and
+/// the `verify_campaign` acceptance binary), handing each case's `verify`
+/// row and gated-leg recovery to `c`.
+pub fn verify_cases(fast: bool, c: &mut Collector) -> Vec<(&'static str, VerifyOutcome)> {
+    let (count, faults) = if fast { (512, 32) } else { (4096, 64) };
+    [
+        ("QR 8x8 per-thread", VerifyAlg::Qr, Approach::PerThread, 8),
+        ("QR 24x24 per-block", VerifyAlg::Qr, Approach::PerBlock, 24),
+        ("LU 8x8 per-thread", VerifyAlg::Lu, Approach::PerThread, 8),
+        ("LU 24x24 per-block", VerifyAlg::Lu, Approach::PerBlock, 24),
+    ]
+    .into_iter()
+    .map(|(name, alg, approach, n)| {
+        let o = run_verify_campaign(alg, approach, n, count, faults, 0x51_1E_47);
+        c.add_recovery(&o.recovery);
+        c.add(Section::Verify, [outcome_row(alg, approach, n, count, &o)]);
+        (name, o)
+    })
+    .collect()
+}
 
 /// The verification table: silent-corruption detection, gated recovery,
 /// clean-sweep transparency, and screen overhead, per (alg, shape).
-pub fn verify_campaign(fast: bool) -> String {
-    let (count, faults) = if fast { (512, 32) } else { (4096, 64) };
+pub fn verify_campaign(fast: bool, c: &mut Collector) -> String {
+    let count = if fast { 512 } else { 4096 };
     let mut t = Table::new(
         format!(
             "Verification — silent-corruption campaigns ({count} problems, \
@@ -275,25 +280,22 @@ pub fn verify_campaign(fast: bool) -> String {
             "screen ms (meas/pred)",
         ],
     );
-    let mut rows = Vec::new();
-    for (name, alg, approach, n) in VERIFY_CASES {
-        let o = run_verify_campaign(*alg, *approach, *n, count, faults, 0x51_1E_47);
+    for (name, o) in verify_cases(fast, c) {
+        let rec = &o.recovery;
         t.row(&[
             name.to_string(),
             o.injected.to_string(),
             o.detected.to_string(),
             format!("{:.1}%", o.detection_rate * 100.0),
             o.false_positives.to_string(),
-            o.flagged.to_string(),
-            o.recovered.to_string(),
-            o.unrecovered.to_string(),
+            rec.verify_failures.to_string(),
+            rec.verify_recovered.to_string(),
+            rec.unrecovered.to_string(),
             if o.clean_bit_identical { "yes" } else { "NO" }.to_string(),
             if o.reproducible { "yes" } else { "NO" }.to_string(),
             format!("{:.2} / {:.2}", o.measured_screen_ms, o.predicted_screen_ms),
         ]);
-        rows.push(outcome_row(*alg, *approach, *n, count, &o));
     }
-    crate::bench_telemetry::record_verify(rows);
     t.note(
         "Silent flips are invisible to the simulated ECC/machine-check \
          (they land in `LaunchStats::silent_faults`, which recovery never \

@@ -985,13 +985,13 @@ fn run_recovered<T: DeviceScalar>(
             .status
             .iter()
             .filter(|s| matches!(s, ProblemStatus::FaultDetected))
-            .count(),
+            .count() as u64,
         ..RecoveryStats::default()
     };
     let verify_failed: Vec<usize> = (0..count)
         .filter(|&p| matches!(l.status[p], ProblemStatus::VerifyFailed { .. }))
         .collect();
-    rec.verify_failures = verify_failed.len();
+    rec.verify_failures = verify_failed.len() as u64;
     let initially_failed: Vec<usize> = (0..count).filter(|&p| !l.status[p].is_settled()).collect();
     let mut failed = initially_failed.clone();
     let policy = opts.recovery;
@@ -1000,7 +1000,7 @@ fn run_recovered<T: DeviceScalar>(
         if failed.is_empty() {
             break;
         }
-        rec.retried += failed.len();
+        rec.retried += failed.len() as u64;
         let mut sub = MatBatch::<T>::zeros(aug.rows(), aug.cols(), failed.len());
         for (i, &p) in failed.iter().enumerate() {
             sub.set_mat(i, &aug.mat(p));
@@ -1029,16 +1029,10 @@ fn run_recovered<T: DeviceScalar>(
         failed.retain(|&p| !l.status[p].is_settled());
     }
 
-    rec.recovered = initially_failed
-        .iter()
-        .filter(|&&p| l.status[p].is_settled())
-        .count();
-    rec.verify_recovered = verify_failed
-        .iter()
-        .filter(|&&p| l.status[p].is_settled())
-        .count();
-    rec.unrecovered = failed.len();
-    l.stats.recovery = rec;
+    let settled = |ps: &[usize]| ps.iter().filter(|&&p| l.status[p].is_settled()).count() as u64;
+    rec.recovered = settled(&initially_failed);
+    rec.verify_recovered = settled(&verify_failed);
+    rec.unrecovered = failed.len() as u64;
     Ok((l, rec))
 }
 

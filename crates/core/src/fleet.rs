@@ -61,7 +61,7 @@
 //! });
 //! let run = fleet.run(Op::Lu, &a, None).unwrap();
 //! assert!(run.output.run.status.iter().all(|s| s.is_ok()));
-//! assert!(run.report.failovers > 0); // device 0 rescued device 1's shards
+//! assert!(run.output.run.recovery.device_failovers > 0); // device 0 rescued device 1's shards
 //! ```
 
 use crate::api::{self, BatchRun, RunOpts};
@@ -71,12 +71,12 @@ use crate::error::ReglaError;
 use crate::per_thread::PtAlg;
 use crate::pipeline::model_alg;
 use crate::session::{Op, OpOutput, Session};
-use crate::status::{ProblemStatus, RecoveryCounters, RecoveryStats, RecoveryTelemetry};
+use crate::status::{ProblemStatus, RecoveryStats};
 use crate::tiled::MultiLaunch;
 use regla_gpu_sim::{FaultPlan, GpuConfig, LaunchError};
 use regla_model::Approach;
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 /// Simulated cost of a dispatch that failed without a modeled duration
 /// (a dead device rejecting the launch): long enough to be visible on
@@ -325,25 +325,16 @@ pub struct DeviceReport {
     pub sim_time_s: f64,
 }
 
-/// What the fleet scheduler did for one [`Fleet::run`].
+/// What the fleet scheduler did for one [`Fleet::run`], per device. The
+/// fleet-wide failover, steal, deadline-miss, breaker-trip and CPU-pool
+/// problem counts are in the run's [`RecoveryStats`].
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct FleetReport {
     pub devices: Vec<DeviceReport>,
     /// Total chunks the batch was split into.
     pub chunks: usize,
-    /// Chunks rescued by a device after a failed dispatch.
-    pub failovers: usize,
-    /// Chunks executed by a device other than their planned owner
-    /// without any prior failure (work stealing).
-    pub steals: usize,
-    /// Dispatches that blew their deadline, fleet-wide.
-    pub deadline_misses: usize,
-    /// Breaker trips, fleet-wide.
-    pub breaker_trips: usize,
     /// Chunks degraded to the CPU host pool.
     pub cpu_pool_chunks: usize,
-    /// Problems computed by the CPU host pool.
-    pub cpu_pool_problems: usize,
 }
 
 /// Result of [`Fleet::run`]: the merged batch output plus the fleet
@@ -454,7 +445,7 @@ impl FleetBuilder {
             policy,
             chaos: self.chaos,
             runtime,
-            counters: Arc::new(RecoveryCounters::new()),
+            totals: Mutex::default(),
         })
     }
 }
@@ -548,7 +539,7 @@ pub struct Fleet {
     policy: FleetPolicy,
     chaos: Option<ChaosPlan>,
     runtime: Mutex<Vec<DeviceState>>,
-    counters: Arc<RecoveryCounters>,
+    totals: Mutex<RecoveryStats>,
 }
 
 impl std::fmt::Debug for Fleet {
@@ -605,14 +596,14 @@ impl Fleet {
     }
 
     /// Cumulative recovery totals across every fleet run (the fleet's
-    /// own counter cell — device sessions also keep theirs).
-    pub fn recovery_totals(&self) -> RecoveryTelemetry {
-        self.counters.snapshot()
+    /// own totals — device sessions also keep theirs).
+    pub fn recovery_totals(&self) -> RecoveryStats {
+        *self.totals.lock().expect("recovery totals lock poisoned")
     }
 
     /// Read and reset the fleet's recovery totals.
-    pub fn take_recovery_totals(&self) -> RecoveryTelemetry {
-        self.counters.take()
+    pub fn take_recovery_totals(&self) -> RecoveryStats {
+        std::mem::take(&mut *self.totals.lock().expect("recovery totals lock poisoned"))
     }
 
     /// Proportional shares of `count` problems by modeled throughput
@@ -773,6 +764,7 @@ impl Fleet {
             chunks: chunks.len(),
             ..FleetReport::default()
         };
+        let mut rec = RecoveryStats::default();
         let mut remaining = chunks.len();
 
         while remaining > 0 {
@@ -849,13 +841,13 @@ impl Fleet {
                     state[dev].clock_s += out.run.stats.time_s;
                     reports[dev].chunks_run += 1;
                     reports[dev].problems_run += chunk.len;
-                    reports[dev].faults_detected += out.run.recovery.faults_detected;
+                    reports[dev].faults_detected += out.run.recovery.faults_detected as usize;
                     if rescued || chunk.attempts > 0 {
                         reports[dev].rescues += 1;
-                        report.failovers += 1;
+                        rec.device_failovers += 1;
                     } else if dev != chunk.owner {
                         reports[dev].steals += 1;
-                        report.steals += 1;
+                        rec.shards_stolen += 1;
                     }
                     // Health gate: a device that "succeeds" while most of
                     // its problems come back fault-tainted is quarantined.
@@ -863,7 +855,7 @@ impl Fleet {
                     if rate >= self.policy.breaker.fault_rate_threshold {
                         state[dev].trip(&self.policy.breaker);
                         reports[dev].breaker_trips += 1;
-                        report.breaker_trips += 1;
+                        rec.breaker_trips += 1;
                     } else {
                         state[dev].on_success(&self.policy.breaker);
                     }
@@ -875,7 +867,7 @@ impl Fleet {
                         ReglaError::Launch(LaunchError::DeviceLost { .. }) => (true, FAIL_COST_S),
                         ReglaError::Launch(LaunchError::DeadlineExceeded { budget, .. }) => {
                             reports[dev].deadline_misses += 1;
-                            report.deadline_misses += 1;
+                            rec.deadline_misses += 1;
                             (
                                 false,
                                 self.devices[dev]
@@ -893,7 +885,7 @@ impl Fleet {
                     reports[dev].failed_dispatches += 1;
                     if state[dev].on_failure(&self.policy.breaker, fatal) {
                         reports[dev].breaker_trips += 1;
-                        report.breaker_trips += 1;
+                        rec.breaker_trips += 1;
                     }
                     chunks[cid].attempts += 1;
                     chunks[cid].last_failed = Some(dev);
@@ -907,7 +899,6 @@ impl Fleet {
                                 b.map(|b| b.slice_problems(chunk.start, chunk.len)).as_ref(),
                             )?);
                             report.cpu_pool_chunks += 1;
-                            report.cpu_pool_problems += chunk.len;
                             remaining -= 1;
                         } else {
                             return Err(ReglaError::FleetUnavailable(format!(
@@ -937,63 +928,13 @@ impl Fleet {
             .into_iter()
             .map(|o| o.expect("every chunk completed or the run errored"))
             .collect();
-        let mut output = merge_outputs(parts);
-        let rec = &mut output.run.recovery;
-        rec.device_failovers += report.failovers;
-        rec.shards_stolen += report.steals;
-        rec.deadline_misses += report.deadline_misses;
-        rec.breaker_trips += report.breaker_trips;
-        output.run.stats.recovery = *rec;
-        self.counters.record(rec);
+        let mut output = OpOutput::concat(parts);
+        output.run.recovery.merge(&rec);
+        self.totals
+            .lock()
+            .expect("recovery totals lock poisoned")
+            .merge(&output.run.recovery);
         Ok(FleetRun { output, report })
-    }
-}
-
-/// Merge chunk outputs (already in problem order) into one
-/// [`OpOutput`] — the fleet counterpart of the pipeline's chunk merge.
-fn merge_outputs<T: DeviceScalar>(parts: Vec<OpOutput<T>>) -> OpOutput<T> {
-    let outs: Vec<_> = parts.iter().map(|o| o.run.out.clone()).collect();
-    let out = MatBatch::concat_problems(&outs);
-    let taus = parts
-        .iter()
-        .map(|o| o.run.taus.clone())
-        .collect::<Option<Vec<_>>>()
-        .map(|t| MatBatch::concat_problems(&t));
-    let solution = parts
-        .iter()
-        .map(|o| o.solution.clone())
-        .collect::<Option<Vec<_>>>()
-        .map(|s| MatBatch::concat_problems(&s));
-
-    let mut stats = MultiLaunch::default();
-    let mut status = Vec::new();
-    let mut recovery = RecoveryStats::default();
-    let mut profile = None;
-    let approach = parts[0].run.approach;
-    for o in parts {
-        for l in o.run.stats.launches {
-            stats.push(l);
-        }
-        status.extend(o.run.status);
-        recovery.merge(&o.run.recovery);
-        if profile.is_none() {
-            profile = o.run.profile;
-        }
-    }
-    stats.recovery = recovery;
-    let sanitizer = api::merge_sanitizer(&stats);
-    OpOutput {
-        run: BatchRun {
-            out,
-            approach,
-            stats,
-            taus,
-            status,
-            recovery,
-            profile,
-            sanitizer,
-        },
-        solution,
     }
 }
 
@@ -1043,22 +984,17 @@ fn host_chunk<T: DeviceScalar>(
                     ProblemStatus::NonFinite
                 });
             }
-            let recovery = RecoveryStats {
-                cpu_degraded: count,
-                ..RecoveryStats::default()
-            };
-            let stats = MultiLaunch {
-                recovery,
-                ..MultiLaunch::default()
-            };
             return Ok(OpOutput {
                 run: BatchRun {
                     out,
                     approach: Approach::Hybrid,
-                    stats,
+                    stats: MultiLaunch::default(),
                     taus: None,
                     status,
-                    recovery,
+                    recovery: RecoveryStats {
+                        cpu_degraded: count as u64,
+                        ..RecoveryStats::default()
+                    },
                     profile: None,
                     sanitizer: None,
                 },
@@ -1078,22 +1014,17 @@ fn host_chunk<T: DeviceScalar>(
         Op::Invert => Some(out.sub(0, n, n, n)),
         _ => None,
     };
-    let recovery = RecoveryStats {
-        cpu_degraded: count,
-        ..RecoveryStats::default()
-    };
-    let stats = MultiLaunch {
-        recovery,
-        ..MultiLaunch::default()
-    };
     Ok(OpOutput {
         run: BatchRun {
             out,
             approach: Approach::Hybrid,
-            stats,
+            stats: MultiLaunch::default(),
             taus,
             status,
-            recovery,
+            recovery: RecoveryStats {
+                cpu_degraded: count as u64,
+                ..RecoveryStats::default()
+            },
             profile: None,
             sanitizer: None,
         },
@@ -1181,9 +1112,7 @@ mod tests {
             sref.run.taus.as_ref().unwrap().data()
         );
         assert_eq!(frun.output.run.status, sref.run.status);
-        assert_eq!(frun.report.failovers, 0);
-        assert_eq!(frun.report.steals, 0);
-        assert_eq!(frun.report.cpu_pool_problems, 0);
+        assert_eq!(frun.output.run.recovery, RecoveryStats::default());
     }
 
     #[test]
@@ -1212,8 +1141,8 @@ mod tests {
             .unwrap();
         let run = fleet.run(Op::Lu, &a, None).unwrap();
         assert!(run.output.run.status.iter().all(|s| s.is_ok()));
-        assert!(run.report.failovers > 0);
-        assert!(run.report.breaker_trips > 0);
+        assert!(run.output.run.recovery.device_failovers > 0);
+        assert!(run.output.run.recovery.breaker_trips > 0);
         assert_eq!(run.report.devices[1].chunks_run, 0);
         assert_eq!(run.report.devices[1].breaker_state, BreakerState::Open);
         // The survivor computed the whole batch, bit-identical to a
@@ -1257,11 +1186,10 @@ mod tests {
             .build()
             .unwrap();
         let run = fleet.run(Op::Lu, &a, None).unwrap();
-        assert!(run.report.deadline_misses > 0);
-        assert_eq!(run.report.cpu_pool_problems, 40);
+        assert!(run.output.run.recovery.deadline_misses > 0);
         assert_eq!(run.output.run.recovery.cpu_degraded, 40);
         assert!(run.output.run.status.iter().all(|s| s.is_ok()));
-        // Telemetry flows into the fleet counters.
+        // Telemetry flows into the fleet totals.
         assert!(fleet.recovery_totals().deadline_misses > 0);
         assert_eq!(fleet.recovery_totals().cpu_degraded, 40);
     }

@@ -72,7 +72,7 @@ pub use error::ReglaError;
 pub use layout::{Layout, LayoutMap};
 pub use matrix::Mat;
 pub use scalar::{Scalar, C32};
-pub use status::{ProblemStatus, RecoveryPolicy, RecoveryStats, RecoveryTelemetry, VerifyScreen};
+pub use status::{ProblemStatus, RecoveryPolicy, RecoveryStats, VerifyScreen};
 pub use verify::VerifyMode;
 pub use fleet::{
     BreakerPolicy, BreakerState, ChaosEvent, ChaosPlan, DeviceReport, Fleet, FleetBuilder,

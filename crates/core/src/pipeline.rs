@@ -30,8 +30,6 @@ use crate::elem::DeviceScalar;
 use crate::error::ReglaError;
 use crate::profile::PipelineReport;
 use crate::session::{Op, OpOutput, Session};
-use crate::status::RecoveryStats;
-use crate::tiled::MultiLaunch;
 use regla_gpu_sim::Timeline;
 use regla_model::Algorithm;
 
@@ -205,61 +203,11 @@ pub(crate) fn run_pipelined<T: DeviceScalar>(
         serialized: sim.serialized,
     };
 
-    Ok(PipelinedRun {
-        output: merge_chunks(chunk_outputs, &report),
-        report,
-    })
-}
-
-/// Reassemble the per-chunk runs into one [`OpOutput`] in problem order.
-fn merge_chunks<T: DeviceScalar>(chunks: Vec<OpOutput<T>>, report: &PipelineReport) -> OpOutput<T> {
-    let outs: Vec<_> = chunks.iter().map(|o| o.run.out.clone()).collect();
-    let out = MatBatch::concat_problems(&outs);
-    let taus = chunks
-        .iter()
-        .map(|o| o.run.taus.clone())
-        .collect::<Option<Vec<_>>>()
-        .map(|t| MatBatch::concat_problems(&t));
-    let solution = chunks
-        .iter()
-        .map(|o| o.solution.clone())
-        .collect::<Option<Vec<_>>>()
-        .map(|s| MatBatch::concat_problems(&s));
-
-    let mut stats = MultiLaunch::default();
-    let mut status = Vec::new();
-    let mut recovery = RecoveryStats::default();
-    let mut profile = None;
-    let approach = chunks[0].run.approach;
-    for o in chunks {
-        for l in o.run.stats.launches {
-            stats.push(l);
-        }
-        status.extend(o.run.status);
-        recovery.merge(&o.run.recovery);
-        if profile.is_none() {
-            profile = o.run.profile;
-        }
-    }
-    stats.recovery = recovery;
-    if let Some(p) = profile.as_mut() {
+    let mut output = OpOutput::concat(chunk_outputs);
+    if let Some(p) = output.run.profile.as_mut() {
         p.pipeline = Some(report.clone());
     }
-    let sanitizer = crate::api::merge_sanitizer(&stats);
-
-    OpOutput {
-        run: crate::api::BatchRun {
-            out,
-            approach,
-            stats,
-            taus,
-            status,
-            recovery,
-            profile,
-            sanitizer,
-        },
-        solution,
-    }
+    Ok(PipelinedRun { output, report })
 }
 
 #[cfg(test)]

@@ -23,11 +23,11 @@ use crate::api::{self, BatchRun, RunOpts};
 use crate::batch::MatBatch;
 use crate::elem::DeviceScalar;
 use crate::error::ReglaError;
-use crate::status::{RecoveryCounters, RecoveryTelemetry};
+use crate::status::RecoveryStats;
 use crate::tiled::MultiLaunch;
 use regla_gpu_sim::{Gpu, GpuConfig, Profiler};
 use regla_model::ModelParams;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// The batched operations a [`Session`] can run — the single dispatch
 /// surface behind the named sugar methods.
@@ -116,6 +116,55 @@ impl<T> OpOutput<T> {
 }
 
 impl<T: crate::scalar::Scalar> OpOutput<T> {
+    /// Reassemble chunk outputs, already in problem order, into one
+    /// output: the inverse of [`OpOutput::split_problems`]. Launch stats
+    /// and statuses concatenate, recovery counts add up, and the first
+    /// chunk's profile stands for the run.
+    pub(crate) fn concat(parts: Vec<OpOutput<T>>) -> OpOutput<T> {
+        let outs: Vec<_> = parts.iter().map(|o| o.run.out.clone()).collect();
+        let out = MatBatch::concat_problems(&outs);
+        let taus = parts
+            .iter()
+            .map(|o| o.run.taus.clone())
+            .collect::<Option<Vec<_>>>()
+            .map(|t| MatBatch::concat_problems(&t));
+        let solution = parts
+            .iter()
+            .map(|o| o.solution.clone())
+            .collect::<Option<Vec<_>>>()
+            .map(|s| MatBatch::concat_problems(&s));
+
+        let mut stats = MultiLaunch::default();
+        let mut status = Vec::new();
+        let mut recovery = RecoveryStats::default();
+        let mut profile = None;
+        let approach = parts[0].run.approach;
+        for o in parts {
+            for l in o.run.stats.launches {
+                stats.push(l);
+            }
+            status.extend(o.run.status);
+            recovery.merge(&o.run.recovery);
+            if profile.is_none() {
+                profile = o.run.profile;
+            }
+        }
+        let sanitizer = api::merge_sanitizer(&stats);
+        OpOutput {
+            run: BatchRun {
+                out,
+                approach,
+                stats,
+                taus,
+                status,
+                recovery,
+                profile,
+                sanitizer,
+            },
+            solution,
+        }
+    }
+
     /// Split a coalesced output back into per-request outputs: `lens[i]`
     /// problems each, in order, covering the whole batch. The de-interleave
     /// step of a serving front-end — every per-problem artifact (`out`,
@@ -148,7 +197,7 @@ impl<T: crate::scalar::Scalar> OpOutput<T> {
                             .as_ref()
                             .map(|t| t.slice_problems(start, len)),
                         status: self.run.status[start..start + len].to_vec(),
-                        recovery: crate::status::RecoveryStats::default(),
+                        recovery: RecoveryStats::default(),
                         profile: None,
                         sanitizer: None,
                     },
@@ -200,7 +249,7 @@ impl SessionBuilder {
             opts: self.opts,
             params,
             profiler: self.profiler,
-            counters: Arc::new(RecoveryCounters::new()),
+            totals: Arc::default(),
         }
     }
 }
@@ -219,8 +268,8 @@ pub struct Session {
     params: ModelParams,
     profiler: Option<Profiler>,
     /// Per-session recovery totals, accumulated across every run. Clones
-    /// of a session share the same counters (like the profiler buffer).
-    counters: Arc<RecoveryCounters>,
+    /// of a session share the same totals (like the profiler buffer).
+    totals: Arc<Mutex<RecoveryStats>>,
 }
 
 impl Default for Session {
@@ -271,14 +320,14 @@ impl Session {
     /// session (and its clones), without resetting them. The counters are
     /// per-session, so concurrent sessions do not smear each other's
     /// numbers.
-    pub fn recovery_totals(&self) -> RecoveryTelemetry {
-        self.counters.snapshot()
+    pub fn recovery_totals(&self) -> RecoveryStats {
+        *self.totals.lock().expect("recovery totals lock poisoned")
     }
 
     /// Read and reset this session's recovery totals (one experiment's
     /// worth of runs).
-    pub fn take_recovery_totals(&self) -> RecoveryTelemetry {
-        self.counters.take()
+    pub fn take_recovery_totals(&self) -> RecoveryStats {
+        std::mem::take(&mut *self.totals.lock().expect("recovery totals lock poisoned"))
     }
 
     /// Replace the default options, keeping device and params.
@@ -370,7 +419,10 @@ impl Session {
             Op::Gemm => api::gemm_run(gpu, a, rhs()?, &o).map(OpOutput::plain),
         };
         if let Ok(out) = &res {
-            self.counters.record(&out.run.recovery);
+            self.totals
+                .lock()
+                .expect("recovery totals lock poisoned")
+                .merge(&out.run.recovery);
         }
         res
     }
@@ -491,11 +543,7 @@ impl Session {
         a: &MatBatch<T>,
         b: &MatBatch<T>,
     ) -> Result<(MatBatch<T>, MultiLaunch), ReglaError> {
-        let res = api::tsqr_run(&self.gpu, a, b, &self.effective(&self.opts));
-        if let Ok((_, ml)) = &res {
-            self.counters.record(&ml.recovery);
-        }
-        res
+        api::tsqr_run(&self.gpu, a, b, &self.effective(&self.opts))
     }
 
     /// [`Session::tsqr_least_squares`] with explicit per-call [`RunOpts`].
@@ -505,11 +553,7 @@ impl Session {
         b: &MatBatch<T>,
         opts: &RunOpts,
     ) -> Result<(MatBatch<T>, MultiLaunch), ReglaError> {
-        let res = api::tsqr_run(&self.gpu, a, b, &self.effective(opts));
-        if let Ok((_, ml)) = &res {
-            self.counters.record(&ml.recovery);
-        }
-        res
+        api::tsqr_run(&self.gpu, a, b, &self.effective(opts))
     }
 }
 
@@ -585,15 +629,15 @@ mod tests {
         clean.qr(&a).unwrap();
 
         let ft = faulted.recovery_totals();
-        assert_eq!(ft.faults_detected, run.recovery.faults_detected as u64);
+        assert_eq!(ft, run.recovery);
         assert!(ft.faults_detected > 0, "fault plan must land faults");
-        assert_eq!(clean.recovery_totals(), RecoveryTelemetry::default());
+        assert_eq!(clean.recovery_totals(), RecoveryStats::default());
 
-        // Clones share the same counter cell; take() drains it for both.
+        // Clones share the same totals; take() drains them for both.
         let twin = faulted.clone();
         assert_eq!(twin.recovery_totals(), ft);
-        faulted.take_recovery_totals();
-        assert_eq!(twin.recovery_totals(), RecoveryTelemetry::default());
+        assert_eq!(faulted.take_recovery_totals(), ft);
+        assert_eq!(twin.recovery_totals(), RecoveryStats::default());
     }
 
     #[test]

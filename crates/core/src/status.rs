@@ -8,8 +8,6 @@
 //! does about it: retry the failed subset on the device, then degrade to
 //! the host baseline — never loop, never panic.
 
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-
 /// Which verification screen flagged a problem.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum VerifyScreen {
@@ -94,169 +92,70 @@ impl RecoveryPolicy {
     }
 }
 
-/// What the recovery layer did for one batched run.
-///
-/// The first five fields are per-problem events from the single-device
-/// retry/fallback policy; the rest are device-level events recorded by a
-/// [`crate::fleet::Fleet`] (zero on plain `Session` runs).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RecoveryStats {
-    /// Problems whose block the simulator reported a fault in.
-    pub faults_detected: usize,
-    /// Problems flagged `VerifyFailed` by a checksum/residual screen
-    /// before recovery ran (silent corruption detected by verification,
-    /// not by the hardware).
-    pub verify_failures: usize,
-    /// Verify-flagged problems that ended settled after recovery.
-    pub verify_recovered: usize,
-    /// Problems re-run on the device (summed over retry rounds).
-    pub retried: usize,
-    /// Problems recomputed by the host baseline.
-    pub fell_back: usize,
-    /// Problems that ended settled (Ok or ZeroPivot) after recovery.
-    pub recovered: usize,
-    /// Problems still fault-tainted or non-finite after the policy was
-    /// exhausted (only possible with a truncated policy).
-    pub unrecovered: usize,
-    /// Shards re-dispatched to another device after theirs failed.
-    pub device_failovers: usize,
-    /// Shards executed by a device other than their planned owner because
-    /// the owner was a straggler (work stealing).
-    pub shards_stolen: usize,
-    /// Launches that blew their model-derived deadline budget.
-    pub deadline_misses: usize,
-    /// Times a device circuit breaker tripped open.
-    pub breaker_trips: usize,
-    /// Problems computed by the CPU degraded mode because no device could
-    /// take them.
-    pub cpu_degraded: usize,
-}
-
-impl RecoveryStats {
-    pub fn merge(&mut self, other: &RecoveryStats) {
-        self.faults_detected += other.faults_detected;
-        self.verify_failures += other.verify_failures;
-        self.verify_recovered += other.verify_recovered;
-        self.retried += other.retried;
-        self.fell_back += other.fell_back;
-        self.recovered += other.recovered;
-        self.unrecovered += other.unrecovered;
-        self.device_failovers += other.device_failovers;
-        self.shards_stolen += other.shards_stolen;
-        self.deadline_misses += other.deadline_misses;
-        self.breaker_trips += other.breaker_trips;
-        self.cpu_degraded += other.cpu_degraded;
-    }
-}
-
-/// Monotonic recovery counters: one instance per [`crate::Session`] (and
-/// per fleet), read via `Session::recovery_totals` /
-/// `Fleet::recovery_totals`.
-#[derive(Debug)]
-pub(crate) struct RecoveryCounters {
-    faults_detected: AtomicU64,
-    verify_failures: AtomicU64,
-    verify_recovered: AtomicU64,
-    retried: AtomicU64,
-    fell_back: AtomicU64,
-    recovered: AtomicU64,
-    unrecovered: AtomicU64,
-    device_failovers: AtomicU64,
-    shards_stolen: AtomicU64,
-    deadline_misses: AtomicU64,
-    breaker_trips: AtomicU64,
-    cpu_degraded: AtomicU64,
-}
-
-impl RecoveryCounters {
-    pub(crate) const fn new() -> Self {
-        RecoveryCounters {
-            faults_detected: AtomicU64::new(0),
-            verify_failures: AtomicU64::new(0),
-            verify_recovered: AtomicU64::new(0),
-            retried: AtomicU64::new(0),
-            fell_back: AtomicU64::new(0),
-            recovered: AtomicU64::new(0),
-            unrecovered: AtomicU64::new(0),
-            device_failovers: AtomicU64::new(0),
-            shards_stolen: AtomicU64::new(0),
-            deadline_misses: AtomicU64::new(0),
-            breaker_trips: AtomicU64::new(0),
-            cpu_degraded: AtomicU64::new(0),
+/// Declares [`RecoveryStats`] and derives [`RecoveryStats::merge`] and
+/// [`RecoveryStats::counters`] from the one field list, so a counter is
+/// named once.
+macro_rules! recovery_stats {
+    ($(#[$meta:meta])* pub struct $name:ident { $($(#[$doc:meta])* $field:ident,)* }) => {
+        $(#[$meta])*
+        pub struct $name {
+            $($(#[$doc])* pub $field: u64,)*
         }
-    }
 
-    pub(crate) fn record(&self, s: &RecoveryStats) {
-        self.faults_detected.fetch_add(s.faults_detected as u64, Relaxed);
-        self.verify_failures.fetch_add(s.verify_failures as u64, Relaxed);
-        self.verify_recovered.fetch_add(s.verify_recovered as u64, Relaxed);
-        self.retried.fetch_add(s.retried as u64, Relaxed);
-        self.fell_back.fetch_add(s.fell_back as u64, Relaxed);
-        self.recovered.fetch_add(s.recovered as u64, Relaxed);
-        self.unrecovered.fetch_add(s.unrecovered as u64, Relaxed);
-        self.device_failovers.fetch_add(s.device_failovers as u64, Relaxed);
-        self.shards_stolen.fetch_add(s.shards_stolen as u64, Relaxed);
-        self.deadline_misses.fetch_add(s.deadline_misses as u64, Relaxed);
-        self.breaker_trips.fetch_add(s.breaker_trips as u64, Relaxed);
-        self.cpu_degraded.fetch_add(s.cpu_degraded as u64, Relaxed);
-    }
+        impl $name {
+            /// Add every counter of `other` into `self`.
+            pub fn merge(&mut self, other: &$name) {
+                $(self.$field += other.$field;)*
+            }
 
-    pub(crate) fn snapshot(&self) -> RecoveryTelemetry {
-        RecoveryTelemetry {
-            faults_detected: self.faults_detected.load(Relaxed),
-            verify_failures: self.verify_failures.load(Relaxed),
-            verify_recovered: self.verify_recovered.load(Relaxed),
-            retried: self.retried.load(Relaxed),
-            fell_back: self.fell_back.load(Relaxed),
-            recovered: self.recovered.load(Relaxed),
-            unrecovered: self.unrecovered.load(Relaxed),
-            device_failovers: self.device_failovers.load(Relaxed),
-            shards_stolen: self.shards_stolen.load(Relaxed),
-            deadline_misses: self.deadline_misses.load(Relaxed),
-            breaker_trips: self.breaker_trips.load(Relaxed),
-            cpu_degraded: self.cpu_degraded.load(Relaxed),
+            /// Every counter as `(field name, value)`, in declaration order.
+            pub fn counters(&self) -> Vec<(&'static str, u64)> {
+                vec![$((stringify!($field), self.$field)),*]
+            }
         }
-    }
-
-    pub(crate) fn take(&self) -> RecoveryTelemetry {
-        RecoveryTelemetry {
-            faults_detected: self.faults_detected.swap(0, Relaxed),
-            verify_failures: self.verify_failures.swap(0, Relaxed),
-            verify_recovered: self.verify_recovered.swap(0, Relaxed),
-            retried: self.retried.swap(0, Relaxed),
-            fell_back: self.fell_back.swap(0, Relaxed),
-            recovered: self.recovered.swap(0, Relaxed),
-            unrecovered: self.unrecovered.swap(0, Relaxed),
-            device_failovers: self.device_failovers.swap(0, Relaxed),
-            shards_stolen: self.shards_stolen.swap(0, Relaxed),
-            deadline_misses: self.deadline_misses.swap(0, Relaxed),
-            breaker_trips: self.breaker_trips.swap(0, Relaxed),
-            cpu_degraded: self.cpu_degraded.swap(0, Relaxed),
-        }
-    }
+    };
 }
 
-impl Default for RecoveryCounters {
-    fn default() -> Self {
-        RecoveryCounters::new()
+recovery_stats! {
+    /// What the recovery layer did: for one batched run, or summed over
+    /// many (a [`crate::Session`]'s or [`crate::Fleet`]'s running totals).
+    ///
+    /// The first seven fields are per-problem events from the
+    /// single-device verify/retry/fallback policy; the rest are
+    /// device-level events recorded by a [`crate::fleet::Fleet`] (zero on
+    /// plain `Session` runs).
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct RecoveryStats {
+        /// Problems whose block the simulator reported a fault in.
+        faults_detected,
+        /// Problems flagged `VerifyFailed` by a checksum/residual screen
+        /// before recovery ran (silent corruption detected by
+        /// verification, not by the hardware).
+        verify_failures,
+        /// Verify-flagged problems that ended settled after recovery.
+        verify_recovered,
+        /// Problems re-run on the device (summed over retry rounds).
+        retried,
+        /// Problems recomputed by the host baseline.
+        fell_back,
+        /// Problems that ended settled (Ok or ZeroPivot) after recovery.
+        recovered,
+        /// Problems still fault-tainted or non-finite after the policy was
+        /// exhausted (only possible with a truncated policy).
+        unrecovered,
+        /// Shards re-dispatched to another device after theirs failed.
+        device_failovers,
+        /// Shards executed by a device other than their planned owner
+        /// because the owner was a straggler (work stealing).
+        shards_stolen,
+        /// Launches that blew their model-derived deadline budget.
+        deadline_misses,
+        /// Times a device circuit breaker tripped open.
+        breaker_trips,
+        /// Problems computed by the CPU degraded mode because no device
+        /// could take them.
+        cpu_degraded,
     }
-}
-
-/// Cumulative recovery totals (a [`RecoveryStats`] summed over many runs).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RecoveryTelemetry {
-    pub faults_detected: u64,
-    pub verify_failures: u64,
-    pub verify_recovered: u64,
-    pub retried: u64,
-    pub fell_back: u64,
-    pub recovered: u64,
-    pub unrecovered: u64,
-    pub device_failovers: u64,
-    pub shards_stolen: u64,
-    pub deadline_misses: u64,
-    pub breaker_trips: u64,
-    pub cpu_degraded: u64,
 }
 
 #[cfg(test)]
@@ -291,48 +190,32 @@ mod tests {
     }
 
     #[test]
-    fn merge_sums_fields() {
+    fn merge_doubles_every_counter_and_names_follow_the_fields() {
         let mut a = RecoveryStats {
             faults_detected: 1,
-            verify_failures: 10,
-            verify_recovered: 11,
-            retried: 2,
-            fell_back: 3,
-            recovered: 4,
-            unrecovered: 0,
-            device_failovers: 5,
-            shards_stolen: 6,
-            deadline_misses: 7,
-            breaker_trips: 8,
-            cpu_degraded: 9,
+            verify_failures: 2,
+            verify_recovered: 3,
+            retried: 4,
+            fell_back: 5,
+            recovered: 6,
+            unrecovered: 7,
+            device_failovers: 8,
+            shards_stolen: 9,
+            deadline_misses: 10,
+            breaker_trips: 11,
+            cpu_degraded: 12,
         };
+        let before = a.counters();
         a.merge(&a.clone());
-        assert_eq!(a.retried, 4);
-        assert_eq!(a.verify_failures, 20);
-        assert_eq!(a.verify_recovered, 22);
-        assert_eq!(a.recovered, 8);
-        assert_eq!(a.device_failovers, 10);
-        assert_eq!(a.breaker_trips, 16);
-        assert_eq!(a.cpu_degraded, 18);
-    }
-
-    #[test]
-    fn counters_record_snapshot_take() {
-        let c = RecoveryCounters::new();
-        let s = RecoveryStats {
-            faults_detected: 2,
-            retried: 1,
-            recovered: 2,
-            shards_stolen: 3,
-            ..Default::default()
-        };
-        c.record(&s);
-        c.record(&s);
-        let snap = c.snapshot();
-        assert_eq!(snap.faults_detected, 4);
-        assert_eq!(snap.shards_stolen, 6);
-        // take() drains.
-        assert_eq!(c.take(), snap);
-        assert_eq!(c.snapshot(), RecoveryTelemetry::default());
+        let after = a.counters();
+        assert_eq!(after.len(), 12);
+        for ((name, v), (n0, v0)) in after.iter().zip(&before) {
+            assert_eq!(name, n0);
+            assert_eq!(*v, 2 * v0, "{name}");
+        }
+        // The listing names the fields in declaration order, exactly as
+        // the derived Debug rendering (which the golden file hashes) does.
+        let listed: Vec<String> = after.iter().map(|(n, v)| format!("{n}: {v}")).collect();
+        assert_eq!(format!("{a:?}"), format!("RecoveryStats {{ {} }}", listed.join(", ")));
     }
 }

@@ -18,7 +18,6 @@ use crate::api::RunOpts;
 use crate::elem::Elem;
 use crate::layout::{Layout, LayoutMap};
 use crate::per_block::{QrApplyKernel, QrBlockKernel, SubMat};
-use crate::status::RecoveryStats;
 use regla_gpu_sim::{GlobalMemory, Gpu, LaunchConfig, LaunchError, LaunchStats};
 
 pub use tsqr::tsqr;
@@ -29,9 +28,6 @@ pub struct MultiLaunch {
     pub launches: Vec<LaunchStats>,
     pub time_s: f64,
     pub flops: f64,
-    /// What the recovery layer did for this run (all zeros when no fault
-    /// was detected and nothing was retried).
-    pub recovery: RecoveryStats,
 }
 
 impl MultiLaunch {

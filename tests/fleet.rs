@@ -69,7 +69,7 @@ proptest! {
         let (r1, rec1) = killed_device_campaign(op, &a, b.as_ref(), 1, false);
         prop_assert!(r1.output.run.status.iter().all(|s| s.is_ok()));
         prop_assert!(
-            r1.report.failovers + r1.report.cpu_pool_chunks > 0,
+            rec1.device_failovers + r1.report.cpu_pool_chunks as u64 > 0,
             "the killed device's work went nowhere"
         );
         for (threads, slow) in [(2, false), (8, false), (1, true), (8, true)] {
@@ -109,9 +109,7 @@ fn single_device_fleet_is_bit_identical_to_session() {
             (None, None) => {}
             _ => panic!("{op:?}: solution presence differs"),
         }
-        assert_eq!(got.report.failovers, 0);
-        assert_eq!(got.report.steals, 0);
-        assert_eq!(got.report.cpu_pool_problems, 0);
+        assert_eq!(got.output.run.recovery, want.run.recovery, "{op:?} recovery");
     }
 }
 
@@ -152,7 +150,6 @@ fn zero_devices_and_unservable_fleets_fail_structurally() {
     let run = fleet.run(Op::Lu, &a, None).unwrap();
     assert!(run.output.run.status.iter().all(|s| s.is_ok()));
     assert_eq!(run.output.run.recovery.cpu_degraded, 24);
-    assert_eq!(run.report.cpu_pool_problems, 24);
 }
 
 #[test]

@@ -147,7 +147,7 @@ fn fault_campaign_detects_and_recovers_everything() {
 
     // Detection: the simulator's fault report (per-launch ECC records) and
     // the recovery layer must agree — every applied fault was seen.
-    let applied: usize = run.stats.launches.iter().map(|l| l.faults.len()).sum();
+    let applied = run.stats.launches.iter().map(|l| l.faults.len() as u64).sum::<u64>();
     assert!(applied >= 20, "campaign applied only {applied} faults");
     assert_eq!(
         run.recovery.faults_detected, applied,

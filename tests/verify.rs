@@ -100,7 +100,7 @@ fn silent_corruption_is_ok_without_verification_and_flagged_with_it() {
             assert!(s.is_ok(), "clean problem {p} was flagged: {s:?}");
         }
     }
-    assert_eq!(screened.recovery.verify_failures, faulted.len());
+    assert_eq!(screened.recovery.verify_failures, faulted.len() as u64);
     // `VerifyFailed` is not a settled verdict — that is what gates the
     // recovery path onto it.
     assert!(screened.status.iter().any(|s| !s.is_settled()));
