@@ -329,6 +329,7 @@ mod tests {
     fn experiment_rows_keep_their_keys_and_formats() {
         use crate::experiments::{
             chaos::{fleet_rows, ChaosOutcome},
+            discrepancy::discrepancy_row,
             serve::serve_row,
             throughput::ThroughputRow,
             verify::{outcome_row, VerifyAlg, VerifyOutcome},
@@ -381,6 +382,7 @@ mod tests {
         };
         c.add(Section::Serve, [serve_row("coalesced", &serve)]);
         let verify = VerifyOutcome {
+            problems: 4096,
             injected: 64,
             detected: 64,
             detection_rate: 1.0,
@@ -397,7 +399,18 @@ mod tests {
         };
         c.add(
             Section::Verify,
-            [outcome_row(VerifyAlg::Qr, Approach::PerThread, 16, 4096, &verify)],
+            [outcome_row(VerifyAlg::Qr, Approach::PerThread, 16, &verify)],
+        );
+        c.add(
+            Section::ModelDiscrepancy,
+            [discrepancy_row(
+                "Householder QR",
+                "56x56".into(),
+                Approach::PerBlock,
+                23,
+                12.5,
+                -3.25,
+            )],
         );
         let j = c.to_json();
         for want in [
@@ -408,15 +421,20 @@ mod tests {
             "\"sim_time_s\": 0.012300",
             "\"device\": \"cpu-pool\", \"planned_problems\": 0, \"chunks_run\": 1, \"problems_run\": 5",
             "\"breaker_state\": \"Closed\"",
+            "\"scenario\": \"coalesced\"",
             "\"coalescing\": 9.95",
             "\"p99_ms\": 4.5000",
             "\"busy_problems_per_sec\": 300000.0",
             "\"device_dispatches\": \"quadro:25; gt200:15\"",
             "\"alg\": \"Householder QR\", \"shape\": \"16x16\"",
+            "\"problems\": 4096",
             "\"detection_rate\": 1.0000",
+            "\"false_positives\": 0",
             "\"recovered\": 64",
             "\"bit_identical\": true",
             "\"predicted_screen_ms\": 2.750",
+            "{\"alg\": \"Householder QR\", \"shape\": \"56x56\", \"approach\": \"PerBlock\", \
+             \"phases\": 23, \"mean_abs_error_pct\": 12.50, \"total_error_pct\": -3.25}",
         ] {
             assert!(j.contains(want), "{want} missing from {j}");
         }

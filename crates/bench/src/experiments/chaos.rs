@@ -142,7 +142,8 @@ pub fn chaos_cases(fast: bool, c: &mut Collector) -> Vec<(&'static str, ChaosOut
 /// The chaos table: seeded device-death / stall / fault-storm campaigns
 /// over QR and LU on a three-device fleet.
 pub fn chaos_campaign(fast: bool, c: &mut Collector) -> String {
-    let count = if fast { 1024 } else { 4096 };
+    let cases = chaos_cases(fast, c);
+    let count = cases.first().map_or(0, |(_, o)| o.problems);
     let mut t = Table::new(
         format!(
             "Chaos — multi-device failure campaigns ({count} problems, \
@@ -160,7 +161,7 @@ pub fn chaos_campaign(fast: bool, c: &mut Collector) -> String {
             "reproducible",
         ],
     );
-    for (name, o) in chaos_cases(fast, c) {
+    for (name, o) in cases {
         let rec = &o.recovery;
         t.row(&[
             name.to_string(),

@@ -11,7 +11,7 @@
 //! Chrome-trace JSON (`results/model_discrepancy_trace.json`, loadable in
 //! Perfetto / chrome://tracing).
 
-use crate::bench_telemetry::{Collector, Section, Val};
+use crate::bench_telemetry::{Collector, Row, Section, Val};
 use crate::report::{f, Table};
 use crate::workloads::f32_batch;
 use regla_core::{BatchRun, Op, ProfileReport, RunOpts, Session};
@@ -25,6 +25,25 @@ fn worst_phase(r: &ProfileReport) -> (String, f64) {
         .map(|e| (e.label.clone(), e.error_pct.abs()))
         .max_by(|a, b| a.1.total_cmp(&b.1))
         .unwrap_or((String::from("—"), 0.0))
+}
+
+/// The `model_discrepancy` row of one profiled (algorithm, shape) run.
+pub fn discrepancy_row(
+    alg: &str,
+    shape: String,
+    approach: Approach,
+    phases: usize,
+    mean_abs_error_pct: f64,
+    total_error_pct: f64,
+) -> Row {
+    vec![
+        ("alg", alg.into()),
+        ("shape", shape.into()),
+        ("approach", format!("{approach:?}").into()),
+        ("phases", phases.into()),
+        ("mean_abs_error_pct", Val::Num(mean_abs_error_pct, 2)),
+        ("total_error_pct", Val::Num(total_error_pct, 2)),
+    ]
 }
 
 /// Per-phase predicted-vs-simulated discrepancy across algorithms/shapes.
@@ -59,14 +78,14 @@ pub fn model_discrepancy(fast: bool, c: &mut Collector) -> String {
         ]);
         c.add(
             Section::ModelDiscrepancy,
-            [vec![
-                ("alg", r.alg.name().into()),
-                ("shape", shape.into()),
-                ("approach", format!("{:?}", r.approach).into()),
-                ("phases", r.entries.len().into()),
-                ("mean_abs_error_pct", Val::Num(r.mean_abs_error_pct, 2)),
-                ("total_error_pct", Val::Num(r.total_error_pct(), 2)),
-            ]],
+            [discrepancy_row(
+                r.alg.name(),
+                shape,
+                r.approach,
+                r.entries.len(),
+                r.mean_abs_error_pct,
+                r.total_error_pct(),
+            )],
         );
         errs.push(r.mean_abs_error_pct);
     };

@@ -58,6 +58,8 @@ impl VerifyAlg {
 /// Aggregated outcome of one silent-corruption campaign.
 #[derive(Clone, Copy, Debug)]
 pub struct VerifyOutcome {
+    /// Problems in the campaign batch.
+    pub problems: usize,
     /// Silent flips the simulator actually fired (ground truth; these are
     /// *not* in `LaunchStats::faults`, so recovery alone cannot see them).
     pub injected: usize,
@@ -192,6 +194,7 @@ pub fn run_verify_campaign(
         regla_model::verify_seconds(alg.model(), n, n, 0, count, VerifyMode::Full) * 1e3;
 
     VerifyOutcome {
+        problems: count,
         injected,
         detected,
         detection_rate: if injected == 0 {
@@ -209,13 +212,7 @@ pub fn run_verify_campaign(
 }
 
 /// The `verify` row of one campaign outcome.
-pub fn outcome_row(
-    alg: VerifyAlg,
-    approach: Approach,
-    n: usize,
-    count: usize,
-    o: &VerifyOutcome,
-) -> Row {
+pub fn outcome_row(alg: VerifyAlg, approach: Approach, n: usize, o: &VerifyOutcome) -> Row {
     let alg = match alg {
         VerifyAlg::Qr => "Householder QR",
         VerifyAlg::Lu => "LU",
@@ -224,7 +221,7 @@ pub fn outcome_row(
         ("alg", alg.into()),
         ("shape", format!("{n}x{n}").into()),
         ("approach", format!("{approach:?}").into()),
-        ("problems", count.into()),
+        ("problems", o.problems.into()),
         ("injected", o.injected.into()),
         ("detected", o.detected.into()),
         ("detection_rate", Val::Num(o.detection_rate, 4)),
@@ -251,7 +248,7 @@ pub fn verify_cases(fast: bool, c: &mut Collector) -> Vec<(&'static str, VerifyO
     .map(|(name, alg, approach, n)| {
         let o = run_verify_campaign(alg, approach, n, count, faults, 0x51_1E_47);
         c.add_recovery(&o.recovery);
-        c.add(Section::Verify, [outcome_row(alg, approach, n, count, &o)]);
+        c.add(Section::Verify, [outcome_row(alg, approach, n, &o)]);
         (name, o)
     })
     .collect()
@@ -260,7 +257,8 @@ pub fn verify_cases(fast: bool, c: &mut Collector) -> Vec<(&'static str, VerifyO
 /// The verification table: silent-corruption detection, gated recovery,
 /// clean-sweep transparency, and screen overhead, per (alg, shape).
 pub fn verify_campaign(fast: bool, c: &mut Collector) -> String {
-    let count = if fast { 512 } else { 4096 };
+    let cases = verify_cases(fast, c);
+    let count = cases.first().map_or(0, |(_, o)| o.problems);
     let mut t = Table::new(
         format!(
             "Verification — silent-corruption campaigns ({count} problems, \
@@ -280,7 +278,7 @@ pub fn verify_campaign(fast: bool, c: &mut Collector) -> String {
             "screen ms (meas/pred)",
         ],
     );
-    for (name, o) in verify_cases(fast, c) {
+    for (name, o) in cases {
         let rec = &o.recovery;
         t.row(&[
             name.to_string(),
