@@ -608,30 +608,14 @@ fn alg_label(alg: PtAlg) -> &'static str {
     }
 }
 
-/// FNV-1a fold of a few integers into a schedule-cache kernel id.
-fn fnv1a(seed: u64, words: &[u64]) -> u64 {
+/// FNV-1a fold of a few integers into a schedule-cache kernel id: the
+/// kernel and its launch shape. The simulator keys the data-dependent
+/// control flow itself.
+pub(crate) fn fnv1a(seed: u64, words: &[u64]) -> u64 {
     let mut h = seed ^ 0xcbf2_9ce4_8422_2325;
     for &w in words {
         for b in w.to_le_bytes() {
             h ^= b as u64;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-    h
-}
-
-/// Fold a digest of the traced block's input problems into a schedule-cache
-/// key. The solver kernels branch on their data (zero-pivot and
-/// non-positive-definite early exits), so launches may only share a cached
-/// schedule when block 0 sees bit-identical inputs; hashing the raw f32
-/// bits is the conservative way to guarantee that.
-fn traced_input_digest<T: DeviceScalar>(seed: u64, aug: &MatBatch<T>, nprobs: usize) -> u64 {
-    let take = aug.elems_per_mat() * nprobs.min(aug.count());
-    let mut h = seed ^ 0xcbf2_9ce4_8422_2325;
-    for x in &aug.data()[..take] {
-        let w = x.to_words();
-        for &f in &w[..T::WORDS] {
-            h ^= f.to_bits() as u64;
             h = h.wrapping_mul(0x100_0000_01b3);
         }
     }
@@ -723,13 +707,8 @@ fn run_inplace<T: DeviceScalar>(
                 kern = kern.with_tau(d_tau);
             }
             let tpb = PER_THREAD_TPB;
-            // Schedule-cache id: algorithm + shape, plus a digest of the
-            // problems block 0 computes (its `tpb` threads each factor one).
-            let key = traced_input_digest(
-                fnv1a(0x01, &[alg as u64, m as u64, cols as u64, ew as u64]),
-                aug,
-                tpb,
-            );
+            // Schedule-cache id: algorithm + shape.
+            let key = fnv1a(0x01, &[alg as u64, m as u64, cols as u64, ew as u64]);
             let lc = opts
                 .apply_observability(
                     LaunchConfig::new(count.div_ceil(tpb), tpb)
@@ -779,24 +758,19 @@ fn run_inplace<T: DeviceScalar>(
                 }
             };
             // Schedule-cache id: algorithm + layout + shape + the kernel
-            // ablation knobs that reshape phases, plus a digest of the one
-            // problem the traced block computes.
-            let key = traced_input_digest(
-                fnv1a(
-                    0x02,
-                    &[
-                        alg as u64,
-                        m as u64,
-                        cols as u64,
-                        ew as u64,
-                        plan.layout as u64,
-                        u64::from(back_substitute)
-                            | u64::from(opts.tree_reduction) << 1
-                            | u64::from(opts.lu_listing7) << 2,
-                    ],
-                ),
-                aug,
-                1,
+            // ablation knobs that reshape phases.
+            let key = fnv1a(
+                0x02,
+                &[
+                    alg as u64,
+                    m as u64,
+                    cols as u64,
+                    ew as u64,
+                    plan.layout as u64,
+                    u64::from(back_substitute)
+                        | u64::from(opts.tree_reduction) << 1
+                        | u64::from(opts.lu_listing7) << 2,
+                ],
             );
             let lc = opts
                 .apply_observability(LaunchConfig::new(count, lm.p).regs(regs).shared_words(shared_words))
@@ -1225,8 +1199,7 @@ pub(crate) fn gemm_run<T: DeviceScalar>(
         count,
         false,
     );
-    // GEMM's control flow is data-independent, so shape alone identifies
-    // its schedule — no input digest needed.
+    // Schedule-cache id: shape.
     let key = fnv1a(0x03, &[m as u64, kdim as u64, n as u64, ew as u64]);
     let lc = opts
         .apply_observability(

@@ -25,7 +25,9 @@
 //! Kernels address global memory through per-block [`Slab`]s and take
 //! every branch on data through `is_zero`/`gt` (or the block id through
 //! `BlockCtx::uniform`), which is what lets one body run over a lane
-//! group: lanes that disagree on a branch abandon the group.
+//! group: lanes that disagree on a branch abandon the group. Every domain
+//! reaches those branches through the `ThreadCtx`, which records their
+//! outcomes while the simulator keys its schedule cache on block 0.
 
 use crate::scalar::{Scalar, C32};
 use regla_gpu_sim::{uniform, BlockCtx, CRv, DPtr, Rv, ThreadCtx, LANES};
@@ -131,8 +133,9 @@ pub trait Real: Elem<Re = Self, Host = f32> {
     /// `a > b` (false when either is NaN).
     fn gt(t: &mut ThreadCtx, a: Self, b: Self) -> bool;
     /// `-v` when `a > b`, else `v`: a sign choice that never branches
-    /// across lanes. Tracked, it costs exactly [`Real::gt`]'s comparison
-    /// (the negation is a free source modifier).
+    /// across lanes and records no branch outcome. Tracked, it costs
+    /// exactly [`Real::gt`]'s comparison (the negation is a free source
+    /// modifier).
     fn neg_if_gt(t: &mut ThreadCtx, v: Self, a: Self, b: Self) -> Self;
 }
 
@@ -238,11 +241,7 @@ impl Real for Rv {
         t.gt(a, b)
     }
     fn neg_if_gt(t: &mut ThreadCtx, v: Self, a: Self, b: Self) -> Self {
-        if t.gt(a, b) {
-            t.neg(v)
-        } else {
-            v
-        }
+        t.neg_if_gt(v, a, b)
     }
 }
 
@@ -390,8 +389,8 @@ impl Elem for f32 {
     fn recip(t: &mut ThreadCtx, a: Self) -> Self {
         t.v_recip(a)
     }
-    fn is_zero(_t: &mut ThreadCtx, a: Self) -> bool {
-        a == 0.0
+    fn is_zero(t: &mut ThreadCtx, a: Self) -> bool {
+        t.v_is_zero(a)
     }
 }
 
@@ -402,8 +401,8 @@ impl Real for f32 {
     fn neg(_t: &mut ThreadCtx, a: Self) -> Self {
         -a
     }
-    fn gt(_t: &mut ThreadCtx, a: Self, b: Self) -> bool {
-        a > b
+    fn gt(t: &mut ThreadCtx, a: Self, b: Self) -> bool {
+        t.v_gt(a, b)
     }
     fn neg_if_gt(_t: &mut ThreadCtx, v: Self, a: Self, b: Self) -> Self {
         if a > b {
@@ -539,7 +538,8 @@ impl Elem for CVal {
         Self::scale_re(t, c, r)
     }
     fn is_zero(t: &mut ThreadCtx, a: Self) -> bool {
-        Self::abs2(t, a) == 0.0
+        let n = Self::abs2(t, a);
+        t.v_is_zero(n)
     }
 }
 

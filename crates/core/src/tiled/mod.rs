@@ -14,7 +14,7 @@
 
 pub mod tsqr;
 
-use crate::api::RunOpts;
+use crate::api::{fnv1a, RunOpts};
 use crate::elem::Elem;
 use crate::layout::{Layout, LayoutMap};
 use crate::per_block::{QrApplyKernel, QrBlockKernel, SubMat};
@@ -88,6 +88,12 @@ pub fn tiled_qr<E: Elem>(
     assert!(nb >= 1, "panel width must be >= 1");
     let mut agg = MultiLaunch::default();
     let cols = n + rhs_cols;
+    // Schedule-cache id of a panel (`kind` 0) or apply (`kind` 1) launch:
+    // the view's geometry and the step's shape.
+    let key = |kind: usize, j0: usize, pw: usize, tcols: usize| {
+        let words = [kind, m, cols, j0, pw, tcols, E::WORDS, a.lda, a.stride, a.row0, a.col0];
+        fnv1a(0x04, &words.map(|x| x as u64))
+    };
     let mut j0 = 0;
     while j0 < n {
         let pw = nb.min(n - j0);
@@ -112,7 +118,8 @@ pub fn tiled_qr<E: Elem>(
             .fault(opts.fault)
             .name(format!("qr panel {prows}x{pw} tiled"))
             .deadline_cycles(opts.deadline_cycles)
-            .stall_cycles(opts.stall_cycles);
+            .stall_cycles(opts.stall_cycles)
+            .schedule_key(key(0, j0, pw, 0));
         agg.push(gpu.launch(&kern, &lc, gmem)?);
 
         // --- apply the reflectors to the trailing columns ---------------
@@ -129,7 +136,8 @@ pub fn tiled_qr<E: Elem>(
                 .fault(opts.fault)
                 .name(format!("qr apply {prows}x{tcols} tiled"))
                 .deadline_cycles(opts.deadline_cycles)
-                .stall_cycles(opts.stall_cycles);
+                .stall_cycles(opts.stall_cycles)
+                .schedule_key(key(1, j0, pw, tcols));
             agg.push(gpu.launch(&apply, &lc, gmem)?);
         }
         j0 += pw;

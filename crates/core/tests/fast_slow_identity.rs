@@ -14,8 +14,8 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use regla_core::{C32, DeviceScalar, MatBatch, Op, OpOutput, RunOpts, Session};
-use regla_gpu_sim::{FaultPlan, Profiler, SanitizerMode};
+use regla_core::{C32, DeviceScalar, MatBatch, Op, OpOutput, RunOpts, RunOptsBuilder, Session};
+use regla_gpu_sim::{FaultPlan, PhaseRecord, Profiler, SanitizerMode};
 use regla_model::Approach;
 
 fn rng(seed: u64) -> StdRng {
@@ -200,9 +200,161 @@ fn observers_select_the_slow_path() {
     }
 }
 
-/// Relaunching the same kernel shape with the same traced-block inputs
-/// hits the schedule cache; the modeled cycles stay bit-identical and
-/// different inputs miss (data-dependent control flow cannot alias).
+// ---- schedule cache -------------------------------------------------
+//
+// The cache keys a launch on its kernel and shape, where block 0's buffers
+// sit within a DRAM line, and the outcomes of block 0's data-dependent
+// branches. Fresh data with the same outcomes hits; a planted failure in
+// block 0 misses; and a warm `Session` is bit-identical to a fresh one,
+// whose empty cache traces every launch.
+
+/// Problems per per-thread block (`regla_core`'s per-thread launch width).
+const TPB: usize = 64;
+
+/// Random `[-1, 1)` entries (both parts for complex scalars).
+fn draw<T: DeviceScalar>(r: &mut StdRng) -> T {
+    T::from_words([r.random_range(-1.0f32..1.0), r.random_range(-1.0f32..1.0)])
+}
+
+/// `op`'s inputs: Hermitian diagonally dominant (so SPD) for Cholesky,
+/// plain random for the QR family, diagonally dominant otherwise.
+fn inputs<T: DeviceScalar>(
+    op: Op,
+    n: usize,
+    count: usize,
+    seed: u64,
+) -> (MatBatch<T>, Option<MatBatch<T>>) {
+    let mut r = rng(seed);
+    let b = MatBatch::from_fn(n, n, count, |_, _, _| draw::<T>(&mut r));
+    let dominant = T::from_f64(4.0 * n as f64);
+    let a = match op {
+        Op::Cholesky => MatBatch::from_fn(n, n, count, |k, i, j| {
+            if i == j {
+                dominant
+            } else {
+                b.get(k, i, j) + b.get(k, j, i).conj()
+            }
+        }),
+        Op::Qr | Op::QrSolve => b,
+        _ => MatBatch::from_fn(n, n, count, |k, i, j| {
+            b.get(k, i, j) + if i == j { dominant } else { T::zero() }
+        }),
+    };
+    let rhs = matches!(op, Op::GjSolve | Op::QrSolve)
+        .then(|| MatBatch::from_fn(n, 1, count, |_, _, _| draw::<T>(&mut r)));
+    (a, rhs)
+}
+
+fn forced(approach: Approach) -> RunOptsBuilder {
+    RunOpts::builder().approach(approach).panel(2)
+}
+
+/// A fresh session (empty schedule cache) with `opts`.
+fn session(opts: &RunOptsBuilder) -> Session {
+    Session::builder()
+        .opts(opts.clone().build().expect("valid options"))
+        .build()
+}
+
+fn run_on<T: DeviceScalar>(
+    s: &Session,
+    op: Op,
+    (a, rhs): &(MatBatch<T>, Option<MatBatch<T>>),
+) -> OpOutput<T> {
+    s.run(op, a, rhs.as_ref())
+        .unwrap_or_else(|e| panic!("{op:?} runs: {e:?}"))
+}
+
+/// Every launch's traced-block phase records: a cached schedule must be
+/// the one a fresh trace would record, down to its line counts.
+fn records<T>(o: &OpOutput<T>) -> Vec<Vec<PhaseRecord>> {
+    o.run.stats.launches.iter().map(|l| l.phases.clone()).collect()
+}
+
+fn hits<T>(o: &OpOutput<T>) -> Vec<bool> {
+    o.run
+        .stats
+        .launches
+        .iter()
+        .map(|l| l.sim_sched_cache_hit)
+        .collect()
+}
+
+/// Every op and approach the cached in-place kernels run.
+const ROUTES: [(Op, Approach); 12] = [
+    (Op::Lu, Approach::PerThread),
+    (Op::GjSolve, Approach::PerThread),
+    (Op::Qr, Approach::PerThread),
+    (Op::QrSolve, Approach::PerThread),
+    (Op::Cholesky, Approach::PerThread),
+    (Op::Lu, Approach::PerBlock),
+    (Op::GjSolve, Approach::PerBlock),
+    (Op::Qr, Approach::PerBlock),
+    (Op::QrSolve, Approach::PerBlock),
+    (Op::Cholesky, Approach::PerBlock),
+    (Op::Qr, Approach::Tiled),
+    (Op::QrSolve, Approach::Tiled),
+];
+
+/// Warm a session on `op` at two batch sizes, then run fresh data at the
+/// second: every launch hits, and the result equals a fresh session's bit
+/// for bit.
+fn warm_matches_fresh<T: DeviceScalar>(
+    (op, approach): (Op, Approach),
+    n: usize,
+    (warm_count, count): (usize, usize),
+    seed: u64,
+) -> Result<(), String> {
+    let opts = forced(approach);
+    let warm = session(&opts);
+    run_on(&warm, op, &inputs::<T>(op, n, warm_count, seed ^ 1));
+    run_on(&warm, op, &inputs::<T>(op, n, count, seed ^ 2));
+    let data = inputs::<T>(op, n, count, seed);
+    let hot = run_on(&warm, op, &data);
+    let cold = run_on(&session(&opts), op, &data);
+    prop_assert!(
+        hits(&hot).iter().all(|&h| h),
+        "{op:?} {approach:?}: every launch hits the warm session"
+    );
+    prop_assert!(hits(&cold).iter().all(|&h| !h), "a fresh session traces");
+    prop_assert_eq!(fingerprint(&hot), fingerprint(&cold));
+    prop_assert_eq!(records(&hot), records(&cold));
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A warm session's outputs, statuses and per-launch cycles equal a
+    /// fresh session's over random inputs and batch sizes. A `small` count
+    /// (one in four) stays under 68: per-thread batches under 64 problems
+    /// leave block 0 partial. The others move the tau and flag buffers
+    /// through every line offset.
+    #[test]
+    fn warm_sessions_match_fresh_sessions(
+        route in prop::sample::select(ROUTES.to_vec()),
+        complex in prop::sample::select(vec![false, true]),
+        n in 3usize..9,
+        (warm_count, count) in (1usize..600, 1usize..600),
+        small in (
+            prop::sample::select(vec![false, false, false, true]),
+            prop::sample::select(vec![false, false, false, true]),
+        ),
+        seed in 0u64..1 << 48,
+    ) {
+        let under = |c: usize, small: bool| if small { c % (TPB + 4) + 1 } else { c };
+        let (warm_count, count) = (under(warm_count, small.0), under(count, small.1));
+        if complex {
+            warm_matches_fresh::<C32>(route, n, (warm_count, count), seed)?;
+        } else {
+            warm_matches_fresh::<f32>(route, n, (warm_count, count), seed)?;
+        }
+    }
+}
+
+/// Relaunching a kernel shape hits the schedule cache with the same data
+/// and with fresh data that takes the same branches; the modeled cycles
+/// stay bit-identical to a fresh session's.
 #[test]
 fn schedule_cache_hits_preserve_cycles() {
     let mut r = rng(23);
@@ -218,8 +370,109 @@ fn schedule_cache_hits_preserve_cycles() {
     );
     assert_eq!(fingerprint(&first), fingerprint(&second));
 
-    // Same shape, different data: the input digest must force a re-trace.
+    // Same shape, different data, no zero pivot: the branch outcomes are
+    // the same, so the schedule is too.
     let b = rand_batch(&mut r, 8, 8, 6);
     let third = s.run(Op::Lu, &b, None).unwrap();
-    assert!(!third.run.stats.launches[0].sim_sched_cache_hit);
+    assert!(third.run.stats.launches[0].sim_sched_cache_hit);
+    let fresh = Session::new().run(Op::Lu, &b, None).unwrap();
+    assert_eq!(fingerprint(&third), fingerprint(&fresh));
+}
+
+/// A failure planted in block 0 changes its branch outcomes, so a session
+/// warmed on clean data misses and traces, bit for bit like a fresh one.
+#[test]
+fn planted_failures_in_block_zero_miss() {
+    fn case<T: DeviceScalar>(op: Op, approach: Approach) {
+        let count = if approach == Approach::PerThread { 2 * TPB + 3 } else { 11 };
+        let opts = forced(approach);
+        let warm = session(&opts);
+        run_on(&warm, op, &inputs::<T>(op, 6, count, 5));
+        let (mut a, rhs) = inputs::<T>(op, 6, count, 6);
+        match op {
+            // A zero first pivot.
+            Op::Lu | Op::GjSolve => a.set(0, 0, 0, T::zero()),
+            // A non-positive first diagonal.
+            Op::Cholesky => a.set(0, 0, 0, T::from_f64(-1.0)),
+            // An all-zero first column: no reflector.
+            _ => (0..a.rows()).for_each(|i| a.set(0, i, 0, T::zero())),
+        }
+        let data = (a, rhs);
+        let hot = run_on(&warm, op, &data);
+        let what = format!("{op:?} {approach:?} complex={}", T::IS_COMPLEX);
+        assert!(!hits(&hot)[0], "{what}: the planted failure must miss");
+        let cold = run_on(&session(&opts), op, &data);
+        assert_eq!(fingerprint(&hot), fingerprint(&cold), "{what}");
+        assert_eq!(records(&hot), records(&cold), "{what}");
+        if op != Op::Qr {
+            assert_eq!(
+                hot.run.status[0],
+                regla_core::ProblemStatus::ZeroPivot { col: 0 },
+                "{what}"
+            );
+        }
+    }
+    for approach in [Approach::PerThread, Approach::PerBlock] {
+        for op in [Op::Lu, Op::GjSolve, Op::Qr, Op::Cholesky] {
+            case::<f32>(op, approach);
+            case::<C32>(op, approach);
+        }
+    }
+}
+
+/// Where block 0's buffers start within a DRAM line joins the key: the
+/// per-thread QR tau buffer follows the matrices, so one more problem moves
+/// it to a new line offset and misses, while a batch that puts it back on
+/// the same offset hits, with a fresh trace's records either way.
+#[test]
+fn buffer_line_offsets_join_the_key() {
+    let opts = forced(Approach::PerThread);
+    let warm = session(&opts);
+    // 5 x 5 f32 problems put the tau buffer 25 * count words in; a DRAM
+    // line holds 32 words.
+    run_on(&warm, Op::Qr, &inputs::<f32>(Op::Qr, 5, 128, 1));
+    for (count, hit) in [(129, false), (160, true)] {
+        let data = inputs::<f32>(Op::Qr, 5, count, 2);
+        let hot = run_on(&warm, Op::Qr, &data);
+        assert_eq!(hits(&hot), [hit], "{count} problems");
+        let cold = run_on(&session(&opts), Op::Qr, &data);
+        assert_eq!(fingerprint(&hot), fingerprint(&cold), "{count} problems");
+        assert_eq!(records(&hot), records(&cold), "{count} problems");
+    }
+}
+
+/// Fresh clean data hits, including QR inputs whose reflector signs all
+/// differ from the warm-up's: the sign choice is a select, not a branch.
+#[test]
+fn fresh_clean_data_hits() {
+    fn case<T: DeviceScalar>(op: Op, approach: Approach) {
+        let count = if approach == Approach::PerThread { 3 * TPB } else { 13 };
+        let opts = forced(approach);
+        let warm = session(&opts);
+        let warm_data = inputs::<T>(op, 7, count, 8);
+        run_on(&warm, op, &warm_data);
+        let w = &warm_data.0;
+        let (mut a, rhs) = inputs::<T>(op, 7, count, 9);
+        if matches!(op, Op::Qr | Op::QrSolve) {
+            // Give every problem's first entry the opposite sign of the
+            // warm-up's.
+            for k in 0..count {
+                let (was, is) = (w.get(k, 0, 0).real(), a.get(k, 0, 0));
+                if (was > 0.0) == (is.real() > 0.0) {
+                    a.set(k, 0, 0, -is);
+                }
+            }
+        }
+        let data = (a, rhs);
+        let hot = run_on(&warm, op, &data);
+        let what = format!("{op:?} {approach:?} complex={}", T::IS_COMPLEX);
+        assert!(hits(&hot).iter().all(|&h| h), "{what}: fresh clean data hits");
+        let cold = run_on(&session(&opts), op, &data);
+        assert_eq!(fingerprint(&hot), fingerprint(&cold), "{what}");
+        assert_eq!(records(&hot), records(&cold), "{what}");
+    }
+    for (op, approach) in ROUTES {
+        case::<f32>(op, approach);
+        case::<C32>(op, approach);
+    }
 }

@@ -10,6 +10,7 @@
 
 use crate::config::{GpuConfig, MathMode};
 use crate::exec::arena::{BlockBufs, BufPool};
+use crate::exec::schedule::{BlockKey, Outcomes};
 use crate::exec::thread::{AccessRec, PhaseAccum, SpillInfo, ThreadCtx};
 use crate::exec::{uniform, LANES};
 use crate::fault::{FaultMap, FaultRecord, FaultState};
@@ -70,6 +71,9 @@ pub struct BlockCtx<'a> {
     san: SanitizerState,
     /// Launch-level global shadow (`Some` iff the sanitizer is on).
     shadow: Option<&'a LaunchShadow>,
+    /// Branch-outcome log (`Some` while recording; see
+    /// [`record_key`](Self::record_key)).
+    outcomes: Option<Outcomes>,
 }
 
 impl<'a> BlockCtx<'a> {
@@ -120,7 +124,39 @@ impl<'a> BlockCtx<'a> {
             fault,
             san,
             shadow: sanitize.shadow,
+            outcomes: None,
         }
+    }
+
+    /// Record the outcome of every branch the block takes through
+    /// `ThreadCtx::is_zero`/`gt` (and their plain twins) and the block-id
+    /// guards of `uniform`, and the buffers it touches: its part of a
+    /// keyed launch's schedule-cache key.
+    pub(crate) fn record_key(&mut self) {
+        self.outcomes = Some(Outcomes::default());
+        self.gmem.track_allocations();
+    }
+
+    /// Stop recording and return what was recorded since
+    /// [`record_key`](Self::record_key).
+    pub(crate) fn take_key(&mut self) -> BlockKey {
+        BlockKey {
+            outcomes: self.outcomes.take().unwrap_or_default(),
+            line_offsets: self.gmem.take_line_offsets(self.cfg.dram_line_bytes / 4),
+        }
+    }
+
+    /// Log the block's global stores until
+    /// [`end_undo_log`](Self::end_undo_log).
+    pub(crate) fn begin_undo_log(&mut self) {
+        self.gmem.begin_undo_log();
+    }
+
+    /// Keep the global stores made since the log began, or undo them
+    /// (`abandon`): an abandoned lane group, or a keyed launch's plain run
+    /// of block 0 that missed the schedule cache.
+    pub(crate) fn end_undo_log(&mut self, abandon: bool) {
+        self.gmem.end_undo_log(abandon);
     }
 
     /// Drain the fault records applied by every block this context ran.
@@ -150,7 +186,10 @@ impl<'a> BlockCtx<'a> {
     }
 
     /// Reuse this context for a lane group: `group`'s blocks (none of them
-    /// armed by a fault plan) execute at once over `LANES`-wide values.
+    /// armed by a fault plan) execute at once over `LANES`-wide values,
+    /// with their global stores logged until [`end_undo_log`].
+    ///
+    /// [`end_undo_log`]: Self::end_undo_log
     pub(crate) fn reset_for_group(&mut self, group: [usize; LANES]) {
         debug_assert!(self.fast_launch, "lane groups replay observer-free");
         self.lanes = true;
@@ -158,15 +197,7 @@ impl<'a> BlockCtx<'a> {
         self.reset(group[0], self.shared_words * LANES);
         debug_assert!(!self.fault.armed(), "lane groups hold unarmed blocks");
         self.fast = true;
-        self.gmem.begin_group();
-    }
-
-    /// Close the lane group started by [`reset_for_group`]: keep its
-    /// global stores, or undo them when the group is `abandon`ed.
-    ///
-    /// [`reset_for_group`]: Self::reset_for_group
-    pub(crate) fn end_group(&mut self, abandon: bool) {
-        self.gmem.end_group(abandon);
+        self.gmem.begin_undo_log();
     }
 
     fn reset(&mut self, block_id: usize, shared_len: usize) {
@@ -234,8 +265,12 @@ impl<'a> BlockCtx<'a> {
     /// as `block_id >= count`). In a lane group every lane must agree (see
     /// [`uniform`]).
     #[inline]
-    pub fn uniform(&self, pred: impl Fn(usize) -> bool) -> bool {
-        uniform(self.lane_blocks().iter().map(|&b| pred(b)))
+    pub fn uniform(&mut self, pred: impl Fn(usize) -> bool) -> bool {
+        let taken = uniform(self.lane_blocks().iter().map(|&b| pred(b)));
+        if let Some(log) = &mut self.outcomes {
+            log.push(taken);
+        }
+        taken
     }
 
     /// Whether labels are being kept (traced block, sanitizer or watchdog
@@ -289,6 +324,7 @@ impl<'a> BlockCtx<'a> {
                 fault: &mut self.fault,
                 san: &mut self.san,
                 shadow: self.shadow,
+                outcomes: &mut self.outcomes,
             };
             f(&mut t);
         }

@@ -19,7 +19,7 @@ use crate::trace::Profiler;
 use arena::BufPool;
 use block::{BlockCtx, SanitizeHook};
 use occupancy::occupancy;
-use schedule::{ScheduleCache, ScheduleKey};
+use schedule::{LaunchKey, ScheduleCache};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
@@ -99,12 +99,16 @@ pub struct LaunchConfig {
     /// attached (see [`LaunchConfig::fast_eligible`]). The environment
     /// variable `REGLA_SIM_SLOW=1` does the same process-wide.
     pub slow_path: bool,
-    /// Opaque kernel identity for the cross-launch schedule cache (`None`
-    /// = never cache). Launches sharing a key *and* shape promise to
-    /// produce identical traced-block schedules; kernels with data-
-    /// dependent control flow must fold a digest of the traced block's
-    /// inputs into the key. Only consulted on the fast path; set
-    /// `REGLA_SCHED_CACHE=0` to disable caching process-wide.
+    /// Opaque kernel and launch-shape identity for the cross-launch
+    /// schedule cache (`None` = never cache). The caller names the kernel
+    /// and its shape: launches sharing a key promise to run the same op
+    /// sequence whenever block 0 takes the same branches. The simulator
+    /// keys the data-dependent control flow itself (the outcomes of
+    /// block 0's `is_zero`/`gt` comparisons and `uniform` guards), so a
+    /// keyed kernel must take every data-dependent branch through them, as
+    /// a lane-capable kernel already does. Only consulted on the fast path
+    /// without a fault plan; set `REGLA_SCHED_CACHE=0` to disable caching
+    /// process-wide.
     pub schedule_key: Option<u64>,
     /// Simulated-cycle budget for the whole launch (`None` = unlimited).
     /// When the modeled cycle total (including any injected stall)
@@ -203,7 +207,7 @@ impl LaunchConfig {
         self
     }
 
-    /// Set the opaque kernel identity for the schedule cache.
+    /// Set the opaque kernel and shape identity for the schedule cache.
     pub fn schedule_key(mut self, key: impl Into<Option<u64>>) -> Self {
         self.schedule_key = key.into();
         self
@@ -513,7 +517,7 @@ fn replay_units<K: BlockKernel + Sync + ?Sized>(
             Unit::Group(group) => {
                 blk.reset_for_group(group);
                 let ok = catch_unwind(AssertUnwindSafe(|| kernel.run(&mut *blk))).is_ok();
-                blk.end_group(!ok);
+                blk.end_undo_log(!ok);
                 if ok {
                     report.lane_blocks += LANES;
                     continue;
@@ -635,7 +639,9 @@ impl Gpu {
     /// Launch a kernel over `lc.grid_blocks` blocks.
     ///
     /// Block 0 is executed with full tracing (scoreboard timing, conflict
-    /// and coalescing analysis); the remaining blocks execute functionally
+    /// and coalescing analysis), unless a keyed fast launch finds its
+    /// schedule cached (see [`LaunchConfig::schedule_key`]); the remaining
+    /// blocks execute functionally
     /// (or are skipped under [`ExecMode::Representative`], sampled under
     /// [`ExecMode::Sampled`]). Timing is then extrapolated over the grid
     /// via the occupancy and wave model.
@@ -714,29 +720,57 @@ impl Gpu {
         let fast = lc.fast_eligible() && !force_slow_path();
 
         // Schedule cache: only consulted on a fast launch without a fault
-        // plan and only when the caller supplied a kernel identity (its
-        // promise that launches sharing key + shape trace identically).
-        let sched_key = (fast && lc.fault.is_none() && schedule_cache_enabled())
+        // plan and only when the caller named the kernel and shape. Once a
+        // schedule of that kernel and shape is cached, block 0 first runs
+        // plain, recording its branch outcomes and the buffers it touches
+        // (the rest of the key) and logging its stores. On a hit that run
+        // is block 0's output and the cached records feed the timing
+        // model, which is a pure function of records + shape — so cycle
+        // totals are bit-identical to a traced run. On a miss its stores
+        // are undone and block 0 is traced from its original inputs.
+        let launch_key = (fast && lc.fault.is_none() && schedule_cache_enabled())
             .then_some(lc.schedule_key)
             .flatten()
-            .map(|kernel| ScheduleKey {
+            .map(|kernel| LaunchKey {
                 kernel,
                 threads_per_block: lc.threads_per_block,
                 regs_per_thread: lc.regs_per_thread,
                 shared_words: lc.shared_words,
                 math: lc.math as u8,
             });
-        let cached: Option<Arc<Vec<PhaseRecord>>> =
-            sched_key.as_ref().and_then(|k| self.sched.get(k));
+        let mut plain_key = None;
+        let mut cached: Option<Arc<Vec<PhaseRecord>>> = None;
+        if let Some(launch) = launch_key.filter(|k| self.sched.knows(k)) {
+            let mut blk = BlockCtx::new(
+                0,
+                lc.grid_blocks,
+                false,
+                true,
+                lc.threads_per_block,
+                lc.shared_words,
+                &self.cfg,
+                lc.math,
+                spill,
+                GmemAccess::excl(gmem),
+                &mut memhier,
+                None,
+                hook,
+                &self.pool,
+            );
+            blk.record_key();
+            blk.begin_undo_log();
+            // A block that fails here fails again when traced, which
+            // reports the error.
+            if run_contained(kernel, &mut blk).is_ok() {
+                let block = blk.take_key();
+                cached = self.sched.get(&launch, &block);
+                plain_key = Some(block);
+            }
+            blk.end_undo_log(cached.is_none());
+        }
 
-        let mut blocks = replay_blocks(lc);
+        let blocks = replay_blocks(lc);
         let ctx: Vec<PhaseRecord> = if let Some(records) = &cached {
-            // Cache hit: no block needs tracing. Block 0 is demoted to a
-            // plain functional block (it still has to produce problem 0's
-            // output) and the cached records feed the timing model, which
-            // is a pure function of records + shape — so cycle totals are
-            // bit-identical to a traced run.
-            blocks.insert(0, 0);
             records.as_ref().clone()
         } else {
             // Traced representative block.
@@ -756,12 +790,22 @@ impl Gpu {
                 hook,
                 &self.pool,
             );
+            if launch_key.is_some() {
+                ctx.record_key();
+            }
             run_contained(kernel, &mut ctx)?;
             applied.extend(ctx.take_applied_faults());
             collected.absorb(ctx.take_findings());
+            let block = ctx.take_key();
             let records = ctx.finish();
-            if let Some(k) = sched_key {
-                self.sched.insert(k, &records);
+            if let Some(launch) = launch_key {
+                // The entry is keyed on what the trace itself recorded, so
+                // a plain run that branched differently can never hit it.
+                debug_assert!(
+                    plain_key.as_ref().is_none_or(|k| *k == block),
+                    "block 0 ran differently plain and traced"
+                );
+                self.sched.insert(launch, block, &records);
             }
             records
         };
@@ -865,7 +909,7 @@ impl Gpu {
         );
         let wall = wall_start.elapsed();
         stats.sim_wall_s = wall.as_secs_f64();
-        stats.sim_blocks = blocks.len();
+        stats.sim_blocks = blocks.len() + usize::from(cached.is_some());
         stats.sim_host_threads = workers;
         stats.sim_worker_utilization = utilization;
         stats.sim_fast = fast && lc.fault.is_none();
@@ -928,10 +972,9 @@ impl Gpu {
                 fault_attributed,
             });
         }
-        // The traced block also executes functionally (problem 0's output
-        // is real), so it counts; on a schedule-cache hit block 0 is
-        // already in the replay list.
-        let functional_blocks = blocks.len() + usize::from(cached.is_none());
+        // Block 0 executes functionally either way (traced, or plain on a
+        // schedule-cache hit), so it counts.
+        let functional_blocks = blocks.len() + 1;
         crate::telemetry::record_launch(
             wall.as_nanos().min(u128::from(u64::MAX)) as u64,
             functional_blocks,
@@ -1038,6 +1081,57 @@ mod tests {
         assert_eq!(stats.dram_bytes, (2 * n * 4) as f64);
         assert!(stats.cycles > 0.0);
         assert!(stats.time_s > 0.0);
+    }
+
+    /// In place, per block: `x ← 2x`, then a branch on the original `x`
+    /// through `is_zero`. Keyed, so the launch first runs block 0 plain.
+    fn double_then_branch(x: DPtr) -> impl Fn(&mut BlockCtx) {
+        move |blk: &mut BlockCtx| {
+            blk.for_each(|t| {
+                let idx = t.block_id * 32 + t.tid;
+                let v = t.gload(x, idx);
+                let doubled = t.add(v, v);
+                t.gstore(x, idx, doubled);
+                if t.is_zero(v) {
+                    let flag = t.lit(-1.0);
+                    t.gstore(x, idx, flag);
+                }
+            });
+        }
+    }
+
+    /// A warm `Gpu` meets a new branch outcome in block 0: its plain run
+    /// misses, its stores are undone, and the traced run starts from the
+    /// original inputs, bit for bit like an unkeyed launch on a fresh
+    /// `Gpu`, which traces block 0 straight away.
+    #[test]
+    fn schedule_cache_miss_undoes_block_zero() {
+        let grid = 3;
+        let unkeyed = LaunchConfig::new(grid, 32)
+            .regs(8)
+            .shared_words(0)
+            .host_threads(1);
+        let keyed = unkeyed.clone().schedule_key(7);
+        let run = |gpu: &Gpu, lc: &LaunchConfig, zero_at: Option<usize>| {
+            let mut mem = GlobalMemory::new(grid * 32);
+            let x = mem.alloc(grid * 32);
+            for i in 0..grid * 32 {
+                let v = if Some(i) == zero_at { 0.0 } else { i as f32 + 0.5 };
+                mem.write(x, i, v);
+            }
+            let stats = gpu.launch(&double_then_branch(x), lc, &mut mem).expect("launch");
+            let out: Vec<u32> = (0..grid * 32).map(|i| mem.read(x, i).to_bits()).collect();
+            (out, stats.cycles.to_bits(), stats.sim_sched_cache_hit)
+        };
+        let warm = Gpu::quadro_6000();
+        assert!(!run(&warm, &keyed, None).2, "the first launch traces");
+        assert!(run(&warm, &keyed, None).2, "the same outcomes hit");
+        let (out, cycles, hit) = run(&warm, &keyed, Some(5));
+        assert!(!hit, "a new outcome in block 0 misses");
+        let (fresh_out, fresh_cycles, _) = run(&Gpu::quadro_6000(), &unkeyed, Some(5));
+        assert_eq!(out, fresh_out, "block 0's plain-run stores were not undone");
+        assert_eq!(cycles, fresh_cycles);
+        assert_eq!(warm.sched.len(), 2, "one entry per outcome pattern");
     }
 
     #[test]

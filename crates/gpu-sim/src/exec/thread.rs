@@ -10,6 +10,7 @@
 //! high-occupancy streaming kernels reach the throughput bounds.
 
 use crate::config::{GpuConfig, MathMode};
+use crate::exec::schedule::Outcomes;
 use crate::exec::{uniform, LANES};
 use crate::fault::FaultState;
 use crate::mem::global::GmemAccess;
@@ -183,9 +184,21 @@ pub struct ThreadCtx<'a, 'm> {
     pub(crate) san: &'a mut SanitizerState,
     /// Launch-level global-memory shadow (`Some` iff the sanitizer is on).
     pub(crate) shadow: Option<&'a LaunchShadow>,
+    /// Block-shared branch-outcome log (`Some` while a keyed launch runs
+    /// block 0; see the schedule cache).
+    pub(crate) outcomes: &'a mut Option<Outcomes>,
 }
 
 impl ThreadCtx<'_, '_> {
+    /// Record a branch outcome in the block's log (when on) and return it.
+    #[inline]
+    fn branch(&mut self, taken: bool) -> bool {
+        if let Some(log) = self.outcomes {
+            log.push(taken);
+        }
+        taken
+    }
+
     /// The blocks this thread executes: its own block, or the
     /// [`LANES`] blocks of a lane group.
     #[inline]
@@ -201,8 +214,9 @@ impl ThreadCtx<'_, '_> {
     /// per-block problem guard such as `pid >= count`). In a lane group
     /// every lane must agree (see [`uniform`]).
     #[inline]
-    pub fn uniform(&self, pred: impl Fn(usize) -> bool) -> bool {
-        uniform(self.lane_blocks().iter().map(|&b| pred(b)))
+    pub fn uniform(&mut self, pred: impl Fn(usize) -> bool) -> bool {
+        let taken = uniform(self.lane_blocks().iter().map(|&b| pred(b)));
+        self.branch(taken)
     }
 
     /// Watchdog tick: every scoreboarded op counts against the per-block
@@ -394,26 +408,60 @@ impl ThreadCtx<'_, '_> {
     }
 
     // ---- comparisons / control (charge one ALU op, return host bool) ----
+    //
+    // A kernel takes every data-dependent branch through `is_zero`/`gt`
+    // (or their value-only twins on plain values): the schedule cache keys
+    // a launch on the outcomes these record.
+
+    /// Charge one comparison whose operands are ready at `ready`.
+    #[inline]
+    fn compare(&mut self, ready: u64) {
+        self.step();
+        if self.traced {
+            let start = self.issue(Class::Fp, ready);
+            self.complete(start, self.cfg.alu_latency);
+        }
+    }
 
     #[inline]
     pub fn is_zero(&mut self, a: Rv) -> bool {
-        self.step();
-        if self.traced {
-            let start = self.issue(Class::Fp, a.ready);
-            self.complete(start, self.cfg.alu_latency);
-        }
-        a.v == 0.0
+        self.compare(a.ready);
+        self.branch(a.v == 0.0)
     }
 
     #[inline]
     pub fn gt(&mut self, a: Rv, b: Rv) -> bool {
-        self.step();
-        if self.traced {
-            let ready = a.ready.max(b.ready);
-            let start = self.issue(Class::Fp, ready);
-            self.complete(start, self.cfg.alu_latency);
+        self.compare(a.ready.max(b.ready));
+        self.branch(a.v > b.v)
+    }
+
+    /// `-v` when `a > b`, else `v`: one comparison and a free negation,
+    /// a select rather than a branch, so no outcome is recorded (the op
+    /// sequence is the same either way).
+    #[inline]
+    pub fn neg_if_gt(&mut self, v: Rv, a: Rv, b: Rv) -> Rv {
+        self.compare(a.ready.max(b.ready));
+        if a.v > b.v {
+            self.neg(v)
+        } else {
+            v
         }
-        a.v > b.v
+    }
+
+    /// Value-only `a == 0.0` on a plain value, recorded like [`is_zero`].
+    ///
+    /// [`is_zero`]: Self::is_zero
+    #[inline]
+    pub fn v_is_zero(&mut self, a: f32) -> bool {
+        self.branch(a == 0.0)
+    }
+
+    /// Value-only `a > b` on plain values, recorded like [`gt`].
+    ///
+    /// [`gt`]: Self::gt
+    #[inline]
+    pub fn v_gt(&mut self, a: f32, b: f32) -> bool {
+        self.branch(a > b)
     }
 
     // ---- special functions ----

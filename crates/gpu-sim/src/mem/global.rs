@@ -51,9 +51,11 @@ pub struct GlobalMemory {
     allocs: Vec<(usize, usize)>,
 }
 
-/// How a block context reaches device memory: exclusively (traced block,
+/// How a block context reaches device memory: exclusively (block 0,
 /// sequential replay) or through a shared worker view (parallel replay),
-/// plus the undo log of the lane group it is running, if any.
+/// plus an undo log of the stores made while it is on (a lane group's, or
+/// a keyed launch's plain run of block 0) and, for block 0 of a keyed
+/// launch, the allocations it touches.
 ///
 /// Kernels never see this type; they go through `ThreadCtx::gload` /
 /// `gstore`, which delegate here. Keeping it `pub(crate)` is what lets the
@@ -62,10 +64,14 @@ pub struct GlobalMemory {
 /// and every aliased access is confined to [`WorkerGmem`] below.
 pub(crate) struct GmemAccess<'m> {
     view: GmemView<'m>,
-    /// `(word, previous value)` of every store made while a lane group
-    /// runs, in store order; rolled back when the group is abandoned.
+    /// `(word, previous value)` of every store made while logging, in
+    /// store order; rolled back when the logged run is abandoned.
     undo: Vec<(usize, f32)>,
     logging: bool,
+    /// One flag per allocation of exclusively accessed memory: touched
+    /// since [`track_allocations`](Self::track_allocations) (`None` = not
+    /// tracking).
+    touched: Option<Vec<bool>>,
 }
 
 enum GmemView<'m> {
@@ -96,6 +102,43 @@ impl<'m> GmemAccess<'m> {
             view,
             undo: Vec::new(),
             logging: false,
+            touched: None,
+        }
+    }
+
+    /// Start noting which allocations the accesses through this handle
+    /// touch (exclusive access only: block 0 of a keyed launch).
+    pub(crate) fn track_allocations(&mut self) {
+        if let GmemView::Excl(g) = &self.view {
+            self.touched = Some(vec![false; g.allocs.len()]);
+        }
+    }
+
+    /// Stop tracking; return `(index, start % line_words)` of every
+    /// allocation touched since [`track_allocations`], in allocation order.
+    ///
+    /// [`track_allocations`]: Self::track_allocations
+    pub(crate) fn take_line_offsets(&mut self, line_words: usize) -> Vec<(usize, usize)> {
+        let (Some(touched), GmemView::Excl(g)) = (self.touched.take(), &self.view) else {
+            return Vec::new();
+        };
+        g.allocs
+            .iter()
+            .zip(touched)
+            .enumerate()
+            .filter(|(_, (_, hit))| *hit)
+            .map(|(i, (&(start, _), _))| (i, start % line_words))
+            .collect()
+    }
+
+    /// Note the allocation holding `word`, when tracking.
+    #[inline]
+    fn touch(&mut self, word: usize) {
+        if let (Some(touched), GmemView::Excl(g)) = (&mut self.touched, &self.view) {
+            let i = g.allocs.partition_point(|&(start, _)| start <= word);
+            if i > 0 {
+                touched[i - 1] = true;
+            }
         }
     }
 
@@ -107,14 +150,22 @@ impl<'m> GmemAccess<'m> {
         }
     }
 
+    /// Log the current value of words `word..word + len` for undo.
+    #[inline]
+    fn log_old(&mut self, word: usize, len: usize) {
+        if self.logging {
+            for w in word..word + len {
+                let old = self.read_word(w);
+                self.undo.push((w, old));
+            }
+        }
+    }
+
     /// Store `v` at `word` on behalf of `block` (the disjoint-write
-    /// checker's owner tag), logging the old value inside a lane group.
+    /// checker's owner tag).
     #[inline]
     fn write_word(&mut self, word: usize, v: f32, block: usize) {
-        if self.logging {
-            let old = self.read_word(word);
-            self.undo.push((word, old));
-        }
+        self.log_old(word, 1);
         match &mut self.view {
             GmemView::Excl(g) => g.write(DPtr(word), 0, v),
             GmemView::Worker(w) => w.write_as(word, v, block as u32 + 1),
@@ -122,12 +173,15 @@ impl<'m> GmemAccess<'m> {
     }
 
     #[inline]
-    pub(crate) fn read(&self, p: DPtr, idx: usize) -> f32 {
+    pub(crate) fn read(&mut self, p: DPtr, idx: usize) -> f32 {
+        self.touch(p.0 + idx);
         self.read_word(p.0 + idx)
     }
 
     #[inline]
     pub(crate) fn write(&mut self, p: DPtr, idx: usize, v: f32) {
+        self.touch(p.0 + idx);
+        self.log_old(p.0 + idx, 1);
         match &mut self.view {
             GmemView::Excl(g) => g.write(p, idx, v),
             GmemView::Worker(w) => w.write(p.0 + idx, v),
@@ -142,15 +196,15 @@ impl<'m> GmemAccess<'m> {
         }
     }
 
-    /// Start logging stores for a lane group.
-    pub(crate) fn begin_group(&mut self) {
+    /// Start logging stores for undo.
+    pub(crate) fn begin_undo_log(&mut self) {
         self.undo.clear();
         self.logging = true;
     }
 
-    /// Finish a lane group: keep its stores, or (`abandon`) restore every
-    /// word it stored to, newest first.
-    pub(crate) fn end_group(&mut self, abandon: bool) {
+    /// Stop logging: keep the logged stores, or (`abandon`) restore every
+    /// word they stored to, newest first.
+    pub(crate) fn end_undo_log(&mut self, abandon: bool) {
         self.logging = false;
         if abandon {
             for &(word, old) in self.undo.iter().rev() {
@@ -167,7 +221,14 @@ impl<'m> GmemAccess<'m> {
     /// `(offset, value)` to `f`. One access-path dispatch and one bounds
     /// check cover the whole span, instead of one of each per word.
     #[inline]
-    pub(crate) fn read_span(&self, p: DPtr, idx: usize, len: usize, mut f: impl FnMut(usize, f32)) {
+    pub(crate) fn read_span(&mut self, p: DPtr, idx: usize, len: usize, f: impl FnMut(usize, f32)) {
+        self.touch(p.0 + idx);
+        self.span(p, idx, len, f);
+    }
+
+    /// [`read_span`](Self::read_span) without noting the allocation.
+    #[inline]
+    fn span(&self, p: DPtr, idx: usize, len: usize, mut f: impl FnMut(usize, f32)) {
         match &self.view {
             GmemView::Excl(g) => {
                 for (k, &v) in g.slice(p.offset(idx), len).iter().enumerate() {
@@ -195,6 +256,8 @@ impl<'m> GmemAccess<'m> {
         len: usize,
         mut f: impl FnMut(usize) -> f32,
     ) {
+        self.touch(p.0 + idx);
+        self.log_old(p.0 + idx, len);
         match &mut self.view {
             GmemView::Excl(g) => {
                 for (k, d) in g.slice_mut(p.offset(idx), len).iter_mut().enumerate() {
@@ -250,7 +313,7 @@ impl<'m> GmemAccess<'m> {
         mut f: impl FnMut(usize, usize, f32),
     ) {
         for (l, base) in lane_words(p, stride, off, blocks).into_iter().enumerate() {
-            self.read_span(DPtr(base), 0, len, |k, v| f(k, l, v));
+            self.span(DPtr(base), 0, len, |k, v| f(k, l, v));
         }
     }
 

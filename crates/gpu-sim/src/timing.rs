@@ -12,7 +12,7 @@ use crate::config::GpuConfig;
 use crate::exec::occupancy::Occupancy;
 
 /// Timing and traffic of one phase (sync-delimited section) of a block.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct PhaseRecord {
     pub label: String,
     /// Scoreboard critical path through the phase, including the closing
@@ -89,7 +89,7 @@ pub struct LaunchStats {
     pub sim_wall_s: f64,
     /// Blocks executed functionally on the host, excluding the traced
     /// block when one ran (0 under `ExecMode::Representative` unless a
-    /// schedule-cache hit demoted block 0 to a functional block).
+    /// schedule-cache hit let block 0's plain run stand).
     pub sim_blocks: usize,
     /// Host worker threads used for the functional replay (1 = sequential).
     pub sim_host_threads: usize,
@@ -108,7 +108,8 @@ pub struct LaunchStats {
     /// their blocks replayed one at a time.
     pub sim_lane_groups_abandoned: usize,
     /// Whether the traced block's schedule came from the cross-launch
-    /// cache (block 0 was demoted to a plain functional block).
+    /// cache: block 0 ran plain, took the same branches as a traced
+    /// launch of the same kernel and shape, and was not traced.
     pub sim_sched_cache_hit: bool,
     /// Mean busy fraction of the replay workers: sum of per-worker busy
     /// time over `workers x replay wall time`. 1.0 when the block shards
