@@ -5,6 +5,8 @@
 //! measured (simulator) and predicted (analytic model) values. `run_all`
 //! regenerates everything into `results/`.
 
+#![forbid(unsafe_code)]
+
 pub mod bench_telemetry;
 pub mod experiments;
 pub mod golden;

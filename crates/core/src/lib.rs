@@ -41,6 +41,8 @@
 //! a [`regla_gpu_sim::FaultPlan`] is active), and the bounded
 //! [`RecoveryPolicy`] retries and finally CPU-degrades failed problems.
 
+#![forbid(unsafe_code)]
+
 pub mod api;
 pub mod batch;
 pub mod elem;

@@ -12,6 +12,8 @@
 //! lower than MKL's hand-tuned SSE/AVX kernels; the figure harnesses print
 //! the paper's published MKL numbers alongside for the shape comparison.
 
+#![forbid(unsafe_code)]
+
 use regla_core::host;
 use regla_core::{Mat, MatBatch, ProblemStatus, Scalar};
 use std::time::Instant;

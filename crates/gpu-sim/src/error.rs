@@ -3,9 +3,11 @@
 //! `Gpu::launch` validates the launch configuration against the device's
 //! architectural limits and returns these instead of asserting, so a
 //! malformed configuration reaching the simulator from the batched API is
-//! a recoverable condition rather than a process abort. Kernel panics on
-//! replay workers are likewise contained (`catch_unwind` per shard) and
-//! surfaced as [`LaunchError::KernelPanic`].
+//! a recoverable condition rather than a process abort. Kernel panics are
+//! likewise contained (`catch_unwind` per block, on the launching thread
+//! and on the persistent replay workers alike) and surfaced as
+//! [`LaunchError::KernelPanic`] naming the block; the workers stay up for
+//! the next launch.
 
 use std::fmt;
 

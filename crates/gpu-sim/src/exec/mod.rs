@@ -3,6 +3,7 @@
 mod arena;
 pub mod block;
 pub mod occupancy;
+mod pool;
 mod schedule;
 pub mod thread;
 
@@ -69,7 +70,10 @@ pub struct LaunchConfig {
     pub shared_words: usize,
     pub math: MathMode,
     pub exec: ExecMode,
-    /// Host worker threads for the functional replay. `None` defers to the
+    /// Host threads for the functional replay: the launching thread plus
+    /// up to `host_threads − 1` persistent replay workers, which are
+    /// shared by every launch in the process and started the first time a
+    /// launch asks for more than exist. `None` defers to the
     /// `REGLA_SIM_THREADS` environment variable and then to
     /// `std::thread::available_parallelism()`. Replay results are
     /// bit-identical at every thread count; this only trades host
@@ -488,7 +492,7 @@ fn shard_units(units: &[Unit], workers: usize) -> Vec<&[Unit]> {
     shards
 }
 
-/// What one replay worker did besides its blocks' stores.
+/// What one shard's replay did besides its blocks' stores.
 #[derive(Default)]
 struct ShardReport {
     busy: std::time::Duration,
@@ -646,8 +650,12 @@ impl Gpu {
     /// [`ExecMode::Sampled`]). Timing is then extrapolated over the grid
     /// via the occupancy and wave model.
     ///
-    /// The functional replay is sharded across host worker threads (see
-    /// [`LaunchConfig::host_threads`]); simulated results — `LaunchStats`
+    /// The functional replay is sharded across host threads (see
+    /// [`LaunchConfig::host_threads`]). The shards run on persistent
+    /// replay workers shared by the whole process, never on threads
+    /// spawned for the launch; the calling thread replays the first shard
+    /// and every shard no worker has started, so a launch never waits on
+    /// workers busy with another launch. Simulated results — `LaunchStats`
     /// and device memory — are bit-identical at every thread count, because
     /// timing comes solely from the traced block and each replayed block
     /// writes only its own problem's output. On a fast launch a
@@ -810,11 +818,13 @@ impl Gpu {
             records
         };
 
-        // Functional execution of the rest of the grid, sharded over host
-        // worker threads. Each worker gets a contiguous run of replay units
-        // (lane groups and single blocks), its own reused block context and
-        // memory hierarchy, and a shared read / per-block write view of
-        // device memory. The calling thread replays the first shard.
+        // Functional execution of the rest of the grid, sharded over the
+        // process-wide replay workers (see `pool`). Each shard is a
+        // contiguous run of replay units (lane groups and single blocks)
+        // with its own reused block context and memory hierarchy, and a
+        // shared read / per-block write view of device memory. The calling
+        // thread replays the first shard and any shard no worker has
+        // started.
         let units = plan_units(
             &blocks,
             fast && kernel.lane_capable(),
@@ -826,7 +836,8 @@ impl Gpu {
         let (mut lane_blocks, mut groups_abandoned) = (0, 0);
         if !units.is_empty() {
             let check = check_writes_enabled();
-            let shards = shard_units(&units, resolve_host_threads(lc));
+            let threads = resolve_host_threads(lc);
+            let shards = shard_units(&units, threads);
             workers = shards.len();
             let replay_start = Instant::now();
             let reports: Vec<Result<ShardReport, LaunchError>> = if workers == 1 && !check {
@@ -850,7 +861,8 @@ impl Gpu {
                 vec![replay_units(kernel, &mut blk, &units)]
             } else {
                 let shared = gmem.share(check, sanitizing);
-                let run_shard = |shard: &[Unit]| {
+                pool::run(workers, threads, |i| {
+                    let shard = shards[i];
                     let mut memhier = MemHier::new(&self.cfg);
                     let mut blk = BlockCtx::new(
                         shard[0].first(),
@@ -869,19 +881,6 @@ impl Gpu {
                         &self.pool,
                     );
                     replay_units(kernel, &mut blk, shard)
-                };
-                std::thread::scope(|s| {
-                    let handles: Vec<_> = shards[1..]
-                        .iter()
-                        .map(|&shard| s.spawn(move || run_shard(shard)))
-                        .collect();
-                    let mut reports = vec![run_shard(shards[0])];
-                    reports.extend(
-                        handles
-                            .into_iter()
-                            .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e))),
-                    );
-                    reports
                 })
             };
             let replay_wall = replay_start.elapsed().as_secs_f64();
@@ -1060,6 +1059,54 @@ mod tests {
         std::env::set_var("REGLA_TEST_FLAG_SET", "off");
         assert!(!env_flag("REGLA_TEST_FLAG_SET", true));
         std::env::remove_var("REGLA_TEST_FLAG_SET");
+    }
+
+    /// A replay list of single blocks (`false`) and lane groups (`true`),
+    /// numbering blocks from `first`.
+    fn units_of(kinds: &[bool], first: usize) -> Vec<Unit> {
+        let mut next = first;
+        kinds
+            .iter()
+            .map(|&group| {
+                let first = next;
+                if group {
+                    next += LANES;
+                    Unit::Group(std::array::from_fn(|l| first + l))
+                } else {
+                    next += 1;
+                    Unit::Block(first)
+                }
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn shards_cover_every_unit_once_in_contiguous_runs(
+            kinds in proptest::collection::vec(0u8..2, 1..40),
+            workers in 1usize..10,
+        ) {
+            let kinds: Vec<bool> = kinds.into_iter().map(|k| k == 1).collect();
+            let units = units_of(&kinds, 1);
+            let shards = shard_units(&units, workers);
+            proptest::prop_assert!(!shards.is_empty() && shards.len() <= workers);
+            let mut start = 0;
+            for shard in &shards {
+                proptest::prop_assert!(!shard.is_empty(), "an empty shard");
+                proptest::prop_assert!(
+                    std::ptr::eq(shard.as_ptr(), units[start..].as_ptr()),
+                    "shard starting at unit {} is not the next run", start
+                );
+                start += shard.len();
+            }
+            proptest::prop_assert_eq!(start, units.len(), "units left unsharded");
+
+            // The cut depends only on the units and the worker count: the
+            // same kinds of unit over other blocks are cut the same way.
+            let lens = |s: &[&[Unit]]| s.iter().map(|s| s.len()).collect::<Vec<_>>();
+            let moved = units_of(&kinds, 1000);
+            proptest::prop_assert_eq!(lens(&shards), lens(&shard_units(&moved, workers)));
+        }
     }
 
     #[test]

@@ -45,6 +45,8 @@
 //! the launch config injects deterministic bit flips / block aborts for
 //! resilience testing (see the `fault` module).
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod config;
 pub mod error;
 pub mod exec;

@@ -5,9 +5,10 @@
 //! every call site, so `Gpu::launch` records into these process-wide atomic
 //! counters and the harness snapshots/resets them around each experiment
 //! (see `regla-bench`'s `bench_telemetry`). Counters are relaxed atomics:
-//! launches from replay worker threads never overlap with launches from the
-//! host thread, so ordering is irrelevant; atomicity just keeps the counts
-//! exact if a harness ever launches from several host threads.
+//! each launch records once, from its launching thread, after its shards
+//! on the persistent replay workers have finished, and no counter
+//! publishes other data, so ordering is irrelevant; atomicity just keeps
+//! the counts exact when several host threads launch at once.
 //!
 //! These counters aggregate *host-side simulator cost* across the whole
 //! process. For per-launch observability of the *simulated device* —

@@ -310,3 +310,110 @@ fn host_threads_never_exceed_replay_blocks() {
     assert_eq!(stats.sim_blocks, 3);
     assert_eq!(stats.sim_host_threads, 3);
 }
+
+/// A panic in a block of the last shard comes back as that block's
+/// `KernelPanic`, and the replay workers that ran it stay healthy: the
+/// next launch matches a one-thread launch bit for bit.
+#[test]
+fn panic_in_the_last_shard_leaves_the_workers_healthy() {
+    let grid = 24usize;
+    let tpb = 32usize;
+    let gpu = Gpu::quadro_6000();
+    let mut mem = GlobalMemory::with_bytes(1 << 16);
+    let out = mem.alloc(grid * tpb);
+    let k = move |blk: &mut BlockCtx| {
+        let nthreads = blk.num_threads();
+        blk.for_each(|t| {
+            assert!(t.block_id + 1 < grid, "boom in the last block");
+            let v = t.lit(1.0);
+            t.gstore(out, t.block_id * nthreads + t.tid, v);
+        });
+    };
+    let lc = LaunchConfig::new(grid, tpb)
+        .regs(8)
+        .shared_words(0)
+        .host_threads(4);
+    match gpu.launch(&k, &lc, &mut mem).unwrap_err() {
+        regla_gpu_sim::LaunchError::KernelPanic { block, message } => {
+            assert_eq!(block, grid - 1);
+            assert!(message.contains("boom"), "unexpected message: {message}");
+        }
+        other => panic!("expected KernelPanic, got {other:?}"),
+    }
+    let stamp = |threads| {
+        run_at(
+            threads,
+            grid,
+            tpb,
+            |_| {},
+            |mem| block_stamp_kernel(9, mem.alloc(grid * tpb)),
+            grid * tpb,
+        )
+    };
+    assert_eq!(stamp(4), stamp(1));
+}
+
+/// One launch of a concurrent-launch workload: its own device memory and
+/// a kernel whose output depends on the launch index.
+fn indexed_launch(gpu: &Gpu, threads: usize, index: usize) -> (Vec<u32>, u64) {
+    let grid = 10 + index % 13;
+    let tpb = 32;
+    let mut mem = GlobalMemory::with_bytes(1 << 16);
+    let out = mem.alloc(grid * tpb);
+    let k = block_stamp_kernel(1 + index % 5, out);
+    let lc = LaunchConfig::new(grid, tpb)
+        .regs(16)
+        .shared_words(0)
+        .host_threads(threads);
+    let stats = gpu.launch(&k, &lc, &mut mem).unwrap();
+    let bits = mem
+        .slice(out, grid * tpb)
+        .iter()
+        .map(|v| v.to_bits())
+        .collect();
+    (bits, stats.cycles.to_bits())
+}
+
+/// Four host threads launch at once, so their launches compete for the
+/// replay workers and each launching thread replays the shards no worker
+/// has claimed. Every launch must still equal the same launch run alone.
+#[test]
+fn concurrent_launches_match_sequential_ones() {
+    const LAUNCHERS: usize = 4;
+    const PER_LAUNCHER: usize = 12;
+    for threads in [2usize, 8] {
+        let shared = Gpu::quadro_6000();
+        let alone = Gpu::quadro_6000();
+        let expected: Vec<_> = (0..LAUNCHERS * PER_LAUNCHER)
+            .map(|i| indexed_launch(&alone, threads, i))
+            .collect();
+        for clones in [true, false] {
+            let start = std::sync::Barrier::new(LAUNCHERS);
+            let got: Vec<Vec<_>> = std::thread::scope(|s| {
+                let handles: Vec<_> = (0..LAUNCHERS)
+                    .map(|l| {
+                        let gpu = if clones {
+                            shared.clone()
+                        } else {
+                            Gpu::quadro_6000()
+                        };
+                        let start = &start;
+                        s.spawn(move || {
+                            start.wait();
+                            (0..PER_LAUNCHER)
+                                .map(|j| indexed_launch(&gpu, threads, l * PER_LAUNCHER + j))
+                                .collect()
+                        })
+                    })
+                    .collect();
+                handles.into_iter().map(|h| h.join().unwrap()).collect()
+            });
+            for (i, got) in got.into_iter().flatten().enumerate() {
+                assert_eq!(
+                    got, expected[i],
+                    "launch {i} at host_threads {threads} (clones of one Gpu: {clones})"
+                );
+            }
+        }
+    }
+}

@@ -22,6 +22,8 @@
 //!   ability to run multiple problems simultaneously so we put a loop
 //!   around the function call."
 
+#![forbid(unsafe_code)]
+
 use regla_core::host;
 use regla_core::{Mat, Scalar};
 use regla_cpu::mkl_reference_gflops;

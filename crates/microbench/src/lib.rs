@@ -16,6 +16,8 @@
 //!   (Figure 2).
 //! * [`params`] — assembles the measurements into the model's Table IV.
 
+#![forbid(unsafe_code)]
+
 pub mod global_bw;
 pub mod global_latency;
 pub mod params;

@@ -16,6 +16,8 @@
 //! assert!((g - 126.0).abs() < 2.0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod dispatch;
 pub mod intensity;
 pub mod logp;

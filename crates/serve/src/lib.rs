@@ -43,6 +43,8 @@
 //! Poisson-ish arrivals over N seeded client streams, merged
 //! deterministically by (time, client).
 
+#![forbid(unsafe_code)]
+
 pub mod engine;
 pub mod traffic;
 

@@ -11,6 +11,8 @@
 //!   complex QR on the simulated GPU, host triangular solves;
 //! * the Table VII benchmark harness.
 
+#![forbid(unsafe_code)]
+
 pub mod cfar;
 pub mod datacube;
 pub mod doppler;

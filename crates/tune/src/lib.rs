@@ -38,6 +38,8 @@
 //! let planner = Planner::Table(Arc::new(outcome.table));
 //! ```
 
+#![forbid(unsafe_code)]
+
 use regla_core::{MatBatch, Op, RunOpts, Session, C32};
 use regla_gpu_sim::GpuConfig;
 use regla_model::{

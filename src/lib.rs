@@ -32,6 +32,8 @@
 //! assert!(run.gflops() > 0.0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use regla_core as core;
 pub use regla_cpu as cpu;
 pub use regla_gpu_sim as gpu_sim;
