@@ -8,11 +8,11 @@
 //! performs the warp-level analyses (bank conflicts, coalescing, distinct
 //! DRAM lines) and folds them into a [`PhaseRecord`].
 
-use crate::config::{GpuConfig, MathMode};
+use crate::config::GpuConfig;
 use crate::exec::arena::{BlockBufs, BufPool};
 use crate::exec::schedule::{BlockKey, Outcomes};
 use crate::exec::thread::{AccessRec, PhaseAccum, SpillInfo, ThreadCtx};
-use crate::exec::{uniform, LANES};
+use crate::exec::{uniform, LaunchConfig, LANES};
 use crate::fault::{FaultMap, FaultRecord, FaultState};
 use crate::mem::global::GmemAccess;
 use crate::mem::shared::{bank_conflict_replays, coalesced_transactions, distinct_lines};
@@ -20,110 +20,102 @@ use crate::mem::MemHier;
 use crate::sanitize::{ContextFindings, LaunchShadow, SanitizerState};
 use crate::timing::PhaseRecord;
 
-/// Sanitizer wiring handed to each block context by `Gpu::launch`:
-/// whether checks run, the per-block watchdog budget, and the launch-level
-/// global-memory shadow.
-#[derive(Clone, Copy)]
-pub(crate) struct SanitizeHook<'a> {
-    pub(crate) on: bool,
-    pub(crate) wd_limit: u64,
-    pub(crate) shadow: Option<&'a LaunchShadow>,
+/// What every block context of one launch shares, built once by the
+/// launch's set-up stage: the launch configuration (grid and block size,
+/// shared words, math mode, watchdog budget), the device and what set-up
+/// derives from them.
+pub(crate) struct BlockSpec<'a> {
+    pub(crate) lc: &'a LaunchConfig,
+    pub(crate) cfg: &'a GpuConfig,
+    pub(crate) spill: SpillInfo,
+    /// Materialised fault plan for the whole launch (None = no campaign).
+    pub(crate) fault_map: Option<FaultMap>,
+    /// Launch-level global shadow, `Some` exactly when the sanitizer's
+    /// checks run.
+    pub(crate) shadow: Option<LaunchShadow>,
+    /// The per-`Gpu` arena block contexts check their buffers out of.
+    pub(crate) pool: &'a BufPool,
 }
 
+/// What a block context runs its blocks as.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Role {
+    /// Block 0 under the scoreboard: its phase records time the launch.
+    Traced,
+    /// Functional replay with per-op bookkeeping.
+    Replay,
+    /// Functional replay on an observer-free launch: every block no fault
+    /// arms runs on the fast path.
+    FastReplay,
+}
 
 /// Execution context for one thread block.
 pub struct BlockCtx<'a> {
     /// The executing block (the first lane's block in a lane group).
     pub block_id: usize,
     pub grid_blocks: usize,
-    nthreads: usize,
-    traced: bool,
-    /// The launch lets unarmed replay blocks run observer-free.
-    fast_launch: bool,
-    /// True when this context executes a replay (untraced) block of an
-    /// observer-free launch that no fault is armed in: threads expose the
-    /// raw fast primitives.
+    spec: &'a BlockSpec<'a>,
+    role: Role,
+    /// True when this context executes a replay block of an observer-free
+    /// launch that no fault is armed in: threads expose the raw fast
+    /// primitives.
     fast: bool,
     /// The blocks of the lane group being executed (when `lanes`).
     group: [usize; LANES],
     lanes: bool,
-    /// Shared-memory words per block (the buffer is `LANES` times wider
-    /// in a lane group).
-    shared_words: usize,
-    cfg: &'a GpuConfig,
-    math: MathMode,
-    spill: SpillInfo,
     /// Shared memory, readiness shadow and per-thread timing, checked out
     /// of the per-`Gpu` arena and returned on drop.
     bufs: BlockBufs,
-    pool: &'a BufPool,
     phase: PhaseAccum,
     phase_start: u64,
     label: String,
     records: Vec<PhaseRecord>,
     gmem: GmemAccess<'a>,
     memhier: &'a mut MemHier,
-    /// Materialised fault plan for the whole launch (None = no campaign).
-    fault_map: Option<&'a FaultMap>,
     /// This context's armed/applied fault state (re-armed per block).
     fault: FaultState,
     /// This context's sanitizer/watchdog state (re-armed per block).
     san: SanitizerState,
-    /// Launch-level global shadow (`Some` iff the sanitizer is on).
-    shadow: Option<&'a LaunchShadow>,
     /// Branch-outcome log (`Some` while recording; see
     /// [`record_key`](Self::record_key)).
     outcomes: Option<Outcomes>,
 }
 
 impl<'a> BlockCtx<'a> {
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
+        spec: &'a BlockSpec<'a>,
         block_id: usize,
-        grid_blocks: usize,
-        traced: bool,
-        fast_launch: bool,
-        nthreads: usize,
-        shared_words: usize,
-        cfg: &'a GpuConfig,
-        math: MathMode,
-        spill: SpillInfo,
+        role: Role,
         gmem: GmemAccess<'a>,
         memhier: &'a mut MemHier,
-        fault_map: Option<&'a FaultMap>,
-        sanitize: SanitizeHook<'a>,
-        pool: &'a BufPool,
     ) -> Self {
-        debug_assert!(!(fast_launch && traced), "the traced block is never fast");
         let mut fault = FaultState::default();
-        fault.arm(fault_map, block_id);
-        let mut san = SanitizerState::new(sanitize.on, sanitize.wd_limit, shared_words, nthreads);
+        fault.arm(spec.fault_map.as_ref(), block_id);
+        let lc = spec.lc;
+        let mut san = SanitizerState::new(
+            spec.shadow.is_some(),
+            lc.watchdog.unwrap_or(0),
+            lc.shared_words,
+            lc.threads_per_block,
+        );
         san.arm(block_id);
         BlockCtx {
             block_id,
-            grid_blocks,
-            nthreads,
-            traced,
-            fast_launch,
-            fast: fast_launch && !fault.armed(),
+            grid_blocks: lc.grid_blocks,
+            spec,
+            role,
+            fast: role == Role::FastReplay && !fault.armed(),
             group: [block_id; LANES],
             lanes: false,
-            shared_words,
-            cfg,
-            math,
-            spill,
-            bufs: pool.checkout(shared_words, nthreads),
-            pool,
+            bufs: spec.pool.checkout(lc.shared_words, lc.threads_per_block),
             phase: PhaseAccum::default(),
             phase_start: 0,
             label: String::new(),
             records: Vec::new(),
             gmem,
             memhier,
-            fault_map,
             fault,
             san,
-            shadow: sanitize.shadow,
             outcomes: None,
         }
     }
@@ -142,7 +134,9 @@ impl<'a> BlockCtx<'a> {
     pub(crate) fn take_key(&mut self) -> BlockKey {
         BlockKey {
             outcomes: self.outcomes.take().unwrap_or_default(),
-            line_offsets: self.gmem.take_line_offsets(self.cfg.dram_line_bytes / 4),
+            line_offsets: self
+                .gmem
+                .take_line_offsets(self.spec.cfg.dram_line_bytes / 4),
         }
     }
 
@@ -159,16 +153,11 @@ impl<'a> BlockCtx<'a> {
         self.gmem.end_undo_log(abandon);
     }
 
-    /// Drain the fault records applied by every block this context ran.
-    pub(crate) fn take_applied_faults(&mut self) -> Vec<FaultRecord> {
-        std::mem::take(&mut self.fault.applied)
-    }
-
-    /// Drain the sanitizer findings (and uncapped per-check totals) from
-    /// every block this context ran, flushing the final block's barrier
-    /// check.
-    pub(crate) fn take_findings(&mut self) -> ContextFindings {
-        self.san.take()
+    /// Drain the fault records applied by, and the sanitizer findings (and
+    /// uncapped per-check totals) from, every block this context ran,
+    /// flushing the final block's barrier check.
+    pub(crate) fn take_observed(&mut self) -> (Vec<FaultRecord>, ContextFindings) {
+        (std::mem::take(&mut self.fault.applied), self.san.take())
     }
 
     /// The label the kernel last set (watchdog error provenance; labels
@@ -181,8 +170,8 @@ impl<'a> BlockCtx<'a> {
     /// Reuse this context for another (untraced) block without reallocating.
     pub(crate) fn reset_for_block(&mut self, block_id: usize) {
         self.lanes = false;
-        self.reset(block_id, self.shared_words);
-        self.fast = self.fast_launch && !self.fault.armed();
+        self.reset(block_id, self.spec.lc.shared_words);
+        self.fast = self.role == Role::FastReplay && !self.fault.armed();
     }
 
     /// Reuse this context for a lane group: `group`'s blocks (none of them
@@ -191,10 +180,14 @@ impl<'a> BlockCtx<'a> {
     ///
     /// [`end_undo_log`]: Self::end_undo_log
     pub(crate) fn reset_for_group(&mut self, group: [usize; LANES]) {
-        debug_assert!(self.fast_launch, "lane groups replay observer-free");
+        debug_assert_eq!(
+            self.role,
+            Role::FastReplay,
+            "lane groups replay observer-free"
+        );
         self.lanes = true;
         self.group = group;
-        self.reset(group[0], self.shared_words * LANES);
+        self.reset(group[0], self.spec.lc.shared_words * LANES);
         debug_assert!(!self.fault.armed(), "lane groups hold unarmed blocks");
         self.fast = true;
         self.gmem.begin_undo_log();
@@ -214,12 +207,12 @@ impl<'a> BlockCtx<'a> {
         self.phase_start = 0;
         self.label.clear();
         self.records.clear();
-        self.fault.arm(self.fault_map, block_id);
+        self.fault.arm(self.spec.fault_map.as_ref(), block_id);
         self.san.arm(block_id);
     }
 
     pub fn num_threads(&self) -> usize {
-        self.nthreads
+        self.spec.lc.threads_per_block
     }
 
     /// Whether this block runs on the fast path: a replay block of a
@@ -237,7 +230,7 @@ impl<'a> BlockCtx<'a> {
 
     /// Size of the shared-memory allocation in 32-bit words.
     pub fn shared_words(&self) -> usize {
-        self.shared_words
+        self.spec.lc.shared_words
     }
 
     /// Whether this context executes a lane group: [`LANES`] replay blocks
@@ -278,7 +271,7 @@ impl<'a> BlockCtx<'a> {
     /// replay blocks.
     #[inline]
     pub fn wants_labels(&self) -> bool {
-        self.traced || self.san.on || self.san.wd_limit != 0
+        self.role == Role::Traced || self.san.on || self.san.wd_limit != 0
     }
 
     /// Name the current phase (applies when the phase closes). Labels are
@@ -304,26 +297,27 @@ impl<'a> BlockCtx<'a> {
 
     /// Execute `f` once per thread, in SIMT order.
     pub fn for_each(&mut self, mut f: impl FnMut(&mut ThreadCtx)) {
-        for tid in 0..self.nthreads {
+        let spec = self.spec;
+        for tid in 0..spec.lc.threads_per_block {
             let mut t = ThreadCtx {
                 tid,
                 block_id: self.block_id,
                 group: &self.group,
                 lanes: self.lanes,
-                traced: self.traced,
+                traced: self.role == Role::Traced,
                 fast: self.fast,
-                cfg: self.cfg,
-                math: self.math,
+                cfg: spec.cfg,
+                math: spec.lc.math,
                 tt: &mut self.bufs.threads[tid],
                 shared: &mut self.bufs.shared,
                 shared_ready: &mut self.bufs.shared_ready,
                 gmem: &mut self.gmem,
                 phase: &mut self.phase,
                 memhier: self.memhier,
-                spill: self.spill,
+                spill: spec.spill,
                 fault: &mut self.fault,
                 san: &mut self.san,
-                shadow: self.shadow,
+                shadow: spec.shadow.as_ref(),
                 outcomes: &mut self.outcomes,
             };
             f(&mut t);
@@ -337,9 +331,10 @@ impl<'a> BlockCtx<'a> {
     }
 
     fn close_phase(&mut self, with_sync: bool) {
-        if !self.traced {
+        if self.role != Role::Traced {
             return;
         }
+        let cfg = self.spec.cfg;
         let raw_end = self
             .bufs
             .threads
@@ -352,14 +347,14 @@ impl<'a> BlockCtx<'a> {
         // ---- bank-conflict analysis: group shared accesses by (warp, seq).
         let shared_accesses = self.phase.shared_rec.len() as u64;
         let (conflict_replays, max_warp_replays) = self.analyze_shared();
-        let replay_interval = self.cfg.ldst_issue_interval;
+        let replay_interval = cfg.ldst_issue_interval;
         critical += max_warp_replays * replay_interval;
 
         // ---- global coalescing and distinct-line DRAM traffic.
         let (transactions, line_bytes) = self.analyze_global();
 
         // ---- warp-level instruction totals.
-        let ws = self.cfg.warp_size;
+        let ws = cfg.warp_size;
         let mut fp_instrs = 0u64;
         let mut ldst_instrs = 0u64;
         let mut sfu_instrs = 0u64;
@@ -371,23 +366,21 @@ impl<'a> BlockCtx<'a> {
             fp_instrs += wfp;
             ldst_instrs += wldst;
             sfu_instrs += wsfu;
-            let fp_cyc = wfp * self.cfg.fp_issue_interval;
-            let ld_cyc = (wldst as f64
-                * self.cfg.ldst_issue_interval as f64
-                * self.cfg.ldst_sustained_factor)
+            let fp_cyc = wfp * cfg.fp_issue_interval;
+            let ld_cyc = (wldst as f64 * cfg.ldst_issue_interval as f64 * cfg.ldst_sustained_factor)
                 .round() as u64;
-            block_issue += if self.cfg.dual_issue {
+            block_issue += if cfg.dual_issue {
                 fp_cyc.max(ld_cyc)
             } else {
                 fp_cyc + ld_cyc
-            } + wsfu * self.cfg.sfu_issue_interval;
+            } + wsfu * cfg.sfu_issue_interval;
         }
         block_issue += conflict_replays * replay_interval;
 
         let flops: u64 = self.bufs.threads.iter().map(|t| t.flops).sum();
 
         let sync_cycles = if with_sync {
-            self.cfg.sync_cycles(self.nthreads)
+            cfg.sync_cycles(self.spec.lc.threads_per_block)
         } else {
             0
         };
@@ -408,7 +401,7 @@ impl<'a> BlockCtx<'a> {
             conflict_replays,
             global_transactions: transactions,
             global_line_bytes: line_bytes,
-            spill_dram_bytes: (self.phase.spill_words as f64 * 4.0 * self.spill.dram_frac)
+            spill_dram_bytes: (self.phase.spill_words as f64 * 4.0 * self.spec.spill.dram_frac)
                 .round() as u64,
             had_sync: with_sync,
         });
@@ -431,7 +424,8 @@ impl<'a> BlockCtx<'a> {
         recs.sort_unstable_by_key(|r| (r.warp, r.seq));
         let mut total = 0u64;
         let mut per_warp = std::collections::HashMap::new();
-        let mut addrs: Vec<u32> = Vec::with_capacity(self.cfg.warp_size);
+        let cfg = self.spec.cfg;
+        let mut addrs: Vec<u32> = Vec::with_capacity(cfg.warp_size);
         let mut i = 0;
         while i < recs.len() {
             let key = (recs[i].warp, recs[i].seq);
@@ -440,7 +434,7 @@ impl<'a> BlockCtx<'a> {
                 addrs.push(recs[i].addr as u32);
                 i += 1;
             }
-            let r = u64::from(bank_conflict_replays(self.cfg.shared_banks, &addrs));
+            let r = u64::from(bank_conflict_replays(cfg.shared_banks, &addrs));
             total += r;
             *per_warp.entry(key.0).or_insert(0u64) += r;
         }
@@ -459,9 +453,10 @@ impl<'a> BlockCtx<'a> {
         let recs: Vec<AccessRec> = std::mem::take(&mut self.phase.global_rec);
         let mut sorted = recs;
         sorted.sort_unstable_by_key(|r| (r.warp, r.seq));
-        let line = self.cfg.dram_line_bytes;
+        let cfg = self.spec.cfg;
+        let line = cfg.dram_line_bytes;
         let mut transactions = 0u64;
-        let mut addrs: Vec<u64> = Vec::with_capacity(self.cfg.warp_size);
+        let mut addrs: Vec<u64> = Vec::with_capacity(cfg.warp_size);
         let mut i = 0;
         while i < sorted.len() {
             let key = (sorted[i].warp, sorted[i].seq);
@@ -497,6 +492,6 @@ impl Drop for BlockCtx<'_> {
     fn drop(&mut self) {
         // Retire the buffers to the per-`Gpu` arena so the next launch's
         // contexts allocate nothing.
-        self.pool.restore(std::mem::take(&mut self.bufs));
+        self.spec.pool.restore(std::mem::take(&mut self.bufs));
     }
 }

@@ -9,21 +9,19 @@ pub mod thread;
 
 use crate::config::{GpuConfig, MathMode};
 use crate::error::LaunchError;
-use crate::fault::{FaultMap, FaultPlan, FaultRecord};
+use crate::fault::{FaultPlan, FaultRecord};
 use crate::mem::global::GmemAccess;
 use crate::mem::{GlobalMemory, MemHier};
-use crate::sanitize::{
-    ContextFindings, LaunchShadow, SanitizerMode, SanitizerReport, WatchdogTrip,
-};
+use crate::sanitize::{ContextFindings, LaunchShadow, SanitizerMode, WatchdogTrip};
 use crate::timing::{combine, LaunchStats, PhaseRecord};
 use crate::trace::Profiler;
 use arena::BufPool;
-use block::{BlockCtx, SanitizeHook};
-use occupancy::occupancy;
-use schedule::{LaunchKey, ScheduleCache};
+use block::{BlockCtx, BlockSpec, Role};
+use occupancy::{occupancy, Occupancy};
+use schedule::{BlockKey, LaunchKey, ScheduleCache};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 use thread::SpillInfo;
 
 /// How much of the grid to execute functionally.
@@ -441,37 +439,44 @@ impl Unit {
     }
 }
 
-/// Split the replay list into lane groups and single blocks. With `lanes`
-/// (a fast launch of a lane-capable kernel), every `LANES` groupable blocks
-/// form a group; blocks the fault plan arms, the grid's last block (the
-/// only one a per-thread launch can leave partial) and the leftovers that
-/// cannot fill a group replay alone. Grouping depends only on the launch,
-/// never on the host thread count.
-fn plan_units(
-    blocks: &[usize],
-    lanes: bool,
-    grid_blocks: usize,
-    fault_map: Option<&FaultMap>,
-) -> Vec<Unit> {
-    let mut units = Vec::with_capacity(blocks.len());
-    let mut pending = Vec::with_capacity(LANES);
-    for &b in blocks {
-        let groupable =
-            lanes && b + 1 != grid_blocks && !fault_map.is_some_and(|m| m.contains_key(&b));
-        if !groupable {
-            units.push(Unit::Block(b));
-            continue;
+/// What a launch's set-up stage derives once for its later stages.
+struct Setup<'a> {
+    spec: BlockSpec<'a>,
+    occ: Occupancy,
+    replay: Role,
+    /// The schedule-cache key of a keyed fast launch without a fault plan.
+    key: Option<LaunchKey>,
+}
+
+impl Setup<'_> {
+    /// Plan units: split the replay list into lane groups and single
+    /// blocks. On a fast launch of a lane-capable kernel, every `LANES`
+    /// groupable blocks form a group; blocks the fault plan arms, the
+    /// grid's last block (the only one a per-thread launch can leave
+    /// partial) and the leftovers that cannot fill a group replay alone.
+    /// Grouping depends only on the launch, never on the host thread count.
+    fn plan_units(&self, blocks: &[usize], lane_capable: bool) -> Vec<Unit> {
+        let lanes = lane_capable && self.replay == Role::FastReplay;
+        let fault_map = self.spec.fault_map.as_ref();
+        let mut units = Vec::with_capacity(blocks.len());
+        let mut pending = Vec::with_capacity(LANES);
+        for &b in blocks {
+            let armed = fault_map.is_some_and(|m| m.contains_key(&b));
+            if !lanes || b + 1 == self.spec.lc.grid_blocks || armed {
+                units.push(Unit::Block(b));
+                continue;
+            }
+            pending.push(b);
+            if pending.len() == LANES {
+                units.push(Unit::Group(
+                    pending[..].try_into().expect("pending holds LANES blocks"),
+                ));
+                pending.clear();
+            }
         }
-        pending.push(b);
-        if pending.len() == LANES {
-            units.push(Unit::Group(
-                pending[..].try_into().expect("pending holds LANES blocks"),
-            ));
-            pending.clear();
-        }
+        units.extend(pending.into_iter().map(Unit::Block));
+        units
     }
-    units.extend(pending.into_iter().map(Unit::Block));
-    units
 }
 
 /// Split `units` into at most `workers` contiguous, non-empty shards of
@@ -492,52 +497,68 @@ fn shard_units(units: &[Unit], workers: usize) -> Vec<&[Unit]> {
     shards
 }
 
-/// What one shard's replay did besides its blocks' stores.
+/// What tracing or replaying blocks observed besides their stores: one
+/// shard's, or the whole launch's once folded.
 #[derive(Default)]
-struct ShardReport {
-    busy: std::time::Duration,
+struct Observed {
+    busy: Duration,
     faults: Vec<FaultRecord>,
     findings: ContextFindings,
     lane_blocks: usize,
     groups_abandoned: usize,
 }
 
-/// Replay `units` on one reused block context. A lane group that
-/// diverges (or panics) is undone and its blocks replay one at a time, so
-/// a genuine kernel panic is reported against its own block.
-fn replay_units<K: BlockKernel + Sync + ?Sized>(
+impl Observed {
+    /// Fold in what a later shard observed.
+    fn absorb(&mut self, other: Observed) {
+        self.busy += other.busy;
+        self.faults.extend(other.faults);
+        self.findings.absorb(other.findings);
+        self.lane_blocks += other.lane_blocks;
+        self.groups_abandoned += other.groups_abandoned;
+    }
+}
+
+/// Replay one shard's `units` on one block context reused across them. A
+/// lane group that diverges (or panics) is undone and its blocks replay
+/// one at a time, so a genuine kernel panic is reported against its own
+/// block.
+fn replay_shard<K: BlockKernel + Sync + ?Sized>(
     kernel: &K,
-    blk: &mut BlockCtx,
+    spec: &BlockSpec,
+    role: Role,
     units: &[Unit],
-) -> Result<ShardReport, LaunchError> {
+    gmem: GmemAccess,
+    memhier: &mut MemHier,
+) -> Result<Observed, LaunchError> {
+    let mut blk = BlockCtx::new(spec, units[0].first(), role, gmem, memhier);
     let t0 = Instant::now();
-    let mut report = ShardReport::default();
+    let mut seen = Observed::default();
     for unit in units {
         match *unit {
             Unit::Block(b) => {
                 blk.reset_for_block(b);
-                run_contained(kernel, blk)?;
+                run_contained(kernel, &mut blk)?;
             }
             Unit::Group(group) => {
                 blk.reset_for_group(group);
-                let ok = catch_unwind(AssertUnwindSafe(|| kernel.run(&mut *blk))).is_ok();
+                let ok = catch_unwind(AssertUnwindSafe(|| kernel.run(&mut blk))).is_ok();
                 blk.end_undo_log(!ok);
                 if ok {
-                    report.lane_blocks += LANES;
+                    seen.lane_blocks += LANES;
                     continue;
                 }
-                report.groups_abandoned += 1;
+                seen.groups_abandoned += 1;
                 for b in group {
                     blk.reset_for_block(b);
-                    run_contained(kernel, blk)?;
+                    run_contained(kernel, &mut blk)?;
                 }
             }
         }
     }
-    report.faults = blk.take_applied_faults();
-    report.findings = blk.take_findings();
-    report.busy = t0.elapsed();
-    Ok(report)
+    (seen.faults, seen.findings) = blk.take_observed();
+    seen.busy = t0.elapsed();
+    Ok(seen)
 }
 
 /// The simulated GPU.
@@ -661,6 +682,9 @@ impl Gpu {
     /// writes only its own problem's output. On a fast launch a
     /// lane-capable kernel replays [`LANES`] blocks per pass of its body
     /// (see [`BlockKernel::lane_capable`] and [`uniform`]).
+    ///
+    /// The launch runs in stages: set-up, key check, trace, plan units,
+    /// replay, combine and report.
     pub fn launch<K: BlockKernel + Sync + ?Sized>(
         &self,
         kernel: &K,
@@ -668,75 +692,61 @@ impl Gpu {
         gmem: &mut GlobalMemory,
     ) -> Result<LaunchStats, LaunchError> {
         self.validate(lc)?;
-        let fault_map = lc.fault.map(|p| p.materialize(lc.grid_blocks));
-        let fault_map = fault_map.as_ref();
-        let mut applied: Vec<FaultRecord> = Vec::new();
-        // Sanitizer setup: snapshot host-initialization and allocation
-        // state before any block runs, so initcheck and the cross-block
-        // classifier see the launch's declared inputs.
-        let sanitizing = lc.sanitize.is_on();
-        let shadow = sanitizing.then(|| LaunchShadow::new(&*gmem));
+        let wall_start = Instant::now();
+        let setup = self.set_up(lc, gmem);
+        let mut memhier = MemHier::new(&self.cfg);
+        let (plain_key, cached) = self.check_key(kernel, &setup, gmem, &mut memhier);
+        let (records, mut seen) = match &cached {
+            Some(records) => (records.as_ref().clone(), Observed::default()),
+            None => self.trace(kernel, &setup, plain_key, gmem, &mut memhier)?,
+        };
+        let blocks = replay_blocks(lc);
+        let units = setup.plan_units(&blocks, kernel.lane_capable());
+        let (workers, utilization) =
+            self.replay(kernel, &setup, &units, gmem, &mut memhier, &mut seen)?;
+        // Combine: block 0's records over the grid, through the occupancy
+        // and wave model.
+        let mut stats = combine(
+            &self.cfg,
+            setup.occ,
+            records,
+            lc.grid_blocks,
+            lc.threads_per_block,
+            setup.spec.spill.dram_frac > 0.0,
+        );
+        let wall = wall_start.elapsed();
+        stats.sim_wall_s = wall.as_secs_f64();
+        stats.sim_blocks = blocks.len() + usize::from(cached.is_some());
+        stats.sim_host_threads = workers;
+        stats.sim_worker_utilization = utilization;
+        stats.sim_fast = setup.replay == Role::FastReplay && lc.fault.is_none();
+        stats.sim_lane_blocks = seen.lane_blocks;
+        stats.sim_lane_groups_abandoned = seen.groups_abandoned;
+        stats.sim_sched_cache_hit = cached.is_some();
+        // Block 0 executes functionally either way (traced, or plain on a
+        // schedule-cache hit), so it counts.
+        self.report(&setup, stats, seen, wall, blocks.len() + 1)
+    }
+
+    /// Set-up: the launch-invariant block spec, the occupancy, what replay
+    /// blocks run as, and the schedule-cache key.
+    fn set_up<'a>(&'a self, lc: &'a LaunchConfig, gmem: &GlobalMemory) -> Setup<'a> {
         if lc.watchdog.is_some() {
             crate::sanitize::install_quiet_watchdog_hook();
         }
-        let hook = SanitizeHook {
-            on: sanitizing,
-            wd_limit: lc.watchdog.unwrap_or(0),
-            shadow: shadow.as_ref(),
-        };
-        let mut collected = ContextFindings::default();
-        let wall_start = Instant::now();
         let occ = occupancy(
             &self.cfg,
             lc.threads_per_block,
             lc.regs_per_thread,
             lc.shared_words * 4,
         );
-
-        // Register-spill parameters. nvcc spills the least-used registers,
-        // so the probability that a given access touches a spilled value is
-        // roughly quadratic in the spilled fraction; spills land in the L1
-        // (48 kB when the kernel's shared footprint allows the prefer-L1
-        // split) and overflow to DRAM beyond its capacity.
-        let spill = if occ.regs_spilled > 0 {
-            let rho = occ.regs_spilled as f64 / lc.regs_per_thread as f64;
-            let every = (1.0 / (rho * rho)).round().max(1.0) as u64;
-            let footprint =
-                (occ.regs_spilled * 4 * lc.threads_per_block * occ.blocks_per_sm) as f64;
-            let l1_eff = if lc.shared_words * 4 <= self.cfg.l1_bytes_per_sm {
-                self.cfg.prefer_l1_bytes_per_sm.max(self.cfg.l1_bytes_per_sm)
-            } else {
-                self.cfg.l1_bytes_per_sm
-            } as f64;
-            let hit_frac = (l1_eff / footprint).min(1.0);
-            let latency = hit_frac * self.cfg.l1_latency as f64
-                + (1.0 - hit_frac) * self.cfg.dram_row_hit_latency as f64;
-            SpillInfo {
-                every,
-                latency: latency.round() as u64,
-                dram_frac: 1.0 - hit_frac,
-            }
-        } else {
-            SpillInfo::default()
-        };
-
-        let mut memhier = MemHier::new(&self.cfg);
-
         // Fast (observer-free) path: replay blocks the fault plan does not
         // arm elide all per-op bookkeeping; results and modeled timing
         // stay bit-identical.
         let fast = lc.fast_eligible() && !force_slow_path();
-
-        // Schedule cache: only consulted on a fast launch without a fault
-        // plan and only when the caller named the kernel and shape. Once a
-        // schedule of that kernel and shape is cached, block 0 first runs
-        // plain, recording its branch outcomes and the buffers it touches
-        // (the rest of the key) and logging its stores. On a hit that run
-        // is block 0's output and the cached records feed the timing
-        // model, which is a pure function of records + shape — so cycle
-        // totals are bit-identical to a traced run. On a miss its stores
-        // are undone and block 0 is traced from its original inputs.
-        let launch_key = (fast && lc.fault.is_none() && schedule_cache_enabled())
+        // The schedule cache is only consulted on a fast launch without a
+        // fault plan, and only when the caller named the kernel and shape.
+        let key = (fast && lc.fault.is_none() && schedule_cache_enabled())
             .then_some(lc.schedule_key)
             .flatten()
             .map(|kernel| LaunchKey {
@@ -746,175 +756,141 @@ impl Gpu {
                 shared_words: lc.shared_words,
                 math: lc.math as u8,
             });
-        let mut plain_key = None;
-        let mut cached: Option<Arc<Vec<PhaseRecord>>> = None;
-        if let Some(launch) = launch_key.filter(|k| self.sched.knows(k)) {
-            let mut blk = BlockCtx::new(
-                0,
-                lc.grid_blocks,
-                false,
-                true,
-                lc.threads_per_block,
-                lc.shared_words,
-                &self.cfg,
-                lc.math,
-                spill,
-                GmemAccess::excl(gmem),
-                &mut memhier,
-                None,
-                hook,
-                &self.pool,
-            );
-            blk.record_key();
-            blk.begin_undo_log();
-            // A block that fails here fails again when traced, which
-            // reports the error.
-            if run_contained(kernel, &mut blk).is_ok() {
-                let block = blk.take_key();
-                cached = self.sched.get(&launch, &block);
-                plain_key = Some(block);
-            }
-            blk.end_undo_log(cached.is_none());
-        }
-
-        let blocks = replay_blocks(lc);
-        let ctx: Vec<PhaseRecord> = if let Some(records) = &cached {
-            records.as_ref().clone()
-        } else {
-            // Traced representative block.
-            let mut ctx = BlockCtx::new(
-                0,
-                lc.grid_blocks,
-                true,
-                false,
-                lc.threads_per_block,
-                lc.shared_words,
-                &self.cfg,
-                lc.math,
-                spill,
-                GmemAccess::excl(gmem),
-                &mut memhier,
-                fault_map,
-                hook,
-                &self.pool,
-            );
-            if launch_key.is_some() {
-                ctx.record_key();
-            }
-            run_contained(kernel, &mut ctx)?;
-            applied.extend(ctx.take_applied_faults());
-            collected.absorb(ctx.take_findings());
-            let block = ctx.take_key();
-            let records = ctx.finish();
-            if let Some(launch) = launch_key {
-                // The entry is keyed on what the trace itself recorded, so
-                // a plain run that branched differently can never hit it.
-                debug_assert!(
-                    plain_key.as_ref().is_none_or(|k| *k == block),
-                    "block 0 ran differently plain and traced"
-                );
-                self.sched.insert(launch, block, &records);
-            }
-            records
-        };
-
-        // Functional execution of the rest of the grid, sharded over the
-        // process-wide replay workers (see `pool`). Each shard is a
-        // contiguous run of replay units (lane groups and single blocks)
-        // with its own reused block context and memory hierarchy, and a
-        // shared read / per-block write view of device memory. The calling
-        // thread replays the first shard and any shard no worker has
-        // started.
-        let units = plan_units(
-            &blocks,
-            fast && kernel.lane_capable(),
-            lc.grid_blocks,
-            fault_map,
-        );
-        let mut workers = 1usize;
-        let mut utilization = 1.0f64;
-        let (mut lane_blocks, mut groups_abandoned) = (0, 0);
-        if !units.is_empty() {
-            let check = check_writes_enabled();
-            let threads = resolve_host_threads(lc);
-            let shards = shard_units(&units, threads);
-            workers = shards.len();
-            let replay_start = Instant::now();
-            let reports: Vec<Result<ShardReport, LaunchError>> = if workers == 1 && !check {
-                // Zero-overhead sequential path through the exclusive borrow.
-                let mut blk = BlockCtx::new(
-                    units[0].first(),
-                    lc.grid_blocks,
-                    false,
-                    fast,
-                    lc.threads_per_block,
-                    lc.shared_words,
-                    &self.cfg,
-                    lc.math,
-                    spill,
-                    GmemAccess::excl(gmem),
-                    &mut memhier,
-                    fault_map,
-                    hook,
-                    &self.pool,
-                );
-                vec![replay_units(kernel, &mut blk, &units)]
-            } else {
-                let shared = gmem.share(check, sanitizing);
-                pool::run(workers, threads, |i| {
-                    let shard = shards[i];
-                    let mut memhier = MemHier::new(&self.cfg);
-                    let mut blk = BlockCtx::new(
-                        shard[0].first(),
-                        lc.grid_blocks,
-                        false,
-                        fast,
-                        lc.threads_per_block,
-                        lc.shared_words,
-                        &self.cfg,
-                        lc.math,
-                        spill,
-                        GmemAccess::worker(shared.worker(shard[0].first())),
-                        &mut memhier,
-                        fault_map,
-                        hook,
-                        &self.pool,
-                    );
-                    replay_units(kernel, &mut blk, shard)
-                })
-            };
-            let replay_wall = replay_start.elapsed().as_secs_f64();
-            let mut busy_s = 0.0f64;
-            for report in reports {
-                let report = report?;
-                busy_s += report.busy.as_secs_f64();
-                applied.extend(report.faults);
-                collected.absorb(report.findings);
-                lane_blocks += report.lane_blocks;
-                groups_abandoned += report.groups_abandoned;
-            }
-            if workers > 1 && replay_wall > 0.0 {
-                utilization = (busy_s / (workers as f64 * replay_wall)).min(1.0);
-            }
-        }
-
-        let mut stats = combine(
-            &self.cfg,
+        Setup {
+            spec: BlockSpec {
+                lc,
+                cfg: &self.cfg,
+                spill: SpillInfo::new(&self.cfg, &occ, lc),
+                fault_map: lc.fault.map(|p| p.materialize(lc.grid_blocks)),
+                // Snapshot host-initialization and allocation state before
+                // any block runs, so initcheck and the cross-block
+                // classifier see the launch's declared inputs.
+                shadow: lc.sanitize.is_on().then(|| LaunchShadow::new(gmem)),
+                pool: &self.pool,
+            },
             occ,
-            ctx,
-            lc.grid_blocks,
-            lc.threads_per_block,
-            spill.dram_frac > 0.0,
-        );
-        let wall = wall_start.elapsed();
-        stats.sim_wall_s = wall.as_secs_f64();
-        stats.sim_blocks = blocks.len() + usize::from(cached.is_some());
-        stats.sim_host_threads = workers;
-        stats.sim_worker_utilization = utilization;
-        stats.sim_fast = fast && lc.fault.is_none();
-        stats.sim_lane_blocks = lane_blocks;
-        stats.sim_lane_groups_abandoned = groups_abandoned;
-        stats.sim_sched_cache_hit = cached.is_some();
+            replay: if fast { Role::FastReplay } else { Role::Replay },
+            key,
+        }
+    }
+
+    /// Key check: once a schedule of this kernel and shape is cached, run
+    /// block 0 plain and look up the key it records (see `schedule`). A
+    /// miss undoes its stores, and so does a failed run, which fails again
+    /// when traced and reports the error there. Returns the key the plain
+    /// run recorded and the records it hit.
+    fn check_key<K: BlockKernel + Sync + ?Sized>(
+        &self,
+        kernel: &K,
+        setup: &Setup,
+        gmem: &mut GlobalMemory,
+        memhier: &mut MemHier,
+    ) -> (Option<BlockKey>, Option<Arc<Vec<PhaseRecord>>>) {
+        let Some(launch) = setup.key.filter(|k| self.sched.knows(k)) else {
+            return (None, None);
+        };
+        let view = GmemAccess::excl(gmem);
+        let mut blk = BlockCtx::new(&setup.spec, 0, Role::FastReplay, view, memhier);
+        blk.record_key();
+        blk.begin_undo_log();
+        let ran = run_contained(kernel, &mut blk).is_ok();
+        let plain = ran.then(|| blk.take_key());
+        let cached = plain.as_ref().and_then(|k| self.sched.get(&launch, k));
+        blk.end_undo_log(cached.is_none());
+        (plain, cached)
+    }
+
+    /// Trace: run block 0 under the scoreboard, and cache its records under
+    /// the key the trace itself recorded, so a plain run that branched
+    /// differently can never hit them.
+    fn trace<K: BlockKernel + Sync + ?Sized>(
+        &self,
+        kernel: &K,
+        setup: &Setup,
+        plain_key: Option<BlockKey>,
+        gmem: &mut GlobalMemory,
+        memhier: &mut MemHier,
+    ) -> Result<(Vec<PhaseRecord>, Observed), LaunchError> {
+        let view = GmemAccess::excl(gmem);
+        let mut blk = BlockCtx::new(&setup.spec, 0, Role::Traced, view, memhier);
+        if setup.key.is_some() {
+            blk.record_key();
+        }
+        run_contained(kernel, &mut blk)?;
+        let mut seen = Observed::default();
+        (seen.faults, seen.findings) = blk.take_observed();
+        let block = blk.take_key();
+        let records = blk.finish();
+        if let Some(launch) = setup.key {
+            debug_assert!(
+                plain_key.is_none_or(|k| k == block),
+                "block 0 ran differently plain and traced"
+            );
+            self.sched.insert(launch, block, &records);
+        }
+        Ok((records, seen))
+    }
+
+    /// Replay: the planned `units` in contiguous shards on the replay
+    /// workers (see [`Gpu::launch`]), each with its own memory hierarchy
+    /// and a shared read / per-block write view of device memory, or, as
+    /// one shard with the disjoint-write checker off, through the
+    /// exclusive borrow. Folds what the shards observed into `seen` and
+    /// returns the shard count and the workers' utilization.
+    fn replay<K: BlockKernel + Sync + ?Sized>(
+        &self,
+        kernel: &K,
+        setup: &Setup,
+        units: &[Unit],
+        gmem: &mut GlobalMemory,
+        memhier: &mut MemHier,
+        seen: &mut Observed,
+    ) -> Result<(usize, f64), LaunchError> {
+        if units.is_empty() {
+            return Ok((1, 1.0));
+        }
+        let (spec, role) = (&setup.spec, setup.replay);
+        let check = check_writes_enabled();
+        let threads = resolve_host_threads(spec.lc);
+        let shards = shard_units(units, threads);
+        let start = Instant::now();
+        let reports = if shards.len() == 1 && !check {
+            let view = GmemAccess::excl(gmem);
+            vec![replay_shard(kernel, spec, role, units, view, memhier)]
+        } else {
+            let shared = gmem.share(check, spec.shadow.is_some());
+            pool::run(shards.len(), threads, |i| {
+                let view = GmemAccess::worker(shared.worker(shards[i][0].first()));
+                let mut memhier = MemHier::new(&self.cfg);
+                replay_shard(kernel, spec, role, shards[i], view, &mut memhier)
+            })
+        };
+        let wall = start.elapsed().as_secs_f64();
+        let mut replayed = Observed::default();
+        for report in reports {
+            replayed.absorb(report?);
+        }
+        let workers = shards.len();
+        let utilization = if workers > 1 && wall > 0.0 {
+            (replayed.busy.as_secs_f64() / (workers as f64 * wall)).min(1.0)
+        } else {
+            1.0
+        };
+        seen.absorb(replayed);
+        Ok((workers, utilization))
+    }
+
+    /// Report: apply the injected stall and check the deadline, then hand
+    /// out the faults, the sanitizer report, the counters and the trace.
+    fn report(
+        &self,
+        setup: &Setup,
+        mut stats: LaunchStats,
+        seen: Observed,
+        wall: Duration,
+        functional_blocks: usize,
+    ) -> Result<LaunchStats, LaunchError> {
+        let lc = setup.spec.lc;
         // Chaos-injected stream stall: a pure timing perturbation applied
         // before the deadline check, so a stalled stream on an otherwise
         // healthy device is exactly what a deadline exists to catch.
@@ -931,77 +907,39 @@ impl Gpu {
                 return Err(LaunchError::DeadlineExceeded { cycles, budget });
             }
         }
-        applied.sort_unstable_by_key(|f| f.block);
-        if sanitizing {
-            let ContextFindings {
-                mut findings,
-                mut totals,
-                per_block,
-            } = collected;
-            if let Some(shadow) = &shadow {
-                shadow.classify(&mut findings, &mut totals);
-            }
-            // Findings from blocks where an injected fault actually landed
-            // are the fault's doing, not a kernel bug. Attribution uses the
-            // uncapped per-block totals so it stays exact past the
-            // detail cap.
-            let faulted: std::collections::HashSet<usize> =
-                applied.iter().map(|f| f.block).collect();
-            let mut fault_attributed = 0u64;
-            for (b, tot) in &per_block {
-                if faulted.contains(b) {
-                    fault_attributed += tot.iter().sum::<u64>();
-                }
-            }
-            for f in &mut findings {
-                if f.block.is_some_and(|b| faulted.contains(&b)) {
-                    f.fault_attributed = true;
-                }
-            }
-            // Deterministic report order regardless of replay sharding.
-            findings.sort_by(|a, b| {
-                (a.block, a.check, a.addr, a.thread).cmp(&(
-                    b.block, b.check, b.addr, b.thread,
-                ))
-            });
-            stats.sanitizer = Some(SanitizerReport {
-                mode: lc.sanitize,
-                findings,
-                counts: totals,
-                fault_attributed,
-            });
+        let mut faults = seen.faults;
+        faults.sort_unstable_by_key(|f| f.block);
+        if let Some(shadow) = &setup.spec.shadow {
+            stats.sanitizer = Some(seen.findings.into_report(lc.sanitize, shadow, &faults));
         }
-        // Block 0 executes functionally either way (traced, or plain on a
-        // schedule-cache hit), so it counts.
-        let functional_blocks = blocks.len() + 1;
         crate::telemetry::record_launch(
             wall.as_nanos().min(u128::from(u64::MAX)) as u64,
             functional_blocks,
-            workers,
-            applied.len() as u64,
+            stats.sim_host_threads,
+            faults.len() as u64,
         );
         // Silent flips are withheld from the ECC report: `faults` carries
         // only the kinds a real machine-check would surface, while
         // `silent_faults` is ground truth for verification campaigns.
-        let (silent, reported): (Vec<_>, Vec<_>) = applied
+        (stats.silent_faults, stats.faults) = faults
             .into_iter()
             .partition(|f| f.kind == crate::fault::FaultKind::SilentFlip);
-        stats.faults = reported;
-        stats.silent_faults = silent;
         if let Some(sink) = &lc.trace {
             sink.record(crate::trace::build_trace(&self.cfg, &stats, &lc.name));
         }
         if sim_verbose() {
+            let fast = setup.replay == Role::FastReplay;
+            let cached = stats.sim_sched_cache_hit;
             eprintln!(
                 "regla-gpu-sim: launch '{}' took the {} path ({}{} functional \
                  blocks, {} in lane groups, {} groups abandoned, {} workers)",
                 lc.name,
                 if fast { "fast" } else { "slow" },
-                if cached.is_some() { "cached schedule, " } else { "" },
+                if cached { "cached schedule, " } else { "" },
                 functional_blocks,
-                lane_blocks,
-                groups_abandoned,
-                workers,
+                stats.sim_lane_blocks,
+                stats.sim_lane_groups_abandoned,
+                stats.sim_host_threads,
             );
         }
         Ok(stats)
@@ -1179,6 +1117,72 @@ mod tests {
         assert_eq!(out, fresh_out, "block 0's plain-run stores were not undone");
         assert_eq!(cycles, fresh_cycles);
         assert_eq!(warm.sched.len(), 2, "one entry per outcome pattern");
+    }
+
+    /// In place, per block: `x ← 2x`, then a panic if the original `x` is
+    /// zero (tested through `is_zero`, as a keyed kernel must). The message
+    /// names the block's first word as the panicking thread reads it, so
+    /// stores left over from an earlier run of the block show.
+    fn double_or_panic(x: DPtr) -> impl Fn(&mut BlockCtx) {
+        move |blk: &mut BlockCtx| {
+            blk.for_each(|t| {
+                let idx = t.block_id * 32 + t.tid;
+                let v = t.gload(x, idx);
+                let doubled = t.add(v, v);
+                t.gstore(x, idx, doubled);
+                if t.is_zero(v) {
+                    let first = t.gload(x, t.block_id * 32).v;
+                    panic!("zero input at word {idx}; the block's first word reads {first}");
+                }
+            });
+        }
+    }
+
+    /// A warm `Gpu` whose block 0 panics in the key check's plain run: the
+    /// traced run reports the error an unkeyed launch on a fresh `Gpu`
+    /// reports, and the cache still serves the next clean launch, bit for
+    /// bit like a fresh `Gpu`.
+    #[test]
+    fn key_check_failure_reports_the_traced_error_and_keeps_the_cache() {
+        let grid = 3;
+        let unkeyed = LaunchConfig::new(grid, 32)
+            .regs(8)
+            .shared_words(0)
+            .host_threads(1);
+        let keyed = unkeyed.clone().schedule_key(11);
+        let run = |gpu: &Gpu, lc: &LaunchConfig, zero_at: Option<usize>| {
+            let mut mem = GlobalMemory::new(grid * 32);
+            let x = mem.alloc(grid * 32);
+            for i in 0..grid * 32 {
+                let v = if Some(i) == zero_at {
+                    0.0
+                } else {
+                    i as f32 + 0.5
+                };
+                mem.write(x, i, v);
+            }
+            let stats = gpu.launch(&double_or_panic(x), lc, &mut mem)?;
+            let out: Vec<u32> = (0..grid * 32).map(|i| mem.read(x, i).to_bits()).collect();
+            Ok::<_, LaunchError>((out, stats.cycles.to_bits(), stats.sim_sched_cache_hit))
+        };
+        let warm = Gpu::quadro_6000();
+        assert!(
+            !run(&warm, &keyed, None).expect("clean launch").2,
+            "the first launch traces"
+        );
+        let failed = run(&warm, &keyed, Some(5)).expect_err("block 0 panics");
+        assert!(
+            matches!(failed, LaunchError::KernelPanic { block: 0, .. }),
+            "{failed:?}"
+        );
+        let fresh_failed = run(&Gpu::quadro_6000(), &unkeyed, Some(5)).expect_err("block 0 panics");
+        assert_eq!(failed, fresh_failed);
+        assert_eq!(warm.sched.len(), 1, "the failed launch cached nothing");
+        let (out, cycles, hit) = run(&warm, &keyed, None).expect("clean launch");
+        assert!(hit, "the next clean launch misses");
+        let (fresh_out, fresh_cycles, _) = run(&Gpu::quadro_6000(), &unkeyed, None).unwrap();
+        assert_eq!(out, fresh_out);
+        assert_eq!(cycles, fresh_cycles);
     }
 
     #[test]

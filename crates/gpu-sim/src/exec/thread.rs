@@ -10,8 +10,9 @@
 //! high-occupancy streaming kernels reach the throughput bounds.
 
 use crate::config::{GpuConfig, MathMode};
+use crate::exec::occupancy::Occupancy;
 use crate::exec::schedule::Outcomes;
-use crate::exec::{uniform, LANES};
+use crate::exec::{uniform, LaunchConfig, LANES};
 use crate::fault::FaultState;
 use crate::mem::global::GmemAccess;
 use crate::mem::{DPtr, MemHier};
@@ -147,6 +148,36 @@ pub(crate) struct SpillInfo {
     pub latency: u64,
     /// Fraction of spilled accesses that overflow the L1 into DRAM.
     pub dram_frac: f64,
+}
+
+impl SpillInfo {
+    /// The spill parameters of a launch at occupancy `occ`. nvcc spills the
+    /// least-used registers, so the probability that a given access
+    /// touches a spilled value is roughly quadratic in the spilled
+    /// fraction; spills land in the L1 (48 kB when the kernel's shared
+    /// footprint allows the prefer-L1 split) and overflow to DRAM beyond
+    /// its capacity.
+    pub(crate) fn new(cfg: &GpuConfig, occ: &Occupancy, lc: &LaunchConfig) -> Self {
+        if occ.regs_spilled == 0 {
+            return SpillInfo::default();
+        }
+        let rho = occ.regs_spilled as f64 / lc.regs_per_thread as f64;
+        let every = (1.0 / (rho * rho)).round().max(1.0) as u64;
+        let footprint = (occ.regs_spilled * 4 * lc.threads_per_block * occ.blocks_per_sm) as f64;
+        let l1_eff = if lc.shared_words * 4 <= cfg.l1_bytes_per_sm {
+            cfg.prefer_l1_bytes_per_sm.max(cfg.l1_bytes_per_sm)
+        } else {
+            cfg.l1_bytes_per_sm
+        } as f64;
+        let hit_frac = (l1_eff / footprint).min(1.0);
+        let latency =
+            hit_frac * cfg.l1_latency as f64 + (1.0 - hit_frac) * cfg.dram_row_hit_latency as f64;
+        SpillInfo {
+            every,
+            latency: latency.round() as u64,
+            dram_frac: 1.0 - hit_frac,
+        }
+    }
 }
 
 /// The device-side view of one thread.

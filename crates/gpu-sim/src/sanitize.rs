@@ -28,6 +28,7 @@
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU32, Ordering};
 
+use crate::fault::FaultRecord;
 use crate::mem::GlobalMemory;
 
 /// Whether the dynamic-analysis pass runs for a launch.
@@ -312,6 +313,39 @@ impl ContextFindings {
             *t += o;
         }
         self.per_block.extend(other.per_block);
+    }
+
+    /// The launch's report: `shadow`'s cross-block hazards join the
+    /// per-block findings, findings from blocks where a fault in `applied`
+    /// landed are the fault's doing rather than a kernel bug, and the
+    /// order is fixed regardless of replay sharding.
+    pub(crate) fn into_report(
+        mut self,
+        mode: SanitizerMode,
+        shadow: &LaunchShadow,
+        applied: &[FaultRecord],
+    ) -> SanitizerReport {
+        shadow.classify(&mut self.findings, &mut self.totals);
+        // Attribution uses the uncapped per-block totals so it stays exact
+        // past the detail cap.
+        let faulted: HashSet<usize> = applied.iter().map(|f| f.block).collect();
+        let fault_attributed = self
+            .per_block
+            .iter()
+            .filter(|(b, _)| faulted.contains(b))
+            .map(|(_, tot)| tot.iter().sum::<u64>())
+            .sum();
+        for f in &mut self.findings {
+            f.fault_attributed = f.block.is_some_and(|b| faulted.contains(&b));
+        }
+        self.findings
+            .sort_by_key(|f| (f.block, f.check, f.addr, f.thread));
+        SanitizerReport {
+            mode,
+            findings: self.findings,
+            counts: self.totals,
+            fault_attributed,
+        }
     }
 }
 
