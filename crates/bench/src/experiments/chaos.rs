@@ -42,6 +42,9 @@ fn campaign_fleet(seed: u64) -> Fleet {
         .policy(FleetPolicy {
             // Generous slack: only the injected stall can blow a budget.
             deadline_slack: Some(4.0),
+            // Four dispatches per device, so the plan below reaches
+            // device 1's second and device 0's third to fifth dispatch.
+            chunks_per_device: 4,
             ..FleetPolicy::default()
         })
         .chaos(

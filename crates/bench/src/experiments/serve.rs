@@ -93,20 +93,23 @@ pub fn standard_scenarios(
     requests: usize,
     c: &mut Collector,
 ) -> Vec<(&'static str, ServeOutcome<f32>)> {
-    [
-        ("coalesced", 2500.0, true, false, None),
-        ("uncoalesced", 2500.0, false, false, None),
-        ("overload", 100_000.0, true, false, Some(1e-4)),
-        ("chaos", 2500.0, true, true, None),
-    ]
-    .into_iter()
-    .map(|(name, rate, coalesce, chaos, budget)| {
+    let mut run = |name, rate, coalesce, chaos, budget| {
         let (outcome, recovery) = run_serve_scenario(requests, rate, coalesce, chaos, budget);
         c.add_recovery(&recovery);
         c.add(Section::Serve, [serve_row(name, &outcome.report)]);
         (name, outcome)
-    })
-    .collect()
+    };
+    let coalesced = run("coalesced", 2500.0, true, false, None);
+    // Four times the requests the fleet just served per busy second
+    // overloads it however fast the fleet is.
+    let r = &coalesced.1.report;
+    let overload_rps = 4.0 * r.served as f64 / r.busy_s;
+    vec![
+        coalesced,
+        run("uncoalesced", 2500.0, false, false, None),
+        run("overload", overload_rps, true, false, Some(1e-4)),
+        run("chaos", 2500.0, true, true, None),
+    ]
 }
 
 /// The serve table: the mixed workload through all four scenarios.
@@ -152,8 +155,9 @@ pub fn serve_load(fast: bool, c: &mut Collector) -> String {
          10x10 and GJ-solve 8x8 requests from 8 seeded client streams. \
          `coalesced` micro-batches compatible requests into shared fleet \
          dispatches under a deadline-driven flush; `uncoalesced` issues one \
-         dispatch per request (the capacity baseline); `overload` offers 40x \
-         the rate against a 0.1 ms backlog budget and a 64-deep queue, so \
+         dispatch per request (the capacity baseline); `overload` offers 4x \
+         the capacity `coalesced` measured (served requests per busy \
+         second) against a 0.1 ms backlog budget and a 64-deep queue, so \
          the admission controller sheds instead of queueing unbounded work; \
          `chaos` re-runs the \
          coalesced scenario with the GT200 killed after two dispatches — the \

@@ -14,9 +14,10 @@
 //! * `timing` — every launch's grid, modeled cycles and phase records.
 //!
 //! The `golden_sim` bin writes [`render`] to `results/golden_sim.txt`;
-//! the root test `tests/golden_sim.rs` recomputes it and compares case by
-//! case. A change that moves simulated results on purpose regenerates the
-//! file and names the changed lines.
+//! the root test `tests/golden_sim.rs` recomputes it at one and at two
+//! replay threads and compares case by case. A change that moves
+//! simulated results on purpose regenerates the file and names the
+//! changed lines.
 
 use crate::workloads::{c32_batch, f32_batch};
 use regla_core::{
@@ -182,8 +183,9 @@ impl Case {
         )
     }
 
-    fn opts(&self, seed: u64) -> RunOpts {
+    fn opts(&self, seed: u64, host_threads: usize) -> RunOpts {
         let mut b = RunOpts::builder()
+            .host_threads(host_threads)
             .approach(self.approach)
             .layout(self.layout)
             .math(self.math)
@@ -232,8 +234,9 @@ impl Case {
         (a, b)
     }
 
-    /// The case's line of the golden file.
-    pub fn line(&self) -> String {
+    /// The case's line of the golden file, replayed on `host_threads`
+    /// host threads.
+    pub fn line(&self, host_threads: usize) -> String {
         let name = self.name();
         let seed = {
             let mut h = Fnv::new();
@@ -243,10 +246,10 @@ impl Case {
         let count = self.count;
         let [out, status, timing] = if self.complex {
             let (a, b) = self.inputs(seed, |m, n, dd, s| c32_batch(m, n, count, dd, s));
-            self.digest(&name, seed, &a, b.as_ref())
+            self.digest(&name, seed, host_threads, &a, b.as_ref())
         } else {
             let (a, b) = self.inputs(seed, |m, n, dd, s| f32_batch(m, n, count, dd, s));
-            self.digest(&name, seed, &a, b.as_ref())
+            self.digest(&name, seed, host_threads, &a, b.as_ref())
         };
         format!("case {name} {out:016x} {status:016x} {timing:016x}")
     }
@@ -255,10 +258,11 @@ impl Case {
         &self,
         name: &str,
         seed: u64,
+        host_threads: usize,
         a: &MatBatch<T>,
         b: Option<&MatBatch<T>>,
     ) -> [u64; 3] {
-        let session = Session::builder().opts(self.opts(seed)).build();
+        let session = Session::builder().opts(self.opts(seed, host_threads)).build();
         let (mut out, mut status, mut timing) = (Fnv::new(), Fnv::new(), Fnv::new());
         match self.call {
             Call::Tsqr => {
@@ -443,11 +447,15 @@ pub fn cases() -> Vec<Case> {
     c
 }
 
-/// The golden file's text: the header and one line per case.
-pub fn render() -> String {
+/// The golden file's text: the header and one line per case, every
+/// launch replayed on `host_threads` host threads. One thread replays
+/// single-shard launches through the exclusive borrow of device memory
+/// (when the disjoint-write checker is off), more replay multi-unit
+/// launches through the worker pool; both must render the same file.
+pub fn render(host_threads: usize) -> String {
     let mut text = format!("{HEADER}\n");
     for case in cases() {
-        text.push_str(&case.line());
+        text.push_str(&case.line(host_threads));
         text.push('\n');
     }
     text

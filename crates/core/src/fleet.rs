@@ -8,8 +8,12 @@
 //! * **Sharding** — each device's share is proportional to the
 //!   predictive model's throughput estimate for the operation on *that*
 //!   device, so a GT200 next to a Quadro 6000 gets fewer problems, not
-//!   half. Shares are contiguous problem ranges split into a few chunks
-//!   per device so stragglers can be stolen. Under
+//!   half. Shares are contiguous problem ranges, each split into
+//!   [`FleetPolicy::chunks_per_device`] chunks. The default of one chunk
+//!   launches a device's whole share at once, which fills the device
+//!   best; more chunks trade one extra launch each for finer rescue and
+//!   steal granularity within a dispatch (across dispatches, stealing
+//!   still balances devices through their persisted clocks). Under
 //!   [`regla_gpu_sim::ExecMode::Full`] the merged output is bit-identical
 //!   to one [`Session`] run; under the sampled modes each chunk runs its
 //!   own sample, so a different set of problems is computed.
@@ -270,8 +274,14 @@ pub struct FleetPolicy {
     /// device gets a proportionally larger budget.
     pub deadline_slack: Option<f64>,
     pub breaker: BreakerPolicy,
-    /// Chunks each device's share is split into (more chunks = finer
-    /// stealing/failover granularity, more launches). Clamped to ≥ 1.
+    /// Chunks each device's share is split into, clamped to ≥ 1. The
+    /// default of 1 launches each share once, so one launch holds as
+    /// many problems as the device was given. Each extra chunk buys
+    /// finer rescue and steal granularity (a failure re-queues less
+    /// work, and an idle device can take part of a straggler's share)
+    /// at the cost of one more launch: one more partly filled wave,
+    /// one more launch overhead and one more schedule-cache check of
+    /// block 0.
     pub chunks_per_device: usize,
     /// Degrade chunks that exhaust their dispatch attempts to the CPU
     /// host pool. With this off such a chunk fails the whole run with
@@ -284,7 +294,7 @@ impl Default for FleetPolicy {
         FleetPolicy {
             deadline_slack: None,
             breaker: BreakerPolicy::default(),
-            chunks_per_device: 4,
+            chunks_per_device: 1,
             cpu_pool: true,
         }
     }
@@ -1104,15 +1114,40 @@ mod tests {
         let a = dd_batch(10, 130); // not divisible by 4 chunks
         let session = Session::with_config(cfg.clone());
         let sref = session.run(Op::Qr, &a, None).unwrap();
-        let fleet = Fleet::builder().device(cfg).build().unwrap();
-        let frun = fleet.run(Op::Qr, &a, None).unwrap();
-        assert_eq!(frun.output.run.out.data(), sref.run.out.data());
-        assert_eq!(
-            frun.output.run.taus.as_ref().unwrap().data(),
-            sref.run.taus.as_ref().unwrap().data()
-        );
-        assert_eq!(frun.output.run.status, sref.run.status);
-        assert_eq!(frun.output.run.recovery, RecoveryStats::default());
+        for chunks_per_device in [1, 4] {
+            let fleet = Fleet::builder()
+                .device(cfg.clone())
+                .policy(FleetPolicy {
+                    chunks_per_device,
+                    ..FleetPolicy::default()
+                })
+                .build()
+                .unwrap();
+            let frun = fleet.run(Op::Qr, &a, None).unwrap();
+            assert_eq!(frun.report.chunks, chunks_per_device);
+            assert_eq!(frun.output.run.out.data(), sref.run.out.data());
+            assert_eq!(
+                frun.output.run.taus.as_ref().unwrap().data(),
+                sref.run.taus.as_ref().unwrap().data()
+            );
+            assert_eq!(frun.output.run.status, sref.run.status);
+            assert_eq!(frun.output.run.recovery, RecoveryStats::default());
+        }
+    }
+
+    #[test]
+    fn healthy_fleet_launches_each_share_once_by_default() {
+        let fleet = Fleet::builder()
+            .device(GpuConfig::quadro_6000())
+            .device(GpuConfig::gt200())
+            .build()
+            .unwrap();
+        let run = fleet.run(Op::Lu, &dd_batch(8, 210), None).unwrap();
+        for d in &run.report.devices {
+            assert!(d.planned_problems > 0, "{:?}", run.report);
+            assert_eq!(d.planned_chunks, 1, "{}", d.name);
+        }
+        assert_eq!(run.report.chunks, 2);
     }
 
     #[test]

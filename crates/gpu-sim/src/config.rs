@@ -223,12 +223,6 @@ impl GpuConfig {
         }
     }
 
-    /// Builder-style override of the copy-engine count.
-    pub fn with_copy_engines(mut self, n: usize) -> Self {
-        self.copy_engines = n;
-        self
-    }
-
     /// A G80-generation part (GeForce 8800 class), used only to cross-check
     /// the latency microbenchmark against Volkov's published 36-cycle
     /// shared-memory figure.

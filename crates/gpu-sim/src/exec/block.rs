@@ -53,7 +53,6 @@ pub(crate) enum Role {
 pub struct BlockCtx<'a> {
     /// The executing block (the first lane's block in a lane group).
     pub block_id: usize,
-    pub grid_blocks: usize,
     spec: &'a BlockSpec<'a>,
     role: Role,
     /// True when this context executes a replay block of an observer-free
@@ -101,7 +100,6 @@ impl<'a> BlockCtx<'a> {
         san.arm(block_id);
         BlockCtx {
             block_id,
-            grid_blocks: lc.grid_blocks,
             spec,
             role,
             fast: role == Role::FastReplay && !fault.armed(),

@@ -284,13 +284,10 @@ fn resolve_host_threads(lc: &LaunchConfig) -> usize {
         .max(1)
 }
 
-/// Whether the disjoint-write checker runs: always in debug builds, and in
-/// release when `REGLA_SIM_CHECK=1` (`REGLA_SIM_CHECK=0` force-disables).
+/// Whether the disjoint-write checker runs: by default in debug builds
+/// only; `REGLA_SIM_CHECK` forces it on or off in either (see [`env_flag`]).
 fn check_writes_enabled() -> bool {
-    match std::env::var("REGLA_SIM_CHECK") {
-        Ok(v) => v.trim() != "0" && !v.trim().is_empty(),
-        Err(_) => cfg!(debug_assertions),
-    }
+    env_flag("REGLA_SIM_CHECK", cfg!(debug_assertions))
 }
 
 /// Parse one boolean flag value: `1`/`true`/`on` and `0`/`false`/`off`
@@ -309,10 +306,15 @@ pub(crate) fn parse_flag(value: &str) -> Option<bool> {
 /// `default` — a typo'd flag must not silently change behaviour (the
 /// same contract `REGLA_SIM_THREADS` gets above).
 pub fn env_flag(name: &str, default: bool) -> bool {
-    let Ok(v) = std::env::var(name) else {
+    flag_value(name, std::env::var(name).ok().as_deref(), default)
+}
+
+/// [`env_flag`] for a given value of `name` (`None` = unset).
+fn flag_value(name: &str, value: Option<&str>, default: bool) -> bool {
+    let Some(v) = value else {
         return default;
     };
-    parse_flag(&v).unwrap_or_else(|| {
+    parse_flag(v).unwrap_or_else(|| {
         use std::collections::HashSet;
         use std::sync::{Mutex, OnceLock};
         static WARNED: OnceLock<Mutex<HashSet<String>>> = OnceLock::new();
@@ -980,6 +982,21 @@ mod tests {
         }
         for v in ["", "yes", "2", "enable", "0x1", "tru e"] {
             assert_eq!(parse_flag(v), None, "{v:?}");
+        }
+    }
+
+    #[test]
+    fn sim_check_spellings_switch_the_write_checker() {
+        let check = |v| flag_value("REGLA_SIM_CHECK", v, cfg!(debug_assertions));
+        for v in ["0", "false", "off"] {
+            assert!(!check(Some(v)), "{v:?}");
+        }
+        for v in ["1", "true", "on"] {
+            assert!(check(Some(v)), "{v:?}");
+        }
+        // Unset and unrecognised values (empty included) keep the default.
+        for v in [None, Some(""), Some("maybe")] {
+            assert_eq!(check(v), cfg!(debug_assertions), "{v:?}");
         }
     }
 

@@ -528,34 +528,6 @@ impl ThreadCtx<'_, '_> {
         }
     }
 
-    /// Division `a/b`: a reciprocal plus a multiply in fast mode, the full
-    /// software sequence in precise mode.
-    pub fn div(&mut self, a: Rv, b: Rv) -> Rv {
-        match self.math {
-            MathMode::Fast => {
-                let r = self.recip(b);
-                let out = self.mul(a, r);
-                Rv {
-                    v: trunc22(a.v / b.v),
-                    ready: out.ready,
-                }
-            }
-            MathMode::Precise => {
-                let v = a.v / b.v;
-                if !self.traced {
-                    return Rv { v, ready: 0 };
-                }
-                let mut start = self.issue(Class::Sfu, a.ready.max(b.ready));
-                for _ in 0..self.cfg.precise_extra_issue {
-                    start = self.issue(Class::Fp, start);
-                }
-                let ready = self.complete(start, self.cfg.precise_div_latency);
-                self.tt.flops += 1;
-                Rv { v, ready }
-            }
-        }
-    }
-
     /// Square root.
     pub fn sqrt(&mut self, a: Rv) -> Rv {
         self.step();
@@ -582,27 +554,6 @@ impl ThreadCtx<'_, '_> {
                 let ready = self.complete(start, self.cfg.precise_sqrt_latency);
                 self.tt.flops += 1;
                 Rv { v, ready }
-            }
-        }
-    }
-
-    /// Reciprocal square root (single SFU op in fast mode).
-    pub fn rsqrt(&mut self, a: Rv) -> Rv {
-        self.step();
-        match self.math {
-            MathMode::Fast => {
-                let v = trunc22(1.0 / a.v.sqrt());
-                if !self.traced {
-                    return Rv { v, ready: 0 };
-                }
-                let start = self.issue(Class::Sfu, a.ready);
-                let ready = self.complete(start, self.cfg.fast_sqrt_latency);
-                self.tt.flops += 1;
-                Rv { v, ready }
-            }
-            MathMode::Precise => {
-                let s = self.sqrt(a);
-                self.recip(s)
             }
         }
     }

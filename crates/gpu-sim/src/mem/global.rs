@@ -495,11 +495,6 @@ impl GlobalMemory {
         self.next
     }
 
-    /// Total capacity in words.
-    pub fn capacity_words(&self) -> usize {
-        self.data.len()
-    }
-
     /// Functional word read.
     #[inline]
     pub fn read(&self, p: DPtr, idx: usize) -> f32 {

@@ -105,12 +105,6 @@ pub struct CommandSpan {
     pub end_s: f64,
 }
 
-impl CommandSpan {
-    pub fn duration_s(&self) -> f64 {
-        self.end_s - self.start_s
-    }
-}
-
 /// Resolved schedule of a [`Timeline`].
 #[derive(Clone, Debug)]
 pub struct TimelineReport {
@@ -228,11 +222,6 @@ impl Timeline {
     pub fn stream(&mut self) -> Stream {
         self.streams += 1;
         Stream(self.streams - 1)
-    }
-
-    /// Number of streams created so far.
-    pub fn stream_count(&self) -> usize {
-        self.streams
     }
 
     /// Enqueue a host-to-device copy of `bytes` on `s`.

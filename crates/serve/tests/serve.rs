@@ -246,3 +246,29 @@ fn device_death_under_load_causes_no_request_errors() {
         }
     }
 }
+
+/// A healthy two-device fleet launches each device's share of a dispatch
+/// once, so a served stream issues at most one device dispatch per
+/// device per fleet dispatch.
+#[test]
+fn healthy_fleet_dispatches_each_device_at_most_once_per_dispatch() {
+    let fleet = Fleet::builder()
+        .device(GpuConfig::quadro_6000())
+        .device(GpuConfig::gt200())
+        .build()
+        .unwrap();
+    let mut engine = ServeEngine::new(
+        fleet,
+        ServeConfig::default().backlog_budget_s(f64::INFINITY),
+    );
+    let report = engine
+        .serve(generate_requests(&TrafficConfig::mixed(40, 1200.0, 77)))
+        .report;
+    assert!(report.dispatches > 0);
+    let device_dispatches: usize = report.device_dispatches.iter().map(|(_, n)| n).sum();
+    assert!(
+        device_dispatches <= 2 * report.dispatches,
+        "{device_dispatches} device dispatches for {} fleet dispatches",
+        report.dispatches
+    );
+}

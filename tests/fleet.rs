@@ -41,6 +41,12 @@ fn killed_device_campaign(
                 .slow_path(slow_path)
                 .build().unwrap(),
         )
+        // Several dispatches per device, so device 1 dies mid-run (on its
+        // second) instead of after its whole share.
+        .policy(FleetPolicy {
+            chunks_per_device: 4,
+            ..FleetPolicy::default()
+        })
         .chaos(ChaosPlan::new(0xDEAD).device_death(1, 1).fault_storm(0, 1, 2, 4))
         .build()
         .unwrap();

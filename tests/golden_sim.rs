@@ -24,21 +24,29 @@ fn by_case(text: &str) -> BTreeMap<String, String> {
         .collect()
 }
 
+/// Both replay paths render the file: one host thread replays
+/// single-shard launches through the exclusive borrow of device memory
+/// (with the disjoint-write checker off), two replay every multi-unit
+/// launch through the worker pool.
 #[test]
 fn simulated_results_match_the_golden_file() {
     assert_eq!(GOLDEN.lines().next(), Some(golden::HEADER));
     let want = by_case(GOLDEN);
-    let got = by_case(&golden::render());
     let mut diffs = Vec::new();
-    for (name, line) in &got {
-        match want.get(name) {
-            Some(w) if w == line => {}
-            Some(w) => diffs.push(format!("  changed: {w}\n       to: {line}")),
-            None => diffs.push(format!("  new case: {line}")),
+    for threads in [1, 2] {
+        let got = by_case(&golden::render(threads));
+        for (name, line) in &got {
+            match want.get(name) {
+                Some(w) if w == line => {}
+                Some(w) => diffs.push(format!(
+                    "  changed at {threads} thread(s): {w}\n                      to: {line}"
+                )),
+                None => diffs.push(format!("  new case at {threads} thread(s): {line}")),
+            }
         }
-    }
-    for name in want.keys().filter(|n| !got.contains_key(*n)) {
-        diffs.push(format!("  missing case: {name}"));
+        for name in want.keys().filter(|n| !got.contains_key(*n)) {
+            diffs.push(format!("  missing case at {threads} thread(s): {name}"));
+        }
     }
     assert!(
         diffs.is_empty(),
