@@ -343,6 +343,7 @@ mod tests {
             op: "QrSolve".into(),
             shape: "32x32x6400".into(),
             sim_blocks: 100,
+            lane_width: 8,
             fast_sim_s: 0.05,
             slow_sim_s: 1.0,
             fast_blocks_per_sec: 2000.0,
@@ -416,6 +417,7 @@ mod tests {
         for want in [
             "\"workload\": \"fig10_pt\"",
             "\"speedup\": 20.00",
+            "\"sim_blocks\": 100, \"lane_width\": 8",
             "\"device\": \"quadro-6000\"",
             "\"rescues\": 2",
             "\"sim_time_s\": 0.012300",

@@ -35,6 +35,9 @@ pub struct ThroughputRow {
     pub shape: String,
     /// Functional blocks each leg replayed (equal by construction).
     pub sim_blocks: usize,
+    /// The fast leg's widest lane group (`LaunchStats::sim_lane_width`;
+    /// 1: its blocks replay one at a time).
+    pub lane_width: usize,
     /// Simulator seconds per leg (`sim_wall_s`, transfers excluded).
     pub fast_sim_s: f64,
     pub slow_sim_s: f64,
@@ -55,6 +58,7 @@ impl ThroughputRow {
             ("op", self.op.as_str().into()),
             ("shape", self.shape.as_str().into()),
             ("sim_blocks", self.sim_blocks.into()),
+            ("lane_width", self.lane_width.into()),
             ("fast_sim_s", Val::Num(self.fast_sim_s, 6)),
             ("slow_sim_s", Val::Num(self.slow_sim_s, 6)),
             ("fast_blocks_per_sec", Val::Num(self.fast_blocks_per_sec, 1)),
@@ -102,6 +106,8 @@ struct Leg {
     /// legitimately differs by one when a schedule-cache hit demotes the
     /// traced block to a functional one).
     blocks: usize,
+    /// The widest lane group any timed launch could form.
+    lane_width: usize,
     fp: Fingerprint,
 }
 
@@ -115,15 +121,17 @@ fn run_leg(
 ) -> Leg {
     let s = Session::builder().opts(opts.clone()).build();
     let _ = s.run(op, a, b).expect("warm-up run");
-    let (mut sim_s, mut blocks) = (0.0, 0usize);
+    let (mut sim_s, mut blocks, mut lane_width) = (0.0, 0usize, 1);
     let mut fp = None;
     for _ in 0..iters {
         let o = s.run(op, a, b).expect("timed run");
-        sim_s += o.run.stats.launches.iter().map(|l| l.sim_wall_s).sum::<f64>();
-        blocks += o.run.stats.launches.iter().map(|l| l.grid_blocks).sum::<usize>();
+        let launches = &o.run.stats.launches;
+        sim_s += launches.iter().map(|l| l.sim_wall_s).sum::<f64>();
+        blocks += launches.iter().map(|l| l.grid_blocks).sum::<usize>();
+        lane_width = launches.iter().map(|l| l.sim_lane_width).fold(lane_width, usize::max);
         fp.get_or_insert_with(|| fingerprint(&o));
     }
-    Leg { sim_s, blocks, fp: fp.unwrap() }
+    Leg { sim_s, blocks, lane_width, fp: fp.unwrap() }
 }
 
 struct Case {
@@ -197,8 +205,8 @@ pub fn sim_throughput_rows(fast: bool) -> (String, Vec<ThroughputRow>) {
         "Simulator throughput — fast path vs instrumented slow path \
          (sim seconds, transfers excluded)",
         &[
-            "workload", "op", "shape", "blocks", "fast blk/s", "slow blk/s", "speedup",
-            "identical",
+            "workload", "op", "shape", "blocks", "lanes", "fast blk/s", "slow blk/s",
+            "speedup", "identical",
         ],
     );
     let mut rows = Vec::new();
@@ -216,6 +224,7 @@ pub fn sim_throughput_rows(fast: bool) -> (String, Vec<ThroughputRow>) {
             op: format!("{:?}", c.op),
             shape: shape.clone(),
             sim_blocks: fl.blocks,
+            lane_width: fl.lane_width,
             fast_sim_s: fl.sim_s,
             slow_sim_s: sl.sim_s,
             fast_blocks_per_sec: fl.blocks as f64 / fl.sim_s.max(1e-12),
@@ -228,6 +237,7 @@ pub fn sim_throughput_rows(fast: bool) -> (String, Vec<ThroughputRow>) {
             row.op.clone(),
             shape,
             row.sim_blocks.to_string(),
+            row.lane_width.to_string(),
             f(row.fast_blocks_per_sec),
             f(row.slow_blocks_per_sec),
             format!("{:.1}x", row.speedup),
@@ -247,6 +257,12 @@ pub fn sim_throughput_rows(fast: bool) -> (String, Vec<ThroughputRow>) {
             op: "all".into(),
             shape: "aggregate".into(),
             sim_blocks: blocks,
+            lane_width: rows
+                .iter()
+                .filter(|r| r.workload == wl)
+                .map(|r| r.lane_width)
+                .max()
+                .unwrap_or(1),
             fast_sim_s: fs,
             slow_sim_s: ss,
             fast_blocks_per_sec: blocks as f64 / fs.max(1e-12),
@@ -259,6 +275,7 @@ pub fn sim_throughput_rows(fast: bool) -> (String, Vec<ThroughputRow>) {
             "all".into(),
             "aggregate".into(),
             blocks.to_string(),
+            row.lane_width.to_string(),
             f(row.fast_blocks_per_sec),
             f(row.slow_blocks_per_sec),
             format!("{:.1}x", row.speedup),
@@ -270,7 +287,8 @@ pub fn sim_throughput_rows(fast: bool) -> (String, Vec<ThroughputRow>) {
         "fast = observer-free path (replay blocks in the plain value domain, arena state, \
          schedule cache); slow = every block in the tracked domain, the path every observed \
          run takes. Both legs run the same kernel bodies over identical launch sequences \
-         and must agree bit for bit.",
+         and must agree bit for bit. lanes = the fast leg's widest lane group, set by the \
+         block's register and shared footprint (1: blocks replay one at a time).",
     );
     (t.render(), rows)
 }

@@ -13,14 +13,14 @@
 //! * plain `f32` and [`CVal`]: the same operations on bare values, through
 //!   the raw shared/global primitives of a fast (observer-free replay)
 //!   block;
-//! * [`Lanes`] of `f32` or [`CVal`]: one plain value for each of the
-//!   [`LANES`] blocks of a lane group, each lane computing its own
-//!   problem's operations in the same order.
+//! * [`Lanes`] of `f32` or [`CVal`], `W` wide: one plain value for each of
+//!   the W blocks of a lane group (W = 2, 4, 8 or 16), each lane computing
+//!   its own problem's operations in the same order.
 //!
 //! Each plain operation performs its tracked twin's `f32` operations in the
 //! same order — Rust never contracts float expressions — so a kernel body
 //! produces bit-identical values in every domain. [`run_in_domain`] picks
-//! the domain once per block or lane group.
+//! the domain, and a group's width, once per block or lane group.
 //!
 //! Kernels address global memory through per-block [`Slab`]s and take
 //! every branch on data through `is_zero`/`gt` (or the block id through
@@ -30,7 +30,7 @@
 //! outcomes while the simulator keys its schedule cache on block 0.
 
 use crate::scalar::{Scalar, C32};
-use regla_gpu_sim::{uniform, BlockCtx, CRv, DPtr, Rv, ThreadCtx, LANES};
+use regla_gpu_sim::{uniform, BlockCtx, CRv, DPtr, Rv, ThreadCtx};
 
 /// A per-block slab of device memory, in element units: block `b` reaches
 /// element `off` of its slab at element `b * stride + off` past `ptr`.
@@ -63,10 +63,9 @@ pub trait Elem: Copy + Send + Sync + 'static {
     type Host: Scalar;
     /// The real values of this domain (norms, pivots, flags).
     type Re: Real;
-    /// The same element in the plain domain (`Self` for plain elements).
-    type Plain: Elem<Host = Self::Host>;
-    /// The same element across a lane group (`Self` for lane elements).
-    type Lanes: Elem<Host = Self::Host>;
+    /// The same element as one plain value (`Self` for plain elements,
+    /// one lane's element for lane values); [`Lanes`] of it run a group.
+    type Plain: LaneElem<Host = Self::Host>;
     /// 32-bit words per element.
     const WORDS: usize;
 
@@ -147,17 +146,22 @@ pub trait DomainKernel {
     fn body<D: Elem>(&self, blk: &mut BlockCtx);
 }
 
-/// Run `k`'s body in the domain this block executes in: lanes over a lane
-/// group, plain values on a fast block, tracked registers otherwise. Every
-/// register kernel's `BlockKernel::run` is this one call, and every such
-/// kernel is `BlockKernel::lane_capable`.
+/// The plain element of `K`'s domain.
+type PlainOf<K> = <<K as DomainKernel>::Elem as Elem>::Plain;
+
+/// Run `k`'s body in the domain this block executes in: lanes as wide as
+/// the lane group, plain values on a fast block, tracked registers
+/// otherwise. Every register kernel's `BlockKernel::run` is this one call,
+/// and every such kernel is `BlockKernel::lane_capable`.
 pub fn run_in_domain<K: DomainKernel>(k: &K, blk: &mut BlockCtx) {
-    if blk.lane_group() {
-        k.body::<<K::Elem as Elem>::Lanes>(blk)
-    } else if blk.fast() {
-        k.body::<<K::Elem as Elem>::Plain>(blk)
-    } else {
-        k.body::<K::Elem>(blk)
+    match blk.lane_width() {
+        1 if blk.fast() => k.body::<PlainOf<K>>(blk),
+        1 => k.body::<K::Elem>(blk),
+        2 => k.body::<Lanes<PlainOf<K>, 2>>(blk),
+        4 => k.body::<Lanes<PlainOf<K>, 4>>(blk),
+        8 => k.body::<Lanes<PlainOf<K>, 8>>(blk),
+        16 => k.body::<Lanes<PlainOf<K>, 16>>(blk),
+        w => unreachable!("lane groups are 2, 4, 8 or 16 blocks wide, not {w}"),
     }
 }
 
@@ -165,7 +169,6 @@ impl Elem for Rv {
     type Host = f32;
     type Re = Rv;
     type Plain = f32;
-    type Lanes = Lanes<f32>;
     const WORDS: usize = 1;
 
     fn imm(re: f32) -> Self {
@@ -249,7 +252,6 @@ impl Elem for CRv {
     type Host = C32;
     type Re = Rv;
     type Plain = CVal;
-    type Lanes = Lanes<CVal>;
     const WORDS: usize = 2;
 
     fn imm(re: f32) -> Self {
@@ -323,7 +325,6 @@ impl Elem for f32 {
     type Host = f32;
     type Re = f32;
     type Plain = f32;
-    type Lanes = Lanes<f32>;
     const WORDS: usize = 1;
 
     fn imm(re: f32) -> Self {
@@ -427,7 +428,6 @@ impl Elem for CVal {
     type Host = C32;
     type Re = f32;
     type Plain = CVal;
-    type Lanes = Lanes<CVal>;
     const WORDS: usize = 2;
 
     fn imm(re: f32) -> Self {
@@ -545,7 +545,7 @@ impl Elem for CVal {
 
 /// A plain element that can sit in the lanes of a [`Lanes`] value: its
 /// `WORDS` 32-bit words, one at a time.
-pub trait LaneElem: Elem<Plain = Self> + Default {
+pub trait LaneElem: Elem<Plain = Self, Re = f32> + Default {
     /// Word `w` (`< WORDS`) of the element.
     fn word(self, w: usize) -> f32;
     /// Overwrite word `w` of the element.
@@ -582,33 +582,35 @@ impl LaneElem for CVal {
     }
 }
 
-/// One plain value per block of a lane group: lane `l` belongs to the
-/// group's `l`-th block. Every operation applies the plain element's
-/// operation lane by lane, so each lane performs exactly its own
+/// One plain value per block of a `W`-wide lane group: lane `l` belongs
+/// to the group's `l`-th block. Every operation applies the plain
+/// element's operation lane by lane, so each lane performs exactly its own
 /// problem's `f32` operations in the scalar order; a branch (`is_zero`,
 /// `gt`) must agree across lanes or the group is abandoned (see
 /// [`regla_gpu_sim::uniform`]).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Lanes<T>(pub [T; LANES]);
+#[derive(Clone, Copy, Debug)]
+pub struct Lanes<T, const W: usize>(pub [T; W]);
+
+impl<T: Copy + Default, const W: usize> Default for Lanes<T, W> {
+    fn default() -> Self {
+        Lanes([T::default(); W])
+    }
+}
 
 /// Build a lane value from its lanes.
 #[inline]
-fn lanes<T>(f: impl FnMut(usize) -> T) -> Lanes<T> {
+fn lanes<T, const W: usize>(f: impl FnMut(usize) -> T) -> Lanes<T, W> {
     Lanes(std::array::from_fn(f))
 }
 
-impl<T: LaneElem> Elem for Lanes<T>
-where
-    T::Re: LaneElem,
-{
+impl<T: LaneElem, const W: usize> Elem for Lanes<T, W> {
     type Host = T::Host;
-    type Re = Lanes<T::Re>;
-    type Plain = Self;
-    type Lanes = Self;
+    type Re = Lanes<f32, W>;
+    type Plain = T;
     const WORDS: usize = T::WORDS;
 
     fn imm(re: f32) -> Self {
-        Lanes([T::imm(re); LANES])
+        Lanes([T::imm(re); W])
     }
     fn from_re(r: Self::Re) -> Self {
         Lanes(r.0.map(T::from_re))
@@ -619,7 +621,7 @@ where
     fn gload(t: &mut ThreadCtx, s: Slab, off: usize) -> Self {
         let mut out = Self::default();
         for w in 0..T::WORDS {
-            let v = t.gget_lanes(s.ptr, T::WORDS * s.stride, T::WORDS * off + w);
+            let v = t.gget_lanes::<W>(s.ptr, T::WORDS * s.stride, T::WORDS * off + w);
             for (e, v) in out.0.iter_mut().zip(v) {
                 e.set_word(w, v);
             }
@@ -634,20 +636,20 @@ where
     }
     fn gload_span(t: &mut ThreadCtx, s: Slab, off: usize, regs: &mut [Self]) {
         let (stride, len) = (T::WORDS * s.stride, T::WORDS * regs.len());
-        t.gget_span_lanes(s.ptr, stride, T::WORDS * off, len, |k, l, v| {
+        t.gget_span_lanes::<W>(s.ptr, stride, T::WORDS * off, len, |k, l, v| {
             regs[k / T::WORDS].0[l].set_word(k % T::WORDS, v)
         });
     }
     fn gstore_span(t: &mut ThreadCtx, s: Slab, off: usize, regs: &[Self]) {
         let (stride, len) = (T::WORDS * s.stride, T::WORDS * regs.len());
-        t.gset_span_lanes(s.ptr, stride, T::WORDS * off, len, |k, l| {
+        t.gset_span_lanes::<W>(s.ptr, stride, T::WORDS * off, len, |k, l| {
             regs[k / T::WORDS].0[l].word(k % T::WORDS)
         });
     }
     fn sload(t: &mut ThreadCtx, idx: usize) -> Self {
         let mut out = Self::default();
         for w in 0..T::WORDS {
-            let v = t.sget_lanes(T::WORDS * idx + w);
+            let v = t.sget_lanes::<W>(T::WORDS * idx + w);
             for (e, v) in out.0.iter_mut().zip(v) {
                 e.set_word(w, v);
             }
@@ -700,18 +702,18 @@ where
     }
 }
 
-impl<R: Real + LaneElem> Real for Lanes<R> {
+impl<const W: usize> Real for Lanes<f32, W> {
     fn sqrt(t: &mut ThreadCtx, a: Self) -> Self {
-        lanes(|l| R::sqrt(t, a.0[l]))
+        lanes(|l| <f32 as Real>::sqrt(t, a.0[l]))
     }
     fn neg(t: &mut ThreadCtx, a: Self) -> Self {
-        lanes(|l| R::neg(t, a.0[l]))
+        lanes(|l| <f32 as Real>::neg(t, a.0[l]))
     }
     fn gt(t: &mut ThreadCtx, a: Self, b: Self) -> bool {
-        uniform(lanes(|l| R::gt(t, a.0[l], b.0[l])).0)
+        uniform(lanes::<_, W>(|l| <f32 as Real>::gt(t, a.0[l], b.0[l])).0)
     }
     fn neg_if_gt(t: &mut ThreadCtx, v: Self, a: Self, b: Self) -> Self {
-        lanes(|l| R::neg_if_gt(t, v.0[l], a.0[l], b.0[l]))
+        lanes(|l| <f32 as Real>::neg_if_gt(t, v.0[l], a.0[l], b.0[l]))
     }
 }
 

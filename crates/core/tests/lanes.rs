@@ -1,7 +1,8 @@
 //! Lane-group replay.
 //!
-//! On a fast launch, a lane-capable kernel replays `LANES` blocks per pass
-//! of its body over lane values. Every group must be bit-identical to the
+//! On a fast launch, a lane-capable kernel replays a lane group of 2, 4, 8
+//! or 16 blocks per pass of its body over lane values, as wide as the
+//! block's working set allows. Every group must be bit-identical to the
 //! instrumented path — outputs, taus, statuses and per-launch cycles — and
 //! a group whose lanes disagree on a branch (one zero pivot, one non-SPD
 //! diagonal, one zero column) must be undone and replayed one block at a
@@ -17,7 +18,7 @@ use regla_core::{
 };
 use regla_gpu_sim::{
     BlockCtx, BlockKernel, DPtr, ExecMode, FaultKind, FaultPlan, GlobalMemory, Gpu, LaunchConfig,
-    MathMode, Rv, LANES,
+    MathMode, Rv,
 };
 use regla_model::Approach;
 
@@ -156,8 +157,8 @@ fn lanes_match_slow<T: DeviceScalar>(
 }
 
 fn per_block_case<T: DeviceScalar>(op: Op) {
-    // 13 blocks: block 0 is traced, blocks 1..=8 form one group, 9..=11
-    // are a short leftover and 12 is the grid's last block.
+    // 13 blocks: block 0 is traced, blocks 1..=8 form a group of 8, 9..=10
+    // one of 2, 11 is left over and 12 is the grid's last block.
     let (a, rhs) = inputs::<T>(op, 12, 13, 7);
     let counts = lanes_match_slow(
         op,
@@ -167,7 +168,7 @@ fn per_block_case<T: DeviceScalar>(op: Op) {
     );
     assert_eq!(
         (counts.0, counts.1),
-        (LANES, 0),
+        (10, 0),
         "{op:?} per-block complex={}",
         T::IS_COMPLEX
     );
@@ -185,7 +186,7 @@ fn per_thread_case<T: DeviceScalar>(op: Op) {
     );
     assert_eq!(
         (counts.0, counts.1),
-        (LANES, 0),
+        (8, 0),
         "{op:?} per-thread complex={}",
         T::IS_COMPLEX
     );
@@ -196,6 +197,31 @@ fn per_block_lane_groups_are_bit_identical() {
     for op in [Op::Lu, Op::GjSolve, Op::Qr, Op::QrSolve, Op::Cholesky] {
         per_block_case::<f32>(op);
         per_block_case::<C32>(op);
+    }
+}
+
+/// 33 blocks: block 0 is traced, blocks 1..=31 replay as groups of 16, 8,
+/// 4 and 2 and one single block, and 32 is the grid's last block — every
+/// lane width in one launch.
+#[test]
+fn every_lane_width_is_bit_identical() {
+    fn case<T: DeviceScalar>(op: Op) {
+        let (a, rhs) = inputs::<T>(op, 8, 33, 73);
+        let per_block = forced(Approach::PerBlock, ExecMode::Full);
+        let (blocks, abandoned, _) = lanes_match_slow(op, &per_block, &a, rhs.as_ref());
+        assert_eq!(
+            (blocks, abandoned),
+            (16 + 8 + 4 + 2, 0),
+            "{op:?} complex={}",
+            T::IS_COMPLEX
+        );
+        let out = run(op, &a, rhs.as_ref(), per_block().build().expect("valid options"));
+        let widths: Vec<usize> = out.run.stats.launches.iter().map(|l| l.sim_lane_width).collect();
+        assert_eq!(widths, [16], "{op:?}");
+    }
+    for op in [Op::Lu, Op::QrSolve, Op::Cholesky] {
+        case::<f32>(op);
+        case::<C32>(op);
     }
 }
 
@@ -222,7 +248,7 @@ fn kernel_variants_run_in_lane_groups() {
     ) {
         let (blocks, abandoned, _) = lanes_match_slow(op, opts, a, rhs);
         assert!(
-            blocks >= LANES && abandoned == 0,
+            blocks >= 8 && abandoned == 0,
             "{what}: {blocks} lane blocks, {abandoned} abandoned"
         );
     }
@@ -295,7 +321,7 @@ fn kernel_variants_run_in_lane_groups() {
     };
     let (fast, slow) = (tsqr(false), tsqr(true));
     assert_eq!((&fast.0, &fast.1), (&slow.0, &slow.1), "tsqr");
-    assert!(fast.2 >= LANES, "tsqr: {} lane blocks", fast.2);
+    assert!(fast.2 >= 8, "tsqr: {} lane blocks", fast.2);
 }
 
 /// Plain random QR inputs put both reflector signs inside one group: the
@@ -304,14 +330,14 @@ fn kernel_variants_run_in_lane_groups() {
 fn reflector_sign_differs_per_lane_without_divergence() {
     fn case<T: DeviceScalar>() {
         let (a, _) = inputs::<T>(Op::Qr, 12, 13, 7);
-        let signs: Vec<bool> = (1..=LANES).map(|k| a.get(k, 0, 0).real() > 0.0).collect();
+        let signs: Vec<bool> = (1..=8).map(|k| a.get(k, 0, 0).real() > 0.0).collect();
         assert!(
             signs.contains(&true) && signs.contains(&false),
             "the group must mix reflector signs: {signs:?}"
         );
         let (blocks, abandoned, _) =
             lanes_match_slow(Op::Qr, forced(Approach::PerBlock, ExecMode::Full), &a, None);
-        assert_eq!((blocks, abandoned), (LANES, 0));
+        assert_eq!((blocks, abandoned), (10, 0));
     }
     case::<f32>();
     case::<C32>();
@@ -351,15 +377,17 @@ impl Break {
 #[test]
 fn a_lone_divergent_lane_abandons_its_group() {
     fn case<T: DeviceScalar>(op: Op, approach: Approach, how: Break) {
-        let (n, count, victim) = match approach {
-            Approach::PerThread => (4, 10 * TPB + 5, 3 * TPB + 17),
-            _ => (12, 13, 5),
+        // The victim's group of 8 is abandoned; a per-block launch's group
+        // of 2 (blocks 9 and 10) still runs.
+        let (n, count, victim, grouped) = match approach {
+            Approach::PerThread => (4, 10 * TPB + 5, 3 * TPB + 17, 0),
+            _ => (12, 13, 5, 2),
         };
         let (mut a, rhs) = inputs::<T>(op, n, count, 13);
         how.apply(&mut a, victim);
         let (blocks, abandoned, fp) =
             lanes_match_slow(op, forced(approach, ExecMode::Full), &a, rhs.as_ref());
-        assert_eq!((blocks, abandoned), (0, 1), "{op:?} {approach:?} {how:?}");
+        assert_eq!((blocks, abandoned), (grouped, 1), "{op:?} {approach:?} {how:?}");
         if op != Op::Qr {
             assert_eq!(
                 fp.status[victim],
@@ -391,7 +419,8 @@ fn a_lone_divergent_lane_abandons_its_group() {
 #[test]
 fn sampled_and_representative_launches() {
     // 40 blocks sampled 20 ways: blocks 2, 4, .., 38 replay, the grid's
-    // last block (39) is not among them — two groups and a leftover of 3.
+    // last block (39) is not among them — groups of 16 and 2 and a
+    // leftover of 1.
     let (a, _) = inputs::<f32>(Op::Qr, 8, 40, 17);
     let counts = lanes_match_slow(
         Op::Qr,
@@ -399,7 +428,7 @@ fn sampled_and_representative_launches() {
         &a,
         None,
     );
-    assert_eq!((counts.0, counts.1), (2 * LANES, 0));
+    assert_eq!((counts.0, counts.1), (18, 0));
     let (a, _) = inputs::<C32>(Op::Lu, 4, 20 * TPB, 19);
     let counts = lanes_match_slow(
         Op::Lu,
@@ -407,7 +436,7 @@ fn sampled_and_representative_launches() {
         &a,
         None,
     );
-    assert_eq!((counts.0, counts.1), (LANES, 0));
+    assert_eq!((counts.0, counts.1), (8, 0));
     let representative = forced(Approach::PerThread, ExecMode::Representative);
     let counts = lanes_match_slow(Op::Lu, representative, &a, None);
     assert_eq!((counts.0, counts.1), (0, 0));
@@ -447,7 +476,7 @@ fn fault_plans_replay_unarmed_blocks_in_lanes() {
         let (f, s) = faults(&fast);
         assert!(!f.is_empty() || !s.is_empty(), "{kind:?}: the plan fired");
         let (blocks, _) = lane_counts(&fast);
-        assert!(blocks >= 2 * LANES, "{kind:?}: unarmed blocks ran in lanes");
+        assert!(blocks >= 16, "{kind:?}: unarmed blocks ran in lanes");
     }
 }
 
@@ -490,7 +519,7 @@ impl DomainKernel for DoubleThenBranch {
 
 #[test]
 fn abandoned_groups_restore_their_stores() {
-    let grid = LANES + 2;
+    let grid = 10;
     let run = |slow: bool| {
         let mut mem = GlobalMemory::new(grid);
         let x = mem.alloc(grid);

@@ -12,7 +12,7 @@ use crate::config::GpuConfig;
 use crate::exec::arena::{BlockBufs, BufPool};
 use crate::exec::schedule::{BlockKey, Outcomes};
 use crate::exec::thread::{AccessRec, PhaseAccum, SpillInfo, ThreadCtx};
-use crate::exec::{uniform, LaunchConfig, LANES};
+use crate::exec::{uniform, LaunchConfig, MAX_LANES};
 use crate::fault::{FaultMap, FaultRecord, FaultState};
 use crate::mem::global::GmemAccess;
 use crate::mem::shared::{bank_conflict_replays, coalesced_transactions, distinct_lines};
@@ -59,9 +59,10 @@ pub struct BlockCtx<'a> {
     /// launch that no fault is armed in: threads expose the raw fast
     /// primitives.
     fast: bool,
-    /// The blocks of the lane group being executed (when `lanes`).
-    group: [usize; LANES],
-    lanes: bool,
+    /// The blocks being executed: the first `width` entries, the
+    /// executing block alone outside a lane group.
+    group: [usize; MAX_LANES],
+    width: usize,
     /// Shared memory, readiness shadow and per-thread timing, checked out
     /// of the per-`Gpu` arena and returned on drop.
     bufs: BlockBufs,
@@ -103,8 +104,8 @@ impl<'a> BlockCtx<'a> {
             spec,
             role,
             fast: role == Role::FastReplay && !fault.armed(),
-            group: [block_id; LANES],
-            lanes: false,
+            group: [block_id; MAX_LANES],
+            width: 1,
             bufs: spec.pool.checkout(lc.shared_words, lc.threads_per_block),
             phase: PhaseAccum::default(),
             phase_start: 0,
@@ -167,25 +168,29 @@ impl<'a> BlockCtx<'a> {
 
     /// Reuse this context for another (untraced) block without reallocating.
     pub(crate) fn reset_for_block(&mut self, block_id: usize) {
-        self.lanes = false;
+        self.group[0] = block_id;
+        self.width = 1;
         self.reset(block_id, self.spec.lc.shared_words);
         self.fast = self.role == Role::FastReplay && !self.fault.armed();
     }
 
-    /// Reuse this context for a lane group: `group`'s blocks (none of them
-    /// armed by a fault plan) execute at once over `LANES`-wide values,
-    /// with their global stores logged until [`end_undo_log`].
+    /// Reuse this context for a lane group: `group`'s 2 to [`MAX_LANES`]
+    /// blocks (none of them armed by a fault plan) execute at once over
+    /// values as wide as the group, with word-major shared memory as wide
+    /// too and their global stores logged until [`end_undo_log`].
     ///
     /// [`end_undo_log`]: Self::end_undo_log
-    pub(crate) fn reset_for_group(&mut self, group: [usize; LANES]) {
+    pub(crate) fn reset_for_group(&mut self, group: &[usize]) {
         debug_assert_eq!(
             self.role,
             Role::FastReplay,
             "lane groups replay observer-free"
         );
-        self.lanes = true;
-        self.group = group;
-        self.reset(group[0], self.spec.lc.shared_words * LANES);
+        let width = group.len();
+        debug_assert!((2..=MAX_LANES).contains(&width), "a {width}-block lane group");
+        self.group[..width].copy_from_slice(group);
+        self.width = width;
+        self.reset(group[0], self.spec.lc.shared_words * width);
         debug_assert!(!self.fault.armed(), "lane groups hold unarmed blocks");
         self.fast = true;
         self.gmem.begin_undo_log();
@@ -231,25 +236,21 @@ impl<'a> BlockCtx<'a> {
         self.spec.lc.shared_words
     }
 
-    /// Whether this context executes a lane group: [`LANES`] replay blocks
-    /// of a lane-capable kernel ([`crate::BlockKernel::lane_capable`]) at
-    /// once. Kernels then compute on `LANES`-wide plain values through the
-    /// `ThreadCtx::*_lanes` primitives, lane `l` belonging to the group's
-    /// `l`-th block.
+    /// How many blocks this context executes at once: 1, or the width W
+    /// (2, 4, 8 or 16) of a lane group of a lane-capable kernel
+    /// ([`crate::BlockKernel::lane_capable`]). In a group, kernels compute
+    /// on W-wide plain values through the `ThreadCtx::*_lanes::<W>`
+    /// primitives, lane `l` belonging to the group's `l`-th block.
     #[inline]
-    pub fn lane_group(&self) -> bool {
-        self.lanes
+    pub fn lane_width(&self) -> usize {
+        self.width
     }
 
-    /// The blocks this context executes: its own block, or the [`LANES`]
-    /// blocks of a lane group.
+    /// The blocks this context executes: its own block, or the blocks of
+    /// a lane group.
     #[inline]
     fn lane_blocks(&self) -> &[usize] {
-        if self.lanes {
-            &self.group
-        } else {
-            std::slice::from_ref(&self.block_id)
-        }
+        &self.group[..self.width]
     }
 
     /// `pred` of the executing block, for a branch on the block id (such
@@ -301,7 +302,7 @@ impl<'a> BlockCtx<'a> {
                 tid,
                 block_id: self.block_id,
                 group: &self.group,
-                lanes: self.lanes,
+                width: self.width,
                 traced: self.role == Role::Traced,
                 fast: self.fast,
                 cfg: spec.cfg,

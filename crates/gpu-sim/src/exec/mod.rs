@@ -231,7 +231,8 @@ impl LaunchConfig {
     /// execution path: no trace sink, sanitizer or watchdog, and
     /// `slow_path` not forced. On the fast path replay blocks elide all
     /// per-op scoreboard/shadow bookkeeping, and a lane-capable kernel
-    /// replays [`LANES`] blocks per pass (see [`BlockKernel::lane_capable`]);
+    /// replays lane groups of blocks per pass (see
+    /// [`BlockKernel::lane_capable`]);
     /// results, statuses, and modeled cycle totals are bit-identical to the
     /// slow path. A fault plan does not disqualify the launch: the fast
     /// decision is made per replay block, and only the blocks the plan arms
@@ -370,9 +371,37 @@ fn replay_blocks(lc: &LaunchConfig) -> Vec<usize> {
     }
 }
 
-/// Replay blocks per lane group: a lane-capable kernel's fast replay runs
-/// its body once for this many blocks (see [`BlockKernel::lane_capable`]).
-pub const LANES: usize = 8;
+/// The widest lane group: a lane-capable kernel's fast replay runs its
+/// body once for a group of 2, 4, 8 or 16 blocks (see
+/// [`BlockKernel::lane_capable`]).
+pub(crate) const MAX_LANES: usize = 16;
+
+/// Host bytes a lane group's registers and shared memory may fill. Every
+/// lane holds a whole block's working set, so W lanes hold
+/// W × 4 × (threads × registers + shared words) bytes; once the group
+/// outgrows the cache, the lanes stop sharing a pass's fixed cost and
+/// start evicting each other. A launch's groups are as wide as fits (see
+/// [`lane_cap`]), and a block too big for two lanes replays alone.
+///
+/// Settled by measurement on a Xeon with 48 KiB of L1d and 2 MiB of L2
+/// per core, one replay thread, medians of interleaved runs: against
+/// 256 KiB, 512 KiB replays per-thread 8×8 blocks 3–8% faster (16 lanes
+/// instead of 8), per-thread 16×16 10–66% (4 instead of 2) and per-block
+/// 56×56 8–22% (16 instead of 8). Per-thread 32×32 (265 KiB a block)
+/// and 64×64 (1 MiB) stay single: 2 lanes of either replayed 12–41%
+/// slower than one.
+const LANE_BUDGET_BYTES: usize = 512 << 10;
+
+/// The widest lane group `lc`'s blocks may form: the largest W in
+/// {16, 8, 4, 2} whose working set fits [`LANE_BUDGET_BYTES`], else 1. A
+/// static rule of the launch's declared footprint, never of a timing.
+fn lane_cap(lc: &LaunchConfig) -> usize {
+    let block_bytes = 4 * (lc.threads_per_block * lc.regs_per_thread + lc.shared_words);
+    [16, 8, 4, 2]
+        .into_iter()
+        .find(|w| w * block_bytes <= LANE_BUDGET_BYTES)
+        .unwrap_or(1)
+}
 
 /// Unwind payload that abandons a lane group whose lanes disagree on a
 /// branch (see [`uniform`]).
@@ -400,12 +429,12 @@ pub fn uniform(lanes: impl IntoIterator<Item = bool>) -> bool {
 pub trait BlockKernel {
     fn run(&self, blk: &mut BlockCtx);
 
-    /// Whether `run` can execute a lane group ([`BlockCtx::lane_group`]):
-    /// [`LANES`] fast replay blocks at once over `LANES`-wide plain
-    /// values. Such a kernel addresses global memory only through per-block
-    /// slabs (the `ThreadCtx::*_lanes` primitives), never by multiplying
-    /// `block_id`, and takes every data- or block-dependent branch through
-    /// [`uniform`].
+    /// Whether `run` can execute a lane group ([`BlockCtx::lane_width`]):
+    /// W fast replay blocks at once over W-wide plain values, for W of 2,
+    /// 4, 8 or 16. Such a kernel addresses global memory only through
+    /// per-block slabs (the `ThreadCtx::*_lanes` primitives), never by
+    /// multiplying `block_id`, and takes every data- or block-dependent
+    /// branch through [`uniform`].
     fn lane_capable(&self) -> bool {
         false
     }
@@ -417,28 +446,72 @@ impl<F: Fn(&mut BlockCtx)> BlockKernel for F {
     }
 }
 
-/// One unit of replay work: a lane group or a single block.
-#[derive(Clone, Copy, Debug)]
+/// One unit of replay work: a lane group (its first `width` blocks) or a
+/// single block.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Unit {
-    Group([usize; LANES]),
+    Group {
+        blocks: [usize; MAX_LANES],
+        width: usize,
+    },
     Block(usize),
 }
 
 impl Unit {
-    fn first(&self) -> usize {
-        match *self {
-            Unit::Group(g) => g[0],
-            Unit::Block(b) => b,
+    /// The unit over `blocks`: a group of two or more, or a single block.
+    fn of(blocks: &[usize]) -> Unit {
+        match *blocks {
+            [b] => Unit::Block(b),
+            _ => {
+                let mut group = [0; MAX_LANES];
+                group[..blocks.len()].copy_from_slice(blocks);
+                Unit::Group {
+                    blocks: group,
+                    width: blocks.len(),
+                }
+            }
         }
     }
 
-    /// Relative replay cost: lanes replay a block about four times faster.
-    fn cost(&self) -> usize {
+    /// The blocks the unit replays, in order.
+    fn blocks(&self) -> &[usize] {
         match self {
-            Unit::Group(_) => 2,
-            Unit::Block(_) => 1,
+            Unit::Group { blocks, width } => &blocks[..*width],
+            Unit::Block(b) => std::slice::from_ref(b),
         }
     }
+
+    fn first(&self) -> usize {
+        self.blocks()[0]
+    }
+
+    /// Relative replay cost, in sevenths of a lone block: a pass of the
+    /// kernel body costs about 6/7 of a lone block whatever its width,
+    /// plus 1/7 per lane — the fixed cost that lanes spread out.
+    fn cost(&self) -> usize {
+        6 + self.blocks().len()
+    }
+}
+
+/// Cut `blocks` into replay units in order. Blocks `alone` picks replay
+/// singly; the rest are cut greedily into lane groups of `cap` blocks,
+/// and what is left after the last full group into exact groups of 8, 4
+/// and 2 and at most one single block, widest first. No group is padded.
+/// Units come in the order of their first block.
+fn cut_units(blocks: &[usize], cap: usize, alone: impl Fn(usize) -> bool) -> Vec<Unit> {
+    let (singles, groupable): (Vec<usize>, Vec<usize>) =
+        blocks.iter().partition(|&&b| cap == 1 || alone(b));
+    let mut units: Vec<Unit> = singles.into_iter().map(Unit::Block).collect();
+    let mut rest = &groupable[..];
+    while !rest.is_empty() {
+        // The cap, or the widest power of two the tail still fills.
+        let width = cap.min(1 << rest.len().ilog2());
+        let (group, tail) = rest.split_at(width);
+        units.push(Unit::of(group));
+        rest = tail;
+    }
+    units.sort_unstable_by_key(Unit::first);
+    units
 }
 
 /// What a launch's set-up stage derives once for its later stages.
@@ -446,38 +519,36 @@ struct Setup<'a> {
     spec: BlockSpec<'a>,
     occ: Occupancy,
     replay: Role,
+    /// The widest lane group the launch's blocks may form ([`lane_cap`]).
+    lane_cap: usize,
+    /// Host threads the replay may use (see [`LaunchConfig::host_threads`]).
+    threads: usize,
     /// The schedule-cache key of a keyed fast launch without a fault plan.
     key: Option<LaunchKey>,
 }
 
 impl Setup<'_> {
-    /// Plan units: split the replay list into lane groups and single
-    /// blocks. On a fast launch of a lane-capable kernel, every `LANES`
-    /// groupable blocks form a group; blocks the fault plan arms, the
-    /// grid's last block (the only one a per-thread launch can leave
-    /// partial) and the leftovers that cannot fill a group replay alone.
-    /// Grouping depends only on the launch, never on the host thread count.
-    fn plan_units(&self, blocks: &[usize], lane_capable: bool) -> Vec<Unit> {
-        let lanes = lane_capable && self.replay == Role::FastReplay;
-        let fault_map = self.spec.fault_map.as_ref();
-        let mut units = Vec::with_capacity(blocks.len());
-        let mut pending = Vec::with_capacity(LANES);
-        for &b in blocks {
-            let armed = fault_map.is_some_and(|m| m.contains_key(&b));
-            if !lanes || b + 1 == self.spec.lc.grid_blocks || armed {
-                units.push(Unit::Block(b));
-                continue;
-            }
-            pending.push(b);
-            if pending.len() == LANES {
-                units.push(Unit::Group(
-                    pending[..].try_into().expect("pending holds LANES blocks"),
-                ));
-                pending.clear();
-            }
+    /// The widest lane group the replay forms: [`lane_cap`] on a fast
+    /// launch of a lane-capable kernel, 1 (no groups) otherwise.
+    fn group_cap(&self, lane_capable: bool) -> usize {
+        if lane_capable && self.replay == Role::FastReplay {
+            self.lane_cap
+        } else {
+            1
         }
-        units.extend(pending.into_iter().map(Unit::Block));
-        units
+    }
+
+    /// Plan units: split the replay list into lane groups at most `cap`
+    /// wide and single blocks (see [`cut_units`]). Blocks the fault plan
+    /// arms and the grid's last block (the only one a per-thread launch
+    /// can leave partial) replay alone. Grouping depends only on the
+    /// launch, never on the host thread count.
+    fn plan_units(&self, blocks: &[usize], cap: usize) -> Vec<Unit> {
+        let fault_map = self.spec.fault_map.as_ref();
+        let last = self.spec.lc.grid_blocks - 1;
+        cut_units(blocks, cap, |b| {
+            b == last || fault_map.is_some_and(|m| m.contains_key(&b))
+        })
     }
 }
 
@@ -508,6 +579,8 @@ struct Observed {
     findings: ContextFindings,
     lane_blocks: usize,
     groups_abandoned: usize,
+    /// Kernel-body passes over replay units.
+    passes: usize,
 }
 
 impl Observed {
@@ -518,6 +591,7 @@ impl Observed {
         self.findings.absorb(other.findings);
         self.lane_blocks += other.lane_blocks;
         self.groups_abandoned += other.groups_abandoned;
+        self.passes += other.passes;
     }
 }
 
@@ -537,21 +611,24 @@ fn replay_shard<K: BlockKernel + Sync + ?Sized>(
     let t0 = Instant::now();
     let mut seen = Observed::default();
     for unit in units {
-        match *unit {
+        seen.passes += 1;
+        match unit {
             Unit::Block(b) => {
-                blk.reset_for_block(b);
+                blk.reset_for_block(*b);
                 run_contained(kernel, &mut blk)?;
             }
-            Unit::Group(group) => {
+            Unit::Group { .. } => {
+                let group = unit.blocks();
                 blk.reset_for_group(group);
                 let ok = catch_unwind(AssertUnwindSafe(|| kernel.run(&mut blk))).is_ok();
                 blk.end_undo_log(!ok);
                 if ok {
-                    seen.lane_blocks += LANES;
+                    seen.lane_blocks += group.len();
                     continue;
                 }
                 seen.groups_abandoned += 1;
-                for b in group {
+                seen.passes += group.len();
+                for &b in group {
                     blk.reset_for_block(b);
                     run_contained(kernel, &mut blk)?;
                 }
@@ -682,10 +759,11 @@ impl Gpu {
     /// and device memory — are bit-identical at every thread count, because
     /// timing comes solely from the traced block and each replayed block
     /// writes only its own problem's output. On a fast launch a
-    /// lane-capable kernel replays [`LANES`] blocks per pass of its body
-    /// (see [`BlockKernel::lane_capable`] and [`uniform`]).
+    /// lane-capable kernel replays up to 16 blocks per pass of its body,
+    /// as many as the block's working set lets fit (see
+    /// [`BlockKernel::lane_capable`] and [`uniform`]).
     ///
-    /// The launch runs in stages: set-up, key check, trace, plan units,
+    /// The launch runs in stages: set-up, plan units, key check, trace,
     /// replay, combine and report.
     pub fn launch<K: BlockKernel + Sync + ?Sized>(
         &self,
@@ -696,16 +774,24 @@ impl Gpu {
         self.validate(lc)?;
         let wall_start = Instant::now();
         let setup = self.set_up(lc, gmem);
+        let blocks = replay_blocks(lc);
+        let cap = setup.group_cap(kernel.lane_capable());
+        let units = setup.plan_units(&blocks, cap);
+        let shards = shard_units(&units, setup.threads);
+        if shards.len() > 1 {
+            // Parked workers take tens of microseconds to wake: start them
+            // now, so they are polling when block 0 is done and the shards
+            // are posted.
+            pool::wake(shards.len() - 1);
+        }
         let mut memhier = MemHier::new(&self.cfg);
         let (plain_key, cached) = self.check_key(kernel, &setup, gmem, &mut memhier);
         let (records, mut seen) = match &cached {
             Some(records) => (records.as_ref().clone(), Observed::default()),
             None => self.trace(kernel, &setup, plain_key, gmem, &mut memhier)?,
         };
-        let blocks = replay_blocks(lc);
-        let units = setup.plan_units(&blocks, kernel.lane_capable());
         let (workers, utilization) =
-            self.replay(kernel, &setup, &units, gmem, &mut memhier, &mut seen)?;
+            self.replay(kernel, &setup, &shards, gmem, &mut memhier, &mut seen)?;
         // Combine: block 0's records over the grid, through the occupancy
         // and wave model.
         let mut stats = combine(
@@ -724,6 +810,8 @@ impl Gpu {
         stats.sim_fast = setup.replay == Role::FastReplay && lc.fault.is_none();
         stats.sim_lane_blocks = seen.lane_blocks;
         stats.sim_lane_groups_abandoned = seen.groups_abandoned;
+        stats.sim_replay_passes = seen.passes;
+        stats.sim_lane_width = cap;
         stats.sim_sched_cache_hit = cached.is_some();
         // Block 0 executes functionally either way (traced, or plain on a
         // schedule-cache hit), so it counts.
@@ -731,7 +819,8 @@ impl Gpu {
     }
 
     /// Set-up: the launch-invariant block spec, the occupancy, what replay
-    /// blocks run as, and the schedule-cache key.
+    /// blocks run as, the lane cap, the replay threads and the
+    /// schedule-cache key.
     fn set_up<'a>(&'a self, lc: &'a LaunchConfig, gmem: &GlobalMemory) -> Setup<'a> {
         if lc.watchdog.is_some() {
             crate::sanitize::install_quiet_watchdog_hook();
@@ -772,6 +861,8 @@ impl Gpu {
             },
             occ,
             replay: if fast { Role::FastReplay } else { Role::Replay },
+            lane_cap: lane_cap(lc),
+            threads: resolve_host_threads(lc),
             key,
         }
     }
@@ -833,7 +924,7 @@ impl Gpu {
         Ok((records, seen))
     }
 
-    /// Replay: the planned `units` in contiguous shards on the replay
+    /// Replay: the planned units' contiguous `shards` on the replay
     /// workers (see [`Gpu::launch`]), each with its own memory hierarchy
     /// and a shared read / per-block write view of device memory, or, as
     /// one shard with the disjoint-write checker off, through the
@@ -843,25 +934,23 @@ impl Gpu {
         &self,
         kernel: &K,
         setup: &Setup,
-        units: &[Unit],
+        shards: &[&[Unit]],
         gmem: &mut GlobalMemory,
         memhier: &mut MemHier,
         seen: &mut Observed,
     ) -> Result<(usize, f64), LaunchError> {
-        if units.is_empty() {
+        if shards.is_empty() {
             return Ok((1, 1.0));
         }
         let (spec, role) = (&setup.spec, setup.replay);
         let check = check_writes_enabled();
-        let threads = resolve_host_threads(spec.lc);
-        let shards = shard_units(units, threads);
         let start = Instant::now();
         let reports = if shards.len() == 1 && !check {
             let view = GmemAccess::excl(gmem);
-            vec![replay_shard(kernel, spec, role, units, view, memhier)]
+            vec![replay_shard(kernel, spec, role, shards[0], view, memhier)]
         } else {
             let shared = gmem.share(check, spec.shadow.is_some());
-            pool::run(shards.len(), threads, |i| {
+            pool::run(shards.len(), setup.threads, |i| {
                 let view = GmemAccess::worker(shared.worker(shards[i][0].first()));
                 let mut memhier = MemHier::new(&self.cfg);
                 replay_shard(kernel, spec, role, shards[i], view, &mut memhier)
@@ -934,13 +1023,16 @@ impl Gpu {
             let cached = stats.sim_sched_cache_hit;
             eprintln!(
                 "regla-gpu-sim: launch '{}' took the {} path ({}{} functional \
-                 blocks, {} in lane groups, {} groups abandoned, {} workers)",
+                 blocks, {} in lane groups, {} groups abandoned, {} replay \
+                 passes, lane width {}, {} workers)",
                 lc.name,
                 if fast { "fast" } else { "slow" },
                 if cached { "cached schedule, " } else { "" },
                 functional_blocks,
                 stats.sim_lane_blocks,
                 stats.sim_lane_groups_abandoned,
+                stats.sim_replay_passes,
+                stats.sim_lane_width,
                 stats.sim_host_threads,
             );
         }
@@ -1016,21 +1108,16 @@ mod tests {
         std::env::remove_var("REGLA_TEST_FLAG_SET");
     }
 
-    /// A replay list of single blocks (`false`) and lane groups (`true`),
+    /// A replay list of units `widths` blocks wide (1: a single block),
     /// numbering blocks from `first`.
-    fn units_of(kinds: &[bool], first: usize) -> Vec<Unit> {
+    fn units_of(widths: &[usize], first: usize) -> Vec<Unit> {
         let mut next = first;
-        kinds
+        widths
             .iter()
-            .map(|&group| {
-                let first = next;
-                if group {
-                    next += LANES;
-                    Unit::Group(std::array::from_fn(|l| first + l))
-                } else {
-                    next += 1;
-                    Unit::Block(first)
-                }
+            .map(|&width| {
+                let blocks: Vec<usize> = (next..next + width).collect();
+                next += width;
+                Unit::of(&blocks)
             })
             .collect()
     }
@@ -1038,10 +1125,10 @@ mod tests {
     proptest::proptest! {
         #[test]
         fn shards_cover_every_unit_once_in_contiguous_runs(
-            kinds in proptest::collection::vec(0u8..2, 1..40),
+            kinds in proptest::collection::vec(0u32..5, 1..40),
             workers in 1usize..10,
         ) {
-            let kinds: Vec<bool> = kinds.into_iter().map(|k| k == 1).collect();
+            let kinds: Vec<usize> = kinds.into_iter().map(|k| 1 << k).collect();
             let units = units_of(&kinds, 1);
             let shards = shard_units(&units, workers);
             proptest::prop_assert!(!shards.is_empty() && shards.len() <= workers);
@@ -1061,6 +1148,86 @@ mod tests {
             let lens = |s: &[&[Unit]]| s.iter().map(|s| s.len()).collect::<Vec<_>>();
             let moved = units_of(&kinds, 1000);
             proptest::prop_assert_eq!(lens(&shards), lens(&shard_units(&moved, workers)));
+        }
+    }
+
+    /// A launch's cap is the widest group whose blocks' registers and
+    /// shared words fit `LANE_BUDGET_BYTES`.
+    #[test]
+    fn lane_cap_is_the_widest_group_the_budget_holds() {
+        let cap = |threads, regs, shared| {
+            lane_cap(&LaunchConfig::new(1, threads).regs(regs).shared_words(shared))
+        };
+        let words = LANE_BUDGET_BYTES / 4;
+        assert_eq!(cap(1, words / 16, 0), 16);
+        assert_eq!(cap(1, words / 16 + 1, 0), 8);
+        assert_eq!(cap(1, 0, words / 2), 2);
+        assert_eq!(cap(1, 1, words / 2), 1);
+        // Per-thread LU 64×64: 64 threads of 64·64 + 12 registers.
+        assert_eq!(cap(64, 64 * 64 + 12, 0), 1);
+    }
+
+    proptest::proptest! {
+        /// The plan over any grid, exec mode, armed set and footprint: every
+        /// replay block once, in order; widths exact powers of two up to
+        /// the cap, never widening along the list; armed blocks and the
+        /// last block alone, and at most one groupable block left single;
+        /// the same plan at every host thread count.
+        #[test]
+        fn plan_units_cuts_exact_groups_in_order(
+            grid in 1usize..120,
+            exec in 0usize..3,
+            sample in 1usize..60,
+            faults in 0usize..6,
+            seed in 0u64..1000,
+            regs in proptest::sample::select(vec![8usize, 40, 100, 300, 700, 1100, 4108]),
+            lane_capable in proptest::sample::select(vec![false, true]),
+        ) {
+            use proptest::{prop_assert, prop_assert_eq};
+            let exec = [ExecMode::Full, ExecMode::Sampled(sample), ExecMode::Representative][exec];
+            let plan = FaultPlan::new(seed, faults);
+            let armed = plan.target_blocks(grid);
+            let alone = |b: usize| b + 1 == grid || armed.contains(&b);
+            let gpu = Gpu::quadro_6000();
+            let gmem = GlobalMemory::new(0);
+            let mut plans = Vec::new();
+            for threads in [1, 2, 8] {
+                let lc = LaunchConfig::new(grid, 64)
+                    .regs(regs)
+                    .shared_words(64)
+                    .exec(exec)
+                    .fault((faults > 0).then_some(plan))
+                    .host_threads(threads);
+                let setup = gpu.set_up(&lc, &gmem);
+                let cap = setup.group_cap(lane_capable);
+                prop_assert_eq!(cap, if lane_capable { lane_cap(&lc) } else { 1 });
+                let blocks = replay_blocks(&lc);
+                let units = setup.plan_units(&blocks, cap);
+
+                let in_order = units.windows(2).all(|w| w[0].first() < w[1].first())
+                    && units.iter().all(|u| u.blocks().is_sorted());
+                prop_assert!(in_order, "units out of order: {:?}", units);
+                let mut seen: Vec<usize> = units.iter().flat_map(|u| u.blocks().to_vec()).collect();
+                seen.sort_unstable();
+                prop_assert_eq!(&seen, &blocks, "every replay block once");
+
+                let widths: Vec<usize> =
+                    units.iter().map(|u| u.blocks().len()).filter(|&w| w > 1).collect();
+                prop_assert!(widths.iter().all(|w| [16, 8, 4, 2].contains(w) && *w <= cap));
+                prop_assert!(widths.is_sorted_by(|a, b| a >= b), "widths grow: {:?}", widths);
+                let singles: Vec<usize> = units
+                    .iter()
+                    .filter(|u| matches!(u, Unit::Block(_)))
+                    .map(Unit::first)
+                    .collect();
+                for &b in blocks.iter().filter(|&&b| alone(b)) {
+                    prop_assert!(singles.contains(&b), "block {} is not alone", b);
+                }
+                let left = singles.iter().filter(|&&b| !alone(b)).count();
+                prop_assert!(cap == 1 || left <= 1, "{} groupable blocks left single", left);
+                plans.push(units);
+            }
+            prop_assert!(plans.windows(2).all(|p| p[0] == p[1]), "the plan depends on threads");
         }
     }
 

@@ -184,6 +184,20 @@ fn run_tasks(shards: usize, threads: usize, task: &(dyn Fn(usize) + Sync)) {
     }
 }
 
+/// Wake up to `workers` parked workers ahead of a job that is about to be
+/// posted: they poll for it instead of waking only once it is posted. A
+/// launch calls this before running block 0, which takes about as long as
+/// a parked worker takes to wake.
+pub(super) fn wake(workers: usize) {
+    let st = lock(&POOL.state);
+    if st.parked > 0 {
+        POOL.epoch.fetch_add(1, Ordering::Relaxed);
+        for _ in 0..st.parked.min(workers) {
+            POOL.posted.notify_one();
+        }
+    }
+}
+
 /// Make `job` visible to the workers, growing the pool to `workers` and
 /// waking parked workers for its shards.
 fn post(job: &Arc<Job>, workers: usize) {

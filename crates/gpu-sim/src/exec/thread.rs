@@ -12,7 +12,7 @@
 use crate::config::{GpuConfig, MathMode};
 use crate::exec::occupancy::Occupancy;
 use crate::exec::schedule::Outcomes;
-use crate::exec::{uniform, LaunchConfig, LANES};
+use crate::exec::{uniform, LaunchConfig, MAX_LANES};
 use crate::fault::FaultState;
 use crate::mem::global::GmemAccess;
 use crate::mem::{DPtr, MemHier};
@@ -191,10 +191,11 @@ pub struct ThreadCtx<'a, 'm> {
     pub tid: usize,
     /// The executing block (the first lane's block in a lane group).
     pub block_id: usize,
-    /// The blocks of the lane group (see [`crate::BlockCtx::lane_group`]);
-    /// only meaningful when `lanes` is set.
-    pub(crate) group: &'a [usize; LANES],
-    pub(crate) lanes: bool,
+    /// The blocks of the lane group (see [`crate::BlockCtx::lane_width`]):
+    /// the first `width` entries, `[block_id]` outside a group.
+    pub(crate) group: &'a [usize; MAX_LANES],
+    /// Blocks this thread executes at once (1 outside a lane group).
+    pub(crate) width: usize,
     pub(crate) traced: bool,
     /// Fast-path flag (see [`crate::BlockCtx::fast`]); only checked by the
     /// debug assertions guarding the raw primitives.
@@ -220,7 +221,7 @@ pub struct ThreadCtx<'a, 'm> {
     pub(crate) outcomes: &'a mut Option<Outcomes>,
 }
 
-impl ThreadCtx<'_, '_> {
+impl<'a> ThreadCtx<'a, '_> {
     /// Record a branch outcome in the block's log (when on) and return it.
     #[inline]
     fn branch(&mut self, taken: bool) -> bool {
@@ -230,15 +231,18 @@ impl ThreadCtx<'_, '_> {
         taken
     }
 
-    /// The blocks this thread executes: its own block, or the
-    /// [`LANES`] blocks of a lane group.
+    /// The blocks this thread executes: its own block, or the blocks of a
+    /// lane group.
     #[inline]
     fn lane_blocks(&self) -> &[usize] {
-        if self.lanes {
-            self.group
-        } else {
-            std::slice::from_ref(&self.block_id)
-        }
+        &self.group[..self.width]
+    }
+
+    /// The blocks of this `W`-wide lane group.
+    #[inline]
+    fn lanes<const W: usize>(&self) -> &'a [usize; W] {
+        debug_assert!(W > 1 && W == self.width, "a {W}-lane access in a group of {}", self.width);
+        self.group.first_chunk().expect("lane groups are at most MAX_LANES wide")
     }
 
     /// `pred` of the executing block, for a branch on the block id (a
@@ -772,14 +776,14 @@ impl ThreadCtx<'_, '_> {
     /// Raw shared-memory load (fast path only).
     #[inline]
     pub fn sget(&self, word: usize) -> f32 {
-        debug_assert!(self.fast && !self.lanes, "sget is a fast-path primitive");
+        debug_assert!(self.fast && self.width == 1, "sget is a fast-path primitive");
         self.shared[word]
     }
 
     /// Raw shared-memory store (fast path only).
     #[inline]
     pub fn sset(&mut self, word: usize, v: f32) {
-        debug_assert!(self.fast && !self.lanes, "sset is a fast-path primitive");
+        debug_assert!(self.fast && self.width == 1, "sset is a fast-path primitive");
         self.shared[word] = v;
     }
 
@@ -788,14 +792,14 @@ impl ThreadCtx<'_, '_> {
     /// keeps seeing every access.
     #[inline]
     pub fn gget(&mut self, p: DPtr, idx: usize) -> f32 {
-        debug_assert!(self.fast && !self.lanes, "gget is a fast-path primitive");
+        debug_assert!(self.fast && self.width == 1, "gget is a fast-path primitive");
         self.gmem.read(p, idx)
     }
 
     /// Raw global-memory store (fast path only).
     #[inline]
     pub fn gset(&mut self, p: DPtr, idx: usize, v: f32) {
-        debug_assert!(self.fast && !self.lanes, "gset is a fast-path primitive");
+        debug_assert!(self.fast && self.width == 1, "gset is a fast-path primitive");
         self.gmem.write(p, idx, v);
     }
 
@@ -804,60 +808,61 @@ impl ThreadCtx<'_, '_> {
     /// which matters when a kernel streams whole problems to registers.
     #[inline]
     pub fn gget_span(&mut self, p: DPtr, idx: usize, len: usize, f: impl FnMut(usize, f32)) {
-        debug_assert!(self.fast && !self.lanes, "gget_span is a fast-path primitive");
+        debug_assert!(self.fast && self.width == 1, "gget_span is a fast-path primitive");
         self.gmem.read_span(p, idx, len, f);
     }
 
     /// Bulk raw store of `len` consecutive words (fast path only).
     #[inline]
     pub fn gset_span(&mut self, p: DPtr, idx: usize, len: usize, f: impl FnMut(usize) -> f32) {
-        debug_assert!(self.fast && !self.lanes, "gset_span is a fast-path primitive");
+        debug_assert!(self.fast && self.width == 1, "gset_span is a fast-path primitive");
         self.gmem.write_span(p, idx, len, f);
     }
 
     // ---- lane-group primitives ----
     //
-    // Available only in a lane group (`BlockCtx::lane_group`): lane `l`
-    // of every value belongs to the group's `l`-th block `b_l`. Shared
-    // memory is `LANES` wide (word `w` of lane `l` at `w * LANES + l`), and
-    // global accesses name the per-block slab — lane `l` reaches word
-    // `p + b_l * stride + off` — so one access serves every
-    // lane's own problem. Global stores are logged so an abandoned group
-    // can be undone.
+    // Available only in a lane group of `W` blocks (`BlockCtx::lane_width`
+    // is `W`): lane `l` of every value belongs to the group's `l`-th block
+    // `b_l`. Shared memory is `W` wide and word-major (word `w` of lane
+    // `l` at `w * W + l`), and global accesses name the per-block slab —
+    // lane `l` reaches word `p + b_l * stride + off` — so one access
+    // serves every lane's own problem. Global stores are logged so an
+    // abandoned group can be undone.
 
     /// Lane-wide raw shared-memory load.
     #[inline]
-    pub fn sget_lanes(&self, word: usize) -> [f32; LANES] {
-        debug_assert!(self.lanes, "sget_lanes is a lane-group primitive");
-        let w = &self.shared[word * LANES..][..LANES];
-        std::array::from_fn(|l| w[l])
+    pub fn sget_lanes<const W: usize>(&self, word: usize) -> [f32; W] {
+        debug_assert_eq!(W, self.width, "sget_lanes is a lane-group primitive");
+        *self.shared[word * W..]
+            .first_chunk()
+            .expect("shared word in range")
     }
 
     /// Lane-wide raw shared-memory store.
     #[inline]
-    pub fn sset_lanes(&mut self, word: usize, v: [f32; LANES]) {
-        debug_assert!(self.lanes, "sset_lanes is a lane-group primitive");
-        self.shared[word * LANES..][..LANES].copy_from_slice(&v);
+    pub fn sset_lanes<const W: usize>(&mut self, word: usize, v: [f32; W]) {
+        debug_assert_eq!(W, self.width, "sset_lanes is a lane-group primitive");
+        self.shared[word * W..][..W].copy_from_slice(&v);
     }
 
     /// Lane-wide raw global load of word `off` of each lane's slab.
     #[inline]
-    pub fn gget_lanes(&mut self, p: DPtr, stride: usize, off: usize) -> [f32; LANES] {
-        debug_assert!(self.lanes, "gget_lanes is a lane-group primitive");
-        self.gmem.read_lanes(p, stride, off, self.group)
+    pub fn gget_lanes<const W: usize>(&mut self, p: DPtr, stride: usize, off: usize) -> [f32; W] {
+        let blocks = self.lanes();
+        self.gmem.read_lanes(p, stride, off, blocks)
     }
 
     /// Lane-wide raw global store to word `off` of each lane's slab.
     #[inline]
-    pub fn gset_lanes(&mut self, p: DPtr, stride: usize, off: usize, v: [f32; LANES]) {
-        debug_assert!(self.lanes, "gset_lanes is a lane-group primitive");
-        self.gmem.write_lanes(p, stride, off, self.group, v);
+    pub fn gset_lanes<const W: usize>(&mut self, p: DPtr, stride: usize, off: usize, v: [f32; W]) {
+        let blocks = self.lanes();
+        self.gmem.write_lanes(p, stride, off, blocks, v);
     }
 
     /// Lane-wide bulk load of words `off..off + len` of each lane's slab,
     /// handing `(offset, lane, value)` to `f`.
     #[inline]
-    pub fn gget_span_lanes(
+    pub fn gget_span_lanes<const W: usize>(
         &mut self,
         p: DPtr,
         stride: usize,
@@ -865,15 +870,14 @@ impl ThreadCtx<'_, '_> {
         len: usize,
         f: impl FnMut(usize, usize, f32),
     ) {
-        debug_assert!(self.lanes, "gget_span_lanes is a lane-group primitive");
-        self.gmem
-            .read_span_lanes(p, stride, off, len, self.group, f);
+        let blocks = self.lanes::<W>();
+        self.gmem.read_span_lanes(p, stride, off, len, blocks, f);
     }
 
     /// Lane-wide bulk store of `f(offset, lane)` to words `off..off + len`
     /// of each lane's slab.
     #[inline]
-    pub fn gset_span_lanes(
+    pub fn gset_span_lanes<const W: usize>(
         &mut self,
         p: DPtr,
         stride: usize,
@@ -881,9 +885,8 @@ impl ThreadCtx<'_, '_> {
         len: usize,
         f: impl FnMut(usize, usize) -> f32,
     ) {
-        debug_assert!(self.lanes, "gset_span_lanes is a lane-group primitive");
-        self.gmem
-            .write_span_lanes(p, stride, off, len, self.group, f);
+        let blocks = self.lanes::<W>();
+        self.gmem.write_span_lanes(p, stride, off, len, blocks, f);
     }
 
     /// Value-only reciprocal with the launch's math-mode semantics

@@ -35,7 +35,6 @@ impl DPtr {
     }
 }
 
-use crate::exec::LANES;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 /// Flat simulated DRAM with a bump allocator.
@@ -84,7 +83,12 @@ enum GmemView<'m> {
 /// Word `off` of every lane's per-block slab: lane `l` addresses
 /// `p + blocks[l] * stride + off`.
 #[inline]
-fn lane_words(p: DPtr, stride: usize, off: usize, blocks: &[usize; LANES]) -> [usize; LANES] {
+fn lane_words<const W: usize>(
+    p: DPtr,
+    stride: usize,
+    off: usize,
+    blocks: &[usize; W],
+) -> [usize; W] {
     std::array::from_fn(|l| p.0 + blocks[l] * stride + off)
 }
 
@@ -275,25 +279,25 @@ impl<'m> GmemAccess<'m> {
 
     /// Read word `off` of every lane's slab (see [`lane_words`]).
     #[inline]
-    pub(crate) fn read_lanes(
+    pub(crate) fn read_lanes<const W: usize>(
         &self,
         p: DPtr,
         stride: usize,
         off: usize,
-        blocks: &[usize; LANES],
-    ) -> [f32; LANES] {
+        blocks: &[usize; W],
+    ) -> [f32; W] {
         lane_words(p, stride, off, blocks).map(|w| self.read_word(w))
     }
 
     /// Store lane `l`'s value to word `off` of its slab.
     #[inline]
-    pub(crate) fn write_lanes(
+    pub(crate) fn write_lanes<const W: usize>(
         &mut self,
         p: DPtr,
         stride: usize,
         off: usize,
-        blocks: &[usize; LANES],
-        v: [f32; LANES],
+        blocks: &[usize; W],
+        v: [f32; W],
     ) {
         for (l, w) in lane_words(p, stride, off, blocks).into_iter().enumerate() {
             self.write_word(w, v[l], blocks[l]);
@@ -303,13 +307,13 @@ impl<'m> GmemAccess<'m> {
     /// Read words `off..off + len` of every lane's slab, handing each
     /// `(offset, lane, value)` to `f`.
     #[inline]
-    pub(crate) fn read_span_lanes(
+    pub(crate) fn read_span_lanes<const W: usize>(
         &self,
         p: DPtr,
         stride: usize,
         off: usize,
         len: usize,
-        blocks: &[usize; LANES],
+        blocks: &[usize; W],
         mut f: impl FnMut(usize, usize, f32),
     ) {
         for (l, base) in lane_words(p, stride, off, blocks).into_iter().enumerate() {
@@ -320,13 +324,13 @@ impl<'m> GmemAccess<'m> {
     /// Store `f(offset, lane)` to words `off..off + len` of every lane's
     /// slab.
     #[inline]
-    pub(crate) fn write_span_lanes(
+    pub(crate) fn write_span_lanes<const W: usize>(
         &mut self,
         p: DPtr,
         stride: usize,
         off: usize,
         len: usize,
-        blocks: &[usize; LANES],
+        blocks: &[usize; W],
         mut f: impl FnMut(usize, usize) -> f32,
     ) {
         for (l, base) in lane_words(p, stride, off, blocks).into_iter().enumerate() {
@@ -534,9 +538,17 @@ impl GlobalMemory {
         &mut self.data[p.0..p.0 + len]
     }
 
+    /// Mark words `start..start + len` initialized, one bitmap word at a
+    /// time: a whole `u64` for the interior of the range, a mask at its
+    /// ends.
     fn mark_init(&mut self, start: usize, len: usize) {
-        for w in start..start + len {
-            *self.init[w / 64].get_mut() |= 1 << (w % 64);
+        let end = start + len;
+        let mut w = start;
+        while w < end {
+            let lo = w % 64;
+            let bits = (64 - lo).min(end - w);
+            *self.init[w / 64].get_mut() |= (u64::MAX >> (64 - bits)) << lo;
+            w += bits;
         }
     }
 
@@ -590,6 +602,27 @@ mod tests {
     fn alloc_past_capacity_panics() {
         let mut m = GlobalMemory::new(8);
         m.alloc(9);
+    }
+
+    #[test]
+    fn mark_init_matches_the_per_word_bitmap() {
+        let sizes = [0, 1, 63, 64, 65, 130];
+        for start in sizes {
+            for len in sizes {
+                let words = 5 * 64;
+                let mut filled = GlobalMemory::new(words);
+                filled.mark_init(start, len);
+                let mut per_word = GlobalMemory::new(words);
+                for w in start..start + len {
+                    per_word.write(DPtr(w), 0, 0.0);
+                }
+                assert_eq!(
+                    filled.init_snapshot(),
+                    per_word.init_snapshot(),
+                    "start {start}, len {len}"
+                );
+            }
+        }
     }
 
     #[test]
