@@ -387,10 +387,11 @@ impl<T> BatchRun<T> {
 /// [`RunOpts::plan`] when set; otherwise the [`Planner`]'s plan for the
 /// problem's [`PlanKey`], with any forced knob (`approach`, `layout`,
 /// `panel`, `force_threads`) overriding the corresponding planned field.
+/// Either way the approach is then mapped onto one that `alg`'s kernels
+/// run for the shape ([`runnable`]).
 ///
-/// The approach choice and the per-block layout mapping are thin consumers
-/// of the plan this returns — every layer (core entry points, fleet,
-/// serve, bench) dispatches through it.
+/// Every run and [`crate::Session::price`] resolve through here, so the
+/// model prices the plan that runs.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn resolve_plan(
     params: &ModelParams,
@@ -403,24 +404,43 @@ pub(crate) fn resolve_plan(
     batch: usize,
     opts: &RunOpts,
 ) -> Plan {
-    if let Some(p) = opts.plan {
-        return p;
-    }
-    let key = PlanKey::new(alg, m, n, rhs, ew, batch, opts.math);
-    let mut plan = opts.planner.plan(params, cfg, &key);
-    if let Some(a) = opts.approach {
-        plan.approach = a;
-    }
-    if let Some(l) = opts.layout {
-        plan.layout = l;
-    }
-    if let Some(ft) = opts.force_threads {
-        plan.threads = Some(ft);
-    }
-    if let Some(pw) = opts.panel {
-        plan.panel = pw;
-    }
+    let mut plan = opts.plan.unwrap_or_else(|| {
+        let key = PlanKey::new(alg, m, n, rhs, ew, batch, opts.math);
+        let mut plan = opts.planner.plan(params, cfg, &key);
+        if let Some(a) = opts.approach {
+            plan.approach = a;
+        }
+        if let Some(l) = opts.layout {
+            plan.layout = l;
+        }
+        if let Some(ft) = opts.force_threads {
+            plan.threads = Some(ft);
+        }
+        if let Some(pw) = opts.panel {
+            plan.panel = pw;
+        }
+        plan
+    });
+    plan.approach = runnable(alg, plan.approach, m, n, rhs);
     plan
+}
+
+/// The approach `alg`'s entry point runs for a planned one. Only the QR
+/// family has a tiled kernel, so LU, Cholesky and the square solvers run
+/// a tiled plan per block. Least squares runs a device plan per block
+/// (per thread only when square) and anything else tiled. The
+/// per-thread QR solve back-substitutes one carried column only.
+fn runnable(alg: Algorithm, planned: Approach, m: usize, n: usize, rhs: usize) -> Approach {
+    use Approach::{PerBlock, PerThread, Tiled};
+    match (alg, planned) {
+        (Algorithm::Qr, a) => a,
+        (Algorithm::LeastSquares, PerThread | PerBlock) if m != n => PerBlock,
+        (Algorithm::LeastSquares, a @ (PerThread | PerBlock)) => a,
+        (Algorithm::LeastSquares, _) => Tiled,
+        (Algorithm::QrSolve, PerThread) if rhs != 1 => PerBlock,
+        (_, Tiled) => PerBlock,
+        (_, a) => a,
+    }
 }
 
 /// Require a positive perfect-square thread count for 2D-cyclic plans
@@ -1073,7 +1093,7 @@ pub(crate) fn lu_run<T: DeviceScalar>(
 ) -> Result<BatchRun<T>, ReglaError> {
     validate_opts(opts)?;
     validate_batch(a)?;
-    let mut plan = resolve_plan(
+    let plan = resolve_plan(
         params,
         &gpu.cfg,
         Algorithm::Lu,
@@ -1084,9 +1104,6 @@ pub(crate) fn lu_run<T: DeviceScalar>(
         a.count(),
         opts,
     );
-    if plan.approach == Approach::Tiled {
-        plan.approach = Approach::PerBlock; // large LU runs with spills
-    }
     let (l, rec) = run_recovered(gpu, params, a, a.cols(), PtAlg::Lu, plan, opts, false)?;
     Ok(into_run(l, rec, plan.approach, false))
 }
@@ -1114,7 +1131,7 @@ pub(crate) fn least_squares_run<T: DeviceScalar>(
         ));
     }
     let aug = MatBatch::augment(a, b);
-    let mut plan = resolve_plan(
+    let plan = resolve_plan(
         params,
         &gpu.cfg,
         Algorithm::LeastSquares,
@@ -1127,15 +1144,11 @@ pub(crate) fn least_squares_run<T: DeviceScalar>(
     );
     match plan.approach {
         Approach::PerThread | Approach::PerBlock => {
-            if m != n {
-                plan.approach = Approach::PerBlock;
-            }
             let (l, rec) = run_recovered(gpu, params, &aug, n, PtAlg::QrSolve, plan, opts, true)?;
             let x = l.out.sub(0, n, n, 1);
             Ok((into_run(l, rec, plan.approach, false), x))
         }
         _ => {
-            plan.approach = Approach::Tiled;
             let (l, rec) = run_recovered(gpu, params, &aug, n, PtAlg::Qr, plan, opts, false)?;
             // Host back-substitution of R x = (Qᴴ b)[..n] for the problems
             // the device computed; the others keep a zero solution.
@@ -1296,7 +1309,7 @@ pub(crate) fn cholesky_run<T: DeviceScalar>(
     validate_opts(opts)?;
     validate_batch(a)?;
     validate_square(a)?;
-    let mut plan = resolve_plan(
+    let plan = resolve_plan(
         params,
         &gpu.cfg,
         Algorithm::Cholesky,
@@ -1307,9 +1320,6 @@ pub(crate) fn cholesky_run<T: DeviceScalar>(
         a.count(),
         opts,
     );
-    if plan.approach == Approach::Tiled {
-        plan.approach = Approach::PerBlock;
-    }
     let (l, rec) = run_recovered(gpu, params, a, a.cols(), PtAlg::Cholesky, plan, opts, false)?;
     Ok(into_run(l, rec, plan.approach, false))
 }
@@ -1335,15 +1345,15 @@ pub(crate) fn invert_run<T: DeviceScalar>(
             T::zero()
         }
     });
-    let run = solve_multi_driver(gpu, params, a, &eye, opts, PtAlg::Gj, true, false)?;
+    let run = solve_multi_driver(gpu, params, a, &eye, opts, PtAlg::Gj)?;
     let inv = run.out.sub(0, n, n, n);
     Ok((inv, run))
 }
 
-/// Shared driver for the multi-right-hand-side solvers: validate, augment
-/// `[A | B]`, pick an approach (never tiled — the augmented system is wide,
-/// not tall), factor/reduce in place with recovery.
-#[allow(clippy::too_many_arguments)]
+/// Shared driver for the multi-right-hand-side solvers (Gauss-Jordan,
+/// and the QR solve, which back-substitutes): validate, augment
+/// `[A | B]`, resolve the plan (never tiled — the augmented system is
+/// wide, not tall), factor/reduce in place with recovery.
 pub(crate) fn solve_multi_driver<T: DeviceScalar>(
     gpu: &Gpu,
     params: &ModelParams,
@@ -1351,15 +1361,13 @@ pub(crate) fn solve_multi_driver<T: DeviceScalar>(
     b: &MatBatch<T>,
     opts: &RunOpts,
     alg: PtAlg,
-    allow_per_thread: bool,
-    back_substitute: bool,
 ) -> Result<BatchRun<T>, ReglaError> {
     validate_opts(opts)?;
     validate_batch(a)?;
     validate_square(a)?;
     validate_rhs(a, b)?;
     let aug = MatBatch::augment(a, b);
-    let mut plan = resolve_plan(
+    let plan = resolve_plan(
         params,
         &gpu.cfg,
         model_alg(alg),
@@ -1370,11 +1378,7 @@ pub(crate) fn solve_multi_driver<T: DeviceScalar>(
         a.count(),
         opts,
     );
-    plan.approach = match plan.approach {
-        Approach::Tiled => Approach::PerBlock,
-        Approach::PerThread if !allow_per_thread => Approach::PerBlock,
-        other => other,
-    };
+    let back_substitute = alg == PtAlg::QrSolve;
     let (l, rec) = run_recovered(gpu, params, &aug, a.cols(), alg, plan, opts, back_substitute)?;
     Ok(into_run(l, rec, plan.approach, false))
 }

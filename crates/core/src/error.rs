@@ -8,7 +8,6 @@
 //! from the public API.
 
 use regla_gpu_sim::LaunchError;
-use regla_model::ModelError;
 
 /// Error returned by the batched `api::*` entry points.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -24,8 +23,6 @@ pub enum ReglaError {
     Unsupported(String),
     /// The simulated device rejected or aborted the launch.
     Launch(LaunchError),
-    /// The predictive model could not produce a dispatch decision.
-    Model(ModelError),
     /// No fleet device can take work: every circuit breaker is open (or
     /// the fleet has no devices) and the CPU degraded mode is disabled.
     /// Structured so callers can shed load instead of hanging.
@@ -38,12 +35,6 @@ impl From<LaunchError> for ReglaError {
     }
 }
 
-impl From<ModelError> for ReglaError {
-    fn from(e: ModelError) -> Self {
-        ReglaError::Model(e)
-    }
-}
-
 impl std::fmt::Display for ReglaError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -52,7 +43,6 @@ impl std::fmt::Display for ReglaError {
             ReglaError::EmptyBatch => write!(f, "the batch holds zero problems"),
             ReglaError::Unsupported(msg) => write!(f, "unsupported operation: {msg}"),
             ReglaError::Launch(e) => write!(f, "launch failed: {e}"),
-            ReglaError::Model(e) => write!(f, "model dispatch failed: {e}"),
             ReglaError::FleetUnavailable(msg) => {
                 write!(f, "fleet unavailable: {msg}")
             }
@@ -64,7 +54,6 @@ impl std::error::Error for ReglaError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             ReglaError::Launch(e) => Some(e),
-            ReglaError::Model(e) => Some(e),
             _ => None,
         }
     }

@@ -5,26 +5,27 @@
 //! [`Session`], with its own [`regla_model::ModelParams`]) plus the CPU
 //! host pool, and shards a batch across them:
 //!
-//! * **Sharding** — each device's share is proportional to the
-//!   predictive model's throughput estimate for the operation on *that*
-//!   device, so a GT200 next to a Quadro 6000 gets fewer problems, not
-//!   half. Shares are contiguous problem ranges, each split into
-//!   [`FleetPolicy::chunks_per_device`] chunks. The default of one chunk
-//!   launches a device's whole share at once, which fills the device
-//!   best; more chunks trade one extra launch each for finer rescue and
-//!   steal granularity within a dispatch (across dispatches, stealing
-//!   still balances devices through their persisted clocks). Under
-//!   [`regla_gpu_sim::ExecMode::Full`] the merged output is bit-identical
-//!   to one [`Session`] run; under the sampled modes each chunk runs its
-//!   own sample, so a different set of problems is computed.
+//! * **Sharding** — each device's share is proportional to the inverse
+//!   of [`Session::price`], the model's price of the plan the run
+//!   resolves on *that* device, so a GT200 next to a Quadro 6000 gets
+//!   fewer problems, not half. Shares are contiguous problem ranges,
+//!   each split into [`FleetPolicy::chunks_per_device`] chunks. The
+//!   default of one chunk launches a device's whole share at once, which
+//!   fills the device best; more chunks trade one extra launch each for
+//!   finer rescue and steal granularity within a dispatch (across
+//!   dispatches, stealing still balances devices through their persisted
+//!   clocks). Under [`regla_gpu_sim::ExecMode::Full`] the merged output
+//!   is bit-identical to one [`Session`] run; under the sampled modes
+//!   each chunk runs its own sample, so a different set of problems is
+//!   computed.
 //! * **Health gating** — every device carries a circuit breaker
 //!   (Closed → Open → HalfOpen) fed by consecutive dispatch errors and
 //!   by the fault-detection rate of successful runs. An open breaker
 //!   parks the device until a deterministic simulated-clock backoff
 //!   expires; the first dispatch after that is a half-open probe.
 //! * **Deadlines** — when [`FleetPolicy::deadline_slack`] is set, every
-//!   dispatch gets a per-launch cycle budget derived from the model's
-//!   *worst-candidate* time estimate × the slack factor; a launch that
+//!   dispatch gets a per-launch cycle budget: the model's *worst-candidate*
+//!   price (the slowest approach) × the slack factor; a launch that
 //!   blows it fails with [`LaunchError::DeadlineExceeded`] instead of
 //!   dilating the campaign.
 //! * **Failover & stealing** — a chunk whose dispatch failed is re-queued
@@ -73,12 +74,11 @@ use crate::batch::MatBatch;
 use crate::elem::DeviceScalar;
 use crate::error::ReglaError;
 use crate::per_thread::PtAlg;
-use crate::pipeline::model_alg;
 use crate::session::{Op, OpOutput, Session};
 use crate::status::{ProblemStatus, RecoveryStats};
 use crate::tiled::MultiLaunch;
 use regla_gpu_sim::{FaultPlan, GpuConfig, LaunchError};
-use regla_model::Approach;
+use regla_model::{Approach, Plan, PlanKey};
 use std::collections::VecDeque;
 use std::sync::Mutex;
 
@@ -268,7 +268,7 @@ pub enum BreakerState {
 /// Tuning for a [`Fleet`].
 #[derive(Clone, Debug, PartialEq)]
 pub struct FleetPolicy {
-    /// Arm per-dispatch deadlines at (model worst-candidate estimate ×
+    /// Arm per-dispatch deadlines at (model worst-candidate price ×
     /// this factor) simulated cycles; `None` disables deadlines. The
     /// budget is derived per device and per chunk size, so a slower
     /// device gets a proportionally larger budget.
@@ -616,28 +616,26 @@ impl Fleet {
         std::mem::take(&mut *self.totals.lock().expect("recovery totals lock poisoned"))
     }
 
-    /// Proportional shares of `count` problems by modeled throughput
-    /// (largest-remainder rounding; equal weights when the model has no
-    /// estimate, e.g. GEMM).
-    fn shares<T: DeviceScalar>(&self, op: Op, m: usize, n: usize, count: usize) -> Vec<usize> {
+    /// Proportional shares of `count` problems by modeled throughput: each
+    /// device weighs in at the inverse of its [`Session::price`] of the
+    /// whole run, in seconds on its own clock (largest-remainder rounding;
+    /// equal weights when the model has no price, e.g. GEMM).
+    fn shares<T: DeviceScalar>(
+        &self,
+        op: Op,
+        m: usize,
+        n: usize,
+        rhs: usize,
+        count: usize,
+        opts: &RunOpts,
+    ) -> Vec<usize> {
         let weights: Vec<f64> = self
             .devices
             .iter()
             .map(|d| {
-                model_alg(op)
-                    .and_then(|alg| {
-                        regla_model::choose(
-                            d.session.params(),
-                            d.session.config(),
-                            alg,
-                            m,
-                            n,
-                            count,
-                            T::WORDS,
-                        )
-                        .ok()
-                    })
-                    .and_then(|dec| dec.chosen().ok().map(|c| c.time_s))
+                let s = &d.session;
+                s.price::<T>(op, m, n, rhs, count, opts)
+                    .map(|cycles| s.config().cycles_to_secs(cycles))
                     .map(|t| if t > 0.0 { 1.0 / t } else { 1.0 })
                     .unwrap_or(1.0)
             })
@@ -662,34 +660,24 @@ impl Fleet {
         shares
     }
 
-    /// Per-dispatch deadline budget in simulated cycles: the model's
-    /// worst-candidate estimate for a `len`-problem chunk on `dev`,
-    /// times the policy slack. `None` when deadlines are disarmed or
-    /// the model has no estimate for the operation.
-    fn deadline_budget<T: DeviceScalar>(
-        &self,
-        dev: usize,
-        op: Op,
-        m: usize,
-        n: usize,
-        len: usize,
-    ) -> Option<u64> {
+    /// Per-dispatch deadline budget in simulated cycles for a
+    /// `len`-problem chunk of `key`'s shape on `dev`: the slowest
+    /// [`regla_model::price`] over every approach, times the policy
+    /// slack, so no legitimate approach choice can blow it. `None` when
+    /// deadlines are disarmed or the model prices no approach.
+    fn deadline_budget(&self, dev: usize, key: &PlanKey, len: usize) -> Option<u64> {
         let slack = self.policy.deadline_slack?;
-        let alg = model_alg(op)?;
         let session = &self.devices[dev].session;
-        let dec =
-            regla_model::choose(session.params(), session.config(), alg, m, n, len, T::WORDS)
-                .ok()?;
-        let worst = dec
-            .candidates
-            .iter()
-            .map(|c| c.time_s)
+        let worst = Approach::ALL
+            .into_iter()
+            .filter_map(|a| {
+                regla_model::price(session.params(), session.config(), key, &Plan::new(a), len)
+            })
             .fold(f64::NEG_INFINITY, f64::max);
         if !worst.is_finite() || worst <= 0.0 {
             return None;
         }
-        let cycles = session.config().secs_to_cycles(worst) * slack;
-        Some(cycles.max(0.0).ceil() as u64)
+        Some((worst * slack).max(0.0).ceil() as u64)
     }
 
     /// Shard `a` (and `b`) across the fleet and run `op`, with failover,
@@ -723,7 +711,13 @@ impl Fleet {
             return Err(ReglaError::EmptyBatch);
         }
         let nd = self.devices.len();
-        let shares = self.shares::<T>(op, a.rows(), a.cols(), count);
+        let rhs = b.map_or(0, |b| b.cols());
+        let shares = self.shares::<T>(op, a.rows(), a.cols(), rhs, count, opts);
+        // The shape every chunk's deadline is priced at.
+        let deadline_key = op.model_algorithm().map(|alg| {
+            let carried = op.carried_cols(a.cols(), rhs);
+            PlanKey::new(alg, a.rows(), a.cols(), carried, T::WORDS, count, opts.math)
+        });
 
         // Plan contiguous chunks in problem order so the final concat
         // reassembles the original batch.
@@ -822,7 +816,9 @@ impl Fleet {
             let launch_idx = state[dev].dispatches;
             state[dev].dispatches += 1;
 
-            let budget = self.deadline_budget::<T>(dev, op, a.rows(), a.cols(), chunk.len);
+            let budget = deadline_key
+                .as_ref()
+                .and_then(|key| self.deadline_budget(dev, key, chunk.len));
             let res: Result<OpOutput<T>, ReglaError> = if self
                 .chaos
                 .as_ref()
@@ -1157,7 +1153,7 @@ mod tests {
             .device(GpuConfig::gt200())
             .build()
             .unwrap();
-        let shares = fleet.shares::<f32>(Op::Lu, 8, 8, 1000);
+        let shares = fleet.shares::<f32>(Op::Lu, 8, 8, 0, 1000, &RunOpts::default());
         assert_eq!(shares.iter().sum::<usize>(), 1000);
         assert!(shares.iter().all(|&s| s > 0), "shares = {shares:?}");
         // Different devices get different (throughput-weighted) shares,

@@ -31,7 +31,6 @@ use crate::error::ReglaError;
 use crate::profile::PipelineReport;
 use crate::session::{Op, OpOutput, Session};
 use regla_gpu_sim::Timeline;
-use regla_model::Algorithm;
 
 /// Chunking and stream configuration for [`Session::pipelined`].
 #[derive(Clone, Copy, Debug)]
@@ -69,20 +68,6 @@ pub struct PipelinedRun<T> {
     pub output: OpOutput<T>,
     /// Resolved timeline vs. the model's pipelined-time prediction.
     pub report: PipelineReport,
-}
-
-/// The model-side algorithm for an [`Op`], where one exists (GEMM has no
-/// analytic kernel-time model).
-pub(crate) fn model_alg(op: Op) -> Option<Algorithm> {
-    match op {
-        Op::Qr => Some(Algorithm::Qr),
-        Op::Lu => Some(Algorithm::Lu),
-        Op::GjSolve | Op::Invert => Some(Algorithm::GaussJordan),
-        Op::QrSolve => Some(Algorithm::QrSolve),
-        Op::LeastSquares => Some(Algorithm::LeastSquares),
-        Op::Cholesky => Some(Algorithm::Cholesky),
-        Op::Gemm => None,
-    }
 }
 
 /// Device bytes of one batch (what a PCIe copy of it moves).
@@ -151,30 +136,16 @@ pub(crate) fn run_pipelined<T: DeviceScalar>(
 
     // Model prediction for the same schedule: the first chunk is the
     // largest, so its stage times bound the steady state the way the
-    // scheduler sees it. Kernel time comes from the model's dispatch
-    // prediction for the approach the run actually used; operations the
-    // model cannot time (GEMM) reuse the measured mean, predicting only the
-    // overlap structure.
+    // scheduler sees it. Kernel time is the model's price of the plan a
+    // chunk runs; operations the model cannot time (GEMM) reuse the
+    // measured mean, predicting only the overlap structure.
     let chunk0 = base + usize::from(extra > 0);
     let mean_kernel_s =
         chunk_outputs.iter().map(|o| o.run.stats.time_s).sum::<f64>() / chunks as f64;
-    let approach = chunk_outputs[0].run.approach;
-    let predicted_kernel = model_alg(op).and_then(|alg| {
-        let d = regla_model::choose(
-            session.params(),
-            session.config(),
-            alg,
-            a.rows(),
-            a.cols(),
-            chunk0,
-            T::WORDS,
-        )
-        .ok()?;
-        d.candidates
-            .iter()
-            .find(|cand| cand.approach == approach)
-            .map(|cand| cand.time_s)
-    });
+    let rhs = b.map_or(0, |b| b.cols());
+    let predicted_kernel = session
+        .price::<T>(op, a.rows(), a.cols(), rhs, chunk0, opts)
+        .map(|cycles| session.config().cycles_to_secs(cycles));
     let est = regla_model::pipeline::estimate(
         session.config(),
         chunks,

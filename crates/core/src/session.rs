@@ -23,10 +23,11 @@ use crate::api::{self, BatchRun, RunOpts};
 use crate::batch::MatBatch;
 use crate::elem::DeviceScalar;
 use crate::error::ReglaError;
+use crate::per_thread::PtAlg;
 use crate::status::RecoveryStats;
 use crate::tiled::MultiLaunch;
 use regla_gpu_sim::{Gpu, GpuConfig, Profiler};
-use regla_model::ModelParams;
+use regla_model::{Algorithm, ModelParams, PlanKey};
 use std::sync::{Arc, Mutex};
 
 /// The batched operations a [`Session`] can run — the single dispatch
@@ -87,12 +88,31 @@ impl Op {
         )
     }
 
+    /// Columns a run carries next to `n`-column systems given a
+    /// `rhs`-column second operand: none for the operations that take no
+    /// right-hand side, and `n` for [`Op::Invert`]'s identity.
+    pub(crate) fn carried_cols(&self, n: usize, rhs: usize) -> usize {
+        match self {
+            Op::Invert => n,
+            op if op.needs_rhs() => rhs,
+            _ => 0,
+        }
+    }
+
     /// The predictive-model algorithm this operation is priced as, or
     /// `None` for operations the model has no estimate for (GEMM). This
     /// is what fleets and serving layers use to derive deadline budgets,
     /// admission prices and flush targets.
-    pub fn model_algorithm(&self) -> Option<regla_model::Algorithm> {
-        crate::pipeline::model_alg(*self)
+    pub fn model_algorithm(&self) -> Option<Algorithm> {
+        match self {
+            Op::Qr => Some(Algorithm::Qr),
+            Op::Lu => Some(Algorithm::Lu),
+            Op::GjSolve | Op::Invert => Some(Algorithm::GaussJordan),
+            Op::QrSolve => Some(Algorithm::QrSolve),
+            Op::LeastSquares => Some(Algorithm::LeastSquares),
+            Op::Cholesky => Some(Algorithm::Cholesky),
+            Op::Gemm => None,
+        }
     }
 }
 
@@ -378,33 +398,10 @@ impl Session {
             Op::Qr => api::qr_run(gpu, p, a, &o).map(OpOutput::plain),
             Op::Lu => api::lu_run(gpu, p, a, &o).map(OpOutput::plain),
             Op::GjSolve => {
-                api::solve_multi_driver(
-                    gpu,
-                    p,
-                    a,
-                    rhs()?,
-                    &o,
-                    crate::per_thread::PtAlg::Gj,
-                    true,
-                    false,
-                )
-                .map(OpOutput::plain)
+                api::solve_multi_driver(gpu, p, a, rhs()?, &o, PtAlg::Gj).map(OpOutput::plain)
             }
             Op::QrSolve => {
-                let b = rhs()?;
-                // The per-thread kernels back-substitute a single carried
-                // column only; wider systems go per-block.
-                api::solve_multi_driver(
-                    gpu,
-                    p,
-                    a,
-                    b,
-                    &o,
-                    crate::per_thread::PtAlg::QrSolve,
-                    b.cols() == 1,
-                    true,
-                )
-                .map(OpOutput::plain)
+                api::solve_multi_driver(gpu, p, a, rhs()?, &o, PtAlg::QrSolve).map(OpOutput::plain)
             }
             Op::LeastSquares => api::least_squares_run(gpu, p, a, rhs()?, &o)
                 .map(|(run, x)| OpOutput {
@@ -425,6 +422,28 @@ impl Session {
                 .merge(&out.run.recovery);
         }
         res
+    }
+
+    /// The model's price, in cycles on this session's device, of
+    /// [`Session::run_with`] running `op` on `batch` problems of `m x n`
+    /// with a `rhs`-column second operand under `opts`: the plan that
+    /// call resolves, priced at the exact batch. `None` for GEMM and for
+    /// plans the model cannot price.
+    pub fn price<T: DeviceScalar>(
+        &self,
+        op: Op,
+        m: usize,
+        n: usize,
+        rhs: usize,
+        batch: usize,
+        opts: &RunOpts,
+    ) -> Option<f64> {
+        let alg = op.model_algorithm()?;
+        let rhs = op.carried_cols(n, rhs);
+        let (p, cfg) = (&self.params, self.config());
+        let plan = api::resolve_plan(p, cfg, alg, m, n, rhs, T::WORDS, batch, opts);
+        let key = PlanKey::new(alg, m, n, rhs, T::WORDS, batch, opts.math);
+        regla_model::price(p, cfg, &key, &plan, batch)
     }
 
     // ---- named sugar -----------------------------------------------------

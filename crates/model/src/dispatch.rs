@@ -1,10 +1,13 @@
-//! The *predictive* part of the model as an API: given a batch of problems,
-//! predict the runtime of each feasible approach and choose one.
+//! The model's one cost oracle: [`price`] turns a dispatch [`Plan`] for a
+//! [`PlanKey`] into predicted device cycles at an exact batch size.
 //!
-//! This codifies the design space of Figure 10: one-problem-per-thread for
-//! register-resident sizes, one-problem-per-block up to the register-file
-//! capacity of a block, the tiled algorithm for matrices that exceed it,
-//! and the hybrid CPU+GPU library for single large factorizations.
+//! It covers the design space of Figure 10: one problem per thread for
+//! register-resident sizes, one problem per block up to the register-file
+//! capacity of a block, the sequential tiled QR beyond it, and the hybrid
+//! CPU+GPU library for single large factorizations. The tuner ranks its
+//! candidate plans with it, fleet deadlines take its slowest approach,
+//! and `regla-core`'s `Session::price` prices the plan a run resolves for
+//! fleet shares, serve admission and the pipeline estimate.
 
 use crate::intensity::Algorithm;
 use crate::params::ModelParams;
@@ -16,263 +19,9 @@ use crate::plan::{
 };
 use regla_gpu_sim::{occupancy, GpuConfig};
 
-/// Predicted cost of one approach.
-#[derive(Clone, Debug)]
-pub struct Candidate {
-    pub approach: Approach,
-    pub time_s: f64,
-    pub gflops: f64,
-}
-
-/// Why the predictive model could not produce a dispatch decision.
-///
-/// These conditions cannot arise from the design space as currently wired
-/// (the hybrid candidate is unconditional), but the dispatcher is public
-/// API and the conditions must surface as structured errors rather than
-/// panics if a future pruning rule or a hand-built [`Decision`] violates
-/// the invariants.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ModelError {
-    /// No approach was feasible for the requested shape.
-    NoCandidates {
-        alg: Algorithm,
-        m: usize,
-        n: usize,
-        batch: usize,
-    },
-    /// A [`Decision`]'s `choice` is not among its `candidates`.
-    ChoiceNotCandidate { choice: Approach },
-}
-
-impl std::fmt::Display for ModelError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ModelError::NoCandidates { alg, m, n, batch } => write!(
-                f,
-                "no feasible approach for {} on {m}x{n} x {batch} problems",
-                alg.name()
-            ),
-            ModelError::ChoiceNotCandidate { choice } => write!(
-                f,
-                "decision chose {} but it is not among the candidates",
-                choice.name()
-            ),
-        }
-    }
-}
-
-impl std::error::Error for ModelError {}
-
-/// A dispatch decision with the full predicted design space.
-#[derive(Clone, Debug)]
-pub struct Decision {
-    pub choice: Approach,
-    pub candidates: Vec<Candidate>,
-}
-
-impl Decision {
-    /// The candidate backing `choice`.
-    ///
-    /// Errors (rather than panics) if the decision was constructed with a
-    /// `choice` missing from `candidates`.
-    pub fn chosen(&self) -> Result<&Candidate, ModelError> {
-        self.candidates
-            .iter()
-            .find(|c| c.approach == self.choice)
-            .ok_or(ModelError::ChoiceNotCandidate { choice: self.choice })
-    }
-}
-
-/// Default tile edge for the tiled algorithm (a shape that keeps the tile
-/// inside one block's register file with 64 threads).
-pub fn default_tile(elem_words: usize) -> usize {
-    if elem_words >= 2 {
-        40
-    } else {
-        56
-    }
-}
-
-/// Rough cycle estimate for the sequential tiled QR of one `m x n` problem
-/// with tile edge `b`: a GEQRT per diagonal tile, TSQRTs down the panel,
-/// and trailing-tile updates, each re-streaming its tiles through DRAM.
-pub fn tiled_qr_cycles(
-    p: &ModelParams,
-    m: usize,
-    n: usize,
-    b: usize,
-    elem_words: usize,
-) -> f64 {
-    let tm = m.div_ceil(b);
-    let tn = n.div_ceil(b);
-    let tile_plan = block_plan(b, b, 0, elem_words);
-    let geqrt = block_compute_cycles(p, &tile_plan, Algorithm::Qr, 2);
-    // A TSQRT couples two tiles (2b x b): roughly twice the chain depth.
-    let tsqrt = 2.0 * geqrt;
-    // An update applies b reflectors to a b x b tile: comparable to the
-    // trailing-matrix work of a QR, ~2/3 of the factorization cost.
-    let update = 1.5 * geqrt;
-    let tile_bytes = (b * b * elem_words * 4) as f64;
-    let dram_per_tile_op = 2.0 * tile_bytes / p.glb_bytes_per_cycle();
-
-    let mut ops = 0.0;
-    let mut compute = 0.0;
-    for k in 0..tn.min(tm) {
-        let below = (tm - 1 - k) as f64;
-        let right = (tn - 1 - k) as f64;
-        compute += geqrt + below * tsqrt + right * update + below * right * update;
-        ops += 1.0 + below + right + below * right;
-    }
-    compute + ops * dram_per_tile_op
-}
-
-/// Predict and choose an execution strategy for a batch, with the
-/// conventional right-hand-side width for the algorithm (one carried
-/// column for the solve variants, none for the factorizations).
-pub fn choose(
-    p: &ModelParams,
-    cfg: &GpuConfig,
-    alg: Algorithm,
-    m: usize,
-    n: usize,
-    batch: usize,
-    elem_words: usize,
-) -> Result<Decision, ModelError> {
-    let rhs = match alg {
-        Algorithm::GaussJordan | Algorithm::LeastSquares | Algorithm::QrSolve => 1,
-        _ => 0,
-    };
-    choose_with_rhs(p, cfg, alg, m, n, rhs, batch, elem_words)
-}
-
-/// [`choose`] with an explicit carried right-hand-side width — the entry
-/// point the planner prices dispatches through (a Gauss-Jordan inversion
-/// carries `n` columns, not 1).
-#[allow(clippy::too_many_arguments)]
-pub fn choose_with_rhs(
-    p: &ModelParams,
-    cfg: &GpuConfig,
-    alg: Algorithm,
-    m: usize,
-    n: usize,
-    rhs: usize,
-    batch: usize,
-    elem_words: usize,
-) -> Result<Decision, ModelError> {
-    let mut candidates = Vec::new();
-    let flops = match elem_words {
-        2 => alg.flops_complex(m, n),
-        _ => alg.flops(m, n),
-    } * batch as f64;
-
-    // --- one problem per thread: only for square, register-resident sizes.
-    if m == n && thread_plan(n, rhs, elem_words).fits_registers() {
-        let t = per_thread::predicted_time_s(p, alg, n, batch, 4 * elem_words);
-        candidates.push(Candidate {
-            approach: Approach::PerThread,
-            time_s: t,
-            gflops: flops / t / 1e9,
-        });
-    }
-
-    // --- one problem per block: while the tile (with tolerable spilling)
-    // fits; the paper runs this up to n = 144.
-    let bp = block_plan(m.max(n), n, rhs, elem_words);
-    if bp.regs_per_thread <= PER_BLOCK_MAX_DECLARED_REGS && m >= n {
-        let pred = predict_block_plan(p, cfg, alg, bp, batch);
-        candidates.push(Candidate {
-            approach: Approach::PerBlock,
-            time_s: pred.time_s,
-            gflops: pred.gflops,
-        });
-    }
-
-    // --- tiled within a block: anything taller/wider, still batched.
-    if m >= n && (alg == Algorithm::Qr || alg == Algorithm::LeastSquares) {
-        let b = default_tile(elem_words);
-        if m > b || n > b {
-            let cyc = tiled_qr_cycles(p, m, n, b, elem_words);
-            // Tiled problems run one per block; occupancy fills the chip.
-            let tile_plan = block_plan(b, b, 0, elem_words);
-            let occ = occupancy(
-                cfg,
-                tile_plan.threads,
-                tile_plan.regs_per_thread.min(cfg.max_regs_per_thread),
-                tile_plan.shared_words * 4,
-            );
-            let lanes = (occ.blocks_per_sm * cfg.num_sms).min(batch).max(1);
-            let waves = (batch as f64 / lanes as f64).ceil();
-            let t = p.cycles_to_secs(cyc * waves);
-            candidates.push(Candidate {
-                approach: Approach::Tiled,
-                time_s: t,
-                gflops: flops / t / 1e9,
-            });
-        }
-    }
-
-    // --- hybrid library: a coarse asymptotic model of MAGMA-class
-    // performance (GEMM-bound for large n, CPU-bound under the 96-wide
-    // panel, one problem at a time).
-    {
-        let per_problem_flops = flops / batch as f64;
-        let rate_gflops = if n < 96 {
-            5.0 // panel runs on the CPU
-        } else {
-            let nn = n as f64;
-            450.0 * nn / (nn + 700.0)
-        };
-        let xfer = 2.0 * (m * (n + rhs) * elem_words * 4) as f64 / (cfg.pcie_gbs * 1e9)
-            + 2.0 * cfg.pcie_latency_us * 1e-6;
-        let t = batch as f64 * (per_problem_flops / (rate_gflops * 1e9) + xfer);
-        candidates.push(Candidate {
-            approach: Approach::Hybrid,
-            time_s: t,
-            gflops: flops / t / 1e9,
-        });
-    }
-
-    let choice = candidates
-        .iter()
-        .min_by(|a, b| a.time_s.total_cmp(&b.time_s))
-        .map(|c| c.approach)
-        .ok_or(ModelError::NoCandidates { alg, m, n, batch })?;
-    Ok(Decision { choice, candidates })
-}
-
-/// The `Planner::Model` rule: rank the feasible design space for `key`
-/// by predicted time and plan the fastest *device-executable* approach
-/// (the hybrid CPU+GPU library is a baseline, not a dispatch target).
-/// Falls back to the hand rules when the model has no device candidate.
-pub fn model_plan(p: &ModelParams, cfg: &GpuConfig, key: &PlanKey) -> Plan {
-    let best = choose_with_rhs(
-        p,
-        cfg,
-        key.alg,
-        key.m,
-        key.n,
-        key.rhs,
-        key.batch(),
-        key.elem_words,
-    )
-    .ok()
-    .and_then(|d| {
-        d.candidates
-            .into_iter()
-            .filter(|c| c.approach != Approach::Hybrid)
-            .min_by(|a, b| a.time_s.total_cmp(&b.time_s))
-    });
-    match best {
-        Some(c) => Plan::new(c.approach),
-        None => crate::plan::heuristic_plan(key),
-    }
-}
-
-/// Cycle estimate for the *sequential panel* tiled QR `regla-core`
-/// actually launches (per panel: a per-block factor kernel over the
-/// `prows x pw` panel, then a reflector-apply kernel over the trailing
-/// columns), as opposed to [`tiled_qr_cycles`]'s PLASMA-style tile
-/// algorithm. This is what ranks panel-width candidates in the tuner.
+/// Cycle estimate for the sequential panel tiled QR `regla-core`
+/// launches: per panel, a per-block factor kernel over the `prows x pw`
+/// panel, then a reflector-apply kernel over the trailing columns.
 #[allow(clippy::too_many_arguments)]
 pub fn tiled_panel_cycles(
     p: &ModelParams,
@@ -317,11 +66,19 @@ pub fn tiled_panel_cycles(
     total
 }
 
-/// Predicted cycles for dispatching `key` with one specific [`Plan`] —
-/// the ranking function of the tuner's design-space sweep. `None` when
-/// the model cannot price the combination (infeasible approach for the
-/// shape, or a 1D layout, which only the simulator can judge).
-pub fn plan_cycles(p: &ModelParams, cfg: &GpuConfig, key: &PlanKey, plan: &Plan) -> Option<f64> {
+/// Predicted cycles, on `cfg`'s clock, for dispatching `batch` problems of
+/// `key`'s shape with `plan`. The batch is taken as given, not as
+/// `key`'s power-of-two bucket, so 8 000 problems are not priced as
+/// 4 096. `None` when the model cannot price the combination: an approach
+/// infeasible for the shape, or a 1D layout, which only the simulator can
+/// judge.
+pub fn price(
+    p: &ModelParams,
+    cfg: &GpuConfig,
+    key: &PlanKey,
+    plan: &Plan,
+    batch: usize,
+) -> Option<f64> {
     let PlanKey {
         alg,
         m,
@@ -330,7 +87,6 @@ pub fn plan_cycles(p: &ModelParams, cfg: &GpuConfig, key: &PlanKey, plan: &Plan)
         elem_words,
         ..
     } = *key;
-    let batch = key.batch();
     match plan.approach {
         Approach::PerThread => {
             if m != n {
@@ -366,7 +122,11 @@ pub fn plan_cycles(p: &ModelParams, cfg: &GpuConfig, key: &PlanKey, plan: &Plan)
             Some(cfg.secs_to_cycles(pred.time_s))
         }
         Approach::Tiled => {
-            if m < n || !matches!(alg, Algorithm::Qr | Algorithm::LeastSquares | Algorithm::QrSolve)
+            if m < n
+                || !matches!(
+                    alg,
+                    Algorithm::Qr | Algorithm::LeastSquares | Algorithm::QrSolve
+                )
             {
                 return None;
             }
@@ -377,214 +137,102 @@ pub fn plan_cycles(p: &ModelParams, cfg: &GpuConfig, key: &PlanKey, plan: &Plan)
                 p, cfg, m, n, rhs, elem_words, plan.panel, batch,
             ))
         }
-        Approach::Hybrid => None,
-    }
-}
-
-/// Predicted whole-launch cycle count for running `batch` problems with
-/// `approach` — the predictive model acting as a timeout oracle.
-///
-/// A fleet derives per-launch deadline budgets from this (estimate × slack
-/// factor): a launch that takes materially longer than the model predicts
-/// is a sick device, not a slow problem. Returns `None` when the model has
-/// no candidate for the requested approach (the caller should then run
-/// without a deadline rather than guess one).
-#[allow(clippy::too_many_arguments)]
-pub fn predicted_cycles(
-    p: &ModelParams,
-    cfg: &GpuConfig,
-    alg: Algorithm,
-    approach: Approach,
-    m: usize,
-    n: usize,
-    batch: usize,
-    elem_words: usize,
-) -> Option<f64> {
-    let d = choose(p, cfg, alg, m, n, batch, elem_words).ok()?;
-    d.candidates
-        .iter()
-        .find(|c| c.approach == approach)
-        .map(|c| cfg.secs_to_cycles(c.time_s))
-}
-
-/// Predicted wall time, in simulated seconds, for the *chosen* approach on
-/// a `batch`-problem launch — the estimate a serving layer prices
-/// admission and flush decisions with. `None` when the model has no
-/// candidate for the shape.
-pub fn predicted_seconds(
-    p: &ModelParams,
-    cfg: &GpuConfig,
-    alg: Algorithm,
-    m: usize,
-    n: usize,
-    batch: usize,
-    elem_words: usize,
-) -> Option<f64> {
-    choose(p, cfg, alg, m, n, batch, elem_words)
-        .ok()?
-        .chosen()
-        .ok()
-        .map(|c| c.time_s)
-}
-
-/// Smallest batch size at which the device saturates for this shape: the
-/// point where doubling the batch roughly doubles the predicted time
-/// (adding problems no longer rides for free on unused occupancy).
-///
-/// A micro-batcher flushes once a coalesced launch reaches this size —
-/// beyond it, holding requests back buys latency without throughput.
-/// Returns `None` when the model has no estimate for the shape.
-pub fn saturation_batch(
-    p: &ModelParams,
-    cfg: &GpuConfig,
-    alg: Algorithm,
-    m: usize,
-    n: usize,
-    elem_words: usize,
-) -> Option<usize> {
-    const CAP: usize = 1 << 20;
-    let mut b = 1usize;
-    let mut t = predicted_seconds(p, cfg, alg, m, n, b, elem_words)?;
-    while b < CAP {
-        let t2 = predicted_seconds(p, cfg, alg, m, n, 2 * b, elem_words)?;
-        // Doubling the batch costs ~double the time: scaling is linear
-        // from here on, so the chip is full at `b`.
-        if t > 0.0 && t2 >= 1.9 * t {
-            return Some(b);
+        Approach::Hybrid => {
+            // A coarse asymptotic model of a MAGMA-class library: one
+            // problem at a time, GEMM-bound for large n and CPU-bound
+            // under its 96-wide panel, plus each problem's PCIe round
+            // trip.
+            let flops = match elem_words {
+                2 => alg.flops_complex(m, n),
+                _ => alg.flops(m, n),
+            };
+            let rate_gflops = if n < 96 {
+                5.0
+            } else {
+                let nn = n as f64;
+                450.0 * nn / (nn + 700.0)
+            };
+            let xfer = 2.0 * (m * (n + rhs) * elem_words * 4) as f64 / (cfg.pcie_gbs * 1e9)
+                + 2.0 * cfg.pcie_latency_us * 1e-6;
+            let t = batch as f64 * (flops / (rate_gflops * 1e9) + xfer);
+            Some(cfg.secs_to_cycles(t))
         }
-        b *= 2;
-        t = t2;
     }
-    Some(CAP)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use regla_gpu_sim::MathMode;
 
     fn setup() -> (ModelParams, GpuConfig) {
         (ModelParams::table_iv(), GpuConfig::quadro_6000())
     }
 
-    #[test]
-    fn tiny_batched_problems_go_per_thread() {
+    /// The approach `price` rates cheapest for a batch of `key`'s shape.
+    fn cheapest(key: &PlanKey, batch: usize) -> Approach {
         let (p, cfg) = setup();
-        let d = choose(&p, &cfg, Algorithm::Lu, 6, 6, 64000, 1).unwrap();
-        assert_eq!(d.choice, Approach::PerThread);
+        Approach::ALL
+            .into_iter()
+            .filter_map(|a| price(&p, &cfg, key, &Plan::new(a), batch).map(|c| (a, c)))
+            .min_by(|x, y| x.1.total_cmp(&y.1))
+            .expect("hybrid is always priced")
+            .0
     }
 
     #[test]
-    fn mid_sized_batched_problems_go_per_block() {
-        let (p, cfg) = setup();
-        let d = choose(&p, &cfg, Algorithm::Qr, 56, 56, 8000, 1).unwrap();
-        assert_eq!(d.choice, Approach::PerBlock);
-    }
-
-    #[test]
-    fn stap_240x66_goes_tiled() {
-        let (p, cfg) = setup();
-        let d = choose(&p, &cfg, Algorithm::Qr, 240, 66, 128, 2).unwrap();
-        assert_eq!(d.choice, Approach::Tiled);
-    }
-
-    #[test]
-    fn single_huge_problem_goes_hybrid() {
-        let (p, cfg) = setup();
-        let d = choose(&p, &cfg, Algorithm::Qr, 4096, 4096, 1, 1).unwrap();
-        assert_eq!(d.choice, Approach::Hybrid);
-    }
-
-    #[test]
-    fn decision_exposes_the_design_space() {
-        let (p, cfg) = setup();
-        let d = choose(&p, &cfg, Algorithm::Qr, 56, 56, 8000, 1).unwrap();
-        assert!(d.candidates.len() >= 2);
-        let chosen = d.chosen().unwrap();
-        for c in &d.candidates {
-            assert!(chosen.time_s <= c.time_s + 1e-12);
-        }
-    }
-
-    #[test]
-    fn predicted_seconds_tracks_the_chosen_candidate() {
-        let (p, cfg) = setup();
-        let t = predicted_seconds(&p, &cfg, Algorithm::Lu, 8, 8, 4096, 1).unwrap();
-        let d = choose(&p, &cfg, Algorithm::Lu, 8, 8, 4096, 1).unwrap();
-        assert_eq!(t, d.chosen().unwrap().time_s);
-        assert!(t > 0.0 && t.is_finite());
-    }
-
-    #[test]
-    fn saturation_batch_is_finite_and_marks_linear_scaling() {
-        let (p, cfg) = setup();
-        let b = saturation_batch(&p, &cfg, Algorithm::Lu, 8, 8, 1).unwrap();
-        assert!((1..1 << 20).contains(&b), "b = {b}");
-        // Past saturation, doubling the batch ~doubles the time.
-        let t1 = predicted_seconds(&p, &cfg, Algorithm::Lu, 8, 8, b, 1).unwrap();
-        let t2 = predicted_seconds(&p, &cfg, Algorithm::Lu, 8, 8, 2 * b, 1).unwrap();
-        assert!(t2 >= 1.9 * t1, "t1 = {t1}, t2 = {t2}");
-    }
-
-    #[test]
-    fn tiled_estimate_grows_with_problem_size() {
-        let p = ModelParams::table_iv();
-        let small = tiled_qr_cycles(&p, 128, 64, 56, 1);
-        let large = tiled_qr_cycles(&p, 512, 256, 56, 1);
-        assert!(large > 4.0 * small);
-    }
-
-    #[test]
-    fn model_plan_never_picks_hybrid() {
-        use regla_gpu_sim::MathMode;
-        let (p, cfg) = setup();
-        // A single huge QR chooses Hybrid in `choose`, but a Plan must be
-        // device-executable, so the model planner picks something else.
-        let key = PlanKey::new(Algorithm::Qr, 4096, 4096, 0, 1, 1, MathMode::Fast);
-        let plan = model_plan(&p, &cfg, &key);
-        assert_ne!(plan.approach, Approach::Hybrid);
-    }
-
-    #[test]
-    fn model_plan_agrees_with_choose_on_batched_shapes() {
-        use regla_gpu_sim::MathMode;
-        let (p, cfg) = setup();
+    fn prices_rank_the_figure_10_design_space() {
         let cases = [
-            (Algorithm::Lu, 6, 6, 0, 65536, 1, Approach::PerThread),
-            (Algorithm::Qr, 56, 56, 0, 8192, 1, Approach::PerBlock),
-            (Algorithm::Qr, 240, 66, 0, 128, 2, Approach::Tiled),
+            (Algorithm::Lu, 6, 6, 1, 64000, Approach::PerThread),
+            (Algorithm::Qr, 56, 56, 1, 8000, Approach::PerBlock),
+            (Algorithm::Qr, 240, 66, 2, 128, Approach::Tiled),
+            (Algorithm::Qr, 4096, 4096, 1, 1, Approach::Hybrid),
         ];
-        for (alg, m, n, rhs, batch, ew, want) in cases {
-            let key = PlanKey::new(alg, m, n, rhs, ew, batch, MathMode::Fast);
-            let plan = model_plan(&p, &cfg, &key);
-            assert_eq!(plan.approach, want, "{alg:?} {m}x{n} x{batch}");
+        for (alg, m, n, ew, batch, want) in cases {
+            let key = PlanKey::new(alg, m, n, 0, ew, batch, MathMode::Fast);
+            assert_eq!(cheapest(&key, batch), want, "{alg:?} {m}x{n} x{batch}");
         }
     }
 
     #[test]
-    fn plan_cycles_prices_the_feasible_space() {
-        use regla_gpu_sim::MathMode;
+    fn price_covers_the_feasible_space() {
         let (p, cfg) = setup();
         let key = PlanKey::new(Algorithm::Qr, 56, 56, 0, 1, 8192, MathMode::Fast);
-        let pb64 = plan_cycles(&p, &cfg, &key, &Plan::new(Approach::PerBlock)).unwrap();
-        let pb256 = plan_cycles(
-            &p,
-            &cfg,
-            &key,
-            &Plan::new(Approach::PerBlock).with_threads(256),
-        )
-        .unwrap();
+        let at = |plan: Plan| price(&p, &cfg, &key, &plan, 8192);
+        let pb64 = at(Plan::new(Approach::PerBlock)).unwrap();
+        let pb256 = at(Plan::new(Approach::PerBlock).with_threads(256)).unwrap();
         assert!(pb64 > 0.0 && pb256 > 0.0);
         assert_ne!(pb64, pb256, "the thread knob changes the estimate");
-        // 56x56 is not register-resident per thread.
-        assert!(plan_cycles(&p, &cfg, &key, &Plan::new(Approach::PerThread)).is_none());
-        // Hybrid and 1D layouts are unpriceable by the model.
-        assert!(plan_cycles(&p, &cfg, &key, &Plan::new(Approach::Hybrid)).is_none());
-        let row = Plan::new(Approach::PerBlock).with_layout(Layout::RowCyclic);
-        assert!(plan_cycles(&p, &cfg, &key, &row).is_none());
+        // 56x56 is not register-resident per thread, and 1D layouts are
+        // left to the simulator.
+        assert!(at(Plan::new(Approach::PerThread)).is_none());
+        assert!(at(Plan::new(Approach::PerBlock).with_layout(Layout::RowCyclic)).is_none());
+        // The hybrid library prices every shape.
+        assert!(at(Plan::new(Approach::Hybrid)).unwrap() > pb64);
         // Tiled pricing responds to the panel-width knob.
         let kt = PlanKey::new(Algorithm::Qr, 240, 66, 0, 2, 128, MathMode::Fast);
-        let t16 = plan_cycles(&p, &cfg, &kt, &Plan::new(Approach::Tiled)).unwrap();
-        let t8 = plan_cycles(&p, &cfg, &kt, &Plan::new(Approach::Tiled).with_panel(8)).unwrap();
+        let t16 = price(&p, &cfg, &kt, &Plan::new(Approach::Tiled), 128).unwrap();
+        let t8 = price(
+            &p,
+            &cfg,
+            &kt,
+            &Plan::new(Approach::Tiled).with_panel(8),
+            128,
+        )
+        .unwrap();
         assert!(t16 > 0.0 && t8 > 0.0 && t16 != t8);
+    }
+
+    #[test]
+    fn price_is_taken_at_the_exact_batch() {
+        let (p, cfg) = setup();
+        let key = PlanKey::new(Algorithm::Lu, 8, 8, 0, 1, 8000, MathMode::Fast);
+        assert_eq!(key.batch(), 4096);
+        for a in [Approach::PerBlock, Approach::Hybrid] {
+            let plan = Plan::new(a);
+            let bucket = price(&p, &cfg, &key, &plan, key.batch()).unwrap();
+            let exact = price(&p, &cfg, &key, &plan, 8000).unwrap();
+            assert!(exact > 1.5 * bucket, "{a:?}: {exact} vs {bucket}");
+        }
     }
 }

@@ -3,8 +3,9 @@
 //! Implements Section II's LogP-derived cost equations, Section III's FLOP
 //! counts, Section IV's roofline for the one-problem-per-thread approach,
 //! and Section V-D's per-operation cost model for the one-problem-per-block
-//! approach (Table VI), plus the dispatch logic that turns the model into a
-//! *predictive* tool for choosing an execution strategy.
+//! approach (Table VI), plus [`price`], the one cost oracle that turns the
+//! model into a *predictive* tool: it prices a dispatch plan at an exact
+//! batch size.
 //!
 //! ```
 //! use regla_model::{Algorithm, ModelParams, per_thread};
@@ -28,10 +29,7 @@ pub mod pipeline;
 pub mod plan;
 pub mod verify;
 
-pub use dispatch::{
-    choose, choose_with_rhs, model_plan, plan_cycles, predicted_cycles, predicted_seconds,
-    saturation_batch, tiled_panel_cycles, Candidate, Decision, ModelError,
-};
+pub use dispatch::{price, tiled_panel_cycles};
 pub use intensity::{arithmetic_intensity, bytes_moved, Algorithm};
 pub use logp::{tau_global, tau_local};
 pub use params::ModelParams;

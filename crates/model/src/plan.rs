@@ -16,8 +16,7 @@
 //! * [`PlanKey`] — the problem coordinates a decision is indexed by
 //!   (algorithm, shape, rhs width, element width, batch bucket, math mode);
 //! * [`Planner`] — how a decision is produced: the paper's hand rules
-//!   (`Heuristic`), the predictive model ranking the design space per
-//!   dispatch (`Model`), or a tuned [`DecisionTable`] (`Table`);
+//!   (`Heuristic`) or a tuned [`DecisionTable`] (`Table`);
 //! * [`DecisionTable`] — a serializable key → plan map emitted by
 //!   `regla-tune`, with derived thresholds replacing the hard-coded
 //!   64/256 rule.
@@ -611,20 +610,18 @@ pub enum Planner {
     /// bit-identical to the pre-planner dispatch.
     #[default]
     Heuristic,
-    /// Rank the feasible design space by model-predicted cycles on every
-    /// dispatch and take the fastest device-executable approach.
-    Model,
     /// Consult a tuned [`DecisionTable`]; keys the table does not cover
     /// fall back to the heuristic rules.
     Table(Arc<DecisionTable>),
 }
 
 impl Planner {
-    /// Produce the dispatch plan for `key`.
-    pub fn plan(&self, params: &ModelParams, cfg: &GpuConfig, key: &PlanKey) -> Plan {
+    /// Produce the dispatch plan for `key`. Neither planner reads the
+    /// model parameters or the device config; the arguments stay for
+    /// perfbench, which calls this with them.
+    pub fn plan(&self, _params: &ModelParams, _cfg: &GpuConfig, key: &PlanKey) -> Plan {
         match self {
             Planner::Heuristic => heuristic_plan(key),
-            Planner::Model => crate::dispatch::model_plan(params, cfg, key),
             Planner::Table(t) => t
                 .lookup(key)
                 .map(|e| e.plan)
@@ -635,7 +632,6 @@ impl Planner {
     pub fn name(&self) -> &'static str {
         match self {
             Planner::Heuristic => "heuristic",
-            Planner::Model => "model",
             Planner::Table(_) => "table",
         }
     }

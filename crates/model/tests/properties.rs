@@ -2,10 +2,10 @@
 //! scale-consistency laws that any sane cost model must satisfy.
 
 use proptest::prelude::*;
-use regla_gpu_sim::GpuConfig;
+use regla_gpu_sim::{GpuConfig, MathMode};
 use regla_model::{
-    arithmetic_intensity, block_plan, per_block, per_thread, tau_global, tau_local, Algorithm,
-    ModelParams,
+    arithmetic_intensity, block_plan, heuristic_plan, per_block, per_thread, price, tau_global,
+    tau_local, Algorithm, ModelParams, PlanKey,
 };
 
 proptest! {
@@ -103,18 +103,14 @@ proptest! {
     }
 
     #[test]
-    fn dispatch_always_returns_a_feasible_choice(
+    fn heuristic_plan_always_has_a_finite_positive_price(
         n in prop::sample::select(vec![4usize, 8, 16, 56, 96, 240, 1024]),
         batch in prop::sample::select(vec![1usize, 100, 10_000]),
     ) {
         let p = ModelParams::table_iv();
         let cfg = GpuConfig::quadro_6000();
-        let d = regla_model::choose(&p, &cfg, Algorithm::Qr, n, n, batch, 1).unwrap();
-        let c = d.chosen().unwrap();
-        prop_assert!(c.time_s.is_finite() && c.time_s > 0.0);
-        prop_assert!(c.gflops.is_finite() && c.gflops > 0.0);
-        for cand in &d.candidates {
-            prop_assert!(c.time_s <= cand.time_s + 1e-12);
-        }
+        let key = PlanKey::new(Algorithm::Qr, n, n, 0, 1, batch, MathMode::Fast);
+        let cycles = price(&p, &cfg, &key, &heuristic_plan(&key), batch);
+        prop_assert!(cycles.is_some_and(|c| c.is_finite() && c > 0.0), "{cycles:?}");
     }
 }

@@ -311,26 +311,25 @@ impl ServeEngine {
         &self.cfg
     }
 
+    /// Run options of a dispatch of `key`'s group: the base options with
+    /// the group's math mode.
+    fn dispatch_opts(&self, key: &GroupKey) -> RunOpts {
+        let mut opts = self.cfg.opts.clone();
+        opts.math = key.math;
+        opts
+    }
+
     /// Modeled service seconds for `problems` problems of `key`'s shape on
-    /// the fleet's first device (a deliberate single-device price: the
-    /// admission controller wants a stable, conservative unit, not the
-    /// sharded optimum).
+    /// the fleet's first device: the price of the plan that dispatch
+    /// resolves (a deliberate single-device price: the admission
+    /// controller wants a stable, conservative unit, not the sharded
+    /// optimum).
     fn service_estimate_s<T: DeviceScalar>(&self, key: &GroupKey, problems: usize) -> f64 {
         let session = self.fleet.sessions().next().expect("fleet has devices");
-        let kernel = key
-            .op
-            .model_algorithm()
-            .and_then(|alg| {
-                regla_model::predicted_seconds(
-                    session.params(),
-                    session.config(),
-                    alg,
-                    key.m,
-                    key.n,
-                    problems,
-                    T::WORDS,
-                )
-            })
+        let opts = self.dispatch_opts(key);
+        let kernel = session
+            .price::<T>(key.op, key.m, key.n, key.rhs_cols, problems, &opts)
+            .map(|cycles| session.config().cycles_to_secs(cycles))
             .unwrap_or(FALLBACK_EST_PER_PROBLEM_S * problems as f64);
         // The verified tier pays its host-side screens up front in the
         // admission price, so turning verification on tightens (never
@@ -353,8 +352,10 @@ impl ServeEngine {
     }
 
     /// Problems at which a coalesced dispatch of `key` is predicted to
-    /// fill the whole fleet (sum of per-device saturation batches, capped
-    /// by [`ServeConfig::max_coalesced_problems`]).
+    /// fill the whole fleet (sum of per-device saturation batches of the
+    /// plan the dispatch resolves, capped by
+    /// [`ServeConfig::max_coalesced_problems`], which is also the target
+    /// when some device has no price for the shape).
     fn fill_target<T: DeviceScalar>(&mut self, key: &GroupKey) -> usize {
         if !self.cfg.coalesce {
             // One request per dispatch: every group is immediately "full",
@@ -365,22 +366,14 @@ impl ServeEngine {
         if let Some((_, t)) = self.fill_targets.iter().find(|(k, _)| k == key) {
             return *t;
         }
-        let modeled: Option<usize> = key.op.model_algorithm().map(|alg| {
-            self.fleet
-                .sessions()
-                .map(|s| {
-                    regla_model::saturation_batch(
-                        s.params(),
-                        s.config(),
-                        alg,
-                        key.m,
-                        key.n,
-                        T::WORDS,
-                    )
-                    .unwrap_or(1)
-                })
-                .sum()
-        });
+        let opts = self.dispatch_opts(key);
+        let modeled: Option<usize> = self
+            .fleet
+            .sessions()
+            .map(|s| {
+                saturation_batch(|b| s.price::<T>(key.op, key.m, key.n, key.rhs_cols, b, &opts))
+            })
+            .sum();
         let target = modeled
             .unwrap_or(self.cfg.max_coalesced_problems)
             .clamp(1, self.cfg.max_coalesced_problems);
@@ -528,8 +521,7 @@ impl ServeEngine {
             } else {
                 None
             };
-            let mut opts = self.cfg.opts.clone();
-            opts.math = group.key.math;
+            let opts = self.dispatch_opts(&group.key);
 
             let clocks_before = self.fleet.device_clocks();
             let run = self.fleet.run_with(group.key.op, &a, b.as_ref(), &opts);
@@ -763,6 +755,29 @@ impl ServeEngine {
     }
 }
 
+/// Smallest batch size at which a device saturates for a shape whose
+/// model price at `b` problems is `price(b)`: the point where doubling the
+/// batch roughly doubles the price (adding problems no longer rides for
+/// free on unused occupancy). A coalesced dispatch flushes once it reaches
+/// this size, since beyond it holding requests back buys latency without
+/// throughput. `None` when the model has no price for the shape.
+fn saturation_batch(price: impl Fn(usize) -> Option<f64>) -> Option<usize> {
+    const CAP: usize = 1 << 20;
+    let mut b = 1usize;
+    let mut t = price(b)?;
+    while b < CAP {
+        let t2 = price(2 * b)?;
+        // Doubling the batch costs ~double: scaling is linear from here
+        // on, so the chip is full at `b`.
+        if t > 0.0 && t2 >= 1.9 * t {
+            return Some(b);
+        }
+        b *= 2;
+        t = t2;
+    }
+    Some(CAP)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -774,6 +789,19 @@ mod tests {
             .device(GpuConfig::quadro_6000())
             .build()
             .expect("fleet has a device")
+    }
+
+    #[test]
+    fn saturation_batch_is_finite_and_marks_linear_scaling() {
+        let session = regla_core::Session::new();
+        let opts = RunOpts::default();
+        let price = |b| session.price::<f32>(Op::Lu, 8, 8, 0, b, &opts);
+        let b = saturation_batch(price).unwrap();
+        assert!((1..1 << 20).contains(&b), "b = {b}");
+        // Past saturation, doubling the batch ~doubles the price.
+        let (t1, t2) = (price(b).unwrap(), price(2 * b).unwrap());
+        assert!(t2 >= 1.9 * t1, "t1 = {t1}, t2 = {t2}");
+        assert_eq!(saturation_batch(|_| None), None);
     }
 
     /// Tentpole (c): the verified tier must price its host-side screens

@@ -8,10 +8,11 @@
 //! 1. **Enumerate** the mapping x layout x thread-count x panel x
 //!    chunk/stream design space for a [`PlanKey`] (Figure 10's axes, plus
 //!    the knobs the paper fixed by hand);
-//! 2. **Rank** every candidate by model-predicted cycles
-//!    ([`regla_model::plan_cycles`]) — candidates the model cannot price
-//!    (1D layouts on the per-block path, hybrid) are pruned, exactly as
-//!    Figure 7 prunes them empirically;
+//! 2. **Rank** every candidate by model-predicted cycles at the key's
+//!    representative batch ([`regla_model::price`]) — candidates the
+//!    model cannot price (1D layouts on the per-block path) are pruned,
+//!    exactly as Figure 7 prunes them empirically, and the hybrid library
+//!    is not enumerated at all (it is no device plan);
 //! 3. **Validate** the top-k survivors in the fast-path simulator (the
 //!    observer-free [`regla_core::Session`] path) on a capped
 //!    representative batch;
@@ -43,8 +44,8 @@
 use regla_core::{MatBatch, Op, RunOpts, Session, C32};
 use regla_gpu_sim::GpuConfig;
 use regla_model::{
-    block_threads, plan_cycles, Algorithm, Approach, DecisionTable, Layout, ModelParams, Plan,
-    PlanKey, TableEntry,
+    block_threads, price, Algorithm, Approach, DecisionTable, Layout, ModelParams, Plan, PlanKey,
+    TableEntry,
 };
 
 /// The candidate axes the tuner sweeps. [`TuneSpace::default`] covers the
@@ -189,7 +190,7 @@ pub fn rank_plans(
     let mut ranked: Vec<Ranked> = enumerate_plans(key, space)
         .into_iter()
         .filter_map(|plan| {
-            plan_cycles(params, cfg, key, &plan).map(|predicted_cycles| Ranked {
+            price(params, cfg, key, &plan, key.batch()).map(|predicted_cycles| Ranked {
                 plan,
                 predicted_cycles,
             })
@@ -378,7 +379,7 @@ impl Tuner {
             seen.push(shape);
             out.push(Evaluated {
                 plan,
-                predicted_cycles: plan_cycles(&self.params, &self.cfg, key, &plan),
+                predicted_cycles: price(&self.params, &self.cfg, key, &plan, key.batch()),
                 simulated_cycles: self.simulate_plan(key, &plan),
             });
         }
@@ -488,7 +489,8 @@ mod tests {
         assert!(ranked
             .windows(2)
             .all(|w| w[0].predicted_cycles <= w[1].predicted_cycles));
-        // 1D layouts and hybrid are model-unpriceable and must be gone.
+        // 1D layouts are model-unpriceable and must be gone; hybrid is
+        // never enumerated.
         assert!(ranked
             .iter()
             .all(|r| r.plan.layout == Layout::TwoDCyclic && r.plan.approach != Approach::Hybrid));

@@ -7,7 +7,7 @@
 
 use regla::core::host;
 use regla::core::prelude::*;
-use regla::model::{self, Algorithm, ModelParams};
+use regla::model::{self, Algorithm, Plan, PlanKey};
 
 fn main() {
     let session = Session::new();
@@ -26,28 +26,34 @@ fn main() {
     }
     let b = MatBatch::from_fn(n, 1, count, |k, i, _| ((k + i) % 7) as f32 - 3.0);
 
-    // Ask the predictive model what it would do.
-    let params = ModelParams::table_iv();
-    let decision =
-        model::choose(&params, session.config(), Algorithm::QrSolve, n, n, count, 1).unwrap();
-    println!("predicted design space for {count} systems of size {n}x{n}:");
-    for c in &decision.candidates {
-        println!(
-            "  {:28} {:>8.1} GFLOPS  ({:.3} ms){}",
-            c.approach.name(),
-            c.gflops,
-            c.time_s * 1e3,
-            if c.approach == decision.choice { "  <= chosen" } else { "" }
-        );
+    // Price every approach with the predictive model.
+    let cfg = session.config();
+    let flops = Algorithm::QrSolve.flops(n, n) * count as f64;
+    let key = PlanKey::new(Algorithm::QrSolve, n, n, 1, 1, count, MathMode::Fast);
+    println!("model-priced design space for {count} systems of size {n}x{n}:");
+    for approach in Approach::ALL {
+        let plan = Plan::new(approach);
+        if let Some(cycles) = model::price(session.params(), cfg, &key, &plan, count) {
+            let secs = cfg.cycles_to_secs(cycles);
+            println!(
+                "  {:28} {:>8.1} GFLOPS  ({:.3} ms)",
+                approach.name(),
+                flops / secs / 1e9,
+                secs * 1e3
+            );
+        }
     }
 
-    // Solve on the (simulated) GPU via QR.
+    // Solve on the (simulated) GPU via QR, next to the model's price of
+    // the plan the session resolves for this call.
+    let priced = session.price::<f32>(Op::QrSolve, n, n, 1, count, session.opts());
     let run = session.qr_solve(&a, &b).unwrap();
     println!(
-        "\nexecuted with {} in {:.3} ms at {:.1} GFLOPS",
+        "\nexecuted with {} in {:.3} ms at {:.1} GFLOPS (model: {:.3} ms)",
         run.approach.name(),
         run.time_s() * 1e3,
-        run.gflops()
+        run.gflops(),
+        cfg.cycles_to_secs(priced.expect("the model prices a QR solve")) * 1e3
     );
 
     // Launch anatomy from the simulator.

@@ -1,15 +1,18 @@
 //! Multi-device fleet semantics, end to end: a single-device no-chaos
 //! fleet is bit-identical to a plain `Session`; a chaos-killed device's
 //! campaign is bit-identical and telemetry-identical across host-thread
-//! counts and the fast/slow simulator paths; and unservable
-//! configurations fail with structured errors instead of hanging.
+//! counts and the fast/slow simulator paths; unservable configurations
+//! fail with structured errors instead of hanging; shares follow the
+//! price of the plan that runs; and model-derived deadlines leave a
+//! healthy fleet alone.
 
 use proptest::prelude::*;
 use regla::core::{
     ChaosPlan, Fleet, FleetPolicy, FleetRun, MatBatch, Op, RecoveryStats, ReglaError, RunOpts,
-    Session,
+    Session, C32,
 };
-use regla::gpu_sim::GpuConfig;
+use regla::gpu_sim::{ExecMode, GpuConfig};
+use regla::model::Approach;
 
 fn dd_batch(n: usize, count: usize, seed: usize) -> MatBatch<f32> {
     MatBatch::from_fn(n, n, count, |k, i, j| {
@@ -172,4 +175,117 @@ fn deadline_misses_surface_as_structured_launch_errors() {
         }
         other => panic!("expected a deadline launch error, got {other:?}"),
     }
+}
+
+/// Shares follow the price of the plan the run resolves, not of the
+/// approach the model rates cheapest: with per-block forced, 6x6 LU splits
+/// about 1 : 2 between a Quadro 6000 and a GT200 (a per-thread price would
+/// split it about evenly).
+#[test]
+fn fleet_shares_price_the_plan_the_run_resolves() {
+    let opts = RunOpts::builder()
+        .approach(Approach::PerBlock)
+        .exec(ExecMode::Representative)
+        .build()
+        .unwrap();
+    let fleet = Fleet::builder()
+        .device(GpuConfig::quadro_6000())
+        .device(GpuConfig::gt200())
+        .opts(opts.clone())
+        .build()
+        .unwrap();
+    let count = 4096;
+    let run = fleet.run(Op::Lu, &dd_batch(6, count, 3), None).unwrap();
+    assert_eq!(run.output.run.approach, Approach::PerBlock);
+    let rates: Vec<f64> = fleet
+        .sessions()
+        .map(|s| {
+            let cycles = s.price::<f32>(Op::Lu, 6, 6, 0, count, &opts).unwrap();
+            1.0 / s.config().cycles_to_secs(cycles)
+        })
+        .collect();
+    let planned: Vec<usize> = run
+        .report
+        .devices
+        .iter()
+        .map(|d| d.planned_problems)
+        .collect();
+    // Over two devices, the largest-remainder split rounds device 0's
+    // exact share (half goes to the lower index).
+    let share0 = (count as f64 * rates[0] / (rates[0] + rates[1])).round() as usize;
+    assert_eq!(planned, [share0, count - share0]);
+    assert!(2 * planned[1] > 3 * planned[0], "planned = {planned:?}");
+}
+
+/// DESIGN §12's envelope: a deadline armed at the slowest approach's
+/// price times the slack never fires on a healthy fleet, for the shapes
+/// that serve, the chaos campaign, the pipeline experiment and STAP run.
+#[test]
+fn deadline_envelope_never_fires_on_a_healthy_fleet() {
+    let fleet = |slack| {
+        Fleet::builder()
+            .device(GpuConfig::quadro_6000())
+            .device(GpuConfig::gt200())
+            .opts(
+                RunOpts::builder()
+                    .exec(ExecMode::Representative)
+                    .build()
+                    .unwrap(),
+            )
+            .policy(FleetPolicy {
+                deadline_slack: Some(slack),
+                ..FleetPolicy::default()
+            })
+            .build()
+            .unwrap()
+    };
+    let healthy_fleet = fleet(4.0);
+    let healthy = |what: String, rec: RecoveryStats| {
+        assert_eq!(rec.deadline_misses, 0, "{what}: {rec:?}");
+        assert_eq!(rec.cpu_degraded, 0, "{what}: {rec:?}");
+    };
+
+    // (op, n, rhs, count): serve's traffic, the chaos campaign's chunks,
+    // and the pipeline experiment's cases.
+    let mut cases = Vec::new();
+    for count in [8, 16, 32, 64, 128] {
+        cases.extend([
+            (Op::Lu, 8, 0, count),
+            (Op::Qr, 10, 0, count),
+            (Op::GjSolve, 8, 1, count),
+        ]);
+    }
+    cases.extend([(Op::Qr, 8, 0, 4096), (Op::Lu, 8, 0, 4096)]);
+    cases.extend([
+        (Op::Qr, 32, 0, 4096),
+        (Op::Qr, 56, 0, 2016),
+        (Op::GjSolve, 16, 1, 4096),
+    ]);
+    for (op, n, rhs, count) in cases {
+        let a = dd_batch(n, count, n);
+        let b = (rhs > 0).then(|| MatBatch::from_fn(n, rhs, count, |k, i, _| ((k + i) % 7) as f32));
+        let run = healthy_fleet.run(op, &a, b.as_ref()).unwrap();
+        healthy(
+            format!("{op:?} {n}x{n}+{rhs} x{count}"),
+            run.output.run.recovery,
+        );
+    }
+
+    // STAP's complex QR shapes: per-block, then tiled twice.
+    for (m, n) in [(80, 16), (240, 66), (192, 96)] {
+        let a = MatBatch::from_fn(m, n, 128, |k, i, j| {
+            let h = ((k * 31 + i * 7 + j * 13) % 17) as f32 / 17.0;
+            C32::new(h + if i == j { m as f32 } else { 0.0 }, 0.5 - h)
+        });
+        let run = healthy_fleet.run(Op::Qr, &a, None).unwrap();
+        healthy(format!("complex QR {m}x{n} x128"), run.output.run.recovery);
+    }
+
+    // The envelope is armed: a thousandth of it is blown.
+    let run = fleet(1e-3).run(Op::Lu, &dd_batch(8, 64, 8), None).unwrap();
+    assert!(
+        run.output.run.recovery.deadline_misses > 0,
+        "{:?}",
+        run.output.run.recovery
+    );
 }
