@@ -20,6 +20,7 @@ use crate::per_block::{
 use crate::per_thread::{PerThreadKernel, PtAlg};
 use crate::scalar::Scalar;
 use crate::profile::ProfileReport;
+use crate::session::{Op, OpOutput};
 use crate::status::{ProblemStatus, RecoveryPolicy, RecoveryStats};
 use crate::tiled::{tiled_qr, MultiLaunch};
 use regla_gpu_sim::{
@@ -106,9 +107,6 @@ pub struct RunOpts {
     /// chaos knob modeling a stalled stream). Functional results are
     /// unaffected; only modeled timing moves.
     pub stall_cycles: u64,
-    /// Target row-block height of the TSQR first stage (`0` resolves it
-    /// per matrix: twice the column count).
-    pub tsqr_block_rows: usize,
     /// Algorithm-based result verification ([`crate::verify`]): checksum
     /// and/or residual screens run on the host after each launch.
     /// Strictly observational — outputs are bit-identical on or off —
@@ -139,7 +137,6 @@ impl Default for RunOpts {
             slow_path: false,
             deadline_cycles: None,
             stall_cycles: 0,
-            tsqr_block_rows: 0,
             verify: crate::verify::VerifyMode::Off,
         }
     }
@@ -307,13 +304,6 @@ impl RunOptsBuilder {
     /// [`RunOpts::stall_cycles`]).
     pub fn stall_cycles(mut self, v: u64) -> Self {
         self.opts.stall_cycles = v;
-        self
-    }
-
-    /// Target TSQR first-stage row-block height (see
-    /// [`RunOpts::tsqr_block_rows`]).
-    pub fn tsqr_block_rows(mut self, v: usize) -> Self {
-        self.opts.tsqr_block_rows = v;
         self
     }
 
@@ -497,7 +487,7 @@ fn validate_opts(opts: &RunOpts) -> Result<(), ReglaError> {
     Ok(())
 }
 
-fn validate_batch<T: Scalar>(a: &MatBatch<T>) -> Result<(), ReglaError> {
+pub(crate) fn validate_batch<T: Scalar>(a: &MatBatch<T>) -> Result<(), ReglaError> {
     if a.count() == 0 {
         return Err(ReglaError::EmptyBatch);
     }
@@ -505,41 +495,6 @@ fn validate_batch<T: Scalar>(a: &MatBatch<T>) -> Result<(), ReglaError> {
         return Err(ReglaError::DimensionMismatch(
             "matrices must have at least one row and one column".into(),
         ));
-    }
-    Ok(())
-}
-
-/// Check that `b` can be carried as right-hand sides of `a`.
-fn validate_rhs<T: Scalar>(a: &MatBatch<T>, b: &MatBatch<T>) -> Result<(), ReglaError> {
-    if b.rows() != a.rows() {
-        return Err(ReglaError::DimensionMismatch(format!(
-            "rhs has {} rows but the systems have {}",
-            b.rows(),
-            a.rows()
-        )));
-    }
-    if b.count() != a.count() {
-        return Err(ReglaError::DimensionMismatch(format!(
-            "rhs batch holds {} problems but the system batch holds {}",
-            b.count(),
-            a.count()
-        )));
-    }
-    if b.cols() == 0 {
-        return Err(ReglaError::DimensionMismatch(
-            "rhs must have at least one column".into(),
-        ));
-    }
-    Ok(())
-}
-
-fn validate_square<T: Scalar>(a: &MatBatch<T>) -> Result<(), ReglaError> {
-    if a.rows() != a.cols() {
-        return Err(ReglaError::DimensionMismatch(format!(
-            "expected square systems, got {} x {}",
-            a.rows(),
-            a.cols()
-        )));
     }
     Ok(())
 }
@@ -690,12 +645,13 @@ fn run_inplace<T: DeviceScalar>(
     alg: PtAlg,
     plan: Plan,
     opts: &RunOpts,
-    back_substitute: bool,
 ) -> Result<Launched<T>, ReglaError> {
     let approach = plan.approach;
     let (m, cols, count) = (aug.rows(), aug.cols(), aug.count());
     check_supported(approach, alg, m, nfac)?;
     let rhs = cols - nfac;
+    // The QR solve back-substitutes in the kernel; it never runs tiled.
+    let solving = alg == PtAlg::QrSolve;
     let ew = T::WORDS;
     // Block -> problem map: per-thread blocks cover `PER_THREAD_TPB`
     // consecutive problems, per-block and tiled launches map block b to
@@ -768,7 +724,7 @@ fn run_inplace<T: DeviceScalar>(
                     let mut k = QrBlockKernel::<T::Dev>::new(view, lm, count)
                         .with_rhs(rhs)
                         .with_tau(d_tau);
-                    if back_substitute {
+                    if solving {
                         k = k.solving();
                     }
                     if opts.tree_reduction && plan.layout == Layout::TwoDCyclic {
@@ -787,7 +743,7 @@ fn run_inplace<T: DeviceScalar>(
                     cols as u64,
                     ew as u64,
                     plan.layout as u64,
-                    u64::from(back_substitute)
+                    u64::from(solving)
                         | u64::from(opts.tree_reduction) << 1
                         | u64::from(opts.lu_listing7) << 2,
                 ],
@@ -855,15 +811,12 @@ fn run_inplace<T: DeviceScalar>(
     // running here (not in run_recovered) means retry sub-batches are
     // re-screened automatically, so a recovery pass cannot launder a
     // still-corrupt result back to Ok. The rhs columns hold a solution on
-    // the solving paths (GJ always; QR when the kernel back-substituted —
-    // the tiled path defers back-substitution to the host).
-    let solved = (alg == PtAlg::Gj && rhs > 0)
-        || (back_substitute && approach != Approach::Tiled);
+    // the solving paths (GJ and the QR solve).
     crate::verify::screen_problems(
         aug,
         nfac,
         alg,
-        solved,
+        solving || (alg == PtAlg::Gj && rhs > 0),
         &out,
         taus.as_ref(),
         &executed,
@@ -881,8 +834,9 @@ fn run_inplace<T: DeviceScalar>(
     })
 }
 
-/// Recompute problem `p` with the host baseline and splice the result into
-/// `out`/`taus`. Returns the problem's new status.
+/// Recompute problem `p` with the host baseline
+/// ([`host::solve_in_place`]) and splice the result into `out`/`taus`.
+/// Returns the problem's new status.
 pub(crate) fn host_fallback<T: DeviceScalar>(
     aug: &MatBatch<T>,
     nfac: usize,
@@ -891,48 +845,13 @@ pub(crate) fn host_fallback<T: DeviceScalar>(
     out: &mut MatBatch<T>,
     taus: Option<&mut MatBatch<T>>,
 ) -> ProblemStatus {
-    let cols = aug.cols();
     let mut a = aug.mat(p);
-    let mut status = match alg {
-        PtAlg::Lu => match host::lu::lu_nopivot_in_place(&mut a) {
-            Ok(()) => ProblemStatus::Ok,
-            Err(z) => ProblemStatus::ZeroPivot { col: z.column },
-        },
-        PtAlg::Gj => match host::gj::gj_reduce_in_place(&mut a) {
-            Ok(()) => ProblemStatus::Ok,
-            Err(z) => ProblemStatus::ZeroPivot { col: z.column },
-        },
-        PtAlg::Cholesky => match host::cholesky::cholesky_in_place(&mut a) {
-            Ok(()) => ProblemStatus::Ok,
-            Err(npd) => ProblemStatus::ZeroPivot { col: npd.column },
-        },
-        PtAlg::Qr => {
-            let t = host::qr::householder_qr_cols_in_place(&mut a, nfac);
-            if let Some(tb) = taus {
-                for (i, v) in t.into_iter().enumerate().take(nfac) {
-                    tb.set(p, i, 0, v);
-                }
-            }
-            ProblemStatus::Ok
-        }
-        PtAlg::QrSolve => {
-            host::qr::householder_qr_cols_in_place(&mut a, nfac);
-            // Back-substitute every carried right-hand-side column, as the
-            // device kernels' `solving` mode does.
-            for rc in nfac..cols {
-                let y: Vec<T> = (0..nfac).map(|i| a[(i, rc)]).collect();
-                let x = host::qr::back_substitute(&a.submatrix(0, 0, nfac, nfac), &y);
-                for (i, v) in x.into_iter().enumerate() {
-                    a[(i, rc)] = v;
-                }
-            }
-            ProblemStatus::Ok
-        }
-    };
+    let (status, t) = host::solve_in_place(alg, &mut a, nfac);
     out.set_mat(p, &a);
-    // The host baseline is subject to the same finite screen as the device.
-    if status.is_ok() && !problem_is_finite(out, None, p) {
-        status = ProblemStatus::NonFinite;
+    if let Some(tb) = taus {
+        for (i, v) in t.into_iter().enumerate() {
+            tb.set(p, i, 0, v);
+        }
     }
     status
 }
@@ -940,7 +859,6 @@ pub(crate) fn host_fallback<T: DeviceScalar>(
 /// Run with bounded recovery: retry fault-tainted / non-finite problems on
 /// the device (fault injection stripped), then degrade the stragglers to
 /// the host baseline.
-#[allow(clippy::too_many_arguments)]
 fn run_recovered<T: DeviceScalar>(
     gpu: &Gpu,
     params: &ModelParams,
@@ -949,11 +867,10 @@ fn run_recovered<T: DeviceScalar>(
     alg: PtAlg,
     plan: Plan,
     opts: &RunOpts,
-    back_substitute: bool,
 ) -> Result<(Launched<T>, RecoveryStats), ReglaError> {
     let approach = plan.approach;
     let trace_start = opts.trace.as_ref().map_or(0, |t| t.launch_count());
-    let mut l = run_inplace(gpu, aug, nfac, alg, plan, opts, back_substitute)?;
+    let mut l = run_inplace(gpu, aug, nfac, alg, plan, opts)?;
     // Join the first launch this run recorded against the model's phase
     // estimates (retry launches repeat the same kernel; the first is the
     // representative one).
@@ -1004,7 +921,7 @@ fn run_recovered<T: DeviceScalar>(
         let mut ropts = opts.clone();
         ropts.fault = None;
         ropts.exec = ExecMode::Full;
-        let r = run_inplace(gpu, &sub, nfac, alg, plan, &ropts, back_substitute)?;
+        let r = run_inplace(gpu, &sub, nfac, alg, plan, &ropts)?;
         for (i, &p) in failed.iter().enumerate() {
             l.out.set_mat(p, &r.out.mat(i));
             if let (Some(dst), Some(src)) = (l.taus.as_mut(), r.taus.as_ref()) {
@@ -1045,125 +962,77 @@ pub(crate) fn merge_sanitizer(stats: &MultiLaunch) -> Option<SanitizerReport> {
     agg
 }
 
-fn into_run<T>(l: Launched<T>, rec: RecoveryStats, approach: Approach, taus: bool) -> BatchRun<T> {
+/// Run `op` on `a` (and `b`): stage the system through the op table,
+/// resolve the plan, run with recovery and read the answer back —
+/// implementation behind [`crate::Session::run_with`]. GEMM goes to
+/// [`gemm_run`].
+pub(crate) fn run_op<T: DeviceScalar>(
+    gpu: &Gpu,
+    params: &ModelParams,
+    op: Op,
+    a: &MatBatch<T>,
+    b: Option<&MatBatch<T>>,
+    opts: &RunOpts,
+) -> Result<OpOutput<T>, ReglaError> {
+    let Some(model_alg) = op.model_algorithm() else {
+        let run = gemm_run(gpu, a, op.rhs(b)?, opts)?;
+        return Ok(OpOutput {
+            run,
+            solution: None,
+        });
+    };
+    validate_opts(opts)?;
+    let aug = op.stage(a, b)?;
+    let n = a.cols();
+    let plan = resolve_plan(
+        params,
+        &gpu.cfg,
+        model_alg,
+        a.rows(),
+        n,
+        aug.cols() - n,
+        T::WORDS,
+        a.count(),
+        opts,
+    );
+    let alg = op
+        .kernel(plan.approach)
+        .expect("every priced op has a kernel");
+    let (l, recovery) = run_recovered(gpu, params, &aug, n, alg, plan, opts)?;
+    let solution = op.answer(alg, &l.out, n, &l.executed);
     let sanitizer = merge_sanitizer(&l.stats);
-    BatchRun {
+    let run = BatchRun {
         out: l.out,
-        approach,
+        approach: plan.approach,
         stats: l.stats,
-        taus: if taus { l.taus } else { None },
+        taus: l.taus,
         status: l.status,
-        recovery: rec,
+        recovery,
         profile: l.profile,
         sanitizer,
-    }
+    };
+    Ok(OpOutput { run, solution })
 }
 
-/// Batched in-place Householder QR — implementation behind
-/// [`crate::Session::qr`].
-pub(crate) fn qr_run<T: DeviceScalar>(
-    gpu: &Gpu,
-    params: &ModelParams,
-    a: &MatBatch<T>,
-    opts: &RunOpts,
-) -> Result<BatchRun<T>, ReglaError> {
-    validate_opts(opts)?;
-    validate_batch(a)?;
-    let plan = resolve_plan(
-        params,
-        &gpu.cfg,
-        Algorithm::Qr,
-        a.rows(),
-        a.cols(),
-        0,
-        T::WORDS,
-        a.count(),
-        opts,
-    );
-    let (l, rec) = run_recovered(gpu, params, a, a.cols(), PtAlg::Qr, plan, opts, false)?;
-    Ok(into_run(l, rec, plan.approach, true))
-}
-
-/// Batched in-place LU — implementation behind [`crate::Session::lu`].
-pub(crate) fn lu_run<T: DeviceScalar>(
-    gpu: &Gpu,
-    params: &ModelParams,
-    a: &MatBatch<T>,
-    opts: &RunOpts,
-) -> Result<BatchRun<T>, ReglaError> {
-    validate_opts(opts)?;
-    validate_batch(a)?;
-    let plan = resolve_plan(
-        params,
-        &gpu.cfg,
-        Algorithm::Lu,
-        a.rows(),
-        a.cols(),
-        0,
-        T::WORDS,
-        a.count(),
-        opts,
-    );
-    let (l, rec) = run_recovered(gpu, params, a, a.cols(), PtAlg::Lu, plan, opts, false)?;
-    Ok(into_run(l, rec, plan.approach, false))
-}
-
-/// Implementation behind [`crate::Session::least_squares`].
-pub(crate) fn least_squares_run<T: DeviceScalar>(
-    gpu: &Gpu,
-    params: &ModelParams,
-    a: &MatBatch<T>,
-    b: &MatBatch<T>,
-    opts: &RunOpts,
-) -> Result<(BatchRun<T>, MatBatch<T>), ReglaError> {
-    validate_opts(opts)?;
-    validate_batch(a)?;
-    let (m, n) = (a.rows(), a.cols());
-    if m < n {
-        return Err(ReglaError::DimensionMismatch(format!(
-            "least squares needs a tall system, got {m} x {n}"
-        )));
-    }
-    validate_rhs(a, b)?;
-    if b.cols() != 1 {
-        return Err(ReglaError::DimensionMismatch(
-            "least_squares takes a single right-hand side".into(),
-        ));
-    }
-    let aug = MatBatch::augment(a, b);
-    let plan = resolve_plan(
-        params,
-        &gpu.cfg,
-        Algorithm::LeastSquares,
-        m,
-        n,
-        1,
-        T::WORDS,
-        a.count(),
-        opts,
-    );
-    match plan.approach {
-        Approach::PerThread | Approach::PerBlock => {
-            let (l, rec) = run_recovered(gpu, params, &aug, n, PtAlg::QrSolve, plan, opts, true)?;
-            let x = l.out.sub(0, n, n, 1);
-            Ok((into_run(l, rec, plan.approach, false), x))
-        }
-        _ => {
-            let (l, rec) = run_recovered(gpu, params, &aug, n, PtAlg::Qr, plan, opts, false)?;
-            // Host back-substitution of R x = (Qᴴ b)[..n] for the problems
-            // the device computed; the others keep a zero solution.
-            let mut x = MatBatch::zeros(n, 1, aug.count());
-            for k in l.executed.iter().flat_map(|r| r.clone()) {
-                let f = l.out.mat(k);
-                let y: Vec<T> = (0..n).map(|i| f[(i, n)]).collect();
-                let sol = crate::host::qr::back_substitute(&f.submatrix(0, 0, n, n), &y);
-                for (i, v) in sol.into_iter().enumerate() {
-                    x.set(k, i, 0, v);
-                }
-            }
-            Ok((into_run(l, rec, Approach::Tiled, false), x))
+/// `x` from each executed problem's reduced `[R | y]` (`n` factored
+/// columns) by host back-substitution of `R x = y`; problems outside
+/// `executed` keep a zero solution. Tiled least squares and TSQR leave
+/// this system behind.
+pub(crate) fn back_substitute_batch<T: Scalar>(
+    f: &MatBatch<T>,
+    n: usize,
+    executed: &[Range<usize>],
+) -> MatBatch<T> {
+    let mut x = MatBatch::zeros(n, 1, f.count());
+    for k in executed.iter().flat_map(|r| r.clone()) {
+        let fk = f.mat(k);
+        let y: Vec<T> = (0..n).map(|i| fk[(i, n)]).collect();
+        let sol = host::qr::back_substitute(&fk.submatrix(0, 0, n, n), &y);
+        for (i, v) in sol.into_iter().enumerate() {
+            x.set(k, i, 0, v);
         }
     }
+    x
 }
 
 /// Implementation behind [`crate::Session::gemm`]. GEMM has no failure
@@ -1260,127 +1129,20 @@ pub(crate) fn tsqr_run<T: DeviceScalar>(
 ) -> Result<(MatBatch<T>, crate::tiled::MultiLaunch), ReglaError> {
     use crate::tiled::tsqr::tsqr;
     validate_opts(opts)?;
-    validate_batch(a)?;
+    let aug = Op::LeastSquares.stage(a, Some(b))?;
     let (m, n, count) = (a.rows(), a.cols(), a.count());
-    if m < n {
-        return Err(ReglaError::DimensionMismatch(format!(
-            "TSQR needs a tall system, got {m} x {n}"
-        )));
-    }
-    validate_rhs(a, b)?;
-    if b.cols() != 1 {
-        return Err(ReglaError::DimensionMismatch(
-            "tsqr_least_squares takes a single right-hand side".into(),
-        ));
-    }
-    let aug = MatBatch::augment(a, b);
-    // TSQR roughly triples the footprint (stages + scratch).
-    // TSQR's gather stages map blocks to (problem, pair), not to
-    // problems, so it stages and downloads the whole batch.
+    // TSQR roughly triples the footprint (stages + scratch). Its gather
+    // stages map blocks to (problem, pair), not to problems, so it stages
+    // and downloads the whole batch.
     let all = 0..count;
+    let all = std::slice::from_ref(&all);
     let mut gmem = device_for(&aug, 4 * aug.words_per_mat() * count);
-    let ptr = aug.to_device(&mut gmem, std::slice::from_ref(&all));
+    let ptr = aug.to_device(&mut gmem, all);
     let view = SubMat::whole(ptr, m, n + 1);
     let (rptr, stats) = tsqr::<T::Dev>(gpu, &mut gmem, view, m, n, 1, count, opts)?;
     let mut compact = MatBatch::<T>::zeros(n, n + 1, count);
-    compact.copy_from_device(&gmem, rptr, std::slice::from_ref(&all));
-    let mut x = MatBatch::zeros(n, 1, count);
-    for k in 0..count {
-        let f = compact.mat(k);
-        let y: Vec<T> = (0..n).map(|i| f[(i, n)]).collect();
-        let sol = crate::host::qr::back_substitute(&f.submatrix(0, 0, n, n), &y);
-        for (i, v) in sol.into_iter().enumerate() {
-            x.set(k, i, 0, v);
-        }
-    }
-    Ok((x, stats))
-}
-
-/// Implementation behind [`crate::Session::cholesky`] (extension beyond
-/// the paper's four algorithms): L overwrites the lower triangle;
-/// `status[k]` reports `ZeroPivot` when problem k is not positive
-/// definite.
-pub(crate) fn cholesky_run<T: DeviceScalar>(
-    gpu: &Gpu,
-    params: &ModelParams,
-    a: &MatBatch<T>,
-    opts: &RunOpts,
-) -> Result<BatchRun<T>, ReglaError> {
-    validate_opts(opts)?;
-    validate_batch(a)?;
-    validate_square(a)?;
-    let plan = resolve_plan(
-        params,
-        &gpu.cfg,
-        Algorithm::Cholesky,
-        a.rows(),
-        a.cols(),
-        0,
-        T::WORDS,
-        a.count(),
-        opts,
-    );
-    let (l, rec) = run_recovered(gpu, params, a, a.cols(), PtAlg::Cholesky, plan, opts, false)?;
-    Ok(into_run(l, rec, plan.approach, false))
-}
-
-/// Implementation behind [`crate::Session::invert`]: batched matrix
-/// inversion by Gauss-Jordan reduction of `[A | I]` (no pivoting; intended
-/// for diagonally dominant / well-conditioned batches, like the paper's
-/// solver benchmarks). Returns the inverses.
-pub(crate) fn invert_run<T: DeviceScalar>(
-    gpu: &Gpu,
-    params: &ModelParams,
-    a: &MatBatch<T>,
-    opts: &RunOpts,
-) -> Result<(MatBatch<T>, BatchRun<T>), ReglaError> {
-    validate_opts(opts)?;
-    validate_batch(a)?;
-    validate_square(a)?;
-    let n = a.rows();
-    let eye = MatBatch::from_fn(n, n, a.count(), |_, i, j| {
-        if i == j {
-            T::one()
-        } else {
-            T::zero()
-        }
-    });
-    let run = solve_multi_driver(gpu, params, a, &eye, opts, PtAlg::Gj)?;
-    let inv = run.out.sub(0, n, n, n);
-    Ok((inv, run))
-}
-
-/// Shared driver for the multi-right-hand-side solvers (Gauss-Jordan,
-/// and the QR solve, which back-substitutes): validate, augment
-/// `[A | B]`, resolve the plan (never tiled — the augmented system is
-/// wide, not tall), factor/reduce in place with recovery.
-pub(crate) fn solve_multi_driver<T: DeviceScalar>(
-    gpu: &Gpu,
-    params: &ModelParams,
-    a: &MatBatch<T>,
-    b: &MatBatch<T>,
-    opts: &RunOpts,
-    alg: PtAlg,
-) -> Result<BatchRun<T>, ReglaError> {
-    validate_opts(opts)?;
-    validate_batch(a)?;
-    validate_square(a)?;
-    validate_rhs(a, b)?;
-    let aug = MatBatch::augment(a, b);
-    let plan = resolve_plan(
-        params,
-        &gpu.cfg,
-        model_alg(alg),
-        a.rows(),
-        a.cols(),
-        b.cols(),
-        T::WORDS,
-        a.count(),
-        opts,
-    );
-    let back_substitute = alg == PtAlg::QrSolve;
-    let (l, rec) = run_recovered(gpu, params, &aug, a.cols(), alg, plan, opts, back_substitute)?;
-    Ok(into_run(l, rec, plan.approach, false))
+    compact.copy_from_device(&gmem, rptr, all);
+    Ok((back_substitute_batch(&compact, n, all), stats))
 }
 
 #[cfg(test)]

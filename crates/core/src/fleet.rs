@@ -87,6 +87,22 @@ use std::sync::Mutex;
 /// the clock, far shorter than any real launch.
 const FAIL_COST_S: f64 = 1e-5;
 
+/// Consecutive failed dispatches that trip a device's breaker open. A
+/// [`LaunchError::DeviceLost`] trips it at once.
+const BREAKER_ERRORS: u32 = 2;
+
+/// Trip the breaker when a *successful* dispatch reports at least this
+/// fraction of its problems fault-detected (an unhealthy-but-alive
+/// device).
+const BREAKER_FAULT_RATE: f64 = 0.5;
+
+/// First open interval, in simulated seconds. Every re-trip doubles it,
+/// up to [`BREAKER_MAX_BACKOFF_S`].
+const BREAKER_BACKOFF_S: f64 = 1e-3;
+
+/// Backoff ceiling, in simulated seconds.
+const BREAKER_MAX_BACKOFF_S: f64 = 1e-1;
+
 // ---------------------------------------------------------------------
 // Chaos injection
 // ---------------------------------------------------------------------
@@ -223,35 +239,6 @@ impl ChaosPlan {
 // Policy
 // ---------------------------------------------------------------------
 
-/// Circuit-breaker tuning for one fleet device.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct BreakerPolicy {
-    /// Consecutive failed dispatches that trip the breaker open. A
-    /// [`LaunchError::DeviceLost`] trips it immediately regardless.
-    pub consecutive_errors: u32,
-    /// Trip when a *successful* dispatch reports at least this fraction
-    /// of its problems fault-detected (an unhealthy-but-alive device).
-    pub fault_rate_threshold: f64,
-    /// Initial open interval, in simulated seconds.
-    pub backoff_s: f64,
-    /// Backoff multiplier applied on every re-trip.
-    pub backoff_factor: f64,
-    /// Backoff ceiling, in simulated seconds.
-    pub max_backoff_s: f64,
-}
-
-impl Default for BreakerPolicy {
-    fn default() -> Self {
-        BreakerPolicy {
-            consecutive_errors: 2,
-            fault_rate_threshold: 0.5,
-            backoff_s: 1e-3,
-            backoff_factor: 2.0,
-            max_backoff_s: 1e-1,
-        }
-    }
-}
-
 /// Circuit-breaker state of one fleet device.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum BreakerState {
@@ -273,7 +260,6 @@ pub struct FleetPolicy {
     /// budget is derived per device and per chunk size, so a slower
     /// device gets a proportionally larger budget.
     pub deadline_slack: Option<f64>,
-    pub breaker: BreakerPolicy,
     /// Chunks each device's share is split into, clamped to ≥ 1. The
     /// default of 1 launches each share once, so one launch holds as
     /// many problems as the device was given. Each extra chunk buys
@@ -293,7 +279,6 @@ impl Default for FleetPolicy {
     fn default() -> Self {
         FleetPolicy {
             deadline_slack: None,
-            breaker: BreakerPolicy::default(),
             chunks_per_device: 1,
             cpu_pool: true,
         }
@@ -500,34 +485,34 @@ impl DeviceState {
         }
     }
 
-    fn on_success(&mut self, policy: &BreakerPolicy) {
+    fn on_success(&mut self) {
         self.consec_errors = 0;
         self.breaker = BreakerState::Closed;
-        self.cur_backoff_s = policy.backoff_s;
+        self.cur_backoff_s = BREAKER_BACKOFF_S;
     }
 
     /// Register a failed dispatch; returns true when the breaker
     /// tripped open.
-    fn on_failure(&mut self, policy: &BreakerPolicy, fatal: bool) -> bool {
+    fn on_failure(&mut self, fatal: bool) -> bool {
         self.consec_errors += 1;
         let trip = match self.breaker {
             // A failed half-open probe always re-opens.
             BreakerState::HalfOpen => true,
-            _ => fatal || self.consec_errors >= policy.consecutive_errors,
+            _ => fatal || self.consec_errors >= BREAKER_ERRORS,
         };
         if trip {
-            self.trip(policy);
+            self.trip();
         }
         trip
     }
 
-    fn trip(&mut self, policy: &BreakerPolicy) {
+    fn trip(&mut self) {
         if self.cur_backoff_s <= 0.0 {
-            self.cur_backoff_s = policy.backoff_s;
+            self.cur_backoff_s = BREAKER_BACKOFF_S;
         }
         self.breaker = BreakerState::Open;
         self.open_until_s = self.clock_s + self.cur_backoff_s;
-        self.cur_backoff_s = (self.cur_backoff_s * policy.backoff_factor).min(policy.max_backoff_s);
+        self.cur_backoff_s = (self.cur_backoff_s * 2.0).min(BREAKER_MAX_BACKOFF_S);
     }
 }
 
@@ -565,11 +550,6 @@ impl std::fmt::Debug for Fleet {
 impl Fleet {
     pub fn builder() -> FleetBuilder {
         FleetBuilder::default()
-    }
-
-    /// Number of devices in the fleet.
-    pub fn device_count(&self) -> usize {
-        self.devices.len()
     }
 
     /// Device sessions, in fleet index order (for inspection).
@@ -858,12 +838,12 @@ impl Fleet {
                     // Health gate: a device that "succeeds" while most of
                     // its problems come back fault-tainted is quarantined.
                     let rate = out.run.recovery.faults_detected as f64 / chunk.len.max(1) as f64;
-                    if rate >= self.policy.breaker.fault_rate_threshold {
-                        state[dev].trip(&self.policy.breaker);
+                    if rate >= BREAKER_FAULT_RATE {
+                        state[dev].trip();
                         reports[dev].breaker_trips += 1;
                         rec.breaker_trips += 1;
                     } else {
-                        state[dev].on_success(&self.policy.breaker);
+                        state[dev].on_success();
                     }
                     done[cid] = Some(out);
                     remaining -= 1;
@@ -889,7 +869,7 @@ impl Fleet {
                     };
                     state[dev].clock_s += cost_s;
                     reports[dev].failed_dispatches += 1;
-                    if state[dev].on_failure(&self.policy.breaker, fatal) {
+                    if state[dev].on_failure(fatal) {
                         reports[dev].breaker_trips += 1;
                         rec.breaker_trips += 1;
                     }
@@ -944,9 +924,10 @@ impl Fleet {
     }
 }
 
-/// Compute one chunk entirely on the CPU host pool (degraded mode):
-/// the same host baselines the recovery layer falls back to, per
-/// problem, with the same finite screen as the device paths.
+/// Compute one chunk entirely on the CPU host pool (degraded mode): the
+/// system [`Op::stage`] builds, solved per problem by the host baseline
+/// the recovery layer falls back to, and the answer [`Op::answer`] reads
+/// back. GEMM runs the host matmul under the same finite screen.
 fn host_chunk<T: DeviceScalar>(
     op: Op,
     a: &MatBatch<T>,
@@ -954,71 +935,34 @@ fn host_chunk<T: DeviceScalar>(
 ) -> Result<OpOutput<T>, ReglaError> {
     let count = a.count();
     let n = a.cols();
-    let rhs = || {
-        b.ok_or_else(|| {
-            ReglaError::InvalidConfig(format!("Op::{op:?} requires a right-hand-side batch"))
-        })
-    };
-    // Map the operation onto the host baseline: the augmented system to
-    // reduce, the factored width, and where the solution lives.
-    let (aug, nfac, alg) = match op {
-        Op::Qr => (a.clone(), n, PtAlg::Qr),
-        Op::Lu => (a.clone(), n, PtAlg::Lu),
-        Op::Cholesky => (a.clone(), n, PtAlg::Cholesky),
-        Op::GjSolve => (MatBatch::augment(a, rhs()?), n, PtAlg::Gj),
-        Op::QrSolve => (MatBatch::augment(a, rhs()?), n, PtAlg::QrSolve),
-        Op::LeastSquares => (MatBatch::augment(a, rhs()?), n, PtAlg::QrSolve),
-        Op::Invert => {
-            let eye = MatBatch::from_fn(n, n, count, |_, i, j| {
-                if i == j {
-                    T::one()
-                } else {
-                    T::zero()
-                }
-            });
-            (MatBatch::augment(a, &eye), n, PtAlg::Gj)
-        }
-        Op::Gemm => {
-            let b = rhs()?;
+    // The pool reports its runs as `Approach::Hybrid`, which is not tiled:
+    // least squares back-substitutes in place, like the device kernels.
+    let (out, taus, status, solution) = match op.kernel(Approach::Hybrid) {
+        None => {
+            let b = op.rhs(b)?;
             let mut out = MatBatch::<T>::zeros(a.rows(), b.cols(), count);
-            let mut status = Vec::with_capacity(count);
-            for p in 0..count {
-                out.set_mat(p, &a.mat(p).matmul(&b.mat(p)));
-                status.push(if api::problem_is_finite(&out, None, p) {
-                    ProblemStatus::Ok
-                } else {
-                    ProblemStatus::NonFinite
-                });
-            }
-            return Ok(OpOutput {
-                run: BatchRun {
-                    out,
-                    approach: Approach::Hybrid,
-                    stats: MultiLaunch::default(),
-                    taus: None,
-                    status,
-                    recovery: RecoveryStats {
-                        cpu_degraded: count as u64,
-                        ..RecoveryStats::default()
-                    },
-                    profile: None,
-                    sanitizer: None,
-                },
-                solution: None,
-            });
+            let status = (0..count)
+                .map(|p| {
+                    out.set_mat(p, &a.mat(p).matmul(&b.mat(p)));
+                    if api::problem_is_finite(&out, None, p) {
+                        ProblemStatus::Ok
+                    } else {
+                        ProblemStatus::NonFinite
+                    }
+                })
+                .collect();
+            (out, None, status, None)
         }
-    };
-
-    let mut out = MatBatch::<T>::zeros(aug.rows(), aug.cols(), count);
-    let mut taus = matches!(op, Op::Qr).then(|| MatBatch::<T>::zeros(nfac, 1, count));
-    let mut status = Vec::with_capacity(count);
-    for p in 0..count {
-        status.push(api::host_fallback(&aug, nfac, alg, p, &mut out, taus.as_mut()));
-    }
-    let solution = match op {
-        Op::LeastSquares => Some(out.sub(0, n, n, 1)),
-        Op::Invert => Some(out.sub(0, n, n, n)),
-        _ => None,
+        Some(alg) => {
+            let aug = op.stage(a, b)?;
+            let mut out = MatBatch::<T>::zeros(aug.rows(), aug.cols(), count);
+            let mut taus = (alg == PtAlg::Qr).then(|| MatBatch::<T>::zeros(n, 1, count));
+            let status = (0..count)
+                .map(|p| api::host_fallback(&aug, n, alg, p, &mut out, taus.as_mut()))
+                .collect();
+            let solution = op.answer(alg, &out, n, std::slice::from_ref(&(0..count)));
+            (out, taus, status, solution)
+        }
     };
     Ok(OpOutput {
         run: BatchRun {
@@ -1283,56 +1227,65 @@ mod tests {
         let n = 5;
         let a = dd_batch(n, 9);
         let b = dd_batch(n, 9).sub(0, 0, n, 1);
-        for op in [Op::Qr, Op::Lu, Op::Cholesky, Op::GjSolve, Op::QrSolve, Op::Invert, Op::Gemm] {
-            let a = if op == Op::Cholesky {
-                // SPD: AᵀA of a diagonally dominant batch.
-                MatBatch::from_fn(n, n, 9, |k, i, j| {
-                    let m = a.mat(k);
-                    (0..n).map(|t| m[(t, i)] * m[(t, j)]).sum::<f32>()
-                })
-            } else {
-                a.clone()
+        // Least squares takes a tall 8 x 5 system.
+        let tall = dd_batch(8, 9).sub(0, 0, 8, n);
+        let tall_b = dd_batch(8, 9).sub(0, 0, 8, 1);
+        // SPD: AᵀA of a diagonally dominant batch.
+        let spd = MatBatch::from_fn(n, n, 9, |k, i, j| {
+            let m = a.mat(k);
+            (0..n).map(|t| m[(t, i)] * m[(t, j)]).sum::<f32>()
+        });
+        for op in Op::ALL {
+            let (a, bb) = match op {
+                Op::Cholesky => (spd.clone(), None),
+                Op::LeastSquares => (tall.clone(), Some(tall_b.clone())),
+                Op::Gemm => (a.clone(), Some(a.clone())),
+                _ => (a.clone(), op.needs_rhs().then(|| b.clone())),
             };
-            let bb = op.needs_rhs().then(|| {
-                if op == Op::Gemm {
-                    a.clone()
-                } else {
-                    b.clone()
-                }
-            });
             let out = host_chunk(op, &a, bb.as_ref()).unwrap();
             assert_eq!(out.run.status.len(), 9, "{op:?}");
             assert!(out.run.status.iter().all(|s| s.is_settled()), "{op:?}");
             assert_eq!(out.run.recovery.cpu_degraded, 9, "{op:?}");
             assert_eq!(out.run.approach, Approach::Hybrid, "{op:?}");
+            // `x` is n x 1 and `A⁻¹` n x n; the other ops answer in `out`.
+            let shape = out
+                .solution
+                .as_ref()
+                .map(|s| (s.rows(), s.cols(), s.count()));
+            let want = match op {
+                Op::LeastSquares => Some((n, 1, 9)),
+                Op::Invert => Some((n, n, 9)),
+                _ => None,
+            };
+            assert_eq!(shape, want, "{op:?}");
         }
     }
 
     #[test]
     fn breaker_backoff_doubles_and_half_open_probe_recloses() {
-        let policy = BreakerPolicy::default();
         let mut d = DeviceState::default();
-        assert!(!d.on_failure(&policy, false)); // 1 < consecutive_errors
-        assert!(d.on_failure(&policy, false)); // trips
+        for _ in 1..BREAKER_ERRORS {
+            assert!(!d.on_failure(false));
+        }
+        assert!(d.on_failure(false)); // the BREAKER_ERRORS-th failure trips
         assert_eq!(d.breaker, BreakerState::Open);
         let first_until = d.open_until_s;
-        assert!(first_until > d.clock_s);
+        assert_eq!(first_until, d.clock_s + BREAKER_BACKOFF_S);
         // Past the backoff the device probes half-open.
         d.clock_s = first_until;
         d.breaker = BreakerState::HalfOpen;
-        assert!(d.on_failure(&policy, false)); // probe fails -> reopen
-        assert!(d.open_until_s - d.clock_s > policy.backoff_s * 1.5); // doubled
+        assert!(d.on_failure(false)); // probe fails -> reopen
+        assert!(d.open_until_s - d.clock_s > BREAKER_BACKOFF_S * 1.5); // doubled
         d.breaker = BreakerState::HalfOpen;
-        d.on_success(&policy);
+        d.on_success();
         assert_eq!(d.breaker, BreakerState::Closed);
         assert_eq!(d.consec_errors, 0);
     }
 
     #[test]
     fn device_lost_trips_immediately() {
-        let policy = BreakerPolicy::default();
         let mut d = DeviceState::default();
-        assert!(d.on_failure(&policy, true));
+        assert!(d.on_failure(true));
         assert_eq!(d.breaker, BreakerState::Open);
     }
 }

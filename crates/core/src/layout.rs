@@ -115,41 +115,6 @@ impl LayoutMap {
         })
     }
 
-    /// Rows of column `j` (from `r0` down) owned by `t`.
-    pub fn owned_rows_in_col(
-        &self,
-        t: usize,
-        j: usize,
-        r0: usize,
-    ) -> impl Iterator<Item = (usize, usize)> + '_ {
-        let lm = *self;
-        (r0..self.rows).filter_map(move |i| {
-            if lm.owns(t, i, j) {
-                Some((i, lm.local_index(i, j)))
-            } else {
-                None
-            }
-        })
-    }
-
-    /// Columns of row `i` (from `c0` to `c1`) owned by `t`.
-    pub fn owned_cols_in_row(
-        &self,
-        t: usize,
-        i: usize,
-        c0: usize,
-        c1: usize,
-    ) -> impl Iterator<Item = (usize, usize)> + '_ {
-        let lm = *self;
-        (c0..c1.min(self.cols)).filter_map(move |j| {
-            if lm.owns(t, i, j) {
-                Some((j, lm.local_index(i, j)))
-            } else {
-                None
-            }
-        })
-    }
-
     /// Global row indices (>= r0) in which thread `t` owns elements.
     /// Ownership is a cross product: thread `t` owns exactly
     /// `owned_rows x owned_cols` in every layout.

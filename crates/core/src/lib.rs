@@ -77,7 +77,7 @@ pub use scalar::{Scalar, C32};
 pub use status::{ProblemStatus, RecoveryPolicy, RecoveryStats, VerifyScreen};
 pub use verify::VerifyMode;
 pub use fleet::{
-    BreakerPolicy, BreakerState, ChaosEvent, ChaosPlan, DeviceReport, Fleet, FleetBuilder,
+    BreakerState, ChaosEvent, ChaosPlan, DeviceReport, Fleet, FleetBuilder,
     FleetPolicy, FleetReport, FleetRun,
 };
 pub use global_level::{global_level_qr, GlobalLevelOpts};

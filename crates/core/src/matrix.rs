@@ -59,17 +59,9 @@ impl<T: Scalar> Mat<T> {
         &self.data
     }
 
-    pub fn data_mut(&mut self) -> &mut [T] {
-        &mut self.data
-    }
-
     /// Borrow column `j`.
     pub fn col(&self, j: usize) -> &[T] {
         &self.data[j * self.rows..(j + 1) * self.rows]
-    }
-
-    pub fn col_mut(&mut self, j: usize) -> &mut [T] {
-        &mut self.data[j * self.rows..(j + 1) * self.rows]
     }
 
     /// Conjugate transpose.
@@ -125,11 +117,6 @@ impl<T: Scalar> Mat<T> {
                 .sum();
             self[(i, i)] = T::from_f64(row_sum + 1.0);
         }
-    }
-
-    /// Max |a_ij| (for relative error checks).
-    pub fn max_abs(&self) -> f64 {
-        self.data.iter().map(|x| x.abs()).fold(0.0, f64::max)
     }
 }
 

@@ -10,7 +10,7 @@
 pub use crate::api::{BatchRun, RunOpts, RunOptsBuilder};
 pub use crate::session::{Op, OpOutput, Session, SessionBuilder};
 pub use crate::fleet::{
-    BreakerPolicy, BreakerState, ChaosEvent, ChaosPlan, DeviceReport, Fleet, FleetBuilder,
+    BreakerState, ChaosEvent, ChaosPlan, DeviceReport, Fleet, FleetBuilder,
     FleetPolicy, FleetReport, FleetRun,
 };
 pub use crate::pipeline::{PipelineOpts, PipelinedRun};

@@ -23,12 +23,15 @@ use crate::api::{self, BatchRun, RunOpts};
 use crate::batch::MatBatch;
 use crate::elem::DeviceScalar;
 use crate::error::ReglaError;
+use crate::matrix::Mat;
 use crate::per_thread::PtAlg;
+use crate::scalar::Scalar;
 use crate::status::RecoveryStats;
 use crate::tiled::MultiLaunch;
 use regla_gpu_sim::{Gpu, GpuConfig, Profiler};
-use regla_model::{Algorithm, ModelParams, PlanKey};
-use std::sync::{Arc, Mutex};
+use regla_model::{Algorithm, Approach, ModelParams, PlanKey};
+use std::borrow::Cow;
+use std::ops::Range;
 
 /// The batched operations a [`Session`] can run — the single dispatch
 /// surface behind the named sugar methods.
@@ -114,6 +117,118 @@ impl Op {
             Op::Gemm => None,
         }
     }
+
+    /// The second operand, which the [`Op::needs_rhs`] operations require.
+    pub(crate) fn rhs<'b, T>(
+        &self,
+        b: Option<&'b MatBatch<T>>,
+    ) -> Result<&'b MatBatch<T>, ReglaError> {
+        b.ok_or_else(|| {
+            ReglaError::InvalidConfig(format!("Op::{self:?} requires a right-hand-side batch"))
+        })
+    }
+
+    /// Check the operand shapes and return the system this operation's
+    /// kernel reduces in place: `a` itself, `[A | B]`, or `[A | I]` for
+    /// [`Op::Invert`]. The staged system carries
+    /// [`Op::carried_cols`] columns next to `a`'s. GEMM reduces no system.
+    pub(crate) fn stage<'a, T: Scalar>(
+        &self,
+        a: &'a MatBatch<T>,
+        b: Option<&MatBatch<T>>,
+    ) -> Result<Cow<'a, MatBatch<T>>, ReglaError> {
+        use ReglaError::DimensionMismatch;
+        if *self == Op::Gemm {
+            return Err(ReglaError::Unsupported("GEMM stages no system".into()));
+        }
+        let b = if self.needs_rhs() {
+            Some(self.rhs(b)?)
+        } else {
+            None
+        };
+        api::validate_batch(a)?;
+        let (m, n) = (a.rows(), a.cols());
+        if *self == Op::LeastSquares && m < n {
+            return Err(DimensionMismatch(format!(
+                "least squares needs a tall system, got {m} x {n}"
+            )));
+        }
+        if matches!(self, Op::GjSolve | Op::QrSolve | Op::Cholesky | Op::Invert) && m != n {
+            return Err(DimensionMismatch(format!(
+                "expected square systems, got {m} x {n}"
+            )));
+        }
+        let Some(b) = b else {
+            return Ok(match self {
+                Op::Invert => {
+                    let eye = MatBatch::replicate(&Mat::identity(n), a.count());
+                    Cow::Owned(MatBatch::augment(a, &eye))
+                }
+                _ => Cow::Borrowed(a),
+            });
+        };
+        if b.rows() != m {
+            return Err(DimensionMismatch(format!(
+                "rhs has {} rows but the systems have {m}",
+                b.rows()
+            )));
+        }
+        if b.count() != a.count() {
+            return Err(DimensionMismatch(format!(
+                "rhs batch holds {} problems but the system batch holds {}",
+                b.count(),
+                a.count()
+            )));
+        }
+        if b.cols() == 0 {
+            return Err(DimensionMismatch(
+                "rhs must have at least one column".into(),
+            ));
+        }
+        if *self == Op::LeastSquares && b.cols() != 1 {
+            return Err(DimensionMismatch(
+                "least_squares takes a single right-hand side".into(),
+            ));
+        }
+        Ok(Cow::Owned(MatBatch::augment(a, b)))
+    }
+
+    /// The kernel that reduces the staged system under `approach`, or
+    /// `None` for GEMM. Least squares back-substitutes in the QR solve
+    /// kernel, except tiled, where QR leaves `[R | y]` for the host.
+    pub(crate) fn kernel(&self, approach: Approach) -> Option<PtAlg> {
+        Some(match self {
+            Op::Qr => PtAlg::Qr,
+            Op::LeastSquares if approach == Approach::Tiled => PtAlg::Qr,
+            Op::QrSolve | Op::LeastSquares => PtAlg::QrSolve,
+            Op::Lu => PtAlg::Lu,
+            Op::Cholesky => PtAlg::Cholesky,
+            Op::GjSolve | Op::Invert => PtAlg::Gj,
+            Op::Gemm => return None,
+        })
+    }
+
+    /// The answer read back from `out`, the system `kernel` reduced over
+    /// `n` factored columns: `x` for least squares and `A⁻¹` for
+    /// [`Op::Invert`]; `None` for the operations whose answer is `out`.
+    /// Where `kernel` left `[R | y]`, `x` is back-substituted on the host
+    /// for the `executed` problems and reads zero elsewhere.
+    pub(crate) fn answer<T: Scalar>(
+        &self,
+        kernel: PtAlg,
+        out: &MatBatch<T>,
+        n: usize,
+        executed: &[Range<usize>],
+    ) -> Option<MatBatch<T>> {
+        match self {
+            Op::LeastSquares if kernel == PtAlg::Qr => {
+                Some(api::back_substitute_batch(out, n, executed))
+            }
+            Op::LeastSquares => Some(out.sub(0, n, n, 1)),
+            Op::Invert => Some(out.sub(0, n, n, n)),
+            _ => None,
+        }
+    }
 }
 
 /// Result of [`Session::run`]: the batch run plus, for the operations that
@@ -124,15 +239,6 @@ pub struct OpOutput<T> {
     /// `x` for [`Op::LeastSquares`], `A⁻¹` for [`Op::Invert`]; `None` for
     /// the in-place operations (their result is [`BatchRun::out`]).
     pub solution: Option<MatBatch<T>>,
-}
-
-impl<T> OpOutput<T> {
-    fn plain(run: BatchRun<T>) -> Self {
-        OpOutput {
-            run,
-            solution: None,
-        }
-    }
 }
 
 impl<T: crate::scalar::Scalar> OpOutput<T> {
@@ -269,7 +375,6 @@ impl SessionBuilder {
             opts: self.opts,
             params,
             profiler: self.profiler,
-            totals: Arc::default(),
         }
     }
 }
@@ -287,9 +392,6 @@ pub struct Session {
     opts: RunOpts,
     params: ModelParams,
     profiler: Option<Profiler>,
-    /// Per-session recovery totals, accumulated across every run. Clones
-    /// of a session share the same totals (like the profiler buffer).
-    totals: Arc<Mutex<RecoveryStats>>,
 }
 
 impl Default for Session {
@@ -336,26 +438,6 @@ impl Session {
         self.profiler.as_ref()
     }
 
-    /// Cumulative recovery totals for every run made through *this*
-    /// session (and its clones), without resetting them. The counters are
-    /// per-session, so concurrent sessions do not smear each other's
-    /// numbers.
-    pub fn recovery_totals(&self) -> RecoveryStats {
-        *self.totals.lock().expect("recovery totals lock poisoned")
-    }
-
-    /// Read and reset this session's recovery totals (one experiment's
-    /// worth of runs).
-    pub fn take_recovery_totals(&self) -> RecoveryStats {
-        std::mem::take(&mut *self.totals.lock().expect("recovery totals lock poisoned"))
-    }
-
-    /// Replace the default options, keeping device and params.
-    pub fn with_opts(mut self, opts: RunOpts) -> Self {
-        self.opts = opts;
-        self
-    }
-
     /// Options for one call: the session profiler backfills `trace` when
     /// the caller didn't set one.
     fn effective(&self, opts: &RunOpts) -> RunOpts {
@@ -385,43 +467,7 @@ impl Session {
         b: Option<&MatBatch<T>>,
         opts: &RunOpts,
     ) -> Result<OpOutput<T>, ReglaError> {
-        let o = self.effective(opts);
-        let rhs = || {
-            b.ok_or_else(|| {
-                ReglaError::InvalidConfig(format!(
-                    "Op::{op:?} requires a right-hand-side batch"
-                ))
-            })
-        };
-        let (gpu, p) = (&self.gpu, &self.params);
-        let res = match op {
-            Op::Qr => api::qr_run(gpu, p, a, &o).map(OpOutput::plain),
-            Op::Lu => api::lu_run(gpu, p, a, &o).map(OpOutput::plain),
-            Op::GjSolve => {
-                api::solve_multi_driver(gpu, p, a, rhs()?, &o, PtAlg::Gj).map(OpOutput::plain)
-            }
-            Op::QrSolve => {
-                api::solve_multi_driver(gpu, p, a, rhs()?, &o, PtAlg::QrSolve).map(OpOutput::plain)
-            }
-            Op::LeastSquares => api::least_squares_run(gpu, p, a, rhs()?, &o)
-                .map(|(run, x)| OpOutput {
-                    run,
-                    solution: Some(x),
-                }),
-            Op::Cholesky => api::cholesky_run(gpu, p, a, &o).map(OpOutput::plain),
-            Op::Invert => api::invert_run(gpu, p, a, &o).map(|(inv, run)| OpOutput {
-                run,
-                solution: Some(inv),
-            }),
-            Op::Gemm => api::gemm_run(gpu, a, rhs()?, &o).map(OpOutput::plain),
-        };
-        if let Ok(out) = &res {
-            self.totals
-                .lock()
-                .expect("recovery totals lock poisoned")
-                .merge(&out.run.recovery);
-        }
-        res
+        api::run_op(&self.gpu, &self.params, op, a, b, &self.effective(opts))
     }
 
     /// The model's price, in cycles on this session's device, of
@@ -629,34 +675,26 @@ mod tests {
     }
 
     #[test]
-    fn per_session_counters_do_not_smear_across_sessions() {
-        use regla_gpu_sim::{FaultKind, FaultPlan};
-
-        // A faulted session accumulates recovery events; a clean session
-        // started alongside it stays at zero — the regression the
-        // process-wide statics could not express.
-        let faulted = Session::builder()
-            .opts(
-                RunOpts::builder()
-                    .fault(FaultPlan::new(7, 6).kind(FaultKind::RegisterBitFlip))
-                    .build().unwrap(),
-            )
-            .build();
-        let clean = Session::new();
-        let a = dd_batch(8, 64);
-        let run = faulted.qr(&a).unwrap();
-        clean.qr(&a).unwrap();
-
-        let ft = faulted.recovery_totals();
-        assert_eq!(ft, run.recovery);
-        assert!(ft.faults_detected > 0, "fault plan must land faults");
-        assert_eq!(clean.recovery_totals(), RecoveryStats::default());
-
-        // Clones share the same totals; take() drains them for both.
-        let twin = faulted.clone();
-        assert_eq!(twin.recovery_totals(), ft);
-        assert_eq!(faulted.take_recovery_totals(), ft);
-        assert_eq!(twin.recovery_totals(), RecoveryStats::default());
+    fn staged_systems_carry_the_priced_columns() {
+        // `Session::price` keys its plan on `carried_cols`, and a run
+        // resolves its plan from the staged system: the two must agree.
+        let (n, count) = (6, 4);
+        let a = dd_batch(n, count);
+        for op in Op::ALL.into_iter().filter(|&op| op != Op::Gemm) {
+            let rhs = if op == Op::LeastSquares { 1 } else { 3 };
+            let b = MatBatch::<f32>::zeros(n, rhs, count);
+            let staged = op.stage(&a, Some(&b)).unwrap();
+            let carried = op.carried_cols(n, rhs);
+            assert_eq!(staged.cols() - n, carried, "{}", op.name());
+            assert_eq!((staged.rows(), staged.count()), (n, count), "{}", op.name());
+            // The in-place ops reduce `a` itself, without a copy.
+            assert_eq!(
+                matches!(staged, Cow::Borrowed(_)),
+                carried == 0,
+                "{}",
+                op.name()
+            );
+        }
     }
 
     #[test]

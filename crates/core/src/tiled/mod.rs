@@ -44,22 +44,6 @@ impl MultiLaunch {
             self.flops / self.time_s / 1e9
         }
     }
-
-    /// Aggregate full-wave phase cycles by label across every launch (in
-    /// first-appearance order): where a multi-launch operation spends a
-    /// wave's time, phase by phase.
-    pub fn phase_totals(&self) -> Vec<(String, f64)> {
-        let mut totals: Vec<(String, f64)> = Vec::new();
-        for l in &self.launches {
-            for pt in &l.phase_times {
-                match totals.iter_mut().find(|(n, _)| *n == pt.label) {
-                    Some((_, c)) => *c += pt.cycles,
-                    None => totals.push((pt.label.clone(), pt.cycles)),
-                }
-            }
-        }
-        totals
-    }
 }
 
 /// Tiled QR of a batch of `count` tall matrices (`m x (n + rhs_cols)`,

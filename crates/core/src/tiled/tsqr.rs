@@ -121,9 +121,9 @@ fn qr_stage<E: Elem>(
 /// the returned pointer holds `count` matrices of `n x (n + rhs)` whose
 /// upper triangle is R and whose trailing columns are `Qᴴ b`.
 ///
-/// Every stage launch applies the one observability config of `opts`; the
-/// first-stage row-block height comes from [`RunOpts::tsqr_block_rows`]
-/// (`0` = twice the column count).
+/// Every stage launch applies the one observability config of `opts`;
+/// the first stage factors row blocks of `2 * (n + rhs)` rows, and at
+/// least `n`.
 #[allow(clippy::too_many_arguments)]
 pub fn tsqr<E: Elem>(
     gpu: &Gpu,
@@ -140,11 +140,7 @@ pub fn tsqr<E: Elem>(
     let mut agg = MultiLaunch::default();
 
     // ---- Stage 0: independent QR of each row block, in place -----------
-    let h0 = if opts.tsqr_block_rows >= n {
-        opts.tsqr_block_rows
-    } else {
-        (2 * cols).max(n)
-    };
+    let h0 = (2 * cols).max(n);
     let nblocks0 = m.div_ceil(h0).max(1);
     let mut row_blocks: Vec<(usize, usize)> = (0..nblocks0)
         .map(|b| {

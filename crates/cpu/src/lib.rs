@@ -15,6 +15,7 @@
 #![forbid(unsafe_code)]
 
 use regla_core::host;
+use regla_core::per_thread::PtAlg;
 use regla_core::{Mat, MatBatch, ProblemStatus, Scalar};
 use std::time::Instant;
 
@@ -75,60 +76,38 @@ pub fn flops_for<T: Scalar>(alg: CpuAlg, m: usize, n: usize) -> f64 {
     }
 }
 
-/// Solve one problem in place and report the same [`ProblemStatus`]
-/// verdict the GPU paths produce, so verdicts are comparable backend to
-/// backend. The CPU never sees hardware faults, so `FaultDetected` cannot
-/// occur here.
-fn solve_one<T: Scalar>(alg: CpuAlg, a: &mut Mat<T>) -> ProblemStatus {
-    let status = match alg {
-        CpuAlg::LuPivot => match host::lu_partial_pivot_in_place(a) {
-            Ok(_) => ProblemStatus::Ok,
-            Err(z) => ProblemStatus::ZeroPivot { col: z.column },
-        },
-        CpuAlg::LuNoPivot => match host::lu_nopivot_in_place(a) {
-            Ok(()) => ProblemStatus::Ok,
-            Err(z) => ProblemStatus::ZeroPivot { col: z.column },
-        },
-        CpuAlg::Qr => {
-            host::householder_qr_in_place(a);
-            ProblemStatus::Ok
+impl CpuAlg {
+    /// The device kernel this solver mirrors, whose host routine
+    /// ([`host::solve_in_place`]) it runs; `None` for the partial-pivot
+    /// LU, which no kernel runs.
+    fn kernel(self) -> Option<PtAlg> {
+        match self {
+            CpuAlg::LuPivot => None,
+            CpuAlg::LuNoPivot => Some(PtAlg::Lu),
+            CpuAlg::Qr => Some(PtAlg::Qr),
+            CpuAlg::GjSolve => Some(PtAlg::Gj),
+            CpuAlg::QrSolve => Some(PtAlg::QrSolve),
+            CpuAlg::Cholesky => Some(PtAlg::Cholesky),
         }
-        CpuAlg::GjSolve => match host::gj_reduce_in_place(a) {
-            Ok(()) => ProblemStatus::Ok,
-            Err(z) => ProblemStatus::ZeroPivot { col: z.column },
-        },
-        CpuAlg::Cholesky => match host::cholesky_in_place(a) {
-            Ok(()) => ProblemStatus::Ok,
-            Err(npd) => ProblemStatus::ZeroPivot { col: npd.column },
-        },
-        CpuAlg::QrSolve => {
-            // a is [A|b]: factor A while carrying b, then back-substitute.
-            let n = a.rows();
-            host::householder_qr_in_place(a);
-            let y: Vec<T> = (0..n).map(|i| a[(i, n)]).collect();
-            let x = host::back_substitute(&a.submatrix(0, 0, n, n), &y);
-            for (i, v) in x.into_iter().enumerate() {
-                a[(i, n)] = v;
-            }
-            ProblemStatus::Ok
-        }
-    };
-    if status.is_ok() && !mat_is_finite(a) {
-        ProblemStatus::NonFinite
-    } else {
-        status
     }
 }
 
-/// Every word of the matrix is finite (the same screen the GPU API runs
-/// after a launch).
-fn mat_is_finite<T: Scalar>(a: &Mat<T>) -> bool {
-    (0..a.cols()).all(|j| {
-        (0..a.rows()).all(|i| {
-            let w = a[(i, j)].to_words();
-            w[0].is_finite() && w[1].is_finite()
-        })
-    })
+/// Solve one problem in place and report the same [`ProblemStatus`]
+/// verdict the GPU paths produce, so verdicts are comparable backend to
+/// backend. The CPU never sees hardware faults, so `FaultDetected` cannot
+/// occur here. Every solver but the partial-pivot LU factors the leading
+/// `min(rows, cols)` columns, so the QR solve of `[A | b]` back-substitutes
+/// the one carried column.
+fn solve_one<T: Scalar>(alg: CpuAlg, a: &mut Mat<T>) -> ProblemStatus {
+    let Some(kernel) = alg.kernel() else {
+        let status = match host::lu_partial_pivot_in_place(a) {
+            Ok(_) => ProblemStatus::Ok,
+            Err(z) => ProblemStatus::ZeroPivot { col: z.column },
+        };
+        return host::screen_finite(status, a);
+    };
+    let nfac = a.rows().min(a.cols());
+    host::solve_in_place(kernel, a, nfac).0
 }
 
 /// Run `alg` over every problem of the batch, split across `threads`

@@ -98,8 +98,7 @@ pub struct LaunchConfig {
     /// of `sanitize`.
     pub watchdog: Option<u64>,
     /// Force the fully-instrumented slow path even when no observer is
-    /// attached (see [`LaunchConfig::fast_eligible`]). The environment
-    /// variable `REGLA_SIM_SLOW=1` does the same process-wide.
+    /// attached (see [`LaunchConfig::fast_eligible`]).
     pub slow_path: bool,
     /// Opaque kernel and launch-shape identity for the cross-launch
     /// schedule cache (`None` = never cache). The caller names the kernel
@@ -109,8 +108,7 @@ pub struct LaunchConfig {
     /// block 0's `is_zero`/`gt` comparisons and `uniform` guards), so a
     /// keyed kernel must take every data-dependent branch through them, as
     /// a lane-capable kernel already does. Only consulted on the fast path
-    /// without a fault plan; set `REGLA_SCHED_CACHE=0` to disable caching
-    /// process-wide.
+    /// without a fault plan.
     pub schedule_key: Option<u64>,
     /// Simulated-cycle budget for the whole launch (`None` = unlimited).
     /// When the modeled cycle total (including any injected stall)
@@ -331,17 +329,6 @@ fn flag_value(name: &str, value: Option<&str>, default: bool) -> bool {
         }
         default
     })
-}
-
-/// `REGLA_SIM_SLOW=1` forces every launch onto the instrumented slow path
-/// (A/B comparisons, perf debugging).
-fn force_slow_path() -> bool {
-    env_flag("REGLA_SIM_SLOW", false)
-}
-
-/// The schedule cache defaults on; `REGLA_SCHED_CACHE=0` disables it.
-fn schedule_cache_enabled() -> bool {
-    env_flag("REGLA_SCHED_CACHE", true)
 }
 
 /// `REGLA_SIM_VERBOSE=1` logs one stderr line per launch naming the path
@@ -834,10 +821,10 @@ impl Gpu {
         // Fast (observer-free) path: replay blocks the fault plan does not
         // arm elide all per-op bookkeeping; results and modeled timing
         // stay bit-identical.
-        let fast = lc.fast_eligible() && !force_slow_path();
+        let fast = lc.fast_eligible();
         // The schedule cache is only consulted on a fast launch without a
         // fault plan, and only when the caller named the kernel and shape.
-        let key = (fast && lc.fault.is_none() && schedule_cache_enabled())
+        let key = (fast && lc.fault.is_none())
             .then_some(lc.schedule_key)
             .flatten()
             .map(|kernel| LaunchKey {

@@ -21,7 +21,7 @@
 //! bits themselves, not a hash, join the key. On a hit that plain run is
 //! block 0's output; on a miss its stores are undone and block 0 is
 //! traced, and the records are cached under the key the trace itself
-//! recorded. Set `REGLA_SCHED_CACHE=0` to disable the cache entirely.
+//! recorded.
 
 use crate::timing::PhaseRecord;
 use std::collections::HashMap;

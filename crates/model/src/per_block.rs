@@ -43,16 +43,6 @@ impl PanelEstimate {
     }
 }
 
-/// Default co-resident block count when the caller has no occupancy info:
-/// the paper's 8 blocks/SM for 64-thread blocks, 2 for 256.
-pub fn default_resident(threads: usize) -> usize {
-    if threads <= 64 {
-        8
-    } else {
-        2
-    }
-}
-
 struct Costs<'a> {
     p: &'a ModelParams,
     /// Words per element (1 real, 2 complex).

@@ -9,7 +9,7 @@
 
 use crate::datacube::DataCube;
 use regla_core::{C32, Mat, MatBatch, Scalar, Session};
-use std::f32::consts::{PI, TAU};
+use std::f32::consts::TAU;
 
 /// The data cube after Doppler filtering:
 /// `bins x channels x range_gates` complex samples.
@@ -120,20 +120,6 @@ pub fn post_doppler_weights(
     (0..dc.bins)
         .map(|b| (0..nc).map(|i| run.out.get(b, i, nc)).collect())
         .collect()
-}
-
-/// Hann-window coherent gain (for calibrating detection thresholds).
-pub fn hann_gain(np: usize) -> f32 {
-    (0..np)
-        .map(|p| 0.5 - 0.5 * (TAU * p as f32 / np as f32).cos())
-        .sum::<f32>()
-        / np as f32
-}
-
-/// The 3 dB Doppler resolution of the bank in normalised frequency.
-pub fn doppler_resolution(np: usize) -> f32 {
-    // Hann main lobe is ~2 bins wide at -3 dB.
-    2.0 / np as f32 * (PI / 4.0).sin().max(0.5)
 }
 
 #[cfg(test)]

@@ -2,15 +2,16 @@
 //! fleet is bit-identical to a plain `Session`; a chaos-killed device's
 //! campaign is bit-identical and telemetry-identical across host-thread
 //! counts and the fast/slow simulator paths; unservable configurations
-//! fail with structured errors instead of hanging; shares follow the
-//! price of the plan that runs; and model-derived deadlines leave a
-//! healthy fleet alone.
+//! fail with structured errors instead of hanging; the CPU pool matches
+//! the regla-cpu baseline bit for bit; shares follow the price of the plan
+//! that runs; and model-derived deadlines leave a healthy fleet alone.
 
 use proptest::prelude::*;
 use regla::core::{
-    ChaosPlan, Fleet, FleetPolicy, FleetRun, MatBatch, Op, RecoveryStats, ReglaError, RunOpts,
+    ChaosPlan, Fleet, FleetPolicy, FleetRun, Mat, MatBatch, Op, RecoveryStats, ReglaError, RunOpts,
     Session, C32,
 };
+use regla::cpu::{run_batch_status, CpuAlg};
 use regla::gpu_sim::{ExecMode, GpuConfig};
 use regla::model::Approach;
 
@@ -119,6 +120,43 @@ fn single_device_fleet_is_bit_identical_to_session() {
             _ => panic!("{op:?}: solution presence differs"),
         }
         assert_eq!(got.output.run.recovery, want.run.recovery, "{op:?} recovery");
+    }
+}
+
+/// The fleet's CPU pool and the regla-cpu baseline run one host solve. A
+/// fleet whose only device dies at its first dispatch degrades the whole
+/// batch to the pool, whose outputs then match `run_batch_status` bit for
+/// bit, NaNs included, with equal verdicts, on a batch that holds one
+/// singular and one NaN problem.
+#[test]
+fn cpu_pool_matches_the_cpu_baseline_bit_for_bit() {
+    let (n, count) = (6, 12);
+    let mut a = dd_batch(n, count, 3);
+    a.set_mat(4, &Mat::zeros(n, n));
+    let mut nan = a.mat(7);
+    nan[(3, 2)] = f32::NAN;
+    a.set_mat(7, &nan);
+    let b = MatBatch::from_fn(n, 1, count, |k, i, _| ((k + i) % 5) as f32 - 2.0);
+    let fleet = Fleet::builder()
+        .device(GpuConfig::quadro_6000())
+        .chaos(ChaosPlan::new(1).device_death(0, 0))
+        .build()
+        .unwrap();
+    for (op, alg) in [
+        (Op::Lu, CpuAlg::LuNoPivot),
+        (Op::Qr, CpuAlg::Qr),
+        (Op::GjSolve, CpuAlg::GjSolve),
+        (Op::QrSolve, CpuAlg::QrSolve),
+        (Op::Cholesky, CpuAlg::Cholesky),
+    ] {
+        let rhs = op.needs_rhs().then_some(&b);
+        let run = fleet.run(op, &a, rhs).unwrap();
+        assert_eq!(run.report.cpu_pool_chunks, run.report.chunks, "{op:?}");
+        let system = rhs.map_or_else(|| a.clone(), |b| MatBatch::augment(&a, b));
+        let (want, status) = run_batch_status(alg, &system, 1);
+        assert!(status.iter().any(|s| !s.is_ok()), "{op:?}: {status:?}");
+        assert_eq!(bits(&run.output.run.out), bits(&want), "{op:?} out");
+        assert_eq!(run.output.run.status, status, "{op:?} status");
     }
 }
 
