@@ -196,7 +196,7 @@ pub fn ablation_lu_style(fast: bool) -> String {
 }
 
 /// Sequential tiled QR vs TSQR on the tall radar shapes: the
-/// communication-avoiding tree (the paper's reference [6]) fills the chip
+/// communication-avoiding tree (the paper's reference \[6\]) fills the chip
 /// even when the batch alone cannot.
 pub fn ablation_tsqr(fast: bool) -> String {
     use crate::workloads::c32_batch;

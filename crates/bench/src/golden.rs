@@ -448,10 +448,11 @@ pub fn cases() -> Vec<Case> {
 }
 
 /// The golden file's text: the header and one line per case, every
-/// launch replayed on `host_threads` host threads. One thread replays
-/// single-shard launches through the exclusive borrow of device memory
-/// (when the disjoint-write checker is off), more replay multi-unit
-/// launches through the worker pool; both must render the same file.
+/// launch replayed on `host_threads` host threads. One thread claims
+/// every unit alone through the exclusive borrow of device memory (when
+/// the disjoint-write checker is off), more claim the units of
+/// multi-unit launches through the worker pool; every count must render
+/// the same file.
 pub fn render(host_threads: usize) -> String {
     let mut text = format!("{HEADER}\n");
     for case in cases() {

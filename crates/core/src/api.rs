@@ -67,10 +67,12 @@ pub struct RunOpts {
     /// Force the per-block thread count (must be a perfect square for the
     /// 2D layout); `None` uses the paper's 64/256 rule. Occupancy ablation.
     pub force_threads: Option<usize>,
-    /// Host worker threads for the simulator's functional replay; `None`
-    /// defers to `REGLA_SIM_THREADS` and then to available parallelism.
-    /// Purely a host-side knob — simulated results are bit-identical at
-    /// every thread count.
+    /// Host threads for the simulator's functional replay and for the
+    /// post-launch verify screens, which both claim their work on the
+    /// simulator's persistent workers; `None` defers to
+    /// `REGLA_SIM_THREADS` and then to available parallelism. Purely a
+    /// host-side knob — simulated results and statuses are bit-identical
+    /// at every thread count.
     pub host_threads: Option<usize>,
     /// Seeded fault-injection plan for resilience campaigns: applied to
     /// the factorization/solve launches (not to GEMM or TSQR). Faults the
@@ -250,7 +252,8 @@ impl RunOptsBuilder {
         self
     }
 
-    /// Host worker threads for the simulator's functional replay.
+    /// Host threads for the simulator's functional replay and the verify
+    /// screens (see [`RunOpts::host_threads`]).
     pub fn host_threads(mut self, v: impl Into<Option<usize>>) -> Self {
         self.opts.host_threads = v.into();
         self
@@ -618,21 +621,11 @@ struct Launched<T> {
     executed: Vec<Range<usize>>,
 }
 
-/// All words of problem `k` (and its taus, if any) are finite.
-pub(crate) fn problem_is_finite<T: DeviceScalar>(
-    out: &MatBatch<T>,
-    taus: Option<&MatBatch<T>>,
-    k: usize,
-) -> bool {
-    let finite = |b: &MatBatch<T>| {
-        (0..b.cols()).all(|j| {
-            (0..b.rows()).all(|i| {
-                let w = b.get(k, i, j).to_words();
-                w[0].is_finite() && w[1].is_finite()
-            })
-        })
-    };
-    finite(out) && taus.is_none_or(finite)
+/// The finite screen: every word of every element is finite. Takes a
+/// problem's host elements or its device words (as `f32`).
+pub(crate) fn all_finite<T: Scalar>(xs: &[T]) -> bool {
+    xs.iter()
+        .all(|x| x.to_words().iter().all(|w| w.is_finite()))
 }
 
 /// Run one of the in-place factorization kernels over a batch (single
@@ -789,6 +782,13 @@ fn run_inplace<T: DeviceScalar>(
         .iter()
         .flat_map(|l| l.faults.iter().map(|f| f.block))
         .collect();
+    // The finite screen reads each problem's output and tau words
+    // straight from device memory.
+    let (wpm, tpm) = (aug.words_per_mat(), nfac * ew);
+    let finite = |p: usize| {
+        all_finite(gmem.slice(ptr.offset(p * wpm), wpm))
+            && (taus.is_none() || all_finite(gmem.slice(d_tau.offset(p * tpm), tpm)))
+    };
     let mut status = vec![ProblemStatus::Ok; count];
     for r in &executed {
         // Per-problem singularity flags (the paper's `*notsolved`, upgraded
@@ -801,7 +801,7 @@ fn run_inplace<T: DeviceScalar>(
                 status[p] = ProblemStatus::ZeroPivot {
                     col: flag as usize - 1,
                 };
-            } else if !problem_is_finite(&out, taus.as_ref(), p) {
+            } else if !finite(p) {
                 status[p] = ProblemStatus::NonFinite;
             }
         }
@@ -822,6 +822,7 @@ fn run_inplace<T: DeviceScalar>(
         &executed,
         &mut status,
         opts.verify,
+        opts.host_threads,
     );
 
     Ok(Launched {
@@ -1098,8 +1099,9 @@ pub(crate) fn gemm_run<T: DeviceScalar>(
     let mut out = MatBatch::<T>::zeros(m, n, count);
     out.copy_from_device(&gmem, pc, &executed);
     let mut status = vec![ProblemStatus::Ok; count];
+    let wpm = m * n * ew;
     for p in executed.iter().flat_map(|r| r.clone()) {
-        if !problem_is_finite(&out, None, p) {
+        if !all_finite(gmem.slice(pc.offset(p * wpm), wpm)) {
             status[p] = ProblemStatus::NonFinite;
         }
     }

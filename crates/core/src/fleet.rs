@@ -943,8 +943,9 @@ fn host_chunk<T: DeviceScalar>(
             let mut out = MatBatch::<T>::zeros(a.rows(), b.cols(), count);
             let status = (0..count)
                 .map(|p| {
-                    out.set_mat(p, &a.mat(p).matmul(&b.mat(p)));
-                    if api::problem_is_finite(&out, None, p) {
+                    let c = a.mat(p).matmul(&b.mat(p));
+                    out.set_mat(p, &c);
+                    if api::all_finite(c.data()) {
                         ProblemStatus::Ok
                     } else {
                         ProblemStatus::NonFinite

@@ -2,7 +2,7 @@
 //!
 //! The paper's tiled path (Section VII) factors a tall matrix
 //! *sequentially*, panel by panel, inside one block. Its own reference
-//! [6] (Ballard, Demmel, Holtz, Schwartz — "Minimizing communication in
+//! \[6\] (Ballard, Demmel, Holtz, Schwartz — "Minimizing communication in
 //! linear algebra") points at the alternative implemented here: split the
 //! matrix into row blocks, factor them **independently** (each a
 //! register-resident per-block QR — more blocks in flight, better chip

@@ -331,12 +331,20 @@ fn checksum_norm<T: Scalar>(
     }
 }
 
+/// Problems one host thread screens per claim: enough work to pay for
+/// the claim's round trip through the worker pool.
+const CHUNK: usize = 64;
+
 /// Run the configured screens over a launched batch, demoting `Ok`
 /// problems whose checksum or residual breaks tolerance to
 /// [`ProblemStatus::VerifyFailed`]. Only the `executed` problem ranges
 /// are screened (under sampled execution the others were never computed
 /// and hold zeros); non-`Ok` problems already have a stronger verdict.
-/// Returns how many problems were flagged.
+/// The screens run in chunks of [`CHUNK`] problems on up to `threads`
+/// host threads ([`regla_gpu_sim::par_map`]; fewer problems than one
+/// chunk stay on the calling thread), and the verdicts apply in problem
+/// order, identical at every thread count. Returns how many problems were
+/// flagged.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn screen_problems<T: DeviceScalar>(
     aug: &MatBatch<T>,
@@ -348,37 +356,48 @@ pub(crate) fn screen_problems<T: DeviceScalar>(
     executed: &[Range<usize>],
     status: &mut [ProblemStatus],
     mode: VerifyMode,
+    threads: Option<usize>,
 ) -> usize {
     if !mode.is_on() {
         return 0;
     }
     let tol = tolerance(aug.rows());
-    let mut flagged = 0;
-    for p in executed.iter().flat_map(|r| r.clone()) {
-        if !status[p].is_ok() {
-            continue;
-        }
+    let verdict = |p: usize| {
         if mode.checksum() {
             if let Some(norm) = checksum_norm(aug, out, taus, p, nfac, alg) {
                 if norm > tol {
-                    status[p] = ProblemStatus::VerifyFailed {
+                    return Some(ProblemStatus::VerifyFailed {
                         screen: VerifyScreen::Checksum,
                         norm,
-                    };
-                    flagged += 1;
-                    continue;
+                    });
                 }
             }
         }
         if mode.residual() && solved && nfac < aug.cols() {
             let norm = solve_residual(aug, out, p, nfac);
             if norm > tol {
-                status[p] = ProblemStatus::VerifyFailed {
+                return Some(ProblemStatus::VerifyFailed {
                     screen: VerifyScreen::Residual,
                     norm,
-                };
-                flagged += 1;
+                });
             }
+        }
+        None
+    };
+    let todo: Vec<usize> = executed
+        .iter()
+        .flat_map(|r| r.clone())
+        .filter(|&p| status[p].is_ok())
+        .collect();
+    let chunks: Vec<&[usize]> = todo.chunks(CHUNK).collect();
+    let verdicts = regla_gpu_sim::par_map(&chunks, threads, |chunk| {
+        chunk.iter().map(|&p| verdict(p)).collect::<Vec<_>>()
+    });
+    let mut flagged = 0;
+    for (&p, v) in todo.iter().zip(verdicts.into_iter().flatten()) {
+        if let Some(v) = v {
+            status[p] = v;
+            flagged += 1;
         }
     }
     flagged
@@ -522,6 +541,7 @@ mod tests {
             &executed,
             &mut status,
             VerifyMode::Full,
+            None,
         );
         assert_eq!(flagged, 1);
         assert!(matches!(
@@ -545,8 +565,50 @@ mod tests {
             &executed,
             &mut st2,
             VerifyMode::Off,
+            None,
         );
         assert_eq!(f2, 0);
         assert!(st2.iter().all(|s| s.is_ok()));
+    }
+
+    /// Chunks screened on several host threads give the statuses and
+    /// norms of one thread, in problem order.
+    #[test]
+    fn verdicts_are_identical_at_every_thread_count() {
+        let (n, count) = (6, 5 * CHUNK + 7);
+        let a = dd_mat(n, 6);
+        let mut f = a.clone();
+        host::lu::lu_nopivot_in_place(&mut f).unwrap();
+        let aug = MatBatch::replicate(&a, count);
+        let mut out = MatBatch::replicate(&f, count);
+        let mut before = vec![ProblemStatus::Ok; count];
+        for p in (0..count).step_by(7) {
+            out.set(p, p % n, (p / 7) % n, flip(out.get(p, p % n, (p / 7) % n)));
+        }
+        for p in (0..count).step_by(11) {
+            before[p] = ProblemStatus::FaultDetected;
+        }
+        let executed = [0..2 * CHUNK + 3, 2 * CHUNK + 9..count];
+        let screen = |threads| {
+            let mut status = before.clone();
+            let flagged = screen_problems(
+                &aug,
+                n,
+                PtAlg::Lu,
+                false,
+                &out,
+                None,
+                &executed,
+                &mut status,
+                VerifyMode::Full,
+                Some(threads),
+            );
+            (flagged, status)
+        };
+        let one = screen(1);
+        assert!(one.0 > 2 * CHUNK / 7, "only {} flagged", one.0);
+        for threads in [2, 3, 8] {
+            assert_eq!(screen(threads), one, "at {threads} threads");
+        }
     }
 }

@@ -18,6 +18,7 @@ use crate::trace::Profiler;
 use arena::BufPool;
 use block::{BlockCtx, BlockSpec, Role};
 use occupancy::{occupancy, Occupancy};
+pub use pool::par_map;
 use schedule::{BlockKey, LaunchKey, ScheduleCache};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -70,9 +71,10 @@ pub struct LaunchConfig {
     pub exec: ExecMode,
     /// Host threads for the functional replay: the launching thread plus
     /// up to `host_threads − 1` persistent replay workers, which are
-    /// shared by every launch in the process and started the first time a
-    /// launch asks for more than exist. `None` defers to the
-    /// `REGLA_SIM_THREADS` environment variable and then to
+    /// shared by every launch and every [`par_map`] in the process and
+    /// started the first time a caller asks for more than exist. Each
+    /// claims the launch's next unit until none are left. `None` defers to
+    /// the `REGLA_SIM_THREADS` environment variable and then to
     /// `std::thread::available_parallelism()`. Replay results are
     /// bit-identical at every thread count; this only trades host
     /// wall-clock for cores.
@@ -254,10 +256,10 @@ impl LaunchConfig {
     }
 }
 
-/// Resolve the replay thread count: explicit config, then the
+/// Resolve a host thread count: the explicit request, then the
 /// `REGLA_SIM_THREADS` environment variable, then available parallelism.
-fn resolve_host_threads(lc: &LaunchConfig) -> usize {
-    lc.host_threads
+fn resolve_host_threads(requested: Option<usize>) -> usize {
+    requested
         .or_else(|| match std::env::var("REGLA_SIM_THREADS") {
             Ok(v) => match v.trim().parse::<usize>() {
                 Ok(n) => Some(n),
@@ -471,13 +473,6 @@ impl Unit {
     fn first(&self) -> usize {
         self.blocks()[0]
     }
-
-    /// Relative replay cost, in sevenths of a lone block: a pass of the
-    /// kernel body costs about 6/7 of a lone block whatever its width,
-    /// plus 1/7 per lane — the fixed cost that lanes spread out.
-    fn cost(&self) -> usize {
-        6 + self.blocks().len()
-    }
 }
 
 /// Cut `blocks` into replay units in order. Blocks `alone` picks replay
@@ -525,6 +520,12 @@ impl Setup<'_> {
         }
     }
 
+    /// Host threads that replay `units` units: one per unit, at most
+    /// [`Setup::threads`], at least one.
+    fn participants(&self, units: usize) -> usize {
+        self.threads.min(units).max(1)
+    }
+
     /// Plan units: split the replay list into lane groups at most `cap`
     /// wide and single blocks (see [`cut_units`]). Blocks the fault plan
     /// arms and the grid's last block (the only one a per-thread launch
@@ -539,26 +540,8 @@ impl Setup<'_> {
     }
 }
 
-/// Split `units` into at most `workers` contiguous, non-empty shards of
-/// roughly equal replay cost.
-fn shard_units(units: &[Unit], workers: usize) -> Vec<&[Unit]> {
-    let total: usize = units.iter().map(Unit::cost).sum();
-    let mut shards = Vec::with_capacity(workers);
-    let (mut start, mut acc) = (0, 0);
-    for (i, u) in units.iter().enumerate() {
-        acc += u.cost();
-        if shards.len() + 1 < workers && acc * workers >= total * (shards.len() + 1) {
-            shards.push(&units[start..=i]);
-            start = i + 1;
-        }
-    }
-    shards.push(&units[start..]);
-    shards.retain(|s| !s.is_empty());
-    shards
-}
-
 /// What tracing or replaying blocks observed besides their stores: one
-/// shard's, or the whole launch's once folded.
+/// participant's, or the whole launch's once folded.
 #[derive(Default)]
 struct Observed {
     busy: Duration,
@@ -571,7 +554,7 @@ struct Observed {
 }
 
 impl Observed {
-    /// Fold in what a later shard observed.
+    /// Fold in what another participant observed.
     fn absorb(&mut self, other: Observed) {
         self.busy += other.busy;
         self.faults.extend(other.faults);
@@ -582,29 +565,36 @@ impl Observed {
     }
 }
 
-/// Replay one shard's `units` on one block context reused across them. A
-/// lane group that diverges (or panics) is undone and its blocks replay
-/// one at a time, so a genuine kernel panic is reported against its own
-/// block.
-fn replay_shard<K: BlockKernel + Sync + ?Sized>(
+/// Replay the `units` that `claimed` yields, in claim order, on one block
+/// context built for the first and reused for the rest. A lane group that
+/// diverges (or panics) is undone and its blocks replay one at a time, so
+/// a genuine kernel panic is reported against its own block. A failing
+/// block ends the participant's claims; the error carries its unit's
+/// index.
+fn replay_claimed<K: BlockKernel + Sync + ?Sized>(
     kernel: &K,
     spec: &BlockSpec,
     role: Role,
     units: &[Unit],
+    claimed: impl Iterator<Item = usize>,
     gmem: GmemAccess,
     memhier: &mut MemHier,
-) -> Result<Observed, LaunchError> {
-    let mut blk = BlockCtx::new(spec, units[0].first(), role, gmem, memhier);
+) -> Result<Observed, (usize, LaunchError)> {
+    let mut claimed = claimed.peekable();
+    let Some(&first) = claimed.peek() else {
+        return Ok(Observed::default());
+    };
+    let mut blk = BlockCtx::new(spec, units[first].first(), role, gmem, memhier);
     let t0 = Instant::now();
     let mut seen = Observed::default();
-    for unit in units {
+    for i in claimed {
         seen.passes += 1;
-        match unit {
+        match &units[i] {
             Unit::Block(b) => {
                 blk.reset_for_block(*b);
-                run_contained(kernel, &mut blk)?;
+                run_contained(kernel, &mut blk).map_err(|e| (i, e))?;
             }
-            Unit::Group { .. } => {
+            unit @ Unit::Group { .. } => {
                 let group = unit.blocks();
                 blk.reset_for_group(group);
                 let ok = catch_unwind(AssertUnwindSafe(|| kernel.run(&mut blk))).is_ok();
@@ -617,7 +607,7 @@ fn replay_shard<K: BlockKernel + Sync + ?Sized>(
                 seen.passes += group.len();
                 for &b in group {
                     blk.reset_for_block(b);
-                    run_contained(kernel, &mut blk)?;
+                    run_contained(kernel, &mut blk).map_err(|e| (i, e))?;
                 }
             }
         }
@@ -737,15 +727,16 @@ impl Gpu {
     /// [`ExecMode::Sampled`]). Timing is then extrapolated over the grid
     /// via the occupancy and wave model.
     ///
-    /// The functional replay is sharded across host threads (see
-    /// [`LaunchConfig::host_threads`]). The shards run on persistent
-    /// replay workers shared by the whole process, never on threads
-    /// spawned for the launch; the calling thread replays the first shard
-    /// and every shard no worker has started, so a launch never waits on
-    /// workers busy with another launch. Simulated results — `LaunchStats`
-    /// and device memory — are bit-identical at every thread count, because
-    /// timing comes solely from the traced block and each replayed block
-    /// writes only its own problem's output. On a fast launch a
+    /// The functional replay runs on up to [`LaunchConfig::host_threads`]
+    /// host threads: the calling thread and persistent replay workers
+    /// shared by the whole process, never threads spawned for the launch.
+    /// Each takes the next unit (a block or a lane group) from one shared
+    /// counter until none are left, so the calling thread waits only for
+    /// units already in flight and never on workers busy with another
+    /// launch. Simulated results — `LaunchStats` and device memory — are
+    /// bit-identical at every thread count, because timing comes solely
+    /// from the traced block and each replayed block writes only its own
+    /// problem's output. On a fast launch a
     /// lane-capable kernel replays up to 16 blocks per pass of its body,
     /// as many as the block's working set lets fit (see
     /// [`BlockKernel::lane_capable`] and [`uniform`]).
@@ -764,12 +755,12 @@ impl Gpu {
         let blocks = replay_blocks(lc);
         let cap = setup.group_cap(kernel.lane_capable());
         let units = setup.plan_units(&blocks, cap);
-        let shards = shard_units(&units, setup.threads);
-        if shards.len() > 1 {
+        let participants = setup.participants(units.len());
+        if participants > 1 {
             // Parked workers take tens of microseconds to wake: start them
-            // now, so they are polling when block 0 is done and the shards
+            // now, so they are polling when block 0 is done and the units
             // are posted.
-            pool::wake(shards.len() - 1);
+            pool::wake(participants - 1);
         }
         let mut memhier = MemHier::new(&self.cfg);
         let (plain_key, cached) = self.check_key(kernel, &setup, gmem, &mut memhier);
@@ -778,7 +769,7 @@ impl Gpu {
             None => self.trace(kernel, &setup, plain_key, gmem, &mut memhier)?,
         };
         let (workers, utilization) =
-            self.replay(kernel, &setup, &shards, gmem, &mut memhier, &mut seen)?;
+            self.replay(kernel, &setup, &units, gmem, &mut memhier, &mut seen)?;
         // Combine: block 0's records over the grid, through the occupancy
         // and wave model.
         let mut stats = combine(
@@ -849,7 +840,7 @@ impl Gpu {
             occ,
             replay: if fast { Role::FastReplay } else { Role::Replay },
             lane_cap: lane_cap(lc),
-            threads: resolve_host_threads(lc),
+            threads: resolve_host_threads(lc.host_threads),
             key,
         }
     }
@@ -911,44 +902,59 @@ impl Gpu {
         Ok((records, seen))
     }
 
-    /// Replay: the planned units' contiguous `shards` on the replay
-    /// workers (see [`Gpu::launch`]), each with its own memory hierarchy
-    /// and a shared read / per-block write view of device memory, or, as
-    /// one shard with the disjoint-write checker off, through the
-    /// exclusive borrow. Folds what the shards observed into `seen` and
-    /// returns the shard count and the workers' utilization.
+    /// Replay: the launching thread and up to `threads − 1` replay
+    /// workers claim the planned units one at a time (see [`Gpu::launch`]),
+    /// each participant with its own memory hierarchy and a shared read /
+    /// per-block write view of device memory. One participant with the
+    /// disjoint-write checker off claims every unit in order through the
+    /// exclusive borrow instead. When blocks fail, the lowest failing unit
+    /// reports: units are claimed in ascending order, so every unit below
+    /// one that failed was claimed and ran. Folds what the participants
+    /// observed into `seen` and returns their count and utilization.
     fn replay<K: BlockKernel + Sync + ?Sized>(
         &self,
         kernel: &K,
         setup: &Setup,
-        shards: &[&[Unit]],
+        units: &[Unit],
         gmem: &mut GlobalMemory,
         memhier: &mut MemHier,
         seen: &mut Observed,
     ) -> Result<(usize, f64), LaunchError> {
-        if shards.is_empty() {
+        if units.is_empty() {
             return Ok((1, 1.0));
         }
         let (spec, role) = (&setup.spec, setup.replay);
         let check = check_writes_enabled();
         let start = Instant::now();
-        let reports = if shards.len() == 1 && !check {
-            let view = GmemAccess::excl(gmem);
-            vec![replay_shard(kernel, spec, role, shards[0], view, memhier)]
+        let reports = if setup.participants(units.len()) == 1 && !check {
+            let (all, view) = (0..units.len(), GmemAccess::excl(gmem));
+            let report = replay_claimed(kernel, spec, role, units, all, view, memhier);
+            vec![report]
         } else {
             let shared = gmem.share(check, spec.shadow.is_some());
-            pool::run(shards.len(), setup.threads, |i| {
-                let view = GmemAccess::worker(shared.worker(shards[i][0].first()));
+            pool::claim(units.len(), setup.threads, |claims| {
+                let mut claims = claims.peekable();
+                let Some(&first) = claims.peek() else {
+                    return Ok(Observed::default());
+                };
+                let view = GmemAccess::worker(shared.worker(units[first].first()));
                 let mut memhier = MemHier::new(&self.cfg);
-                replay_shard(kernel, spec, role, shards[i], view, &mut memhier)
+                replay_claimed(kernel, spec, role, units, claims, view, &mut memhier)
             })
         };
         let wall = start.elapsed().as_secs_f64();
+        let workers = reports.len();
         let mut replayed = Observed::default();
+        let mut failed = Vec::new();
         for report in reports {
-            replayed.absorb(report?);
+            match report {
+                Ok(observed) => replayed.absorb(observed),
+                Err(e) => failed.push(e),
+            }
         }
-        let workers = shards.len();
+        if let Some((_, e)) = failed.into_iter().min_by_key(|(unit, _)| *unit) {
+            return Err(e);
+        }
         let utilization = if workers > 1 && wall > 0.0 {
             (replayed.busy.as_secs_f64() / (workers as f64 * wall)).min(1.0)
         } else {
@@ -1093,49 +1099,6 @@ mod tests {
         std::env::set_var("REGLA_TEST_FLAG_SET", "off");
         assert!(!env_flag("REGLA_TEST_FLAG_SET", true));
         std::env::remove_var("REGLA_TEST_FLAG_SET");
-    }
-
-    /// A replay list of units `widths` blocks wide (1: a single block),
-    /// numbering blocks from `first`.
-    fn units_of(widths: &[usize], first: usize) -> Vec<Unit> {
-        let mut next = first;
-        widths
-            .iter()
-            .map(|&width| {
-                let blocks: Vec<usize> = (next..next + width).collect();
-                next += width;
-                Unit::of(&blocks)
-            })
-            .collect()
-    }
-
-    proptest::proptest! {
-        #[test]
-        fn shards_cover_every_unit_once_in_contiguous_runs(
-            kinds in proptest::collection::vec(0u32..5, 1..40),
-            workers in 1usize..10,
-        ) {
-            let kinds: Vec<usize> = kinds.into_iter().map(|k| 1 << k).collect();
-            let units = units_of(&kinds, 1);
-            let shards = shard_units(&units, workers);
-            proptest::prop_assert!(!shards.is_empty() && shards.len() <= workers);
-            let mut start = 0;
-            for shard in &shards {
-                proptest::prop_assert!(!shard.is_empty(), "an empty shard");
-                proptest::prop_assert!(
-                    std::ptr::eq(shard.as_ptr(), units[start..].as_ptr()),
-                    "shard starting at unit {} is not the next run", start
-                );
-                start += shard.len();
-            }
-            proptest::prop_assert_eq!(start, units.len(), "units left unsharded");
-
-            // The cut depends only on the units and the worker count: the
-            // same kinds of unit over other blocks are cut the same way.
-            let lens = |s: &[&[Unit]]| s.iter().map(|s| s.len()).collect::<Vec<_>>();
-            let moved = units_of(&kinds, 1000);
-            proptest::prop_assert_eq!(lens(&shards), lens(&shard_units(&moved, workers)));
-        }
     }
 
     /// A launch's cap is the widest group whose blocks' registers and

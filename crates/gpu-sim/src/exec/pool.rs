@@ -1,19 +1,24 @@
-//! Process-wide persistent replay workers.
+//! Process-wide persistent workers, and the one claiming primitive built
+//! on them.
 //!
 //! A small launch replays in tens of microseconds, about what spawning
 //! and joining one host thread costs, so `Gpu::launch` does not spawn.
-//! It posts its shards to one set of workers shared by the whole
-//! process. The workers start on first use, grow to the largest
-//! `host_threads − 1` any launch asks for, and live until the process
+//! Its participants (the launching thread plus up to `host_threads − 1`
+//! workers shared by the whole process) take the launch's replay units
+//! one at a time from one shared counter until none are left, the way a
+//! GPU's block scheduler hands each block to whichever SM frees up
+//! first. The workers start on first use, grow to the largest
+//! `host_threads − 1` any caller asks for, and live until the process
 //! exits. An idle worker polls for the next job for a bounded time before
 //! it parks, so back-to-back launches find it awake.
 //!
-//! The launching thread never waits on a busy pool: it replays shard 0,
-//! then every shard no worker has claimed yet, and only then waits for the
-//! shards workers are still running. The pool is process-wide rather than
-//! per `Gpu` because the devices of a fleet launch from one host thread in
-//! turn: a pool per device would leave one polling worker per device
-//! competing for the same cores.
+//! The calling thread never waits on a busy pool: it claims items itself
+//! until none are left and only then waits for the items already in
+//! flight on workers. The pool is process-wide rather than per `Gpu`
+//! because the devices of a fleet launch from one host thread in turn: a
+//! pool per device would leave one polling worker per device competing
+//! for the same cores. [`par_map`] exposes the same claiming to host-side
+//! per-problem work, such as regla-core's verify screens.
 
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -22,60 +27,91 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::{self, Thread};
 use std::time::{Duration, Instant};
 
-/// How long an idle worker polls for the next job, and the launching
-/// thread for its workers' last shards, before parking.
+/// How long an idle worker polls for the next job, and the calling thread
+/// for items still in flight, before parking.
 const POLL: Duration = Duration::from_micros(50);
 
-/// A launch's shard body as the workers see it: called with a shard index.
+/// The items of one call, claimed one at a time in ascending order by
+/// every participant. Iterating a `&Claims` claims the next item.
+pub(super) struct Claims {
+    next: AtomicUsize,
+    items: usize,
+}
+
+impl Claims {
+    fn new(items: usize) -> Self {
+        Claims {
+            next: AtomicUsize::new(0),
+            items,
+        }
+    }
+}
+
+impl Iterator for &Claims {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        // Relaxed: the index publishes nothing; each item's inputs were
+        // written before the call started and its effects reach the
+        // caller through the job's `done` count.
+        let i = self.next.fetch_add(1, Ordering::Relaxed);
+        (i < self.items).then_some(i)
+    }
+}
+
+/// One participant's body as the workers see it: called with the
+/// participant's index.
 type Task = dyn Fn(usize) + Sync;
 
-/// One launch's shards, shared by its launching thread and every worker
+/// One call's participants, shared by its calling thread and every worker
 /// that takes part.
 struct Job {
-    /// The launch's shard body, with the lifetime of its borrows erased
-    /// (see [`run_tasks`]). It may dangle once every shard has returned, so it
-    /// is read only after claiming a shard below `shards`.
+    /// The participant body, with the lifetime of its borrows erased (see
+    /// [`run_tasks`]). It may dangle once every participant has returned,
+    /// so it is read only after claiming a participant below `tasks`.
     task: &'static Task,
-    shards: usize,
-    /// The next unclaimed shard; shard 0 belongs to the launching thread.
+    tasks: usize,
+    /// The next unstarted participant; participant 0 belongs to the
+    /// calling thread.
     next: AtomicUsize,
-    /// Shards that have returned.
+    /// Participants that have returned.
     done: AtomicUsize,
-    /// The first panic a shard raised, re-raised by the launching thread.
+    /// The first panic a participant raised, re-raised by the caller.
     panic: Mutex<Option<Box<dyn Any + Send>>>,
-    /// Unparked by the worker that finishes the last shard.
-    launcher: Thread,
+    /// Unparked by the worker whose participant returns last.
+    caller: Thread,
 }
 
 impl Job {
-    /// Claim the next unstarted shard, if any is left.
+    /// Claim the next unstarted participant, if any is left.
     fn claim(&self) -> Option<usize> {
         let i = self.next.fetch_add(1, Ordering::Relaxed);
-        (i < self.shards).then_some(i)
+        (i < self.tasks).then_some(i)
     }
 
     fn claimable(&self) -> bool {
-        self.next.load(Ordering::Relaxed) < self.shards
+        self.next.load(Ordering::Relaxed) < self.tasks
     }
 
-    /// Run claimed shard `i`, keeping a panic for the launching thread.
-    /// Returns whether it was the last shard to return.
+    /// Run claimed participant `i`, keeping a panic for the caller.
+    /// Returns whether it was the last participant to return.
     fn execute(&self, i: usize) -> bool {
         if let Err(payload) = catch_unwind(AssertUnwindSafe(|| (self.task)(i))) {
             lock(&self.panic).get_or_insert(payload);
         }
-        // Release: the shard's effects happen before the launching thread's
+        // Release: the participant's effects happen before the caller's
         // Acquire load of `done` sees them counted.
-        self.done.fetch_add(1, Ordering::Release) + 1 == self.shards
+        self.done.fetch_add(1, Ordering::Release) + 1 == self.tasks
     }
 
     fn finished(&self) -> bool {
-        self.done.load(Ordering::Acquire) == self.shards
+        self.done.load(Ordering::Acquire) == self.tasks
     }
 }
 
 struct State {
-    /// Posted jobs that may still have unclaimed shards, oldest first.
+    /// Posted jobs that may still have unstarted participants, oldest
+    /// first.
     jobs: Vec<Arc<Job>>,
     workers: usize,
     parked: usize,
@@ -100,15 +136,16 @@ static POOL: Pool = Pool {
     epoch: AtomicU64::new(0),
 };
 
-/// Lock a pool mutex. Nothing panics while holding one (shard panics are
-/// caught outside every lock), so a poisoned lock still holds valid data.
+/// Lock a pool mutex. Nothing panics while holding one (participant
+/// panics are caught outside every lock), so a poisoned lock still holds
+/// valid data.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// Poll `done()` until it holds or [`POLL`] elapses; returns `done()`.
 /// Each miss yields rather than pauses: when the scheduler puts the
-/// launching thread and a worker on one core, the waiter hands it over
+/// calling thread and a worker on one core, the waiter hands it over
 /// instead of burning the time the other thread needs to finish.
 fn poll_until(done: impl Fn() -> bool) -> bool {
     let start = Instant::now();
@@ -121,21 +158,26 @@ fn poll_until(done: impl Fn() -> bool) -> bool {
     done()
 }
 
-/// Call `body(i)` once for every `i < shards` and return the results in
-/// shard order. The calling thread runs shard 0 and every shard no worker
-/// has started; up to `threads − 1` pool workers take the rest. A panic in
-/// any shard is re-raised here, after every shard has returned.
-pub(super) fn run<R: Send>(
-    shards: usize,
+/// Let min(`threads`, `items`) participants claim `items` items: the
+/// calling thread, and up to `threads − 1` pool workers that join while
+/// items are left. Each participant calls `body` once with the shared
+/// [`Claims`] and iterates it to take the next item until none are left;
+/// returns the participants' results in participant order. One
+/// participant runs inline, with no pool round trip. A panic in any
+/// participant is re-raised here, after every participant has returned.
+pub(super) fn claim<R: Send>(
+    items: usize,
     threads: usize,
-    body: impl Fn(usize) -> R + Sync,
+    body: impl Fn(&Claims) -> R + Sync,
 ) -> Vec<R> {
-    if shards == 1 {
-        return vec![body(0)];
+    let claims = Claims::new(items);
+    let participants = threads.min(items).max(1);
+    if participants == 1 {
+        return vec![body(&claims)];
     }
-    let slots: Vec<Mutex<Option<R>>> = (0..shards).map(|_| Mutex::new(None)).collect();
-    run_tasks(shards, threads, &|i| {
-        let r = body(i);
+    let slots: Vec<Mutex<Option<R>>> = (0..participants).map(|_| Mutex::new(None)).collect();
+    run_tasks(participants, threads, &|i| {
+        let r = body(&claims);
         *lock(&slots[i]) = Some(r);
     });
     slots
@@ -143,30 +185,61 @@ pub(super) fn run<R: Send>(
         .map(|s| {
             s.into_inner()
                 .unwrap_or_else(|e| e.into_inner())
-                .expect("every shard stored its result")
+                .expect("every participant stored its result")
         })
         .collect()
 }
 
-/// [`run`] without results. Not generic, so the pool machinery compiles
-/// once, here, rather than into every crate that launches a kernel.
-fn run_tasks(shards: usize, threads: usize, task: &(dyn Fn(usize) + Sync)) {
+/// Map `body` over `items` on the persistent workers and return the
+/// results in item order.
+///
+/// The calling thread and up to `threads − 1` workers claim items one at
+/// a time, so a slow item delays only the participant that took it.
+/// `threads` resolves as [`crate::LaunchConfig::host_threads`] does:
+/// `None` defers to `REGLA_SIM_THREADS` and then to available
+/// parallelism. One item, or one thread, runs inline on the calling
+/// thread; batch small work into items (chunks of problems, say) so each
+/// claim pays for its round trip. A panic in `body` is re-raised here
+/// once every claimed item has returned.
+pub fn par_map<T: Sync, R: Send>(
+    items: &[T],
+    threads: Option<usize>,
+    body: impl Fn(&T) -> R + Sync,
+) -> Vec<R> {
+    let threads = super::resolve_host_threads(threads);
+    let runs = claim(items.len(), threads, |claims| {
+        claims.map(|i| (i, body(&items[i]))).collect::<Vec<_>>()
+    });
+    let mut out: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
+    for (i, r) in runs.into_iter().flatten() {
+        out[i] = Some(r);
+    }
+    out.into_iter()
+        .map(|r| r.expect("every item was claimed once"))
+        .collect()
+}
+
+/// Run participant `task(i)` once for every `i < tasks`: the calling
+/// thread runs participant 0 and every participant no worker has started.
+/// Not generic, so the pool machinery compiles once, here, rather than
+/// into every crate that launches a kernel.
+fn run_tasks(tasks: usize, threads: usize, task: &(dyn Fn(usize) + Sync)) {
     // SAFETY: only the lifetime changes. Workers call `task` only for a
-    // shard they claimed below `shards` (`Job::claim`), and this function
-    // does not return or unwind until every such call has returned: it
-    // runs its own shards under `catch_unwind` as well, waits until
-    // `done == shards`, and re-raises a shard's panic only after that. So
-    // whatever `task` borrows outlives every use of the erased reference;
-    // a worker that still holds the `Job` afterwards reads only its
-    // counters.
+    // participant they claimed below `tasks` (`Job::claim`), and this
+    // function does not return or unwind until every such call has
+    // returned: it runs its own participants under `catch_unwind` as
+    // well, waits until `done == tasks`, and re-raises a participant's
+    // panic only after that. So whatever `task` borrows outlives every
+    // use of the erased reference; a worker that still holds the `Job`
+    // afterwards reads only its counters.
     let task = unsafe { std::mem::transmute::<&(dyn Fn(usize) + Sync), &'static Task>(task) };
     let job = Arc::new(Job {
         task,
-        shards,
+        tasks,
         next: AtomicUsize::new(1),
         done: AtomicUsize::new(0),
         panic: Mutex::new(None),
-        launcher: thread::current(),
+        caller: thread::current(),
     });
     post(&job, threads - 1);
     job.execute(0);
@@ -199,12 +272,12 @@ pub(super) fn wake(workers: usize) {
 }
 
 /// Make `job` visible to the workers, growing the pool to `workers` and
-/// waking parked workers for its shards.
+/// waking parked workers for its participants.
 fn post(job: &Arc<Job>, workers: usize) {
     let mut st = lock(&POOL.state);
     while st.workers < workers {
         // A worker that cannot be spawned only costs parallelism: the
-        // launching thread replays every shard nobody claims.
+        // calling thread claims every item nobody else does.
         if thread::Builder::new()
             .name("regla-replay".into())
             .spawn(work)
@@ -217,14 +290,14 @@ fn post(job: &Arc<Job>, workers: usize) {
     st.jobs.retain(|j| j.claimable());
     st.jobs.push(Arc::clone(job));
     POOL.epoch.fetch_add(1, Ordering::Relaxed);
-    for _ in 0..st.parked.min(job.shards - 1) {
+    for _ in 0..st.parked.min(job.tasks - 1) {
         POOL.posted.notify_one();
     }
 }
 
-/// A worker's life: take shards from the oldest job that has any left,
-/// poll briefly when there is none, then park until the next post. It
-/// never returns and never unwinds (shard panics are caught in
+/// A worker's life: join the oldest job that has participants left, poll
+/// briefly when there is none, then park until the next post. It never
+/// returns and never unwinds (participant panics are caught in
 /// [`Job::execute`]), so its handle is not kept.
 fn work() {
     loop {
@@ -236,7 +309,7 @@ fn work() {
         if let Some(job) = job {
             while let Some(i) = job.claim() {
                 if job.execute(i) {
-                    job.launcher.unpark();
+                    job.caller.unpark();
                 }
             }
             continue;
@@ -256,32 +329,47 @@ fn work() {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicBool;
 
     #[test]
-    fn every_shard_runs_once_and_results_keep_shard_order() {
-        for threads in [2, 3, 8] {
-            let calls: Vec<AtomicUsize> = (0..threads).map(|_| AtomicUsize::new(0)).collect();
-            let out = run(threads, threads, |i| {
-                calls[i].fetch_add(1, Ordering::Relaxed);
-                i * 10
-            });
-            assert_eq!(out, (0..threads).map(|i| i * 10).collect::<Vec<_>>());
-            assert!(calls.iter().all(|c| c.load(Ordering::Relaxed) == 1));
+    fn every_item_runs_once_and_results_keep_item_order() {
+        for threads in [1, 2, 3, 8] {
+            for items in [0, 1, threads - 1, threads, 10 * threads] {
+                let calls: Vec<AtomicUsize> = (0..items).map(|_| AtomicUsize::new(0)).collect();
+                let input: Vec<usize> = (0..items).collect();
+                let out = par_map(&input, Some(threads), |&i| {
+                    calls[i].fetch_add(1, Ordering::Relaxed);
+                    i * 10
+                });
+                assert_eq!(
+                    out,
+                    (0..items).map(|i| i * 10).collect::<Vec<_>>(),
+                    "{items} items at {threads} threads"
+                );
+                assert!(
+                    calls.iter().all(|c| c.load(Ordering::Relaxed) == 1),
+                    "{items} items at {threads} threads: an item ran twice or never"
+                );
+            }
         }
     }
 
-    /// The launching thread re-raises a shard's panic only once every other
-    /// shard has returned: the erased borrow of `body` must outlive them.
-    /// Shard 0 panics on the launching thread as soon as a worker is inside
-    /// a shard, and worker shards stay inside until `run` has returned (or
-    /// a timeout passes), so an early re-raise leaves them unreturned.
+    /// The caller re-raises an item's panic only once every other claimed
+    /// item has returned: the erased borrow of `body` must outlive them.
+    /// The first item the calling thread takes panics as soon as a worker
+    /// is inside an item, and worker items stay inside until `par_map` has
+    /// returned (or a timeout passes), so an early re-raise leaves them
+    /// unreturned. The panic ends only the calling thread's participant:
+    /// the other participants go on to claim every remaining item.
     #[test]
-    fn a_shard_panic_is_raised_after_every_shard_returns() {
-        let shards = 4;
-        let launcher = thread::current().id();
+    fn a_panicking_item_is_raised_after_every_claimed_item_returns() {
+        let threads = 4;
+        let items: Vec<usize> = (0..2 * threads).collect();
+        let caller = thread::current().id();
+        let panicked = AtomicBool::new(false);
         let started = AtomicUsize::new(0);
         let returned = AtomicUsize::new(0);
-        let released = std::sync::atomic::AtomicBool::new(false);
+        let released = AtomicBool::new(false);
         let wait_for = |done: &dyn Fn() -> bool, limit: Duration| {
             let t = Instant::now();
             while !done() && t.elapsed() < limit {
@@ -289,28 +377,30 @@ mod tests {
             }
         };
         let result = catch_unwind(AssertUnwindSafe(|| {
-            run(shards, shards, |i| {
-                if thread::current().id() != launcher {
+            par_map(&items, Some(threads), |_| {
+                let on_caller = thread::current().id() == caller;
+                if on_caller && !panicked.swap(true, Ordering::SeqCst) {
+                    wait_for(
+                        &|| started.load(Ordering::SeqCst) > 0,
+                        Duration::from_secs(5),
+                    );
+                    resume_unwind(Box::new("item panic"));
+                }
+                if !on_caller {
                     started.fetch_add(1, Ordering::SeqCst);
                     wait_for(
                         &|| released.load(Ordering::SeqCst),
                         Duration::from_millis(100),
                     );
-                } else if i == 0 {
-                    wait_for(
-                        &|| started.load(Ordering::SeqCst) > 0,
-                        Duration::from_secs(5),
-                    );
-                    resume_unwind(Box::new("shard panic"));
                 }
                 returned.fetch_add(1, Ordering::SeqCst);
             })
         }));
         let returned_by_then = returned.load(Ordering::SeqCst);
         released.store(true, Ordering::SeqCst);
-        let payload = result.expect_err("the shard's panic reaches the caller");
-        assert_eq!(payload.downcast_ref::<&str>(), Some(&"shard panic"));
-        assert!(started.load(Ordering::SeqCst) > 0, "no worker took a shard");
-        assert_eq!(returned_by_then, shards - 1);
+        let payload = result.expect_err("the item's panic reaches the caller");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"item panic"));
+        assert!(started.load(Ordering::SeqCst) > 0, "no worker took an item");
+        assert_eq!(returned_by_then, items.len() - 1);
     }
 }

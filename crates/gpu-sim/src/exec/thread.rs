@@ -183,7 +183,7 @@ impl SpillInfo {
 /// The device-side view of one thread.
 ///
 /// The second lifetime `'m` is the device-memory borrow carried by the
-/// [`GmemAccess`] handle; it outlives the per-`for_each` borrow `'a`, which
+/// simulator's internal device-memory handle; it outlives the per-`for_each` borrow `'a`, which
 /// is what lets replay workers reuse one block context across many blocks
 /// while sharing the memory view. Elision hides both from kernels, which
 /// only ever see `&mut ThreadCtx`.

@@ -23,7 +23,7 @@
 //! `LaunchConfig::sanitizer(SanitizerMode::Full)` is set; the kernel
 //! watchdog (`LaunchConfig::watchdog`) can be enabled independently.
 //!
-//! [`ThreadCtx::barrier`]: crate::exec::ThreadCtx::barrier
+//! [`ThreadCtx::barrier`]: crate::exec::thread::ThreadCtx::barrier
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -318,7 +318,7 @@ impl ContextFindings {
     /// The launch's report: `shadow`'s cross-block hazards join the
     /// per-block findings, findings from blocks where a fault in `applied`
     /// landed are the fault's doing rather than a kernel bug, and the
-    /// order is fixed regardless of replay sharding.
+    /// order is fixed regardless of which host thread replayed which block.
     pub(crate) fn into_report(
         mut self,
         mode: SanitizerMode,

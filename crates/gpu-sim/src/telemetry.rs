@@ -5,7 +5,7 @@
 //! every call site, so `Gpu::launch` records into these process-wide atomic
 //! counters and the harness snapshots/resets them around each experiment
 //! (see `regla-bench`'s `bench_telemetry`). Counters are relaxed atomics:
-//! each launch records once, from its launching thread, after its shards
+//! each launch records once, from its launching thread, after its units
 //! on the persistent replay workers have finished, and no counter
 //! publishes other data, so ordering is irrelevant; atomicity just keeps
 //! the counts exact when several host threads launch at once.

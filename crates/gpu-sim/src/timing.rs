@@ -91,8 +91,8 @@ pub struct LaunchStats {
     /// block when one ran (0 under `ExecMode::Representative` unless a
     /// schedule-cache hit let block 0's plain run stand).
     pub sim_blocks: usize,
-    /// Shards the functional replay was cut into, one per host thread it
-    /// could use (1 = sequential).
+    /// Host threads that took part in the functional replay: one per
+    /// unit, at most the launch's host thread count (1 = sequential).
     pub sim_host_threads: usize,
     /// Whether the launch took the fast (observer-free) execution path for
     /// every replay block: fast-eligible and without a fault plan (a
@@ -124,10 +124,10 @@ pub struct LaunchStats {
     /// cache: block 0 ran plain, took the same branches as a traced
     /// launch of the same kernel and shape, and was not traced.
     pub sim_sched_cache_hit: bool,
-    /// Mean busy fraction of the replay threads: sum of per-shard busy
-    /// time over `shards x replay wall time`. 1.0 when the shards run
-    /// side by side and finish in lockstep; lower when one starts late or
-    /// straggles.
+    /// Mean busy fraction of the replay threads: their summed busy time
+    /// over `sim_host_threads x replay wall time`. 1.0 when every thread
+    /// claims units from the start to the end of the replay; lower when
+    /// one joins late or finishes its last unit early.
     pub sim_worker_utilization: f64,
     /// Faults actually injected into this launch by the configured
     /// [`crate::FaultPlan`] (empty when no plan was set), sorted by block.

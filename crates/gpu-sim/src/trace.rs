@@ -8,7 +8,8 @@
 //! [`LaunchTrace`] per launch, each holding the wave schedule and, per
 //! wave, the phase spans with their binding constraint and memory counters
 //! (bank-conflict replays, coalesced transactions, distinct DRAM line
-//! bytes, spill traffic) taken from the traced block's [`PhaseRecord`]s.
+//! bytes, spill traffic) taken from the traced block's
+//! [`PhaseRecord`](crate::PhaseRecord)s.
 //!
 //! Everything recorded here is a pure function of *simulated* quantities —
 //! cycles, counters, occupancy — never host wall-clock, so traces are

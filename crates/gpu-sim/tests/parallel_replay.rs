@@ -3,7 +3,7 @@
 //! the host-side telemetry attached to `LaunchStats`.
 
 use proptest::prelude::*;
-use regla_gpu_sim::{BlockCtx, DPtr, ExecMode, GlobalMemory, Gpu, LaunchConfig};
+use regla_gpu_sim::{BlockCtx, BlockKernel, DPtr, ExecMode, GlobalMemory, Gpu, LaunchConfig};
 
 /// A compute kernel whose output depends on the block id, so a block that
 /// is skipped, re-ordered, or run twice would corrupt a distinguishable
@@ -311,11 +311,132 @@ fn host_threads_never_exceed_replay_blocks() {
     assert_eq!(stats.sim_host_threads, 3);
 }
 
-/// A panic in a block of the last shard comes back as that block's
+/// A lane-capable kernel in which thread 0 of every block adds one to
+/// the block's own counter word: a read-modify-write, so a block replayed
+/// twice reads 2. Blocks listed in `panic_on` panic instead; a lane group
+/// holding one diverges and replays its blocks one at a time.
+struct Counter {
+    cnt: DPtr,
+    panic_on: &'static [usize],
+}
+
+impl Counter {
+    /// Bump every lane's counter in a lane group `W` blocks wide.
+    fn bump<const W: usize>(&self, blk: &mut BlockCtx) {
+        blk.for_each(|t| {
+            if t.tid == 0 {
+                let v: [f32; W] = t.gget_lanes(self.cnt, 1, 0);
+                t.gset_lanes(self.cnt, 1, 0, v.map(|c| c + 1.0));
+            }
+        });
+    }
+}
+
+impl BlockKernel for Counter {
+    fn run(&self, blk: &mut BlockCtx) {
+        if blk.uniform(|b| self.panic_on.contains(&b)) {
+            panic!("boom in block {}", blk.block_id);
+        }
+        match blk.lane_width() {
+            1 => blk.for_each(|t| {
+                if t.tid == 0 {
+                    let c = t.gload(self.cnt, t.block_id);
+                    let one = t.lit(1.0);
+                    let c = t.add(c, one);
+                    t.gstore(self.cnt, t.block_id, c);
+                }
+            }),
+            2 => self.bump::<2>(blk),
+            4 => self.bump::<4>(blk),
+            8 => self.bump::<8>(blk),
+            16 => self.bump::<16>(blk),
+            w => unreachable!("a {w}-block lane group"),
+        }
+    }
+
+    fn lane_capable(&self) -> bool {
+        true
+    }
+}
+
+/// Launch [`Counter`] over `grid` blocks at `threads` host threads and
+/// return every block's counter and how many blocks replayed in lane
+/// groups, or the launch's error.
+fn count_replays(
+    grid: usize,
+    exec: ExecMode,
+    threads: usize,
+    panic_on: &'static [usize],
+) -> (
+    LaunchConfig,
+    Result<(Vec<f32>, usize), regla_gpu_sim::LaunchError>,
+) {
+    let gpu = Gpu::quadro_6000();
+    let mut mem = GlobalMemory::with_bytes(4 * grid + 4096);
+    let cnt = mem.alloc(grid);
+    // The counters are the launch's declared input.
+    mem.slice_mut(cnt, grid).fill(0.0);
+    let lc = LaunchConfig::new(grid, 32)
+        .regs(8)
+        .shared_words(0)
+        .exec(exec)
+        .host_threads(threads);
+    let run = gpu
+        .launch(&Counter { cnt, panic_on }, &lc, &mut mem)
+        .map(|stats| (mem.slice(cnt, grid).to_vec(), stats.sim_lane_blocks));
+    (lc, run)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Claiming hands out every unit exactly once: every executed block's
+    /// counter reads 1 and every other block's 0, whether its unit was a
+    /// lane group or a single block, at every host thread count.
+    #[test]
+    fn every_unit_replays_exactly_once(grid in 2usize..301, k in 1usize..40) {
+        for exec in [ExecMode::Full, ExecMode::Sampled(k)] {
+            for threads in [1usize, 2, 3, 8] {
+                let (lc, counts) = count_replays(grid, exec, threads, &[]);
+                let (counts, lane_blocks) = counts.expect("the counter kernel runs clean");
+                if exec == ExecMode::Full && grid >= 4 {
+                    prop_assert!(lane_blocks > 0, "grid {} replayed no lane group", grid);
+                }
+                let executed = lc.executed_blocks();
+                for (b, &c) in counts.iter().enumerate() {
+                    let want = if executed.contains(&b) { 1.0 } else { 0.0 };
+                    prop_assert_eq!(c, want, "block {} of {} under {:?} at {} threads",
+                        b, grid, exec, threads);
+                }
+            }
+        }
+    }
+}
+
+/// When several blocks panic, the launch reports the lowest one at every
+/// thread count: units are claimed in ascending order, so the unit
+/// holding block 7 always runs, even after block 23's unit has failed.
+#[test]
+fn the_lowest_failing_block_reports_at_every_thread_count() {
+    for threads in [1usize, 2, 3, 8] {
+        match count_replays(40, ExecMode::Full, threads, &[7, 23]).1 {
+            Err(regla_gpu_sim::LaunchError::KernelPanic { block, message }) => {
+                assert_eq!(block, 7, "at {threads} threads: {message}");
+                assert!(
+                    message.contains("boom in block 7"),
+                    "unexpected message: {message}"
+                );
+            }
+            other => panic!("expected block 7's KernelPanic at {threads} threads, got {other:?}"),
+        }
+    }
+}
+
+/// A panic in a block of the last unit comes back as that block's
 /// `KernelPanic`, and the replay workers that ran it stay healthy: the
 /// next launch matches a one-thread launch bit for bit.
 #[test]
-fn panic_in_the_last_shard_leaves_the_workers_healthy() {
+fn panic_in_the_last_unit_leaves_the_workers_healthy() {
     let grid = 24usize;
     let tpb = 32usize;
     let gpu = Gpu::quadro_6000();
@@ -375,7 +496,7 @@ fn indexed_launch(gpu: &Gpu, threads: usize, index: usize) -> (Vec<u32>, u64) {
 }
 
 /// Four host threads launch at once, so their launches compete for the
-/// replay workers and each launching thread replays the shards no worker
+/// replay workers and each launching thread replays the units no worker
 /// has claimed. Every launch must still equal the same launch run alone.
 #[test]
 fn concurrent_launches_match_sequential_ones() {

@@ -35,7 +35,7 @@ pub fn predicted_time_s(
 /// with blocked algorithms inside a thread, performance is "determined by
 /// the amount of global bandwidth and the amount of local storage per
 /// thread ... regardless of the blocking strategy or algorithm" (Ballard,
-/// Demmel, Holtz, Schwartz [6]). For O(n³) dense linear algebra with M
+/// Demmel, Holtz, Schwartz \[6\]). For O(n³) dense linear algebra with M
 /// words of local storage, at least `flops / sqrt(8 M)` words must cross
 /// the memory interface, bounding the attainable rate at
 /// `beta_glb * sqrt(8 M) / word_bytes` FLOP/s.

@@ -24,16 +24,17 @@ fn by_case(text: &str) -> BTreeMap<String, String> {
         .collect()
 }
 
-/// Both replay paths render the file: one host thread replays
-/// single-shard launches through the exclusive borrow of device memory
-/// (with the disjoint-write checker off), two replay every multi-unit
-/// launch through the worker pool.
+/// Both replay paths render the file: one host thread claims every unit
+/// alone through the exclusive borrow of device memory (with the
+/// disjoint-write checker off), two and three claim every multi-unit
+/// launch's units through the worker pool. Three is more participants
+/// than a two-core host has cores.
 #[test]
 fn simulated_results_match_the_golden_file() {
     assert_eq!(GOLDEN.lines().next(), Some(golden::HEADER));
     let want = by_case(GOLDEN);
     let mut diffs = Vec::new();
-    for threads in [1, 2] {
+    for threads in [1, 2, 3] {
         let got = by_case(&golden::render(threads));
         for (name, line) in &got {
             match want.get(name) {
