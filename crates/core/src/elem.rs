@@ -14,8 +14,8 @@
 //!   the raw shared/global primitives of a fast (observer-free replay)
 //!   block;
 //! * [`Lanes`] of `f32` or [`CVal`], `W` wide: one plain value for each of
-//!   the W blocks of a lane group (W = 2, 4, 8 or 16), each lane computing
-//!   its own problem's operations in the same order.
+//!   the W blocks of a lane group (W = 2, 4, 8, 16 or 64), each lane
+//!   computing its own problem's operations in the same order.
 //!
 //! Each plain operation performs its tracked twin's `f32` operations in the
 //! same order — Rust never contracts float expressions — so a kernel body
@@ -27,10 +27,12 @@
 //! `BlockCtx::uniform`), which is what lets one body run over a lane
 //! group: lanes that disagree on a branch abandon the group. Every domain
 //! reaches those branches through the `ThreadCtx`, which records their
-//! outcomes while the simulator keys its schedule cache on block 0.
+//! outcomes while the simulator keys its schedule cache on block 0 — one
+//! outcome per branch in a lane group too (`ThreadCtx::v_uniform`), so
+//! block 0 records the same key as lane 0 of a group as it does alone.
 
 use crate::scalar::{Scalar, C32};
-use regla_gpu_sim::{uniform, BlockCtx, CRv, DPtr, Rv, ThreadCtx};
+use regla_gpu_sim::{BlockCtx, CRv, DPtr, Rv, ThreadCtx};
 
 /// A per-block slab of device memory, in element units: block `b` reaches
 /// element `off` of its slab at element `b * stride + off` past `ptr`.
@@ -161,7 +163,8 @@ pub fn run_in_domain<K: DomainKernel>(k: &K, blk: &mut BlockCtx) {
         4 => k.body::<Lanes<PlainOf<K>, 4>>(blk),
         8 => k.body::<Lanes<PlainOf<K>, 8>>(blk),
         16 => k.body::<Lanes<PlainOf<K>, 16>>(blk),
-        w => unreachable!("lane groups are 2, 4, 8 or 16 blocks wide, not {w}"),
+        64 => k.body::<Lanes<PlainOf<K>, 64>>(blk),
+        w => unreachable!("lane groups are 2, 4, 8, 16 or 64 blocks wide, not {w}"),
     }
 }
 
@@ -528,8 +531,7 @@ impl Elem for CVal {
         }
     }
     fn abs2(_t: &mut ThreadCtx, a: Self) -> f32 {
-        let sq = a.re * a.re;
-        a.im * a.im + sq
+        a.norm_sq()
     }
     fn recip(t: &mut ThreadCtx, a: Self) -> Self {
         let n = Self::abs2(t, a);
@@ -543,6 +545,15 @@ impl Elem for CVal {
     }
 }
 
+impl CVal {
+    /// `|v|²` as [`Elem::abs2`] computes it.
+    #[inline]
+    fn norm_sq(self) -> f32 {
+        let sq = self.re * self.re;
+        self.im * self.im + sq
+    }
+}
+
 /// A plain element that can sit in the lanes of a [`Lanes`] value: its
 /// `WORDS` 32-bit words, one at a time.
 pub trait LaneElem: Elem<Plain = Self, Re = f32> + Default {
@@ -550,9 +561,16 @@ pub trait LaneElem: Elem<Plain = Self, Re = f32> + Default {
     fn word(self, w: usize) -> f32;
     /// Overwrite word `w` of the element.
     fn set_word(&mut self, w: usize, v: f32);
+    /// [`Elem::is_zero`]'s test, recording nothing: a lane group records
+    /// the common outcome once.
+    fn zero(self) -> bool;
 }
 
 impl LaneElem for f32 {
+    #[inline]
+    fn zero(self) -> bool {
+        self == 0.0
+    }
     #[inline]
     fn word(self, _w: usize) -> f32 {
         self
@@ -564,6 +582,10 @@ impl LaneElem for f32 {
 }
 
 impl LaneElem for CVal {
+    #[inline]
+    fn zero(self) -> bool {
+        self.norm_sq() == 0.0
+    }
     #[inline]
     fn word(self, w: usize) -> f32 {
         if w == 0 {
@@ -698,7 +720,7 @@ impl<T: LaneElem, const W: usize> Elem for Lanes<T, W> {
         lanes(|l| T::recip(t, a.0[l]))
     }
     fn is_zero(t: &mut ThreadCtx, a: Self) -> bool {
-        uniform(a.0.map(|e| T::is_zero(t, e)))
+        t.v_uniform(a.0.map(T::zero))
     }
 }
 
@@ -710,7 +732,7 @@ impl<const W: usize> Real for Lanes<f32, W> {
         lanes(|l| <f32 as Real>::neg(t, a.0[l]))
     }
     fn gt(t: &mut ThreadCtx, a: Self, b: Self) -> bool {
-        uniform(lanes::<_, W>(|l| <f32 as Real>::gt(t, a.0[l], b.0[l])).0)
+        t.v_uniform((0..W).map(|l| a.0[l] > b.0[l]))
     }
     fn neg_if_gt(t: &mut ThreadCtx, v: Self, a: Self, b: Self) -> Self {
         lanes(|l| <f32 as Real>::neg_if_gt(t, v.0[l], a.0[l], b.0[l]))

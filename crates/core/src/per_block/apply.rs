@@ -75,6 +75,11 @@ impl<E: Elem> BlockKernel for QrApplyKernel<E> {
     fn lane_capable(&self) -> bool {
         true
     }
+
+    /// One problem per block: the grid holds `count` blocks.
+    fn blocks_full(&self) -> bool {
+        true
+    }
 }
 
 impl<E: Elem> DomainKernel for QrApplyKernel<E> {

@@ -67,6 +67,11 @@ impl<E: Elem> BlockKernel for GemmBlockKernel<E> {
     fn lane_capable(&self) -> bool {
         true
     }
+
+    /// One problem per block: the grid holds `count` blocks.
+    fn blocks_full(&self) -> bool {
+        true
+    }
 }
 
 impl<E: Elem> DomainKernel for GemmBlockKernel<E> {

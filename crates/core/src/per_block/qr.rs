@@ -109,6 +109,11 @@ impl<E: Elem> BlockKernel for QrBlockKernel<E> {
     fn lane_capable(&self) -> bool {
         true
     }
+
+    /// One problem per block: the grid holds `count` blocks.
+    fn blocks_full(&self) -> bool {
+        true
+    }
 }
 
 impl<E: Elem> DomainKernel for QrBlockKernel<E> {

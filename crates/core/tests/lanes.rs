@@ -1,13 +1,15 @@
 //! Lane-group replay.
 //!
-//! On a fast launch, a lane-capable kernel replays a lane group of 2, 4, 8
-//! or 16 blocks per pass of its body over lane values, as wide as the
-//! block's working set allows. Every group must be bit-identical to the
-//! instrumented path — outputs, taus, statuses and per-launch cycles — and
-//! a group whose lanes disagree on a branch (one zero pivot, one non-SPD
-//! diagonal, one zero column) must be undone and replayed one block at a
-//! time. The lane counts in `LaunchStats` show the groups really ran, so a
-//! silent all-scalar replay cannot pass for lanes.
+//! On a fast launch, a lane-capable kernel replays a lane group of 2, 4,
+//! 8, 16 or 64 blocks per pass of its body over lane values, as wide as
+//! the block's working set allows. Every group must be bit-identical to
+//! the instrumented path — outputs, taus, statuses and per-launch cycles —
+//! and a group whose lanes disagree on a branch (one zero pivot, one
+//! non-SPD diagonal, one zero column) must be undone and replayed one
+//! block at a time. The lane counts in `LaunchStats` show the groups
+//! really ran, so a silent all-scalar replay cannot pass for lanes. Once a
+//! session's schedule cache knows a launch, block 0 replays as lane 0 of
+//! the first group and records its schedule-cache key there.
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -119,9 +121,12 @@ fn forced(approach: Approach, exec: ExecMode) -> impl Fn() -> RunOptsBuilder {
     move || RunOpts::builder().approach(approach).exec(exec)
 }
 
-/// Run `op` on the lane path at 1 and 2 host threads and on the
+/// Host thread counts every lane-path run is checked at.
+const THREADS: [usize; 3] = [1, 2, 3];
+
+/// Run `op` on the lane path at 1, 2 and 3 host threads and on the
 /// instrumented path; assert bit identity and return the lane counts
-/// (identical at both thread counts: grouping ignores sharding).
+/// (identical at every thread count: grouping ignores who claims what).
 fn lanes_match_slow<T: DeviceScalar>(
     op: Op,
     opts: impl Fn() -> RunOptsBuilder,
@@ -137,7 +142,7 @@ fn lanes_match_slow<T: DeviceScalar>(
     };
     let slow = fingerprint(&run(op, a, rhs, build(1, true)));
     let mut counts = None;
-    for threads in [1, 2] {
+    for threads in THREADS {
         let out = run(op, a, rhs, build(threads, false));
         assert_eq!(
             fingerprint(&out),
@@ -157,8 +162,8 @@ fn lanes_match_slow<T: DeviceScalar>(
 }
 
 fn per_block_case<T: DeviceScalar>(op: Op) {
-    // 13 blocks: block 0 is traced, blocks 1..=8 form a group of 8, 9..=10
-    // one of 2, 11 is left over and 12 is the grid's last block.
+    // 13 blocks: block 0 is traced, blocks 1..=8 form a group of 8 and
+    // 9..=12 one of 4: a per-block grid groups its last block.
     let (a, rhs) = inputs::<T>(op, 12, 13, 7);
     let counts = lanes_match_slow(
         op,
@@ -168,7 +173,7 @@ fn per_block_case<T: DeviceScalar>(op: Op) {
     );
     assert_eq!(
         (counts.0, counts.1),
-        (10, 0),
+        (12, 0),
         "{op:?} per-block complex={}",
         T::IS_COMPLEX
     );
@@ -200,28 +205,136 @@ fn per_block_lane_groups_are_bit_identical() {
     }
 }
 
-/// 33 blocks: block 0 is traced, blocks 1..=31 replay as groups of 16, 8,
-/// 4 and 2 and one single block, and 32 is the grid's last block — every
+/// 160 blocks: block 0 is traced, and blocks 1..=159 replay as groups of
+/// 64, 64, 16, 8, 4 and 2 and one single block (the grid's last) — every
 /// lane width in one launch.
 #[test]
 fn every_lane_width_is_bit_identical() {
     fn case<T: DeviceScalar>(op: Op) {
-        let (a, rhs) = inputs::<T>(op, 8, 33, 73);
+        let (a, rhs) = inputs::<T>(op, 8, 160, 73);
         let per_block = forced(Approach::PerBlock, ExecMode::Full);
         let (blocks, abandoned, _) = lanes_match_slow(op, &per_block, &a, rhs.as_ref());
         assert_eq!(
             (blocks, abandoned),
-            (16 + 8 + 4 + 2, 0),
+            (64 + 64 + 16 + 8 + 4 + 2, 0),
             "{op:?} complex={}",
             T::IS_COMPLEX
         );
         let out = run(op, &a, rhs.as_ref(), per_block().build().expect("valid options"));
         let widths: Vec<usize> = out.run.stats.launches.iter().map(|l| l.sim_lane_width).collect();
-        assert_eq!(widths, [16], "{op:?}");
+        assert_eq!(widths, [64], "{op:?}");
     }
     for op in [Op::Lu, Op::QrSolve, Op::Cholesky] {
         case::<f32>(op);
         case::<C32>(op);
+    }
+}
+
+/// A per-thread grid's partial last block replays alone, so no group is
+/// abandoned for it: 8 005 LU 8×8 problems fill 125 blocks and 5 threads
+/// of the last. Block 0 is traced, and blocks 1..=124 replay in groups of
+/// 16 (seven of them), 8 and 4.
+#[test]
+fn a_partial_per_thread_last_block_abandons_no_group() {
+    let (a, _) = inputs::<f32>(Op::Lu, 8, 125 * TPB + 5, 101);
+    let per_thread = forced(Approach::PerThread, ExecMode::Full);
+    let (blocks, abandoned, _) = lanes_match_slow(Op::Lu, per_thread, &a, None);
+    assert_eq!((blocks, abandoned), (124, 0));
+}
+
+/// Inputs and right-hand sides of one run.
+type Data<T> = (MatBatch<T>, Option<MatBatch<T>>);
+
+/// Warm a session on `warm_up` at each of [`THREADS`], then run `data` in
+/// it: that run must be bit-identical to the instrumented path in a fresh
+/// session, phase records included. Returns, launch by launch, its blocks
+/// outside completed lane groups (block 0 included) and its
+/// schedule-cache hits, identical at every thread count.
+fn warm_match_slow<T: DeviceScalar>(
+    op: Op,
+    opts: impl Fn() -> RunOptsBuilder,
+    warm_up: &Data<T>,
+    (a, rhs): &Data<T>,
+) -> (Vec<usize>, Vec<bool>) {
+    let build = |threads: usize, slow: bool| {
+        opts()
+            .host_threads(threads)
+            .slow_path(slow)
+            .build()
+            .expect("valid options")
+    };
+    let slow = run(op, a, rhs.as_ref(), build(1, true));
+    let phases = |o: &OpOutput<T>| -> Vec<_> {
+        o.run.stats.launches.iter().map(|l| l.phases.clone()).collect()
+    };
+    let mut seen = None;
+    for threads in THREADS {
+        let session = Session::builder().opts(build(threads, false)).build();
+        session
+            .run(op, &warm_up.0, warm_up.1.as_ref())
+            .unwrap_or_else(|e| panic!("{op:?} warm-up runs: {e:?}"));
+        let hot = session
+            .run(op, a, rhs.as_ref())
+            .unwrap_or_else(|e| panic!("{op:?} runs warm: {e:?}"));
+        let what = format!("{op:?} complex={} warm at {threads} host threads", T::IS_COMPLEX);
+        assert_eq!(fingerprint(&hot), fingerprint(&slow), "{what}");
+        assert_eq!(phases(&hot), phases(&slow), "{what}");
+        let launches = &hot.run.stats.launches;
+        let counts = (
+            launches
+                .iter()
+                .map(|l| l.sim_blocks + usize::from(!l.sim_sched_cache_hit) - l.sim_lane_blocks)
+                .collect::<Vec<_>>(),
+            launches.iter().map(|l| l.sim_sched_cache_hit).collect::<Vec<_>>(),
+        );
+        assert_eq!(*seen.get_or_insert(counts.clone()), counts, "{what}: grouping depends on threads");
+    }
+    seen.expect("ran")
+}
+
+/// A warm per-block launch of 130 blocks replays all of them in lane
+/// groups of 64, 64 and 2, block 0 included.
+#[test]
+fn a_warm_per_block_launch_leaves_no_block_outside_groups() {
+    let per_block = forced(Approach::PerBlock, ExecMode::Full);
+    let warm_up = inputs::<f32>(Op::Lu, 8, 130, 103);
+    let data = inputs::<f32>(Op::Lu, 8, 130, 107);
+    let (outside, hits) = warm_match_slow(Op::Lu, per_block, &warm_up, &data);
+    assert_eq!((outside, hits), (vec![0], vec![true]));
+}
+
+/// Once a session has traced a launch, block 0 replays as lane 0 of the
+/// first group and records its key there, and that key must be the one
+/// its solo trace recorded: fresh clean data hits with every block in
+/// groups of 16 and 2. When every problem takes a new branch alike (the
+/// same planted failure in all of them), the group completes and misses:
+/// block 0's lane alone is undone and traced, and the other 17 blocks
+/// keep their group's results.
+#[test]
+fn block_zero_records_its_solo_key_in_a_lane_group() {
+    fn case<T: DeviceScalar>(op: Op, how: Break) {
+        let per_block = forced(Approach::PerBlock, ExecMode::Full);
+        let warm_up = inputs::<T>(op, 8, 18, 83);
+        let clean = inputs::<T>(op, 8, 18, 89);
+        let what = format!("{op:?} complex={}", T::IS_COMPLEX);
+        let hit = warm_match_slow(op, &per_block, &warm_up, &clean);
+        assert_eq!(hit, (vec![0], vec![true]), "{what}: clean data");
+        let (mut broken, rhs) = inputs::<T>(op, 8, 18, 97);
+        for k in 0..18 {
+            how.apply(&mut broken, k);
+        }
+        let miss = warm_match_slow(op, &per_block, &warm_up, &(broken, rhs));
+        assert_eq!(miss, (vec![1], vec![false]), "{what}: every problem broken alike");
+    }
+    for (op, how) in [
+        (Op::Lu, Break::ZeroPivot),
+        (Op::GjSolve, Break::ZeroPivot),
+        (Op::Qr, Break::ZeroColumn),
+        (Op::QrSolve, Break::ZeroColumn),
+        (Op::Cholesky, Break::NotSpd),
+    ] {
+        case::<f32>(op, how);
+        case::<C32>(op, how);
     }
 }
 
@@ -337,7 +450,7 @@ fn reflector_sign_differs_per_lane_without_divergence() {
         );
         let (blocks, abandoned, _) =
             lanes_match_slow(Op::Qr, forced(Approach::PerBlock, ExecMode::Full), &a, None);
-        assert_eq!((blocks, abandoned), (10, 0));
+        assert_eq!((blocks, abandoned), (12, 0));
     }
     case::<f32>();
     case::<C32>();
@@ -378,10 +491,10 @@ impl Break {
 fn a_lone_divergent_lane_abandons_its_group() {
     fn case<T: DeviceScalar>(op: Op, approach: Approach, how: Break) {
         // The victim's group of 8 is abandoned; a per-block launch's group
-        // of 2 (blocks 9 and 10) still runs.
+        // of 4 (blocks 9..=12) still runs.
         let (n, count, victim, grouped) = match approach {
             Approach::PerThread => (4, 10 * TPB + 5, 3 * TPB + 17, 0),
-            _ => (12, 13, 5, 2),
+            _ => (12, 13, 5, 4),
         };
         let (mut a, rhs) = inputs::<T>(op, n, count, 13);
         how.apply(&mut a, victim);

@@ -146,10 +146,16 @@ impl<'a> BlockCtx<'a> {
     }
 
     /// Keep the global stores made since the log began, or undo them
-    /// (`abandon`): an abandoned lane group, or a keyed launch's plain run
-    /// of block 0 that missed the schedule cache.
+    /// (`abandon`): an abandoned lane group, or block 0's keyed run alone
+    /// that missed the schedule cache.
     pub(crate) fn end_undo_log(&mut self, abandon: bool) {
         self.gmem.end_undo_log(abandon);
+    }
+
+    /// Undo the logged global stores of `block` alone, keeping the other
+    /// lanes': block 0's lane of a completed group whose key missed.
+    pub(crate) fn undo_block(&mut self, block: usize) {
+        self.gmem.undo_block(block);
     }
 
     /// Drain the fault records applied by, and the sanitizer findings (and
@@ -237,7 +243,7 @@ impl<'a> BlockCtx<'a> {
     }
 
     /// How many blocks this context executes at once: 1, or the width W
-    /// (2, 4, 8 or 16) of a lane group of a lane-capable kernel
+    /// (2, 4, 8, 16 or 64) of a lane group of a lane-capable kernel
     /// ([`crate::BlockKernel::lane_capable`]). In a group, kernels compute
     /// on W-wide plain values through the `ThreadCtx::*_lanes::<W>`
     /// primitives, lane `l` belonging to the group's `l`-th block.

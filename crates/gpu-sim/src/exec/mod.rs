@@ -21,7 +21,7 @@ use occupancy::{occupancy, Occupancy};
 pub use pool::par_map;
 use schedule::{BlockKey, LaunchKey, ScheduleCache};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 use thread::SpillInfo;
 
@@ -360,10 +360,14 @@ fn replay_blocks(lc: &LaunchConfig) -> Vec<usize> {
     }
 }
 
-/// The widest lane group: a lane-capable kernel's fast replay runs its
-/// body once for a group of 2, 4, 8 or 16 blocks (see
-/// [`BlockKernel::lane_capable`]).
-pub(crate) const MAX_LANES: usize = 16;
+/// The lane-group widths, widest first: a lane-capable kernel's fast
+/// replay runs its body once for a group of 2, 4, 8, 16 or 64 blocks (see
+/// [`BlockKernel::lane_capable`]). Every width is one more instance of
+/// every kernel body (`regla_core::elem::run_in_domain`'s arms).
+const LANE_WIDTHS: [usize; 5] = [64, 16, 8, 4, 2];
+
+/// The widest lane group.
+pub(crate) const MAX_LANES: usize = LANE_WIDTHS[0];
 
 /// Host bytes a lane group's registers and shared memory may fill. Every
 /// lane holds a whole block's working set, so W lanes hold
@@ -379,14 +383,28 @@ pub(crate) const MAX_LANES: usize = 16;
 /// 56×56 8–22% (16 instead of 8). Per-thread 32×32 (265 KiB a block)
 /// and 64×64 (1 MiB) stay single: 2 lanes of either replayed 12–41%
 /// slower than one.
+///
+/// The 64-lane width was settled the same way (best of 7 calls of
+/// 800-block launches, 1 000 for Cholesky, in three interleaved rounds; µs
+/// per problem at 16 / 32 / 64 lanes). Blocks of up to 8 KiB take 64
+/// lanes at this budget and gain most: per-block LU 8×8 1.18–2.06 /
+/// 0.96–1.57 / 0.72–1.14, QR 10×10 2.93–4.91 / 2.51–4.02 / 1.50–1.71,
+/// GJ 8×9 1.49–1.59 / 1.15–1.25 / 0.83–0.85 and Cholesky 24
+/// 6.77–7.15 / 6.86–7.30 / 5.80–6.01. 32 lanes replayed slower than 16
+/// for every block over 8 KiB — per-block LU 32×32 13.2–14.6 /
+/// 17.9–18.5 / 14.7–15.1, QR 32×32 20.1–22.0 / 26.4–29.2 / 19.6–21.3,
+/// QR solve 32×33 22.0–25.4 / 27.5–28.5 / 17.8–18.2, complex QR 80×16
+/// 44.7–48.1 / 52.6–61.7 / 54.3–59.8 — so 32 is not offered. A 768 KiB
+/// budget would give the per-block 32×32 kernels 64 lanes, faster for
+/// the QR solve but not for LU, so the budget stays at 512 KiB.
 const LANE_BUDGET_BYTES: usize = 512 << 10;
 
-/// The widest lane group `lc`'s blocks may form: the largest W in
-/// {16, 8, 4, 2} whose working set fits [`LANE_BUDGET_BYTES`], else 1. A
-/// static rule of the launch's declared footprint, never of a timing.
+/// The widest lane group `lc`'s blocks may form: the largest of
+/// [`LANE_WIDTHS`] whose working set fits [`LANE_BUDGET_BYTES`], else 1.
+/// A static rule of the launch's declared footprint, never of a timing.
 fn lane_cap(lc: &LaunchConfig) -> usize {
     let block_bytes = 4 * (lc.threads_per_block * lc.regs_per_thread + lc.shared_words);
-    [16, 8, 4, 2]
+    LANE_WIDTHS
         .into_iter()
         .find(|w| w * block_bytes <= LANE_BUDGET_BYTES)
         .unwrap_or(1)
@@ -420,11 +438,23 @@ pub trait BlockKernel {
 
     /// Whether `run` can execute a lane group ([`BlockCtx::lane_width`]):
     /// W fast replay blocks at once over W-wide plain values, for W of 2,
-    /// 4, 8 or 16. Such a kernel addresses global memory only through
+    /// 4, 8, 16 or 64. Such a kernel addresses global memory only through
     /// per-block slabs (the `ThreadCtx::*_lanes` primitives), never by
     /// multiplying `block_id`, and takes every data- or block-dependent
     /// branch through [`uniform`].
     fn lane_capable(&self) -> bool {
+        false
+    }
+
+    /// Whether every block of the grid does a whole block's work, the
+    /// last one included: true for a kernel that solves one problem per
+    /// block, whose block guard never fires, so the grid's last block
+    /// joins a lane group like any other. A kernel that gives each thread
+    /// a problem answers false: its last block can hold fewer problems
+    /// than threads, its guard then differs from thread to thread across
+    /// lanes, and the block replays alone. Only the grouping depends on
+    /// it; a wrong answer costs an abandoned group, never a wrong result.
+    fn blocks_full(&self) -> bool {
         false
     }
 }
@@ -435,14 +465,12 @@ impl<F: Fn(&mut BlockCtx)> BlockKernel for F {
     }
 }
 
-/// One unit of replay work: a lane group (its first `width` blocks) or a
-/// single block.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// One unit of replay work: a lane group (two or more blocks) or a single
+/// block. Block 0 replays as the first unit once the schedule cache knows
+/// its launch.
+#[derive(Clone, Debug, PartialEq, Eq)]
 enum Unit {
-    Group {
-        blocks: [usize; MAX_LANES],
-        width: usize,
-    },
+    Group(Box<[usize]>),
     Block(usize),
 }
 
@@ -451,21 +479,14 @@ impl Unit {
     fn of(blocks: &[usize]) -> Unit {
         match *blocks {
             [b] => Unit::Block(b),
-            _ => {
-                let mut group = [0; MAX_LANES];
-                group[..blocks.len()].copy_from_slice(blocks);
-                Unit::Group {
-                    blocks: group,
-                    width: blocks.len(),
-                }
-            }
+            _ => Unit::Group(blocks.into()),
         }
     }
 
     /// The blocks the unit replays, in order.
     fn blocks(&self) -> &[usize] {
         match self {
-            Unit::Group { blocks, width } => &blocks[..*width],
+            Unit::Group(blocks) => blocks,
             Unit::Block(b) => std::slice::from_ref(b),
         }
     }
@@ -475,19 +496,50 @@ impl Unit {
     }
 }
 
+/// Registers per thread above which a block replays slower in a 2- or
+/// 4-lane group than alone: a per-thread problem of 10×10 or more (112
+/// registers and up). Measured on the Xeon of [`LANE_BUDGET_BYTES`], one
+/// replay thread, best of 5 calls in three interleaved rounds, µs per
+/// problem alone / 2 lanes / 4 lanes: per-thread LU 10×10 0.54–0.57 /
+/// 0.67–0.70 / 0.58–0.67, 12×12 0.77–0.81 / 1.01–1.17 / 0.94–0.98,
+/// 16×16 1.39–1.82 / 1.68–2.04 / 1.54–1.57, while per-thread LU 8×8 (76
+/// registers) reads 0.40–0.42 alone and 0.39–0.43 at 4 lanes, and
+/// per-block blocks gain at every width (LU 56×56 166 / 123–132 /
+/// 67–82).
+const NARROW_TAIL_MAX_REGS: usize = 100;
+
+/// The narrowest group [`cut_units`] cuts below the cap: 2, or 8 for a
+/// block over [`NARROW_TAIL_MAX_REGS`] registers per thread.
+fn narrowest_tail(lc: &LaunchConfig) -> usize {
+    if lc.regs_per_thread > NARROW_TAIL_MAX_REGS {
+        8
+    } else {
+        2
+    }
+}
+
 /// Cut `blocks` into replay units in order. Blocks `alone` picks replay
 /// singly; the rest are cut greedily into lane groups of `cap` blocks,
-/// and what is left after the last full group into exact groups of 8, 4
-/// and 2 and at most one single block, widest first. No group is padded.
-/// Units come in the order of their first block.
-fn cut_units(blocks: &[usize], cap: usize, alone: impl Fn(usize) -> bool) -> Vec<Unit> {
+/// and what is left after the last full group into exact groups of the
+/// narrower [`LANE_WIDTHS`] down to `narrowest`, widest first, and single
+/// blocks (at most one when `narrowest` is 2). No group is padded. Units
+/// come in the order of their first block.
+fn cut_units(
+    blocks: &[usize],
+    cap: usize,
+    narrowest: usize,
+    alone: impl Fn(usize) -> bool,
+) -> Vec<Unit> {
     let (singles, groupable): (Vec<usize>, Vec<usize>) =
         blocks.iter().partition(|&&b| cap == 1 || alone(b));
     let mut units: Vec<Unit> = singles.into_iter().map(Unit::Block).collect();
     let mut rest = &groupable[..];
     while !rest.is_empty() {
-        // The cap, or the widest power of two the tail still fills.
-        let width = cap.min(1 << rest.len().ilog2());
+        // The cap, or the widest width the tail still fills.
+        let width = LANE_WIDTHS
+            .into_iter()
+            .find(|&w| w <= rest.len() && (w == cap || (w < cap && w >= narrowest)))
+            .unwrap_or(1);
         let (group, tail) = rest.split_at(width);
         units.push(Unit::of(group));
         rest = tail;
@@ -528,14 +580,15 @@ impl Setup<'_> {
 
     /// Plan units: split the replay list into lane groups at most `cap`
     /// wide and single blocks (see [`cut_units`]). Blocks the fault plan
-    /// arms and the grid's last block (the only one a per-thread launch
-    /// can leave partial) replay alone. Grouping depends only on the
-    /// launch, never on the host thread count.
-    fn plan_units(&self, blocks: &[usize], cap: usize) -> Vec<Unit> {
+    /// arms replay alone, and so does the grid's last block unless the
+    /// kernel's blocks are all `full` ([`BlockKernel::blocks_full`]): a
+    /// per-thread launch can leave it partial. Grouping depends only on
+    /// the launch, never on the host thread count.
+    fn plan_units(&self, blocks: &[usize], cap: usize, full: bool) -> Vec<Unit> {
         let fault_map = self.spec.fault_map.as_ref();
-        let last = self.spec.lc.grid_blocks - 1;
-        cut_units(blocks, cap, |b| {
-            b == last || fault_map.is_some_and(|m| m.contains_key(&b))
+        let last = (!full).then(|| self.spec.lc.grid_blocks - 1);
+        cut_units(blocks, cap, narrowest_tail(self.spec.lc), |b| {
+            Some(b) == last || fault_map.is_some_and(|m| m.contains_key(&b))
         })
     }
 }
@@ -565,18 +618,69 @@ impl Observed {
     }
 }
 
+/// Block 0's keyed run, once the schedule cache knows its launch's kernel
+/// and shape: block 0 replays as the first unit and records its part of
+/// the key there, as lane 0 of the first group when the cut gives it one
+/// (see `schedule`). Whoever claims that unit looks the key up.
+struct KeyCheck<'c> {
+    sched: &'c ScheduleCache,
+    launch: LaunchKey,
+    /// What block 0's run found, set by the participant that ran it.
+    found: OnceLock<Found>,
+}
+
+/// What block 0's keyed run found.
+struct Found {
+    /// The key it recorded (`None` when its run failed).
+    key: Option<BlockKey>,
+    /// The records that key hit.
+    records: Option<Arc<Vec<PhaseRecord>>>,
+    /// Whether it ran as a lane of a group that completed.
+    in_group: bool,
+}
+
+impl KeyCheck<'_> {
+    /// Look up `key`, recorded alone or in a group, and keep what was
+    /// found; returns whether it hit.
+    fn look_up(&self, key: Option<BlockKey>, in_group: bool) -> bool {
+        let records = key.as_ref().and_then(|k| self.sched.get(&self.launch, k));
+        let hit = records.is_some();
+        let found = Found {
+            key,
+            records,
+            in_group,
+        };
+        assert!(self.found.set(found).is_ok(), "block 0 runs once");
+        hit
+    }
+
+    /// Run block 0 alone, recording its key. A miss undoes its stores, and
+    /// so does a failed run, which fails again when traced and reports
+    /// the error there.
+    fn run_alone<K: BlockKernel + Sync + ?Sized>(&self, kernel: &K, blk: &mut BlockCtx) {
+        blk.record_key();
+        blk.begin_undo_log();
+        let ran = run_contained(kernel, blk).is_ok();
+        let key = blk.take_key();
+        let hit = self.look_up(ran.then_some(key), false);
+        blk.end_undo_log(!hit);
+    }
+}
+
 /// Replay the `units` that `claimed` yields, in claim order, on one block
 /// context built for the first and reused for the rest. A lane group that
 /// diverges (or panics) is undone and its blocks replay one at a time, so
-/// a genuine kernel panic is reported against its own block. A failing
-/// block ends the participant's claims; the error carries its unit's
-/// index.
+/// a genuine kernel panic is reported against its own block. With `check`,
+/// unit 0 holds block 0 and runs it keyed ([`KeyCheck`]): a completed
+/// group whose key misses undoes block 0's stores alone, and block 0's
+/// failures surface when it is traced. Any other failing block ends the
+/// participant's claims; the error carries its unit's index.
 fn replay_claimed<K: BlockKernel + Sync + ?Sized>(
     kernel: &K,
-    spec: &BlockSpec,
-    role: Role,
+    setup: &Setup,
     units: &[Unit],
     claimed: impl Iterator<Item = usize>,
+    check: Option<&KeyCheck>,
     gmem: GmemAccess,
     memhier: &mut MemHier,
 ) -> Result<Observed, (usize, LaunchError)> {
@@ -584,30 +688,45 @@ fn replay_claimed<K: BlockKernel + Sync + ?Sized>(
     let Some(&first) = claimed.peek() else {
         return Ok(Observed::default());
     };
-    let mut blk = BlockCtx::new(spec, units[first].first(), role, gmem, memhier);
+    let mut blk = BlockCtx::new(&setup.spec, units[first].first(), setup.replay, gmem, memhier);
     let t0 = Instant::now();
     let mut seen = Observed::default();
     for i in claimed {
         seen.passes += 1;
+        let keyed = check.filter(|_| i == 0);
         match &units[i] {
             Unit::Block(b) => {
                 blk.reset_for_block(*b);
-                run_contained(kernel, &mut blk).map_err(|e| (i, e))?;
+                match keyed {
+                    Some(check) => check.run_alone(kernel, &mut blk),
+                    None => run_contained(kernel, &mut blk).map_err(|e| (i, e))?,
+                }
             }
-            unit @ Unit::Group { .. } => {
-                let group = unit.blocks();
+            Unit::Group(group) => {
                 blk.reset_for_group(group);
+                if keyed.is_some() {
+                    blk.record_key();
+                }
                 let ok = catch_unwind(AssertUnwindSafe(|| kernel.run(&mut blk))).is_ok();
-                blk.end_undo_log(!ok);
+                let key = keyed.map(|_| blk.take_key());
                 if ok {
-                    seen.lane_blocks += group.len();
+                    let missed = keyed.is_some_and(|c| !c.look_up(key, true));
+                    if missed {
+                        blk.undo_block(group[0]);
+                    }
+                    blk.end_undo_log(false);
+                    seen.lane_blocks += group.len() - usize::from(missed);
                     continue;
                 }
+                blk.end_undo_log(true);
                 seen.groups_abandoned += 1;
                 seen.passes += group.len();
                 for &b in group {
                     blk.reset_for_block(b);
-                    run_contained(kernel, &mut blk).map_err(|e| (i, e))?;
+                    match keyed.filter(|_| b == group[0]) {
+                        Some(check) => check.run_alone(kernel, &mut blk),
+                        None => run_contained(kernel, &mut blk).map_err(|e| (i, e))?,
+                    }
                 }
             }
         }
@@ -737,12 +856,14 @@ impl Gpu {
     /// bit-identical at every thread count, because timing comes solely
     /// from the traced block and each replayed block writes only its own
     /// problem's output. On a fast launch a
-    /// lane-capable kernel replays up to 16 blocks per pass of its body,
+    /// lane-capable kernel replays up to 64 blocks per pass of its body,
     /// as many as the block's working set lets fit (see
     /// [`BlockKernel::lane_capable`] and [`uniform`]).
     ///
-    /// The launch runs in stages: set-up, plan units, key check, trace,
-    /// replay, combine and report.
+    /// The launch runs in stages: set-up, plan units, trace (when the
+    /// schedule cache does not know the kernel and shape yet), replay —
+    /// block 0 included, recording its key, once the cache knows them —
+    /// trace on a miss, combine and report.
     pub fn launch<K: BlockKernel + Sync + ?Sized>(
         &self,
         kernel: &K,
@@ -754,22 +875,44 @@ impl Gpu {
         let setup = self.set_up(lc, gmem);
         let blocks = replay_blocks(lc);
         let cap = setup.group_cap(kernel.lane_capable());
-        let units = setup.plan_units(&blocks, cap);
+        let check = setup
+            .key
+            .filter(|k| self.sched.knows(k))
+            .map(|launch| KeyCheck {
+                sched: &self.sched,
+                launch,
+                found: OnceLock::new(),
+            });
+        // With a key check, block 0 is planned first among the units.
+        let planned: Vec<usize> = check.iter().map(|_| 0).chain(blocks.iter().copied()).collect();
+        let units = setup.plan_units(&planned, cap, kernel.blocks_full());
         let participants = setup.participants(units.len());
         if participants > 1 {
             // Parked workers take tens of microseconds to wake: start them
-            // now, so they are polling when block 0 is done and the units
-            // are posted.
+            // now, so they are polling when the units are posted.
             pool::wake(participants - 1);
         }
         let mut memhier = MemHier::new(&self.cfg);
-        let (plain_key, cached) = self.check_key(kernel, &setup, gmem, &mut memhier);
-        let (records, mut seen) = match &cached {
-            Some(records) => (records.as_ref().clone(), Observed::default()),
-            None => self.trace(kernel, &setup, plain_key, gmem, &mut memhier)?,
+        let traced = match check {
+            None => Some(self.trace(kernel, &setup, None, gmem, &mut memhier)?),
+            Some(_) => None,
         };
-        let (workers, utilization) =
-            self.replay(kernel, &setup, &units, gmem, &mut memhier, &mut seen)?;
+        let replayed = self.replay(kernel, &setup, &units, check.as_ref(), gmem, &mut memhier);
+        let found = check.and_then(|c| c.found.into_inner());
+        let cached = found.as_ref().and_then(|f| f.records.clone());
+        let in_group = found.as_ref().is_some_and(|f| f.in_group);
+        let (records, mut seen) = match (traced, &cached) {
+            (Some(traced), _) => traced,
+            (None, Some(records)) => (records.as_ref().clone(), Observed::default()),
+            // A miss: block 0's stores were undone, so it is traced from
+            // its inputs, after the replay.
+            (None, None) => {
+                let key = found.and_then(|f| f.key);
+                self.trace(kernel, &setup, key, gmem, &mut memhier)?
+            }
+        };
+        let (workers, utilization, replay_seen) = replayed?;
+        seen.absorb(replay_seen);
         // Combine: block 0's records over the grid, through the occupancy
         // and wave model.
         let mut stats = combine(
@@ -793,7 +936,7 @@ impl Gpu {
         stats.sim_sched_cache_hit = cached.is_some();
         // Block 0 executes functionally either way (traced, or plain on a
         // schedule-cache hit), so it counts.
-        self.report(&setup, stats, seen, wall, blocks.len() + 1)
+        self.report(&setup, stats, seen, wall, blocks.len() + 1, in_group)
     }
 
     /// Set-up: the launch-invariant block spec, the occupancy, what replay
@@ -845,32 +988,6 @@ impl Gpu {
         }
     }
 
-    /// Key check: once a schedule of this kernel and shape is cached, run
-    /// block 0 plain and look up the key it records (see `schedule`). A
-    /// miss undoes its stores, and so does a failed run, which fails again
-    /// when traced and reports the error there. Returns the key the plain
-    /// run recorded and the records it hit.
-    fn check_key<K: BlockKernel + Sync + ?Sized>(
-        &self,
-        kernel: &K,
-        setup: &Setup,
-        gmem: &mut GlobalMemory,
-        memhier: &mut MemHier,
-    ) -> (Option<BlockKey>, Option<Arc<Vec<PhaseRecord>>>) {
-        let Some(launch) = setup.key.filter(|k| self.sched.knows(k)) else {
-            return (None, None);
-        };
-        let view = GmemAccess::excl(gmem);
-        let mut blk = BlockCtx::new(&setup.spec, 0, Role::FastReplay, view, memhier);
-        blk.record_key();
-        blk.begin_undo_log();
-        let ran = run_contained(kernel, &mut blk).is_ok();
-        let plain = ran.then(|| blk.take_key());
-        let cached = plain.as_ref().and_then(|k| self.sched.get(&launch, k));
-        blk.end_undo_log(cached.is_none());
-        (plain, cached)
-    }
-
     /// Trace: run block 0 under the scoreboard, and cache its records under
     /// the key the trace itself recorded, so a plain run that branched
     /// differently can never hit them.
@@ -907,31 +1024,30 @@ impl Gpu {
     /// each participant with its own memory hierarchy and a shared read /
     /// per-block write view of device memory. One participant with the
     /// disjoint-write checker off claims every unit in order through the
-    /// exclusive borrow instead. When blocks fail, the lowest failing unit
-    /// reports: units are claimed in ascending order, so every unit below
-    /// one that failed was claimed and ran. Folds what the participants
-    /// observed into `seen` and returns their count and utilization.
+    /// exclusive borrow instead. With `check`, unit 0 runs block 0 keyed.
+    /// When blocks fail, the lowest failing unit reports: units are
+    /// claimed in ascending order, so every unit below one that failed was
+    /// claimed and ran. Returns the participants' count, their utilization
+    /// and what they observed.
     fn replay<K: BlockKernel + Sync + ?Sized>(
         &self,
         kernel: &K,
         setup: &Setup,
         units: &[Unit],
+        check: Option<&KeyCheck>,
         gmem: &mut GlobalMemory,
         memhier: &mut MemHier,
-        seen: &mut Observed,
-    ) -> Result<(usize, f64), LaunchError> {
+    ) -> Result<(usize, f64, Observed), LaunchError> {
         if units.is_empty() {
-            return Ok((1, 1.0));
+            return Ok((1, 1.0, Observed::default()));
         }
-        let (spec, role) = (&setup.spec, setup.replay);
-        let check = check_writes_enabled();
+        let check_writes = check_writes_enabled();
         let start = Instant::now();
-        let reports = if setup.participants(units.len()) == 1 && !check {
+        let reports = if setup.participants(units.len()) == 1 && !check_writes {
             let (all, view) = (0..units.len(), GmemAccess::excl(gmem));
-            let report = replay_claimed(kernel, spec, role, units, all, view, memhier);
-            vec![report]
+            vec![replay_claimed(kernel, setup, units, all, check, view, memhier)]
         } else {
-            let shared = gmem.share(check, spec.shadow.is_some());
+            let shared = gmem.share(check_writes, setup.spec.shadow.is_some());
             pool::claim(units.len(), setup.threads, |claims| {
                 let mut claims = claims.peekable();
                 let Some(&first) = claims.peek() else {
@@ -939,7 +1055,7 @@ impl Gpu {
                 };
                 let view = GmemAccess::worker(shared.worker(units[first].first()));
                 let mut memhier = MemHier::new(&self.cfg);
-                replay_claimed(kernel, spec, role, units, claims, view, &mut memhier)
+                replay_claimed(kernel, setup, units, claims, check, view, &mut memhier)
             })
         };
         let wall = start.elapsed().as_secs_f64();
@@ -960,8 +1076,7 @@ impl Gpu {
         } else {
             1.0
         };
-        seen.absorb(replayed);
-        Ok((workers, utilization))
+        Ok((workers, utilization, replayed))
     }
 
     /// Report: apply the injected stall and check the deadline, then hand
@@ -973,6 +1088,7 @@ impl Gpu {
         seen: Observed,
         wall: Duration,
         functional_blocks: usize,
+        block0_in_group: bool,
     ) -> Result<LaunchStats, LaunchError> {
         let lc = setup.spec.lc;
         // Chaos-injected stream stall: a pure timing perturbation applied
@@ -1014,17 +1130,28 @@ impl Gpu {
         if sim_verbose() {
             let fast = setup.replay == Role::FastReplay;
             let cached = stats.sim_sched_cache_hit;
+            // Block 0's traced run is a kernel-body pass too; its keyed run
+            // is among the replay passes.
+            let passes = stats.sim_replay_passes + usize::from(!cached);
+            let block0 = if !cached {
+                "traced"
+            } else if block0_in_group {
+                "in a lane group"
+            } else {
+                "alone"
+            };
             eprintln!(
                 "regla-gpu-sim: launch '{}' took the {} path ({}{} functional \
-                 blocks, {} in lane groups, {} groups abandoned, {} replay \
-                 passes, lane width {}, {} workers)",
+                 blocks, {} in lane groups, {} groups abandoned, {} body \
+                 passes, block 0 {}, lane width {}, {} workers)",
                 lc.name,
                 if fast { "fast" } else { "slow" },
                 if cached { "cached schedule, " } else { "" },
                 functional_blocks,
                 stats.sim_lane_blocks,
                 stats.sim_lane_groups_abandoned,
-                stats.sim_replay_passes,
+                passes,
+                block0,
                 stats.sim_lane_width,
                 stats.sim_host_threads,
             );
@@ -1109,7 +1236,8 @@ mod tests {
             lane_cap(&LaunchConfig::new(1, threads).regs(regs).shared_words(shared))
         };
         let words = LANE_BUDGET_BYTES / 4;
-        assert_eq!(cap(1, words / 16, 0), 16);
+        assert_eq!(cap(1, words / 64, 0), 64);
+        assert_eq!(cap(1, words / 64 + 1, 0), 16);
         assert_eq!(cap(1, words / 16 + 1, 0), 8);
         assert_eq!(cap(1, 0, words / 2), 2);
         assert_eq!(cap(1, 1, words / 2), 1);
@@ -1118,26 +1246,32 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// The plan over any grid, exec mode, armed set and footprint: every
-        /// replay block once, in order; widths exact powers of two up to
-        /// the cap, never widening along the list; armed blocks and the
-        /// last block alone, and at most one groupable block left single;
-        /// the same plan at every host thread count.
+        /// The plan over any grid, exec mode, armed set, footprint and
+        /// kernel: every planned block once, in order, block 0 first when
+        /// it is planned (a keyed launch the cache knows); widths from
+        /// `LANE_WIDTHS`, the cap or narrower down to the narrowest tail
+        /// width, never widening along the list; armed blocks alone, the
+        /// last block alone unless the kernel's blocks are full, and at
+        /// most one groupable block left single (fewer than the narrowest
+        /// tail width for blocks of many registers); the same plan at
+        /// every host thread count.
         #[test]
         fn plan_units_cuts_exact_groups_in_order(
-            grid in 1usize..120,
+            grid in 1usize..300,
             exec in 0usize..3,
-            sample in 1usize..60,
+            sample in 1usize..150,
             faults in 0usize..6,
             seed in 0u64..1000,
-            regs in proptest::sample::select(vec![8usize, 40, 100, 300, 700, 1100, 4108]),
+            regs in proptest::sample::select(vec![8usize, 16, 40, 100, 300, 700, 1100, 4108]),
             lane_capable in proptest::sample::select(vec![false, true]),
+            full in proptest::sample::select(vec![false, true]),
+            keyed in proptest::sample::select(vec![false, true]),
         ) {
             use proptest::{prop_assert, prop_assert_eq};
             let exec = [ExecMode::Full, ExecMode::Sampled(sample), ExecMode::Representative][exec];
             let plan = FaultPlan::new(seed, faults);
             let armed = plan.target_blocks(grid);
-            let alone = |b: usize| b + 1 == grid || armed.contains(&b);
+            let alone = |b: usize| (!full && b + 1 == grid) || armed.contains(&b);
             let gpu = Gpu::quadro_6000();
             let gmem = GlobalMemory::new(0);
             let mut plans = Vec::new();
@@ -1151,19 +1285,26 @@ mod tests {
                 let setup = gpu.set_up(&lc, &gmem);
                 let cap = setup.group_cap(lane_capable);
                 prop_assert_eq!(cap, if lane_capable { lane_cap(&lc) } else { 1 });
-                let blocks = replay_blocks(&lc);
-                let units = setup.plan_units(&blocks, cap);
+                let mut blocks = replay_blocks(&lc);
+                if keyed {
+                    blocks.insert(0, 0);
+                }
+                let units = setup.plan_units(&blocks, cap, full);
 
                 let in_order = units.windows(2).all(|w| w[0].first() < w[1].first())
                     && units.iter().all(|u| u.blocks().is_sorted());
                 prop_assert!(in_order, "units out of order: {:?}", units);
+                prop_assert!(!keyed || units[0].first() == 0, "block 0 is not first");
                 let mut seen: Vec<usize> = units.iter().flat_map(|u| u.blocks().to_vec()).collect();
                 seen.sort_unstable();
-                prop_assert_eq!(&seen, &blocks, "every replay block once");
+                prop_assert_eq!(&seen, &blocks, "every planned block once");
 
                 let widths: Vec<usize> =
                     units.iter().map(|u| u.blocks().len()).filter(|&w| w > 1).collect();
-                prop_assert!(widths.iter().all(|w| [16, 8, 4, 2].contains(w) && *w <= cap));
+                let narrowest = if regs > NARROW_TAIL_MAX_REGS { 8 } else { 2 };
+                prop_assert!(widths
+                    .iter()
+                    .all(|w| LANE_WIDTHS.contains(w) && (*w == cap || (*w < cap && *w >= narrowest))));
                 prop_assert!(widths.is_sorted_by(|a, b| a >= b), "widths grow: {:?}", widths);
                 let singles: Vec<usize> = units
                     .iter()
@@ -1174,7 +1315,8 @@ mod tests {
                     prop_assert!(singles.contains(&b), "block {} is not alone", b);
                 }
                 let left = singles.iter().filter(|&&b| !alone(b)).count();
-                prop_assert!(cap == 1 || left <= 1, "{} groupable blocks left single", left);
+                let most = if narrowest == 2 { 1 } else { cap.min(narrowest) - 1 };
+                prop_assert!(cap == 1 || left <= most, "{} groupable blocks left single", left);
                 plans.push(units);
             }
             prop_assert!(plans.windows(2).all(|p| p[0] == p[1]), "the plan depends on threads");

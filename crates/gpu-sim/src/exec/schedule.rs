@@ -13,15 +13,17 @@
 //! shape (`LaunchConfig::schedule_key`): launches sharing a name run the
 //! same op sequence for the same branch outcomes. The simulator keys the
 //! data-dependent control flow and the buffer placement. Once a schedule
-//! of its kernel and shape is cached, a keyed launch first runs block 0
-//! plain, recording one bit per branch taken through
+//! of its kernel and shape is cached, a keyed launch replays block 0
+//! plain with its other blocks — as lane 0 of the first lane group when
+//! the cut gives it one — recording one bit per branch taken through
 //! `ThreadCtx::is_zero`/`gt` and the block-id guards of `uniform` (the
-//! branches lane groups already require), noting where each buffer it
-//! touches starts within a DRAM line, and logging its global stores. The
-//! bits themselves, not a hash, join the key. On a hit that plain run is
-//! block 0's output; on a miss its stores are undone and block 0 is
-//! traced, and the records are cached under the key the trace itself
-//! recorded.
+//! branches lane groups already require; a group records each branch
+//! once), noting where each buffer it touches starts within a DRAM line,
+//! and logging its global stores. The bits themselves, not a hash, join
+//! the key, which is the same in a group as alone. On a hit that plain
+//! run is block 0's output; on a miss its stores are undone, block 0 is
+//! traced after the replay, and the records are cached under the key
+//! the trace itself recorded.
 
 use crate::timing::PhaseRecord;
 use std::collections::HashMap;

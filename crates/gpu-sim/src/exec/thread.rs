@@ -499,6 +499,18 @@ impl<'a> ThreadCtx<'a, '_> {
         self.branch(a > b)
     }
 
+    /// The common outcome of a branch a lane group evaluates on every
+    /// lane, recorded once like [`is_zero`]: a group records the branches
+    /// its blocks take, so block 0's key is the same in a group as alone.
+    /// Lanes that disagree abandon the group (see [`uniform`]).
+    ///
+    /// [`is_zero`]: Self::is_zero
+    #[inline]
+    pub fn v_uniform(&mut self, lanes: impl IntoIterator<Item = bool>) -> bool {
+        let taken = uniform(lanes);
+        self.branch(taken)
+    }
+
     // ---- special functions ----
 
     /// Reciprocal. Fast mode uses the SFU (22-bit accurate); precise mode

@@ -53,8 +53,8 @@ pub struct GlobalMemory {
 /// How a block context reaches device memory: exclusively (block 0,
 /// sequential replay) or through a shared worker view (parallel replay),
 /// plus an undo log of the stores made while it is on (a lane group's, or
-/// a keyed launch's plain run of block 0) and, for block 0 of a keyed
-/// launch, the allocations it touches.
+/// block 0's keyed run) and, while block 0 records its schedule-cache
+/// key, the allocations it touches.
 ///
 /// Kernels never see this type; they go through `ThreadCtx::gload` /
 /// `gstore`, which delegate here. Keeping it `pub(crate)` is what lets the
@@ -63,13 +63,19 @@ pub struct GlobalMemory {
 /// and every aliased access is confined to [`WorkerGmem`] below.
 pub(crate) struct GmemAccess<'m> {
     view: GmemView<'m>,
-    /// `(word, previous value)` of every store made while logging, in
-    /// store order; rolled back when the logged run is abandoned.
-    undo: Vec<(usize, f32)>,
+    /// The block the context executes (the first lane's in a group).
+    block: usize,
+    /// `(word, previous value, storing block)` of every store made while
+    /// logging, in store order; rolled back when the logged run is
+    /// abandoned, or one block's part of it when that block's run is. The
+    /// block tag fills the padding after the value, so an entry stays 16
+    /// bytes: every store of a lane group is logged.
+    undo: Vec<(usize, f32, u32)>,
     logging: bool,
-    /// One flag per allocation of exclusively accessed memory: touched
-    /// since [`track_allocations`](Self::track_allocations) (`None` = not
-    /// tracking).
+    /// One flag per allocation: touched since
+    /// [`track_allocations`](Self::track_allocations) (`None` = not
+    /// tracking). In a lane group only lane 0's accesses count: the group
+    /// that records a key holds block 0 in lane 0.
     touched: Option<Vec<bool>>,
 }
 
@@ -78,6 +84,16 @@ enum GmemView<'m> {
     Excl(&'m mut GlobalMemory),
     /// One replay worker's handle onto memory shared across workers.
     Worker(WorkerGmem<'m>),
+}
+
+impl GmemView<'_> {
+    /// The bump-allocation extents `(start, len)` of the memory viewed.
+    fn allocs(&self) -> &[(usize, usize)] {
+        match self {
+            GmemView::Excl(g) => &g.allocs,
+            GmemView::Worker(w) => w.allocs,
+        }
+    }
 }
 
 /// Word `off` of every lane's per-block slab: lane `l` addresses
@@ -104,6 +120,7 @@ impl<'m> GmemAccess<'m> {
     fn from_view(view: GmemView<'m>) -> Self {
         GmemAccess {
             view,
+            block: 0,
             undo: Vec::new(),
             logging: false,
             touched: None,
@@ -111,11 +128,9 @@ impl<'m> GmemAccess<'m> {
     }
 
     /// Start noting which allocations the accesses through this handle
-    /// touch (exclusive access only: block 0 of a keyed launch).
+    /// touch (block 0's keyed run, alone or as lane 0 of a group).
     pub(crate) fn track_allocations(&mut self) {
-        if let GmemView::Excl(g) = &self.view {
-            self.touched = Some(vec![false; g.allocs.len()]);
-        }
+        self.touched = Some(vec![false; self.view.allocs().len()]);
     }
 
     /// Stop tracking; return `(index, start % line_words)` of every
@@ -123,10 +138,11 @@ impl<'m> GmemAccess<'m> {
     ///
     /// [`track_allocations`]: Self::track_allocations
     pub(crate) fn take_line_offsets(&mut self, line_words: usize) -> Vec<(usize, usize)> {
-        let (Some(touched), GmemView::Excl(g)) = (self.touched.take(), &self.view) else {
+        let Some(touched) = self.touched.take() else {
             return Vec::new();
         };
-        g.allocs
+        self.view
+            .allocs()
             .iter()
             .zip(touched)
             .enumerate()
@@ -138,8 +154,8 @@ impl<'m> GmemAccess<'m> {
     /// Note the allocation holding `word`, when tracking.
     #[inline]
     fn touch(&mut self, word: usize) {
-        if let (Some(touched), GmemView::Excl(g)) = (&mut self.touched, &self.view) {
-            let i = g.allocs.partition_point(|&(start, _)| start <= word);
+        if let Some(touched) = &mut self.touched {
+            let i = self.view.allocs().partition_point(|&(start, _)| start <= word);
             if i > 0 {
                 touched[i - 1] = true;
             }
@@ -154,13 +170,14 @@ impl<'m> GmemAccess<'m> {
         }
     }
 
-    /// Log the current value of words `word..word + len` for undo.
+    /// Log the current value of words `word..word + len`, stored to by
+    /// `block`, for undo.
     #[inline]
-    fn log_old(&mut self, word: usize, len: usize) {
+    fn log_old(&mut self, word: usize, len: usize, block: usize) {
         if self.logging {
             for w in word..word + len {
                 let old = self.read_word(w);
-                self.undo.push((w, old));
+                self.undo.push((w, old, block as u32));
             }
         }
     }
@@ -169,7 +186,7 @@ impl<'m> GmemAccess<'m> {
     /// checker's owner tag).
     #[inline]
     fn write_word(&mut self, word: usize, v: f32, block: usize) {
-        self.log_old(word, 1);
+        self.log_old(word, 1, block);
         match &mut self.view {
             GmemView::Excl(g) => g.write(DPtr(word), 0, v),
             GmemView::Worker(w) => w.write_as(word, v, block as u32 + 1),
@@ -185,16 +202,17 @@ impl<'m> GmemAccess<'m> {
     #[inline]
     pub(crate) fn write(&mut self, p: DPtr, idx: usize, v: f32) {
         self.touch(p.0 + idx);
-        self.log_old(p.0 + idx, 1);
+        self.log_old(p.0 + idx, 1, self.block);
         match &mut self.view {
             GmemView::Excl(g) => g.write(p, idx, v),
             GmemView::Worker(w) => w.write(p.0 + idx, v),
         }
     }
 
-    /// Inform the disjoint-write checker which block now owns this context
-    /// (no-op for exclusive access).
+    /// Note which block now executes through this context (the undo
+    /// log's and the disjoint-write checker's owner).
     pub(crate) fn set_block(&mut self, block_id: usize) {
+        self.block = block_id;
         if let GmemView::Worker(w) = &mut self.view {
             w.block_id = block_id as u32 + 1;
         }
@@ -209,16 +227,26 @@ impl<'m> GmemAccess<'m> {
     /// Stop logging: keep the logged stores, or (`abandon`) restore every
     /// word they stored to, newest first.
     pub(crate) fn end_undo_log(&mut self, abandon: bool) {
-        self.logging = false;
         if abandon {
-            for &(word, old) in self.undo.iter().rev() {
-                match &mut self.view {
-                    GmemView::Excl(g) => g.data[word] = old,
-                    GmemView::Worker(w) => w.restore(word, old),
-                }
+            self.undo_stores(|_| true);
+        }
+        self.logging = false;
+        self.undo.clear();
+    }
+
+    /// Restore, newest first, every word the logged stores of `block`
+    /// wrote; the other blocks' stores stand. Logging goes on.
+    pub(crate) fn undo_block(&mut self, block: usize) {
+        self.undo_stores(|b| b == block);
+    }
+
+    fn undo_stores(&mut self, of: impl Fn(usize) -> bool) {
+        for &(word, old, _) in self.undo.iter().rev().filter(|e| of(e.2 as usize)) {
+            match &mut self.view {
+                GmemView::Excl(g) => g.data[word] = old,
+                GmemView::Worker(w) => w.restore(word, old),
             }
         }
-        self.undo.clear();
     }
 
     /// Read `len` consecutive words starting at `p + idx`, handing each
@@ -261,7 +289,7 @@ impl<'m> GmemAccess<'m> {
         mut f: impl FnMut(usize) -> f32,
     ) {
         self.touch(p.0 + idx);
-        self.log_old(p.0 + idx, len);
+        self.log_old(p.0 + idx, len, self.block);
         match &mut self.view {
             GmemView::Excl(g) => {
                 for (k, d) in g.slice_mut(p.offset(idx), len).iter_mut().enumerate() {
@@ -280,13 +308,15 @@ impl<'m> GmemAccess<'m> {
     /// Read word `off` of every lane's slab (see [`lane_words`]).
     #[inline]
     pub(crate) fn read_lanes<const W: usize>(
-        &self,
+        &mut self,
         p: DPtr,
         stride: usize,
         off: usize,
         blocks: &[usize; W],
     ) -> [f32; W] {
-        lane_words(p, stride, off, blocks).map(|w| self.read_word(w))
+        let words = lane_words(p, stride, off, blocks);
+        self.touch(words[0]);
+        words.map(|w| self.read_word(w))
     }
 
     /// Store lane `l`'s value to word `off` of its slab.
@@ -299,7 +329,9 @@ impl<'m> GmemAccess<'m> {
         blocks: &[usize; W],
         v: [f32; W],
     ) {
-        for (l, w) in lane_words(p, stride, off, blocks).into_iter().enumerate() {
+        let words = lane_words(p, stride, off, blocks);
+        self.touch(words[0]);
+        for (l, w) in words.into_iter().enumerate() {
             self.write_word(w, v[l], blocks[l]);
         }
     }
@@ -308,7 +340,7 @@ impl<'m> GmemAccess<'m> {
     /// `(offset, lane, value)` to `f`.
     #[inline]
     pub(crate) fn read_span_lanes<const W: usize>(
-        &self,
+        &mut self,
         p: DPtr,
         stride: usize,
         off: usize,
@@ -316,7 +348,9 @@ impl<'m> GmemAccess<'m> {
         blocks: &[usize; W],
         mut f: impl FnMut(usize, usize, f32),
     ) {
-        for (l, base) in lane_words(p, stride, off, blocks).into_iter().enumerate() {
+        let bases = lane_words(p, stride, off, blocks);
+        self.touch(bases[0]);
+        for (l, base) in bases.into_iter().enumerate() {
             self.span(DPtr(base), 0, len, |k, v| f(k, l, v));
         }
     }
@@ -333,7 +367,9 @@ impl<'m> GmemAccess<'m> {
         blocks: &[usize; W],
         mut f: impl FnMut(usize, usize) -> f32,
     ) {
-        for (l, base) in lane_words(p, stride, off, blocks).into_iter().enumerate() {
+        let bases = lane_words(p, stride, off, blocks);
+        self.touch(bases[0]);
+        for (l, base) in bases.into_iter().enumerate() {
             for k in 0..len {
                 self.write_word(base + k, f(k, l), blocks[l]);
             }
@@ -355,6 +391,8 @@ pub(crate) struct SharedGmem<'m> {
     /// Initialization bitmap to stamp on kernel stores (sanitized launches
     /// only, so later launches see this launch's writes as initialized).
     init: Option<&'m [AtomicU64]>,
+    /// The bump-allocation extents, read-only during the replay.
+    allocs: &'m [(usize, usize)],
 }
 
 impl GlobalMemory {
@@ -366,6 +404,7 @@ impl GlobalMemory {
         let owners = check_writes
             .then(|| (0..self.data.len()).map(|_| AtomicU32::new(0)).collect());
         let init = track_init.then_some(self.init.as_slice());
+        let allocs = self.allocs.as_slice();
         // SAFETY: `AtomicU32` has the same size and alignment as `f32`
         // (both 4-byte plain words), and we hold `&mut self`, so re-typing
         // the unique slice as shared atomics is sound. All aliased access
@@ -376,7 +415,12 @@ impl GlobalMemory {
         let words = unsafe {
             &*(self.data.as_mut_slice() as *mut [f32] as *const [AtomicU32])
         };
-        SharedGmem { words, owners, init }
+        SharedGmem {
+            words,
+            owners,
+            init,
+            allocs,
+        }
     }
 }
 
@@ -387,6 +431,7 @@ impl<'m> SharedGmem<'m> {
             words: self.words,
             owners: self.owners.as_deref(),
             init: self.init,
+            allocs: self.allocs,
             block_id: block_id as u32 + 1,
         }
     }
@@ -411,6 +456,7 @@ pub(crate) struct WorkerGmem<'m> {
     words: &'m [AtomicU32],
     owners: Option<&'m [AtomicU32]>,
     init: Option<&'m [AtomicU64]>,
+    allocs: &'m [(usize, usize)],
     /// Owner tag (`block_id + 1`) stamped on every word this view writes.
     pub(crate) block_id: u32,
 }

@@ -100,29 +100,32 @@ pub struct LaunchStats {
     /// host-side telemetry: fast and slow launches produce bit-identical
     /// results, statuses and modeled cycles.
     pub sim_fast: bool,
-    /// Replay blocks executed in lane groups (up to `sim_lane_width`
-    /// blocks per pass of the kernel body), counting only groups that ran
-    /// to completion. Depends on the launch alone, not on the host thread
-    /// count.
+    /// Blocks executed in lane groups (up to `sim_lane_width` blocks per
+    /// pass of the kernel body), counting only groups that ran to
+    /// completion, and block 0 only when its key hit the schedule cache
+    /// in one. Depends on the launch alone, not on the host thread count.
     pub sim_lane_blocks: usize,
     /// Lane groups abandoned because their lanes disagreed on a branch;
     /// their blocks replayed one at a time.
     pub sim_lane_groups_abandoned: usize,
     /// Passes of the kernel body over the replay units: one per lane group
-    /// or single block, plus one per block of an abandoned group (block
-    /// 0's traced or key-check run is not counted). Every pass pays a
+    /// or single block, plus one per block of an abandoned group. Block
+    /// 0's run counts when it replays with the others (a keyed launch
+    /// whose kernel and shape the schedule cache knows); its traced run
+    /// does not. Every pass pays a
     /// fixed host cost whatever its width, and that cost is what lane
     /// groups spread out: the replay's host time follows this count more
     /// than the block count. Depends on the launch alone.
     pub sim_replay_passes: usize,
     /// The widest lane group the launch's replay could form: the largest
-    /// of 16, 8, 4 and 2 lanes whose registers and shared memory fit the
+    /// of 64, 16, 8, 4 and 2 lanes whose registers and shared memory fit the
     /// simulator's fixed host budget on a fast launch of a lane-capable
     /// kernel, and 1 (no groups) otherwise.
     pub sim_lane_width: usize,
     /// Whether the traced block's schedule came from the cross-launch
-    /// cache: block 0 ran plain, took the same branches as a traced
-    /// launch of the same kernel and shape, and was not traced.
+    /// cache: block 0 replayed plain (in a lane group or alone), took the
+    /// same branches as a traced launch of the same kernel and shape,
+    /// and was not traced.
     pub sim_sched_cache_hit: bool,
     /// Mean busy fraction of the replay threads: their summed busy time
     /// over `sim_host_threads x replay wall time`. 1.0 when every thread

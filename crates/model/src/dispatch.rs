@@ -9,10 +9,9 @@
 //! and `regla-core`'s `Session::price` prices the plan a run resolves for
 //! fleet shares, serve admission and the pipeline estimate.
 
-use crate::intensity::Algorithm;
+use crate::intensity::{bytes_moved, Algorithm};
 use crate::params::ModelParams;
 use crate::per_block::{block_compute_cycles, predict_block_plan};
-use crate::per_thread;
 use crate::plan::{
     block_plan, block_plan_with_threads, thread_plan, Approach, Layout, Plan, PlanKey,
     PER_BLOCK_MAX_DECLARED_REGS,
@@ -106,7 +105,12 @@ pub fn price(
                 return None;
             }
             let penalty = 1.0 + over.max(0.0) / budget;
-            let t = per_thread::predicted_time_s(p, alg, n, batch, 4 * elem_words) * penalty;
+            // Figure 4's bandwidth bound (`per_thread::predicted_time_s`),
+            // with the key's carried columns: an `[A | I]` inversion or a
+            // multi-column solve moves all of them, not the one column
+            // the algorithm alone implies.
+            let bytes = bytes_moved(n, n, rhs, 4 * elem_words) * batch as f64;
+            let t = bytes / (p.beta_glb_gbs * 1e9) * penalty;
             Some(cfg.secs_to_cycles(t))
         }
         Approach::PerBlock => {
@@ -221,6 +225,40 @@ mod tests {
         )
         .unwrap();
         assert!(t16 > 0.0 && t8 > 0.0 && t16 != t8);
+    }
+
+    /// The per-thread arm prices the key's carried columns: `[A | I]`
+    /// carries n of them. Per-thread Invert 8×8 (140 registers, past
+    /// twice the 64-register budget) is unpriced, so the test takes 7×7,
+    /// the largest priced: it costs (7 + 7) / (7 + 1) times a GJ solve's
+    /// traffic under its own spill penalty. LU, QR and GJ with one
+    /// right-hand side keep Figure 4's estimate bit for bit.
+    #[test]
+    fn per_thread_prices_the_carried_columns() {
+        let (p, cfg) = setup();
+        let batch = 4096;
+        let plan = Plan::new(Approach::PerThread);
+        let at = |alg, n, rhs| {
+            let key = PlanKey::new(alg, n, n, rhs, 1, batch, MathMode::Fast);
+            price(&p, &cfg, &key, &plan, batch)
+        };
+        assert!(at(Algorithm::GaussJordan, 8, 8).is_none());
+        let invert = at(Algorithm::GaussJordan, 7, 7).unwrap();
+        let solve = at(Algorithm::GaussJordan, 7, 1).unwrap();
+        let penalty = |rhs| {
+            let regs = thread_plan(7, rhs, 1).regs_per_thread as f64;
+            1.0 + (regs - 64.0).max(0.0) / 64.0
+        };
+        let want = (14.0 / 8.0) * penalty(7) / penalty(1);
+        assert!((invert / solve - want).abs() < 1e-9 * want, "{invert} vs {solve}");
+        for (alg, n, rhs) in [
+            (Algorithm::Lu, 4, 0),
+            (Algorithm::Qr, 4, 0),
+            (Algorithm::GaussJordan, 4, 1),
+        ] {
+            let figure_4 = crate::per_thread::predicted_time_s(&p, alg, n, batch, 4);
+            assert_eq!(at(alg, n, rhs), Some(cfg.secs_to_cycles(figure_4)), "{alg:?}");
+        }
     }
 
     #[test]
