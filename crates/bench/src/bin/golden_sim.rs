@@ -5,11 +5,12 @@
 //!
 //! `cargo run --release -p regla-bench --bin golden_sim`
 //!
-//! The root test `tests/golden_sim.rs` recomputes the same lines at one
-//! and at two replay threads and fails on any difference.
+//! The root test `tests/golden_sim.rs` recomputes the same lines at one,
+//! two and three replay threads, also on a session whose pooled device
+//! memory holds garbage, and fails on any difference.
 
 fn main() {
-    let text = regla_bench::golden::render(1);
+    let text = regla_bench::golden::render(&regla_core::Session::new(), 1);
     let path = "results/golden_sim.txt";
     std::fs::write(path, &text).unwrap_or_else(|e| panic!("write {path}: {e}"));
     println!("wrote {} cases to {path}", text.lines().count() - 1);

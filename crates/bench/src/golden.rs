@@ -14,10 +14,11 @@
 //! * `timing` — every launch's grid, modeled cycles and phase records.
 //!
 //! The `golden_sim` bin writes [`render`] to `results/golden_sim.txt`;
-//! the root test `tests/golden_sim.rs` recomputes it at one and at two
-//! replay threads and compares case by case. A change that moves
-//! simulated results on purpose regenerates the file and names the
-//! changed lines.
+//! the root test `tests/golden_sim.rs` recomputes it at one, two and
+//! three replay threads, on a fresh session and on one whose device
+//! memory an earlier call filled with garbage, and compares case by case.
+//! A change that moves simulated results on purpose regenerates the file
+//! and names the changed lines.
 
 use crate::workloads::{c32_batch, f32_batch};
 use regla_core::{
@@ -234,9 +235,9 @@ impl Case {
         (a, b)
     }
 
-    /// The case's line of the golden file, replayed on `host_threads`
-    /// host threads.
-    pub fn line(&self, host_threads: usize) -> String {
+    /// The case's line of the golden file, run on `session` and replayed
+    /// on `host_threads` host threads.
+    pub fn line(&self, session: &Session, host_threads: usize) -> String {
         let name = self.name();
         let seed = {
             let mut h = Fnv::new();
@@ -244,38 +245,38 @@ impl Case {
             h.0
         };
         let count = self.count;
+        let opts = self.opts(seed, host_threads);
         let [out, status, timing] = if self.complex {
             let (a, b) = self.inputs(seed, |m, n, dd, s| c32_batch(m, n, count, dd, s));
-            self.digest(&name, seed, host_threads, &a, b.as_ref())
+            self.digest(session, &name, &opts, &a, b.as_ref())
         } else {
             let (a, b) = self.inputs(seed, |m, n, dd, s| f32_batch(m, n, count, dd, s));
-            self.digest(&name, seed, host_threads, &a, b.as_ref())
+            self.digest(session, &name, &opts, &a, b.as_ref())
         };
         format!("case {name} {out:016x} {status:016x} {timing:016x}")
     }
 
     fn digest<T: DeviceScalar>(
         &self,
+        session: &Session,
         name: &str,
-        seed: u64,
-        host_threads: usize,
+        opts: &RunOpts,
         a: &MatBatch<T>,
         b: Option<&MatBatch<T>>,
     ) -> [u64; 3] {
-        let session = Session::builder().opts(self.opts(seed, host_threads)).build();
         let (mut out, mut status, mut timing) = (Fnv::new(), Fnv::new(), Fnv::new());
         match self.call {
             Call::Tsqr => {
                 let b = b.expect("tsqr carries a right-hand side");
                 let (x, ml) = session
-                    .tsqr_least_squares(a, b)
+                    .tsqr_least_squares_with(a, b, opts)
                     .unwrap_or_else(|e| panic!("{name}: {e}"));
                 out.problems(&x, 0..x.count());
                 timing.launches(&ml.launches);
             }
             Call::Op(op) => {
                 let o = session
-                    .run(op, a, b)
+                    .run_with(op, a, b, opts)
                     .unwrap_or_else(|e| panic!("{name}: {e}"));
                 let run = &o.run;
                 let executed = executed_problems(run, self.exec);
@@ -447,16 +448,17 @@ pub fn cases() -> Vec<Case> {
     c
 }
 
-/// The golden file's text: the header and one line per case, every
-/// launch replayed on `host_threads` host threads. One thread claims
-/// every unit alone through the exclusive borrow of device memory (when
-/// the disjoint-write checker is off), more claim the units of
-/// multi-unit launches through the worker pool; every count must render
-/// the same file.
-pub fn render(host_threads: usize) -> String {
+/// The golden file's text: the header and one line per case, every case
+/// run on `session` and every launch replayed on `host_threads` host
+/// threads. One thread claims every unit alone through the exclusive
+/// borrow of device memory (when the disjoint-write checker is off), more
+/// claim the units of multi-unit launches through the worker pool; every
+/// count must render the same file, and so must a session whose schedule
+/// cache and device-memory pool earlier calls left warm.
+pub fn render(session: &Session, host_threads: usize) -> String {
     let mut text = format!("{HEADER}\n");
     for case in cases() {
-        text.push_str(&case.line(host_threads));
+        text.push_str(&case.line(session, host_threads));
         text.push('\n');
     }
     text

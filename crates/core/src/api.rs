@@ -24,7 +24,7 @@ use crate::session::{Op, OpOutput};
 use crate::status::{ProblemStatus, RecoveryPolicy, RecoveryStats};
 use crate::tiled::{tiled_qr, MultiLaunch};
 use regla_gpu_sim::{
-    ExecMode, FaultPlan, GlobalMemory, GpuConfig, Gpu, LaunchConfig, MathMode, Profiler,
+    ExecMode, FaultPlan, GpuConfig, Gpu, LaunchConfig, MathMode, PooledMemory, Profiler,
     SanitizerMode, SanitizerReport,
 };
 use regla_model::{block_plan, Algorithm, Approach, ModelParams, Plan, PlanKey, Planner};
@@ -510,9 +510,18 @@ fn layout_for(plan: &Plan, m: usize, cols: usize, ew: usize) -> LayoutMap {
     LayoutMap::new(plan.layout, plan.block_threads_for(m, cols, ew), m, cols)
 }
 
-fn device_for<T: DeviceScalar>(batch: &MatBatch<T>, extra_words: usize) -> GlobalMemory {
+/// Check out device memory for `batch` plus `extra_words` from `gpu`'s
+/// pool. It holds an earlier call's words wherever this call stages
+/// nothing (see [`Gpu::checkout_memory`]); a sanitized call's initcheck
+/// still sees it as fresh.
+fn device_for<'g, T: DeviceScalar>(
+    gpu: &'g Gpu,
+    batch: &MatBatch<T>,
+    extra_words: usize,
+    opts: &RunOpts,
+) -> PooledMemory<'g> {
     let words = batch.words_per_mat() * batch.count() + extra_words + 4096;
-    GlobalMemory::new(words)
+    gpu.checkout_memory(words, opts.sanitizer)
 }
 
 /// Per-thread kernels pack `tpb` problems into each block.
@@ -621,11 +630,25 @@ struct Launched<T> {
     executed: Vec<Range<usize>>,
 }
 
-/// The finite screen: every word of every element is finite. Takes a
-/// problem's host elements or its device words (as `f32`).
+/// The finite screen over host elements: every word of every element is
+/// finite.
 pub(crate) fn all_finite<T: Scalar>(xs: &[T]) -> bool {
-    xs.iter()
-        .all(|x| x.to_words().iter().all(|w| w.is_finite()))
+    xs.iter().all(|x| words_finite(&x.to_words()))
+}
+
+/// The finite screen over device words. An `f32` is NaN or ±inf exactly
+/// when its exponent bits are all set; the test folds without branches
+/// over chunks of 64 words, which vectorizes, and the screen stops at the
+/// first chunk holding a non-finite word.
+pub(crate) fn words_finite(words: &[f32]) -> bool {
+    const EXP: u32 = 0x7f80_0000;
+    let nonfinite = |c: &[f32]| {
+        c.iter()
+            .fold(0, |any, w| any | u32::from(w.to_bits() & EXP == EXP))
+            != 0
+    };
+    let mut chunks = words.chunks_exact(64);
+    !(chunks.by_ref().any(nonfinite) || nonfinite(chunks.remainder()))
 }
 
 /// Run one of the in-place factorization kernels over a batch (single
@@ -656,7 +679,7 @@ fn run_inplace<T: DeviceScalar>(
     };
     let executed = executed_ranges(count, ppb, opts.exec);
     let tau_words = count * nfac * ew;
-    let mut gmem = device_for(aug, tau_words + count);
+    let mut gmem = device_for(gpu, aug, tau_words + count, opts);
     let ptr = aug.to_device(&mut gmem, &executed);
     let d_tau = gmem.alloc(tau_words.max(1));
     let d_flag = gmem.alloc(count);
@@ -786,8 +809,8 @@ fn run_inplace<T: DeviceScalar>(
     // straight from device memory.
     let (wpm, tpm) = (aug.words_per_mat(), nfac * ew);
     let finite = |p: usize| {
-        all_finite(gmem.slice(ptr.offset(p * wpm), wpm))
-            && (taus.is_none() || all_finite(gmem.slice(d_tau.offset(p * tpm), tpm)))
+        words_finite(gmem.slice(ptr.offset(p * wpm), wpm))
+            && (taus.is_none() || words_finite(gmem.slice(d_tau.offset(p * tpm), tpm)))
     };
     let mut status = vec![ProblemStatus::Ok; count];
     for r in &executed {
@@ -1065,7 +1088,7 @@ pub(crate) fn gemm_run<T: DeviceScalar>(
     let executed = executed_ranges(count, 1, opts.exec);
     let c_words = m * n * ew * count;
     let total_words = (a.words_per_mat() + b.words_per_mat()) * count + c_words;
-    let mut gmem = GlobalMemory::new(total_words + 4096);
+    let mut gmem = gpu.checkout_memory(total_words + 4096, opts.sanitizer);
     let pa = a.to_device(&mut gmem, &executed);
     let pb = b.to_device(&mut gmem, &executed);
     // C is overwritten, never read: no upload.
@@ -1101,7 +1124,7 @@ pub(crate) fn gemm_run<T: DeviceScalar>(
     let mut status = vec![ProblemStatus::Ok; count];
     let wpm = m * n * ew;
     for p in executed.iter().flat_map(|r| r.clone()) {
-        if !all_finite(gmem.slice(pc.offset(p * wpm), wpm)) {
+        if !words_finite(gmem.slice(pc.offset(p * wpm), wpm)) {
             status[p] = ProblemStatus::NonFinite;
         }
     }
@@ -1129,16 +1152,16 @@ pub(crate) fn tsqr_run<T: DeviceScalar>(
     b: &MatBatch<T>,
     opts: &RunOpts,
 ) -> Result<(MatBatch<T>, crate::tiled::MultiLaunch), ReglaError> {
-    use crate::tiled::tsqr::tsqr;
+    use crate::tiled::tsqr::{tsqr, workspace_words};
     validate_opts(opts)?;
     let aug = Op::LeastSquares.stage(a, Some(b))?;
     let (m, n, count) = (a.rows(), a.cols(), a.count());
-    // TSQR roughly triples the footprint (stages + scratch). Its gather
-    // stages map blocks to (problem, pair), not to problems, so it stages
-    // and downloads the whole batch.
+    // Its gather stages map blocks to (problem, pair), not to problems,
+    // so TSQR stages and downloads the whole batch.
     let all = 0..count;
     let all = std::slice::from_ref(&all);
-    let mut gmem = device_for(&aug, 4 * aug.words_per_mat() * count);
+    let workspace = workspace_words(m, n, 1, count, T::WORDS);
+    let mut gmem = device_for(gpu, &aug, workspace, opts);
     let ptr = aug.to_device(&mut gmem, all);
     let view = SubMat::whole(ptr, m, n + 1);
     let (rptr, stats) = tsqr::<T::Dev>(gpu, &mut gmem, view, m, n, 1, count, opts)?;
@@ -1153,6 +1176,37 @@ mod tests {
 
     fn forced(ft: usize) -> Result<RunOpts, ReglaError> {
         RunOpts::builder().force_threads(ft).build()
+    }
+
+    #[test]
+    fn word_screen_agrees_with_the_per_element_check() {
+        let specials = [
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::MIN_POSITIVE / 2.0,
+            -0.0,
+            f32::MAX,
+            f32::MIN,
+        ];
+        // Two whole chunks and a short tail; and shorter than one chunk.
+        for len in [0, 1, 5, 63, 64, 65, 133] {
+            for p in 0..len {
+                for v in specials {
+                    let mut words = vec![1.5f32; len];
+                    words[p] = v;
+                    let want = words.iter().all(|w| w.is_finite());
+                    assert_eq!(words_finite(&words), want, "{v} at {p} of {len}");
+                }
+            }
+        }
+        // Host elements: either word of a complex element counts.
+        let c = |re, im| crate::C32::new(re, im);
+        let tiny = f32::MIN_POSITIVE / 2.0;
+        assert!(all_finite(&[c(1.0, f32::MAX), c(-0.0, tiny)]));
+        assert!(!all_finite(&[c(1.0, 2.0), c(0.0, f32::NAN)]));
+        assert!(!all_finite(&[c(f32::NEG_INFINITY, 0.0)]));
+        assert!(!all_finite(&[1.0f32, f32::INFINITY]));
     }
 
     #[test]

@@ -78,7 +78,7 @@ use crate::session::{Op, OpOutput, Session};
 use crate::status::{ProblemStatus, RecoveryStats};
 use crate::tiled::MultiLaunch;
 use regla_gpu_sim::{FaultPlan, GpuConfig, LaunchError};
-use regla_model::{Approach, Plan, PlanKey};
+use regla_model::{Approach, PlanKey};
 use std::collections::VecDeque;
 use std::sync::Mutex;
 
@@ -597,9 +597,9 @@ impl Fleet {
     }
 
     /// Proportional shares of `count` problems by modeled throughput: each
-    /// device weighs in at the inverse of its [`Session::price`] of the
-    /// whole run, in seconds on its own clock (largest-remainder rounding;
-    /// equal weights when the model has no price, e.g. GEMM).
+    /// device weighs in at the inverse of its [`Session::price_or_worst`]
+    /// of the whole run, in seconds on its own clock (largest-remainder
+    /// rounding; equal weights when no approach prices, e.g. GEMM).
     fn shares<T: DeviceScalar>(
         &self,
         op: Op,
@@ -614,7 +614,7 @@ impl Fleet {
             .iter()
             .map(|d| {
                 let s = &d.session;
-                s.price::<T>(op, m, n, rhs, count, opts)
+                s.price_or_worst::<T>(op, m, n, rhs, count, opts)
                     .map(|cycles| s.config().cycles_to_secs(cycles))
                     .map(|t| if t > 0.0 { 1.0 / t } else { 1.0 })
                     .unwrap_or(1.0)
@@ -641,19 +641,14 @@ impl Fleet {
     }
 
     /// Per-dispatch deadline budget in simulated cycles for a
-    /// `len`-problem chunk of `key`'s shape on `dev`: the slowest
-    /// [`regla_model::price`] over every approach, times the policy
-    /// slack, so no legitimate approach choice can blow it. `None` when
-    /// deadlines are disarmed or the model prices no approach.
+    /// `len`-problem chunk of `key`'s shape on `dev`: the slowest price
+    /// over every approach ([`regla_model::worst_price`]), times the
+    /// policy slack, so no legitimate approach choice can blow it. `None`
+    /// when deadlines are disarmed or the model prices no approach.
     fn deadline_budget(&self, dev: usize, key: &PlanKey, len: usize) -> Option<u64> {
         let slack = self.policy.deadline_slack?;
         let session = &self.devices[dev].session;
-        let worst = Approach::ALL
-            .into_iter()
-            .filter_map(|a| {
-                regla_model::price(session.params(), session.config(), key, &Plan::new(a), len)
-            })
-            .fold(f64::NEG_INFINITY, f64::max);
+        let worst = regla_model::worst_price(session.params(), session.config(), key, len)?;
         if !worst.is_finite() || worst <= 0.0 {
             return None;
         }

@@ -384,8 +384,11 @@ impl SessionBuilder {
 ///
 /// Construct with [`Session::new`] (Quadro 6000 defaults),
 /// [`Session::with_config`], or [`Session::builder`]. All methods take
-/// `&self`; the session can be shared across threads (`Gpu` is stateless
-/// between launches, and the profiler is internally synchronized).
+/// `&self`; the session can be shared across threads (the `Gpu`'s buffer
+/// arena, device-memory pool and schedule cache are internally
+/// synchronized, and so is the profiler). Calls on one session reuse the
+/// device memory earlier calls returned (see
+/// [`Gpu::checkout_memory`](regla_gpu_sim::Gpu::checkout_memory)).
 #[derive(Clone, Debug)]
 pub struct Session {
     gpu: Gpu,
@@ -490,6 +493,28 @@ impl Session {
         let plan = api::resolve_plan(p, cfg, alg, m, n, rhs, T::WORDS, batch, opts);
         let key = PlanKey::new(alg, m, n, rhs, T::WORDS, batch, opts.math);
         regla_model::price(p, cfg, &key, &plan, batch)
+    }
+
+    /// [`Session::price`], or for a plan the model cannot price (a forced
+    /// 1D layout, say) the slowest price of `op` over every approach
+    /// ([`regla_model::worst_price`]): a conservative stand-in on this
+    /// device's own scale. `None` only when no approach prices, as for
+    /// GEMM.
+    pub fn price_or_worst<T: DeviceScalar>(
+        &self,
+        op: Op,
+        m: usize,
+        n: usize,
+        rhs: usize,
+        batch: usize,
+        opts: &RunOpts,
+    ) -> Option<f64> {
+        self.price::<T>(op, m, n, rhs, batch, opts).or_else(|| {
+            let alg = op.model_algorithm()?;
+            let rhs = op.carried_cols(n, rhs);
+            let key = PlanKey::new(alg, m, n, rhs, T::WORDS, batch, opts.math);
+            regla_model::worst_price(&self.params, self.config(), &key, batch)
+        })
     }
 
     // ---- named sugar -----------------------------------------------------
@@ -657,6 +682,56 @@ mod tests {
             r2.taus.as_ref().unwrap().data()
         );
         assert_eq!(r1.stats.time_s.to_bits(), r2.stats.time_s.to_bits());
+    }
+
+    #[test]
+    fn a_warm_session_allocates_no_device_memory() {
+        // A small sweep: per-thread points sampled, per-block and tiled
+        // points at one block, then GEMM and TSQR, in growing and
+        // shrinking sizes. The first pass grows the pool; the second
+        // reuses it.
+        use regla_gpu_sim::ExecMode;
+        use regla_model::Approach;
+        let session = Session::new();
+        let opts = |approach, exec| {
+            RunOpts::builder()
+                .approach(approach)
+                .exec(exec)
+                .build()
+                .unwrap()
+        };
+        let pt = opts(Approach::PerThread, ExecMode::Sampled(2));
+        let pb = opts(Approach::PerBlock, ExecMode::Representative);
+        let tiled = opts(Approach::Tiled, ExecMode::Representative);
+        let c32 = MatBatch::from_fn(24, 8, 6, |k, i, j| {
+            let re = (k + 3 * i + j) as f32 / 24.0 + f32::from(u8::from(i == j));
+            crate::C32::new(re, 0.5)
+        });
+        let tall = MatBatch::from_fn(24, 4, 8, |k, i, j| {
+            (k + 5 * i + 3 * j) as f32 / 24.0 + f32::from(u8::from(i == j))
+        });
+        let b = MatBatch::from_fn(24, 1, 8, |k, i, _| (k + i) as f32);
+        let sq = dd_batch(6, 8);
+        let pass = || {
+            for n in [4, 8, 6] {
+                for op in [Op::Qr, Op::Lu] {
+                    session.run_with(op, &dd_batch(n, 640), None, &pt).unwrap();
+                }
+            }
+            for n in [16, 8] {
+                session
+                    .run_with(Op::Qr, &dd_batch(n, 40), None, &pb)
+                    .unwrap();
+            }
+            session.run_with(Op::Qr, &c32, None, &tiled).unwrap();
+            session.gemm(&sq, &sq).unwrap();
+            session.tsqr_least_squares(&tall, &b).unwrap();
+        };
+        pass();
+        let grown = session.gpu().memories_allocated();
+        assert!(grown >= 1);
+        pass();
+        assert_eq!(session.gpu().memories_allocated(), grown);
     }
 
     #[test]

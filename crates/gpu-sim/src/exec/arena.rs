@@ -1,4 +1,5 @@
-//! Reusable per-launch buffer arena.
+//! Reusable per-launch buffer arena, and the device memories retained
+//! across calls.
 //!
 //! Every block context needs a shared-memory image, a readiness shadow and
 //! per-thread timing state. Allocating those three `Vec`s per context made
@@ -8,9 +9,18 @@
 //! cleared — `checkout` resizes and zero-fills, so a pooled buffer is
 //! indistinguishable from a fresh one and the fast and slow paths stay
 //! bit-identical.
+//!
+//! [`MemPool`] does the same for whole device memories, the way a CUDA
+//! program `cudaMalloc`s its batch once: a call checks a
+//! [`GlobalMemory`] out, and returns it when it ends. Unlike a block
+//! buffer, a checked-out memory is not cleared (see
+//! [`Gpu::checkout_memory`](crate::Gpu::checkout_memory)).
 
 use crate::exec::thread::ThreadTiming;
-use std::sync::Mutex;
+use crate::mem::GlobalMemory;
+use std::ops::{Deref, DerefMut};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 /// Cap on retired buffer sets kept alive. Bounds worst-case memory at
 /// roughly one buffer set per replay worker of the widest launch seen.
@@ -70,6 +80,138 @@ impl BufPool {
     }
 }
 
+/// Cap on device memories a [`MemPool`] retains. A caller that makes its
+/// calls one at a time keeps one memory, as large as its largest call
+/// (see [`MemPool::checkout`]); more are kept only while clones of one
+/// `Gpu` run calls concurrently, one per such call, up to this cap.
+///
+/// Retention costs resident memory, not allocations: a retained memory
+/// keeps every page a call touched until the `Gpu` and its clones drop.
+/// A `Full` run touches its whole batch, so a `Gpu` that ran one keeps
+/// that batch's pages; a sweep whose calls execute a few problems each
+/// touches only their slabs.
+const MAX_POOLED_MEMORIES: usize = 4;
+
+/// A mutex-guarded free list of device memories, one per [`Gpu`] and
+/// shared by its clones; the lock is taken once per call to check a
+/// memory out and once to return it.
+///
+/// [`Gpu`]: crate::exec::Gpu
+#[derive(Default)]
+pub(crate) struct MemPool {
+    slots: Mutex<Vec<GlobalMemory>>,
+    /// Fresh memories allocated for checkouts so far.
+    fresh: AtomicU64,
+}
+
+impl std::fmt::Debug for MemPool {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("MemPool")
+            .field("pooled", &self.lock().len())
+            .field("fresh", &self.fresh.load(Ordering::Relaxed))
+            .finish()
+    }
+}
+
+impl MemPool {
+    fn lock(&self) -> MutexGuard<'_, Vec<GlobalMemory>> {
+        self.slots.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Take the smallest retained memory of at least `words` words, its
+    /// allocator reset and (`sanitized`) its initialization bitmap
+    /// cleared. When none is large enough, allocate a fresh memory of
+    /// exactly `words` words and free the retained ones, which it
+    /// outgrew.
+    pub(crate) fn checkout(&self, words: usize, sanitized: bool) -> GlobalMemory {
+        let (reused, outgrown) = {
+            let mut slots = self.lock();
+            let fit = (0..slots.len())
+                .filter(|&i| slots[i].capacity() >= words)
+                .min_by_key(|&i| slots[i].capacity());
+            match fit {
+                Some(i) => (Some(slots.swap_remove(i)), Vec::new()),
+                None => (None, std::mem::take(&mut *slots)),
+            }
+        };
+        drop(outgrown);
+        match reused {
+            Some(mut mem) => {
+                mem.reset_allocator();
+                if sanitized {
+                    mem.clear_init();
+                }
+                mem
+            }
+            None => {
+                self.fresh.fetch_add(1, Ordering::Relaxed);
+                GlobalMemory::new(words)
+            }
+        }
+    }
+
+    /// Return a memory to the free list (dropped if the list is full).
+    pub(crate) fn restore(&self, mem: GlobalMemory) {
+        let mut slots = self.lock();
+        if slots.len() < MAX_POOLED_MEMORIES {
+            slots.push(mem);
+        }
+    }
+
+    /// Fresh memories allocated for checkouts so far.
+    pub(crate) fn fresh(&self) -> u64 {
+        self.fresh.load(Ordering::Relaxed)
+    }
+
+    /// Number of memories currently retained (tests).
+    #[cfg(test)]
+    pub(crate) fn pooled(&self) -> usize {
+        self.lock().len()
+    }
+}
+
+/// A device memory checked out of a [`Gpu`]'s pool with
+/// [`Gpu::checkout_memory`]: a [`GlobalMemory`] (through `Deref`) that
+/// goes back to the pool when dropped.
+///
+/// [`Gpu`]: crate::Gpu
+/// [`Gpu::checkout_memory`]: crate::Gpu::checkout_memory
+pub struct PooledMemory<'g> {
+    mem: GlobalMemory,
+    pool: &'g MemPool,
+}
+
+impl<'g> PooledMemory<'g> {
+    pub(crate) fn new(pool: &'g MemPool, words: usize, sanitized: bool) -> Self {
+        PooledMemory {
+            mem: pool.checkout(words, sanitized),
+            pool,
+        }
+    }
+}
+
+impl Deref for PooledMemory<'_> {
+    type Target = GlobalMemory;
+
+    fn deref(&self) -> &GlobalMemory {
+        &self.mem
+    }
+}
+
+impl DerefMut for PooledMemory<'_> {
+    fn deref_mut(&mut self) -> &mut GlobalMemory {
+        &mut self.mem
+    }
+}
+
+impl Drop for PooledMemory<'_> {
+    fn drop(&mut self) {
+        // An empty memory holds no allocation, so the swap costs nothing.
+        self.pool
+            .restore(std::mem::replace(&mut self.mem, GlobalMemory::new(0)));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -101,5 +243,112 @@ mod tests {
             pool.restore(BlockBufs::default());
         }
         assert_eq!(pool.pooled(), MAX_POOLED);
+    }
+
+    use crate::mem::DPtr;
+    use crate::{Gpu, SanitizerMode};
+
+    /// Whether word `w` counts as initialized for the sanitizer.
+    fn initialized(mem: &mut GlobalMemory, w: usize) -> bool {
+        mem.alloc(w + 1);
+        let init = mem.init_snapshot()[w / 64] >> (w % 64) & 1 == 1;
+        mem.reset_allocator();
+        init
+    }
+
+    #[test]
+    fn a_restored_memory_is_reused_with_its_allocator_reset() {
+        let pool = MemPool::default();
+        let mut mem = pool.checkout(100, false);
+        let p = mem.alloc(100);
+        mem.write(p, 7, 3.5);
+        pool.restore(mem);
+        let mut mem = pool.checkout(50, false);
+        assert_eq!((pool.fresh(), pool.pooled()), (1, 0));
+        assert_eq!(mem.capacity(), 100);
+        assert_eq!(mem.allocated_words(), 0);
+        let p = mem.alloc(50);
+        assert_eq!(p.word(), 0, "offsets are a fresh memory's");
+        assert_eq!(mem.read(p, 7), 3.5, "an earlier call's words stay");
+        assert!(
+            initialized(&mut mem, 7),
+            "an unsanitized checkout keeps the bitmap"
+        );
+        pool.restore(mem);
+        let mut mem = pool.checkout(50, true);
+        assert!(!initialized(&mut mem, 7), "a sanitized checkout clears it");
+        assert_eq!(mem.read(DPtr::new(7), 0), 3.5);
+    }
+
+    #[test]
+    fn a_request_past_every_retained_memory_allocates_exactly_and_frees_them() {
+        let pool = MemPool::default();
+        let (small, mid) = (pool.checkout(64, false), pool.checkout(128, false));
+        pool.restore(small);
+        pool.restore(mid);
+        assert_eq!(pool.pooled(), 2);
+        let mem = pool.checkout(64, false);
+        assert_eq!(mem.capacity(), 64, "the smallest memory that fits");
+        pool.restore(mem);
+        let big = pool.checkout(1000, false);
+        assert_eq!(big.capacity(), 1000);
+        assert_eq!(
+            (pool.fresh(), pool.pooled()),
+            (3, 0),
+            "the outgrown memories are freed"
+        );
+        pool.restore(big);
+        let mem = pool.checkout(10, false);
+        assert_eq!((mem.capacity(), pool.fresh()), (1000, 3));
+    }
+
+    #[test]
+    fn memory_pool_is_bounded() {
+        let pool = MemPool::default();
+        let held: Vec<_> = (0..MAX_POOLED_MEMORIES + 2)
+            .map(|_| pool.checkout(8, false))
+            .collect();
+        for mem in held {
+            pool.restore(mem);
+        }
+        assert_eq!(pool.pooled(), MAX_POOLED_MEMORIES);
+    }
+
+    #[test]
+    fn clones_of_a_gpu_share_one_memory_pool() {
+        let gpu = Gpu::quadro_6000();
+        let clone = gpu.clone();
+        {
+            let mut mem = gpu.checkout_memory(256, SanitizerMode::Off);
+            let p = mem.alloc(256);
+            mem.write(p, 0, 9.0);
+        }
+        let mem = clone.checkout_memory(128, SanitizerMode::Off);
+        assert_eq!(mem.read(DPtr::new(0), 0), 9.0);
+        assert_eq!(
+            (gpu.memories_allocated(), clone.memories_allocated()),
+            (1, 1)
+        );
+    }
+
+    #[test]
+    fn concurrent_checkouts_get_distinct_memories() {
+        let gpu = Gpu::quadro_6000();
+        drop(gpu.checkout_memory(64, SanitizerMode::Off));
+        let barrier = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for id in [1.0f32, 2.0] {
+                let (gpu, barrier) = (gpu.clone(), &barrier);
+                s.spawn(move || {
+                    let mut mem = gpu.checkout_memory(64, SanitizerMode::Off);
+                    let p = mem.alloc(64);
+                    barrier.wait();
+                    mem.write(p, 0, id);
+                    barrier.wait();
+                    assert_eq!(mem.read(p, 0), id);
+                });
+            }
+        });
+        assert_eq!(gpu.memories_allocated(), 2);
     }
 }

@@ -15,7 +15,8 @@ use crate::mem::{GlobalMemory, MemHier};
 use crate::sanitize::{ContextFindings, LaunchShadow, SanitizerMode, WatchdogTrip};
 use crate::timing::{combine, LaunchStats, PhaseRecord};
 use crate::trace::Profiler;
-use arena::BufPool;
+use arena::{BufPool, MemPool};
+pub use arena::PooledMemory;
 use block::{BlockCtx, BlockSpec, Role};
 use occupancy::{occupancy, Occupancy};
 pub use pool::par_map;
@@ -738,15 +739,19 @@ fn replay_claimed<K: BlockKernel + Sync + ?Sized>(
 
 /// The simulated GPU.
 ///
-/// Cheap to clone: the buffer arena and schedule cache are shared across
-/// clones (and therefore across every launch issued through them), which is
-/// what lets `Session`-driven batch workloads stop hitting the allocator
-/// and re-decode after the first launch.
+/// Cheap to clone: the buffer arena, the device-memory pool and the
+/// schedule cache are shared across clones (and therefore across every
+/// launch issued through them), which is what lets `Session`-driven batch
+/// workloads stop hitting the allocator and re-decode after the first
+/// launch, and stop allocating device memory after the first call of each
+/// size (see [`Gpu::checkout_memory`]).
 #[derive(Clone, Debug)]
 pub struct Gpu {
     pub cfg: GpuConfig,
     /// Reusable block-context buffers (see [`arena::BufPool`]).
     pool: Arc<BufPool>,
+    /// Device memories retained across calls (see [`arena::MemPool`]).
+    memories: Arc<MemPool>,
     /// Cross-launch traced-schedule cache (see [`schedule::ScheduleCache`]).
     sched: Arc<ScheduleCache>,
 }
@@ -796,8 +801,37 @@ impl Gpu {
         Gpu {
             cfg,
             pool: Arc::default(),
+            memories: Arc::default(),
             sched: Arc::default(),
         }
+    }
+
+    /// Check a device memory of at least `words` words out of this `Gpu`'s
+    /// pool, shared by its clones; it goes back to the pool when the
+    /// returned guard drops. Concurrent checkouts get distinct memories.
+    ///
+    /// The smallest retained memory that is large enough is reused with
+    /// its allocator reset, so every allocation offset, simulated address
+    /// and cycle equals a fresh memory's. Unlike [`GlobalMemory::new`], a
+    /// reused memory is not zeroed: words the call neither stages nor
+    /// writes hold an earlier call's values. A batched call is safe on it
+    /// for the same reason the parallel replay is: an executed block reads
+    /// only its own staged slab, the flag words staged for it and words
+    /// its launch wrote, which the sanitizer's initcheck enforces. With
+    /// `sanitizer` on, the reused memory's host-init bitmap is cleared, so
+    /// initcheck sees it as a fresh memory; otherwise the checkout does no
+    /// work proportional to its size. A request larger than every
+    /// retained memory allocates a fresh, zeroed one of exactly `words`
+    /// words and frees those it outgrew.
+    pub fn checkout_memory(&self, words: usize, sanitizer: SanitizerMode) -> PooledMemory<'_> {
+        PooledMemory::new(&self.memories, words, sanitizer.is_on())
+    }
+
+    /// Fresh device memories [`Gpu::checkout_memory`] has allocated for
+    /// this `Gpu` and its clones: a warm caller whose calls fit what the
+    /// pool retains adds none.
+    pub fn memories_allocated(&self) -> u64 {
+        self.memories.fresh()
     }
 
     /// The paper's device: a Quadro 6000.
@@ -1342,6 +1376,32 @@ mod tests {
         assert_eq!(stats.dram_bytes, (2 * n * 4) as f64);
         assert!(stats.cycles > 0.0);
         assert!(stats.time_s > 0.0);
+    }
+
+    /// A launch on a memory a bigger call left in the pool: the
+    /// disjoint-write checker (on in debug builds) sizes its owner table
+    /// from the allocated extent, and the results match a fresh memory's.
+    #[test]
+    fn checked_launch_on_a_warm_pooled_memory() {
+        let gpu = Gpu::quadro_6000();
+        drop(gpu.checkout_memory(1 << 20, SanitizerMode::Off));
+        let n = 64 * 16 * 8;
+        let lc = LaunchConfig::new(8, 64)
+            .regs(16)
+            .shared_words(0)
+            .host_threads(2);
+        let run = |mem: &mut GlobalMemory| {
+            let src = mem.alloc(n);
+            let dst = mem.alloc(n);
+            mem.h2d(src, &(0..n).map(|i| i as f32).collect::<Vec<_>>());
+            let stats = gpu.launch(&copy_kernel(16, src, dst), &lc, mem).unwrap();
+            let mut out = vec![0.0; n];
+            mem.d2h(dst, &mut out);
+            (out, stats.cycles)
+        };
+        let mut warm = gpu.checkout_memory(2 * n, SanitizerMode::Off);
+        assert_eq!(gpu.memories_allocated(), 1);
+        assert_eq!(run(&mut warm), run(&mut GlobalMemory::new(2 * n)));
     }
 
     /// In place, per block: `x ← 2x`, then a branch on the original `x`

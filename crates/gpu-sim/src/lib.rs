@@ -64,7 +64,9 @@ pub use error::LaunchError;
 pub use exec::block::BlockCtx;
 pub use exec::occupancy::{occupancy, OccLimiter, Occupancy};
 pub use exec::thread::{trunc22, CRv, RegArray, RegVal, Rv, ThreadCtx};
-pub use exec::{env_flag, par_map, uniform, BlockKernel, ExecMode, Gpu, LaunchConfig};
+pub use exec::{
+    env_flag, par_map, uniform, BlockKernel, ExecMode, Gpu, LaunchConfig, PooledMemory,
+};
 pub use fault::{FaultKind, FaultPlan, FaultRecord};
 pub use host::{cuda_memcpy_gbs, cuda_memcpy_secs, PcieModel};
 pub use mem::{DPtr, GlobalMemory, MemHier};

@@ -38,6 +38,14 @@ impl DPtr {
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 /// Flat simulated DRAM with a bump allocator.
+///
+/// [`GlobalMemory::new`] makes a zeroed memory. A memory checked out of a
+/// [`Gpu`](crate::Gpu)'s pool ([`Gpu::checkout_memory`](crate::Gpu::checkout_memory))
+/// is an earlier call's memory with its allocator reset: allocation
+/// offsets are a fresh memory's, but words no call has staged or written
+/// since hold the earlier call's values. Everything sized per launch (the
+/// disjoint-write owner table, the sanitizer's snapshot) covers the
+/// allocated extent, not the backing store.
 pub struct GlobalMemory {
     data: Vec<f32>,
     next: usize,
@@ -397,12 +405,12 @@ pub(crate) struct SharedGmem<'m> {
 
 impl GlobalMemory {
     /// Re-view the device memory for a parallel replay section. With
-    /// `check_writes`, a full-size owner table is allocated and every
-    /// store is checked for cross-block overlap (debug builds and
-    /// `REGLA_SIM_CHECK=1` runs).
+    /// `check_writes`, an owner table over the allocated extent is
+    /// allocated and every store is checked for cross-block overlap (debug
+    /// builds and `REGLA_SIM_CHECK=1` runs).
     pub(crate) fn share(&mut self, check_writes: bool, track_init: bool) -> SharedGmem<'_> {
         let owners = check_writes
-            .then(|| (0..self.data.len()).map(|_| AtomicU32::new(0)).collect());
+            .then(|| (0..self.next).map(|_| AtomicU32::new(0)).collect());
         let init = track_init.then_some(self.init.as_slice());
         let allocs = self.allocs.as_slice();
         // SAFETY: `AtomicU32` has the same size and alignment as `f32`
@@ -476,8 +484,10 @@ impl WorkerGmem<'_> {
     /// group's stores each carry their own lane's block.
     #[inline]
     fn write_as(&mut self, word: usize, v: f32, tag: u32) {
-        if let Some(owners) = self.owners {
-            let prev = owners[word].swap(tag, Ordering::Relaxed);
+        // A store past the allocated extent has no owner slot; the
+        // sanitizer's memcheck, not this checker, reports it.
+        if let Some(owner) = self.owners.and_then(|o| o.get(word)) {
+            let prev = owner.swap(tag, Ordering::Relaxed);
             assert!(
                 prev == 0 || prev == tag,
                 "cross-block write overlap at device word {word}: block {} \
@@ -540,6 +550,19 @@ impl GlobalMemory {
         self.allocs.clear();
     }
 
+    /// Words of backing store: the most [`alloc`](Self::alloc) can hand out.
+    pub(crate) fn capacity(&self) -> usize {
+        self.data.len()
+    }
+
+    /// Mark every word never written, as in a fresh memory (the values
+    /// stay).
+    pub(crate) fn clear_init(&mut self) {
+        for bits in &mut self.init {
+            *bits.get_mut() = 0;
+        }
+    }
+
     /// Words currently allocated.
     pub fn allocated_words(&self) -> usize {
         self.next
@@ -598,10 +621,13 @@ impl GlobalMemory {
         }
     }
 
-    /// Snapshot of the initialization bitmap (one bit per word), taken by
-    /// the sanitizer at launch start.
+    /// Snapshot of the initialization bitmap (one bit per word) over the
+    /// allocated extent, taken by the sanitizer at launch start.
     pub(crate) fn init_snapshot(&self) -> Vec<u64> {
-        self.init.iter().map(|b| b.load(Ordering::Relaxed)).collect()
+        self.init[..self.next.div_ceil(64)]
+            .iter()
+            .map(|b| b.load(Ordering::Relaxed))
+            .collect()
     }
 
     /// Copy of the bump-allocation extents `(start, len)`.
@@ -657,8 +683,10 @@ mod tests {
             for len in sizes {
                 let words = 5 * 64;
                 let mut filled = GlobalMemory::new(words);
+                filled.alloc(words);
                 filled.mark_init(start, len);
                 let mut per_word = GlobalMemory::new(words);
+                per_word.alloc(words);
                 for w in start..start + len {
                     per_word.write(DPtr(w), 0, 0.0);
                 }
@@ -669,6 +697,28 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn owner_table_covers_the_allocated_extent() {
+        // A warm memory: an earlier call allocated all of it.
+        let mut m = GlobalMemory::new(1 << 16);
+        m.alloc(1 << 16);
+        m.reset_allocator();
+        let p = m.alloc(100);
+        let shared = m.share(true, false);
+        assert_eq!(shared.owners.as_ref().map(Vec::len), Some(100));
+        let mut w = shared.worker(0);
+        w.write(p.word() + 99, 1.0);
+        // Past the extent: no owner slot, and no panic.
+        w.write(p.word() + 100, 2.0);
+        assert_eq!(w.read(p.word() + 100), 2.0);
+        drop(shared);
+        assert_eq!(
+            m.init_snapshot().len(),
+            2,
+            "the snapshot covers the extent too"
+        );
     }
 
     #[test]

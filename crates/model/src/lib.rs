@@ -29,7 +29,7 @@ pub mod pipeline;
 pub mod plan;
 pub mod verify;
 
-pub use dispatch::{price, tiled_panel_cycles};
+pub use dispatch::{price, tiled_panel_cycles, worst_price};
 pub use intensity::{arithmetic_intensity, bytes_moved, Algorithm};
 pub use logp::{tau_global, tau_local};
 pub use params::ModelParams;

@@ -13,7 +13,7 @@ use regla_core::{Fleet, MatBatch, Op, OpOutput, RunOpts};
 use regla_gpu_sim::MathMode;
 
 /// Fallback per-problem service estimate (simulated seconds) for
-/// operations the predictive model has no candidate for (GEMM).
+/// operations no approach of the predictive model prices (GEMM).
 const FALLBACK_EST_PER_PROBLEM_S: f64 = 1e-6;
 
 /// Why a request was shed (or failed) instead of being served.
@@ -321,14 +321,14 @@ impl ServeEngine {
 
     /// Modeled service seconds for `problems` problems of `key`'s shape on
     /// the fleet's first device: the price of the plan that dispatch
-    /// resolves (a deliberate single-device price: the admission
-    /// controller wants a stable, conservative unit, not the sharded
-    /// optimum).
+    /// resolves, or the slowest approach's when the model cannot price it
+    /// (a deliberate single-device price: the admission controller wants a
+    /// stable, conservative unit, not the sharded optimum).
     fn service_estimate_s<T: DeviceScalar>(&self, key: &GroupKey, problems: usize) -> f64 {
         let session = self.fleet.sessions().next().expect("fleet has devices");
         let opts = self.dispatch_opts(key);
         let kernel = session
-            .price::<T>(key.op, key.m, key.n, key.rhs_cols, problems, &opts)
+            .price_or_worst::<T>(key.op, key.m, key.n, key.rhs_cols, problems, &opts)
             .map(|cycles| session.config().cycles_to_secs(cycles))
             .unwrap_or(FALLBACK_EST_PER_PROBLEM_S * problems as f64);
         // The verified tier pays its host-side screens up front in the
@@ -842,5 +842,37 @@ mod tests {
             VerifyMode::Full,
         );
         assert!((priced - base - expected).abs() < 1e-12 * priced.max(1.0));
+    }
+
+    /// A plan the model cannot price (LU 8x8 under a forced 1D layout) is
+    /// admitted at the slowest approach's price, not at the 1 µs-per-problem
+    /// fallback that only shapes no approach prices (GEMM) get.
+    #[test]
+    fn unpriceable_plans_are_admitted_at_the_worst_price() {
+        let opts = RunOpts::builder()
+            .layout(regla_core::Layout::RowCyclic)
+            .build()
+            .expect("valid opts");
+        let engine = ServeEngine::new(
+            one_device_fleet(),
+            ServeConfig::default().opts(opts.clone()),
+        );
+        let key = |op, rhs_cols| GroupKey {
+            op,
+            m: 8,
+            n: 8,
+            rhs_cols,
+            math: MathMode::default(),
+        };
+        let session = engine.fleet().sessions().next().unwrap();
+        assert_eq!(session.price::<f32>(Op::Lu, 8, 8, 0, 64, &opts), None);
+        let worst = session
+            .price_or_worst::<f32>(Op::Lu, 8, 8, 0, 64, &opts)
+            .unwrap();
+        let estimate = engine.service_estimate_s::<f32>(&key(Op::Lu, 0), 64);
+        assert_eq!(estimate, session.config().cycles_to_secs(worst));
+        assert!(estimate > 64.0 * FALLBACK_EST_PER_PROBLEM_S);
+        let gemm = engine.service_estimate_s::<f32>(&key(Op::Gemm, 8), 64);
+        assert_eq!(gemm, 64.0 * FALLBACK_EST_PER_PROBLEM_S);
     }
 }

@@ -4,16 +4,17 @@
 //! counts and the fast/slow simulator paths; unservable configurations
 //! fail with structured errors instead of hanging; the CPU pool matches
 //! the regla-cpu baseline bit for bit; shares follow the price of the plan
-//! that runs; and model-derived deadlines leave a healthy fleet alone.
+//! that runs, or the slowest approach's when the model cannot price it;
+//! and model-derived deadlines leave a healthy fleet alone.
 
 use proptest::prelude::*;
 use regla::core::{
-    ChaosPlan, Fleet, FleetPolicy, FleetRun, Mat, MatBatch, Op, RecoveryStats, ReglaError, RunOpts,
-    Session, C32,
+    ChaosPlan, Fleet, FleetPolicy, FleetRun, Layout, Mat, MatBatch, Op, RecoveryStats, ReglaError,
+    RunOpts, Session, C32,
 };
 use regla::cpu::{run_batch_status, CpuAlg};
 use regla::gpu_sim::{ExecMode, GpuConfig};
-use regla::model::Approach;
+use regla::model::{Algorithm, Approach, PlanKey};
 
 fn dd_batch(n: usize, count: usize, seed: usize) -> MatBatch<f32> {
     MatBatch::from_fn(n, n, count, |k, i, j| {
@@ -253,6 +254,63 @@ fn fleet_shares_price_the_plan_the_run_resolves() {
     let share0 = (count as f64 * rates[0] / (rates[0] + rates[1])).round() as usize;
     assert_eq!(planned, [share0, count - share0]);
     assert!(2 * planned[1] > 3 * planned[0], "planned = {planned:?}");
+}
+
+/// A plan the model cannot price (LU 8x8 under a forced 1D layout) weighs
+/// each device at the slowest approach's price on its own clock, not at
+/// the equal weights reserved for shapes no approach prices.
+#[test]
+fn unpriceable_plans_share_by_the_worst_price_envelope() {
+    let opts = RunOpts::builder()
+        .layout(Layout::RowCyclic)
+        .exec(ExecMode::Representative)
+        .build()
+        .unwrap();
+    let fleet = Fleet::builder()
+        .device(GpuConfig::quadro_6000())
+        .device(GpuConfig::gt200())
+        .opts(opts.clone())
+        .build()
+        .unwrap();
+    let count = 4096;
+    let rates: Vec<f64> = fleet
+        .sessions()
+        .map(|s| {
+            assert_eq!(s.price::<f32>(Op::Lu, 8, 8, 0, count, &opts), None);
+            let key = PlanKey::new(Algorithm::Lu, 8, 8, 0, 1, count, opts.math);
+            let worst = regla::model::worst_price(s.params(), s.config(), &key, count).unwrap();
+            assert_eq!(
+                s.price_or_worst::<f32>(Op::Lu, 8, 8, 0, count, &opts),
+                Some(worst)
+            );
+            1.0 / s.config().cycles_to_secs(worst)
+        })
+        .collect();
+    let run = fleet.run(Op::Lu, &dd_batch(8, count, 5), None).unwrap();
+    let planned: Vec<usize> = run
+        .report
+        .devices
+        .iter()
+        .map(|d| d.planned_problems)
+        .collect();
+    let share0 = (count as f64 * rates[0] / (rates[0] + rates[1])).round() as usize;
+    assert_eq!(planned, [share0, count - share0]);
+    assert_ne!(
+        planned,
+        [count / 2, count / 2],
+        "not the equal fallback split"
+    );
+    // GEMM: no approach prices, so the split stays equal.
+    let b = dd_batch(8, count, 6);
+    let gemm = fleet.run(Op::Gemm, &dd_batch(8, count, 5), Some(&b));
+    let planned: Vec<usize> = gemm
+        .unwrap()
+        .report
+        .devices
+        .iter()
+        .map(|d| d.planned_problems)
+        .collect();
+    assert_eq!(planned, [count / 2, count / 2]);
 }
 
 /// DESIGN §12's envelope: a deadline armed at the slowest approach's

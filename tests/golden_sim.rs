@@ -8,6 +8,9 @@
 //! with `cargo run --release -p regla-bench --bin golden_sim` and lists
 //! the changed lines.
 
+use regla::core::{MatBatch, Op, RecoveryPolicy, RunOpts, Session};
+use regla::gpu_sim::ExecMode;
+use regla::model::Approach;
 use regla_bench::golden;
 use std::collections::BTreeMap;
 
@@ -31,23 +34,69 @@ fn by_case(text: &str) -> BTreeMap<String, String> {
 /// than a two-core host has cores.
 #[test]
 fn simulated_results_match_the_golden_file() {
+    for threads in [1, 2, 3] {
+        assert_renders_golden(&Session::new(), threads);
+    }
+}
+
+/// A session's device-memory pool hands every call an earlier call's
+/// memory, whose words outside what the call stages are stale. Poison it
+/// with a `Full` call on NaN and huge values, larger than any golden
+/// case's device memory, and every case must still render its line: no
+/// executed block reads a word its call neither staged nor wrote.
+#[test]
+fn golden_file_renders_on_a_poisoned_memory_pool() {
+    let session = Session::new();
+    let garbage = [
+        f32::NAN,
+        f32::MAX,
+        -f32::INFINITY,
+        -3.0e38,
+        f32::INFINITY,
+        1.0e30,
+    ];
+    let poison = MatBatch::from_fn(8, 8, 4096, |k, i, j| {
+        garbage[(k + i * 7 + j) % garbage.len()]
+    });
+    let opts = RunOpts::builder()
+        .approach(Approach::PerThread)
+        .exec(ExecMode::Full)
+        .recovery(RecoveryPolicy::off())
+        .build()
+        .unwrap();
+    let run = session.run_with(Op::Qr, &poison, None, &opts).unwrap().run;
+    assert!(
+        run.status.iter().all(|s| !s.is_settled()),
+        "the poison computes nothing"
+    );
+    for threads in [1, 2, 3] {
+        assert_renders_golden(&session, threads);
+    }
+    assert_eq!(
+        session.gpu().memories_allocated(),
+        1,
+        "every golden case must run on the poisoned memory"
+    );
+}
+
+/// Render every golden case on `session` at `threads` replay threads and
+/// name each line that differs from the file.
+fn assert_renders_golden(session: &Session, threads: usize) {
     assert_eq!(GOLDEN.lines().next(), Some(golden::HEADER));
     let want = by_case(GOLDEN);
+    let got = by_case(&golden::render(session, threads));
     let mut diffs = Vec::new();
-    for threads in [1, 2, 3] {
-        let got = by_case(&golden::render(threads));
-        for (name, line) in &got {
-            match want.get(name) {
-                Some(w) if w == line => {}
-                Some(w) => diffs.push(format!(
-                    "  changed at {threads} thread(s): {w}\n                      to: {line}"
-                )),
-                None => diffs.push(format!("  new case at {threads} thread(s): {line}")),
-            }
+    for (name, line) in &got {
+        match want.get(name) {
+            Some(w) if w == line => {}
+            Some(w) => diffs.push(format!(
+                "  changed at {threads} thread(s): {w}\n                      to: {line}"
+            )),
+            None => diffs.push(format!("  new case at {threads} thread(s): {line}")),
         }
-        for name in want.keys().filter(|n| !got.contains_key(*n)) {
-            diffs.push(format!("  missing case at {threads} thread(s): {name}"));
-        }
+    }
+    for name in want.keys().filter(|n| !got.contains_key(*n)) {
+        diffs.push(format!("  missing case at {threads} thread(s): {name}"));
     }
     assert!(
         diffs.is_empty(),

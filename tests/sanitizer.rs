@@ -213,6 +213,53 @@ fn initcheck_flags_reads_of_never_written_global_memory() {
     assert!(report.findings.len() < THREADS);
 }
 
+/// initcheck on a pooled memory: a clean call through a session leaves
+/// the words of its `Gpu`'s retained memory written, and a sanitized
+/// checkout of that memory still flags the fixture's read-before-write.
+#[test]
+fn initcheck_flags_reads_of_never_written_words_in_a_warm_pooled_memory() {
+    let session = Session::new();
+    let a = MatBatch::from_fn(16, 16, 64, |k, i, j| {
+        ((k + i * 3 + j * 5) % 11) as f32 + if i == j { 16.0 } else { 0.0 }
+    });
+    let clean = RunOpts::builder().exec(ExecMode::Full).build().unwrap();
+    session.run_with(Op::Lu, &a, None, &clean).unwrap();
+    let gpu = session.gpu();
+    assert_eq!(gpu.memories_allocated(), 1);
+
+    let mut mem = gpu.checkout_memory(2 * THREADS, SanitizerMode::Full);
+    assert_eq!(
+        gpu.memories_allocated(),
+        1,
+        "the sanitized checkout reuses the warm memory"
+    );
+    let cold = mem.alloc(THREADS); // written by the clean call, not by this one
+    let out = mem.alloc(THREADS);
+    mem.h2d(out, &vec![0.0; THREADS]);
+    let stats = gpu
+        .launch(
+            &move |blk: &mut BlockCtx| {
+                blk.phase_label("cold read");
+                blk.for_each(|t| {
+                    let v = t.gload(cold, t.tid); // stale, never written here: flagged
+                    t.gstore(cold, t.tid, v);
+                    let v2 = t.gload(cold, t.tid);
+                    t.gstore(out, t.tid, v2);
+                });
+            },
+            &sanitized(0),
+            &mut mem,
+        )
+        .unwrap();
+    let report = stats.sanitizer.unwrap();
+    assert_eq!(
+        report.count(SanitizerCheck::Initcheck),
+        THREADS as u64,
+        "{}",
+        report.summary()
+    );
+}
+
 /// watchdog: an op-counting infinite loop becomes a structured
 /// `LaunchError::Watchdog` with block and phase provenance, in bounded
 /// time — no sanitizer required.
