@@ -10,7 +10,7 @@
 //! memory holds garbage, and fails on any difference.
 
 fn main() {
-    let text = regla_bench::golden::render(&regla_core::Session::new(), 1);
+    let text = regla_bench::golden::render(1, regla_core::Session::new);
     let path = "results/golden_sim.txt";
     std::fs::write(path, &text).unwrap_or_else(|e| panic!("write {path}: {e}"));
     println!("wrote {} cases to {path}", text.lines().count() - 1);

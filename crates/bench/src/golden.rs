@@ -15,8 +15,9 @@
 //!
 //! The `golden_sim` bin writes [`render`] to `results/golden_sim.txt`;
 //! the root test `tests/golden_sim.rs` recomputes it at one, two and
-//! three replay threads, on a fresh session and on one whose device
-//! memory an earlier call filled with garbage, and compares case by case.
+//! three replay threads, with a fresh session per case and with one
+//! session whose device memory an earlier call filled with garbage, and
+//! compares case by case.
 //! A change that moves simulated results on purpose regenerates the file
 //! and names the changed lines.
 
@@ -448,17 +449,18 @@ pub fn cases() -> Vec<Case> {
     c
 }
 
-/// The golden file's text: the header and one line per case, every case
-/// run on `session` and every launch replayed on `host_threads` host
-/// threads. One thread claims every unit alone through the exclusive
-/// borrow of device memory (when the disjoint-write checker is off), more
-/// claim the units of multi-unit launches through the worker pool; every
-/// count must render the same file, and so must a session whose schedule
-/// cache and device-memory pool earlier calls left warm.
-pub fn render(session: &Session, host_threads: usize) -> String {
+/// The golden file's text: the header and one line per case, each case
+/// run on a session `session` returns and every launch replayed on
+/// `host_threads` host threads. One thread claims every unit alone
+/// through the exclusive borrow of device memory (when the disjoint-write
+/// checker is off), more claim the units of multi-unit launches through
+/// the worker pool; every count must render the same file, and so must
+/// clones of one session whose schedule cache and device-memory pool
+/// earlier calls left warm.
+pub fn render(host_threads: usize, mut session: impl FnMut() -> Session) -> String {
     let mut text = format!("{HEADER}\n");
     for case in cases() {
-        text.push_str(&case.line(session, host_threads));
+        text.push_str(&case.line(&session(), host_threads));
         text.push('\n');
     }
     text

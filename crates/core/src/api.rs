@@ -1152,16 +1152,16 @@ pub(crate) fn tsqr_run<T: DeviceScalar>(
     b: &MatBatch<T>,
     opts: &RunOpts,
 ) -> Result<(MatBatch<T>, crate::tiled::MultiLaunch), ReglaError> {
-    use crate::tiled::tsqr::{tsqr, workspace_words};
+    use crate::tiled::tsqr::tsqr;
     validate_opts(opts)?;
     let aug = Op::LeastSquares.stage(a, Some(b))?;
     let (m, n, count) = (a.rows(), a.cols(), a.count());
-    // Its gather stages map blocks to (problem, pair), not to problems,
-    // so TSQR stages and downloads the whole batch.
+    // TSQR roughly triples the footprint (stages + scratch). Its gather
+    // stages map blocks to (problem, pair), not to problems, so it stages
+    // and downloads the whole batch.
     let all = 0..count;
     let all = std::slice::from_ref(&all);
-    let workspace = workspace_words(m, n, 1, count, T::WORDS);
-    let mut gmem = device_for(gpu, &aug, workspace, opts);
+    let mut gmem = device_for(gpu, &aug, 4 * aug.words_per_mat() * count, opts);
     let ptr = aug.to_device(&mut gmem, all);
     let view = SubMat::whole(ptr, m, n + 1);
     let (rptr, stats) = tsqr::<T::Dev>(gpu, &mut gmem, view, m, n, 1, count, opts)?;

@@ -599,7 +599,8 @@ impl Fleet {
     /// Proportional shares of `count` problems by modeled throughput: each
     /// device weighs in at the inverse of its [`Session::price_or_worst`]
     /// of the whole run, in seconds on its own clock (largest-remainder
-    /// rounding; equal weights when no approach prices, e.g. GEMM).
+    /// rounding; equal weights when no device approach prices, e.g.
+    /// GEMM).
     fn shares<T: DeviceScalar>(
         &self,
         op: Op,
@@ -642,13 +643,15 @@ impl Fleet {
 
     /// Per-dispatch deadline budget in simulated cycles for a
     /// `len`-problem chunk of `key`'s shape on `dev`: the slowest price
-    /// over every approach ([`regla_model::worst_price`]), times the
-    /// policy slack, so no legitimate approach choice can blow it. `None`
-    /// when deadlines are disarmed or the model prices no approach.
+    /// over every approach ([`regla_model::worst_price`] over
+    /// [`Approach::ALL`]), times the policy slack, so no legitimate
+    /// approach choice can blow it. `None` when deadlines are disarmed or
+    /// the model prices no approach.
     fn deadline_budget(&self, dev: usize, key: &PlanKey, len: usize) -> Option<u64> {
         let slack = self.policy.deadline_slack?;
         let session = &self.devices[dev].session;
-        let worst = regla_model::worst_price(session.params(), session.config(), key, len)?;
+        let (p, cfg) = (session.params(), session.config());
+        let worst = regla_model::worst_price(p, cfg, key, &Approach::ALL, len)?;
         if !worst.is_finite() || worst <= 0.0 {
             return None;
         }

@@ -29,7 +29,7 @@ use crate::scalar::Scalar;
 use crate::status::RecoveryStats;
 use crate::tiled::MultiLaunch;
 use regla_gpu_sim::{Gpu, GpuConfig, Profiler};
-use regla_model::{Algorithm, Approach, ModelParams, PlanKey};
+use regla_model::{Algorithm, Approach, ModelParams, Plan, PlanKey};
 use std::borrow::Cow;
 use std::ops::Range;
 
@@ -487,19 +487,16 @@ impl Session {
         batch: usize,
         opts: &RunOpts,
     ) -> Option<f64> {
-        let alg = op.model_algorithm()?;
-        let rhs = op.carried_cols(n, rhs);
-        let (p, cfg) = (&self.params, self.config());
-        let plan = api::resolve_plan(p, cfg, alg, m, n, rhs, T::WORDS, batch, opts);
-        let key = PlanKey::new(alg, m, n, rhs, T::WORDS, batch, opts.math);
-        regla_model::price(p, cfg, &key, &plan, batch)
+        let (key, plan) = self.resolve::<T>(op, m, n, rhs, batch, opts)?;
+        regla_model::price(&self.params, self.config(), &key, &plan, batch)
     }
 
     /// [`Session::price`], or for a plan the model cannot price (a forced
-    /// 1D layout, say) the slowest price of `op` over every approach
-    /// ([`regla_model::worst_price`]): a conservative stand-in on this
-    /// device's own scale. `None` only when no approach prices, as for
-    /// GEMM.
+    /// 1D layout, or per-thread past twice the register budget) the
+    /// slowest device approach's price of the same shape
+    /// ([`regla_model::worst_price`] over [`Approach::DEVICE`], each at
+    /// its default plan): a stand-in on this device's own scale. `None`
+    /// when no device approach prices, as for GEMM.
     pub fn price_or_worst<T: DeviceScalar>(
         &self,
         op: Op,
@@ -509,12 +506,30 @@ impl Session {
         batch: usize,
         opts: &RunOpts,
     ) -> Option<f64> {
-        self.price::<T>(op, m, n, rhs, batch, opts).or_else(|| {
-            let alg = op.model_algorithm()?;
-            let rhs = op.carried_cols(n, rhs);
-            let key = PlanKey::new(alg, m, n, rhs, T::WORDS, batch, opts.math);
-            regla_model::worst_price(&self.params, self.config(), &key, batch)
-        })
+        let (key, plan) = self.resolve::<T>(op, m, n, rhs, batch, opts)?;
+        let (p, cfg) = (&self.params, self.config());
+        regla_model::price(p, cfg, &key, &plan, batch)
+            .or_else(|| regla_model::worst_price(p, cfg, &key, &Approach::DEVICE, batch))
+    }
+
+    /// The model key and the resolved plan of [`Session::run_with`]
+    /// running `op` on `batch` problems of `m x n` with a `rhs`-column
+    /// second operand; `None` for GEMM.
+    fn resolve<T: DeviceScalar>(
+        &self,
+        op: Op,
+        m: usize,
+        n: usize,
+        rhs: usize,
+        batch: usize,
+        opts: &RunOpts,
+    ) -> Option<(PlanKey, Plan)> {
+        let alg = op.model_algorithm()?;
+        let rhs = op.carried_cols(n, rhs);
+        let (p, cfg) = (&self.params, self.config());
+        let plan = api::resolve_plan(p, cfg, alg, m, n, rhs, T::WORDS, batch, opts);
+        let key = PlanKey::new(alg, m, n, rhs, T::WORDS, batch, opts.math);
+        Some((key, plan))
     }
 
     // ---- named sugar -----------------------------------------------------

@@ -138,11 +138,25 @@ pub fn tsqr<E: Elem>(
     assert!(m >= n, "TSQR needs a tall matrix");
     let cols = n + rhs;
     let mut agg = MultiLaunch::default();
-    let staged = gmem.allocated_words();
 
     // ---- Stage 0: independent QR of each row block, in place -----------
-    let stage0 = row_blocks(m, n, cols);
-    for &(r0, rows) in &stage0 {
+    let h0 = (2 * cols).max(n);
+    let nblocks0 = m.div_ceil(h0).max(1);
+    let mut row_blocks: Vec<(usize, usize)> = (0..nblocks0)
+        .map(|b| {
+            let r0 = b * h0;
+            (r0, h0.min(m - r0))
+        })
+        .collect();
+    // A short last block (< n rows) is merged into its predecessor.
+    if let Some(&(r0, rows)) = row_blocks.last() {
+        if rows < n && row_blocks.len() > 1 {
+            row_blocks.pop();
+            let (pr0, prows) = *row_blocks.last().unwrap();
+            *row_blocks.last_mut().unwrap() = (pr0, prows + (r0 + rows) - (pr0 + prows));
+        }
+    }
+    for &(r0, rows) in &row_blocks {
         qr_stage::<E>(gpu, gmem, a.offset(r0, 0), rows, n, rhs, count, opts, &mut agg)?;
     }
 
@@ -153,7 +167,7 @@ pub fn tsqr<E: Elem>(
     // offset of the block; for combined stages it is `q * 2n * cols`, the
     // start of pair q's contiguous 2n x cols result.
     let mut src = a;
-    let mut src_blocks = stage0;
+    let mut src_blocks = row_blocks;
     while src_blocks.len() > 1 {
         let pairs = src_blocks.len().div_ceil(2);
         let stacked = gmem.alloc(count * pairs * 2 * n * cols * E::WORDS);
@@ -216,49 +230,7 @@ pub fn tsqr<E: Elem>(
         _e: PhantomData,
     };
     agg.push(gpu.launch(&compact, &lc, gmem)?);
-    debug_assert_eq!(
-        gmem.allocated_words() - staged,
-        workspace_words(m, n, rhs, count, E::WORDS)
-    );
     Ok((out, agg))
-}
-
-/// Stage 0's row blocks `(row0, rows)`: `2 * cols` rows each, and at
-/// least `n`, a short last block (< `n` rows) merged into its
-/// predecessor.
-fn row_blocks(m: usize, n: usize, cols: usize) -> Vec<(usize, usize)> {
-    let h0 = (2 * cols).max(n);
-    let mut blocks: Vec<(usize, usize)> = (0..m.div_ceil(h0).max(1))
-        .map(|b| {
-            let r0 = b * h0;
-            (r0, h0.min(m - r0))
-        })
-        .collect();
-    if let [.., (pr0, _), (r0, rows)] = blocks[..] {
-        if rows < n {
-            blocks.pop();
-            let last = blocks.len() - 1;
-            blocks[last] = (pr0, r0 + rows - pr0);
-        }
-    }
-    blocks
-}
-
-/// Device words [`tsqr`] allocates past its input for `count` problems of
-/// `m x (n + rhs)` with `ew`-word elements: every combine stage's stacked
-/// pairs, the compaction scratch and the output. The words are written
-/// before they are read, so a pooled memory's stale words never reach the
-/// result.
-pub fn workspace_words(m: usize, n: usize, rhs: usize, count: usize, ew: usize) -> usize {
-    let cols = n + rhs;
-    let pair_words = count * 2 * n * cols * ew;
-    let mut blocks = row_blocks(m, n, cols).len();
-    let mut words = 0;
-    while blocks > 1 {
-        blocks = blocks.div_ceil(2);
-        words += blocks * pair_words;
-    }
-    words + pair_words + count * n * cols * ew
 }
 
 /// Copy the top `n x cols` of each `2n x cols` scratch problem to `dst`.

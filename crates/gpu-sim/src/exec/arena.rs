@@ -10,7 +10,7 @@
 //! indistinguishable from a fresh one and the fast and slow paths stay
 //! bit-identical.
 //!
-//! [`MemPool`] does the same for whole device memories, the way a CUDA
+//! [`MemPool`] keeps a whole device memory the same way, as a CUDA
 //! program `cudaMalloc`s its batch once: a call checks a
 //! [`GlobalMemory`] out, and returns it when it ends. Unlike a block
 //! buffer, a checked-out memory is not cleared (see
@@ -80,26 +80,22 @@ impl BufPool {
     }
 }
 
-/// Cap on device memories a [`MemPool`] retains. A caller that makes its
-/// calls one at a time keeps one memory, as large as its largest call
-/// (see [`MemPool::checkout`]); more are kept only while clones of one
-/// `Gpu` run calls concurrently, one per such call, up to this cap.
+/// The device memory a [`Gpu`] keeps between calls: one slot, shared by
+/// the `Gpu`'s clones. A caller making one call at a time keeps one
+/// memory, as large as its largest call; a call that starts while
+/// another holds the memory gets a fresh one of its own, and the larger
+/// of the two stays when both end.
 ///
-/// Retention costs resident memory, not allocations: a retained memory
+/// Retention costs resident memory, not allocations: the retained memory
 /// keeps every page a call touched until the `Gpu` and its clones drop.
 /// A `Full` run touches its whole batch, so a `Gpu` that ran one keeps
 /// that batch's pages; a sweep whose calls execute a few problems each
 /// touches only their slabs.
-const MAX_POOLED_MEMORIES: usize = 4;
-
-/// A mutex-guarded free list of device memories, one per [`Gpu`] and
-/// shared by its clones; the lock is taken once per call to check a
-/// memory out and once to return it.
 ///
 /// [`Gpu`]: crate::exec::Gpu
 #[derive(Default)]
 pub(crate) struct MemPool {
-    slots: Mutex<Vec<GlobalMemory>>,
+    slot: Mutex<Option<GlobalMemory>>,
     /// Fresh memories allocated for checkouts so far.
     fresh: AtomicU64,
 }
@@ -107,54 +103,51 @@ pub(crate) struct MemPool {
 impl std::fmt::Debug for MemPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MemPool")
-            .field("pooled", &self.lock().len())
+            .field(
+                "retained",
+                &self.lock().as_ref().map(GlobalMemory::capacity),
+            )
             .field("fresh", &self.fresh.load(Ordering::Relaxed))
             .finish()
     }
 }
 
 impl MemPool {
-    fn lock(&self) -> MutexGuard<'_, Vec<GlobalMemory>> {
-        self.slots.lock().unwrap_or_else(|e| e.into_inner())
+    fn lock(&self) -> MutexGuard<'_, Option<GlobalMemory>> {
+        self.slot.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Take the smallest retained memory of at least `words` words, its
+    /// Take the retained memory if it holds at least `words` words, its
     /// allocator reset and (`sanitized`) its initialization bitmap
-    /// cleared. When none is large enough, allocate a fresh memory of
-    /// exactly `words` words and free the retained ones, which it
-    /// outgrew.
+    /// cleared. Otherwise free it, if any, and allocate a fresh memory of
+    /// exactly `words` words.
     pub(crate) fn checkout(&self, words: usize, sanitized: bool) -> GlobalMemory {
-        let (reused, outgrown) = {
-            let mut slots = self.lock();
-            let fit = (0..slots.len())
-                .filter(|&i| slots[i].capacity() >= words)
-                .min_by_key(|&i| slots[i].capacity());
-            match fit {
-                Some(i) => (Some(slots.swap_remove(i)), Vec::new()),
-                None => (None, std::mem::take(&mut *slots)),
-            }
-        };
-        drop(outgrown);
-        match reused {
-            Some(mut mem) => {
+        let retained = self.lock().take();
+        match retained {
+            Some(mut mem) if mem.capacity() >= words => {
                 mem.reset_allocator();
                 if sanitized {
                     mem.clear_init();
                 }
                 mem
             }
-            None => {
+            outgrown => {
+                drop(outgrown);
                 self.fresh.fetch_add(1, Ordering::Relaxed);
                 GlobalMemory::new(words)
             }
         }
     }
 
-    /// Return a memory to the free list (dropped if the list is full).
+    /// Keep `mem` for the next checkout unless the slot already holds a
+    /// memory at least as large.
     pub(crate) fn restore(&self, mem: GlobalMemory) {
-        let mut slots = self.lock();
-        if slots.len() < MAX_POOLED_MEMORIES {
-            slots.push(mem);
+        let mut slot = self.lock();
+        if slot
+            .as_ref()
+            .is_none_or(|kept| kept.capacity() < mem.capacity())
+        {
+            *slot = Some(mem);
         }
     }
 
@@ -163,10 +156,10 @@ impl MemPool {
         self.fresh.load(Ordering::Relaxed)
     }
 
-    /// Number of memories currently retained (tests).
+    /// Words of the retained memory, if any (tests).
     #[cfg(test)]
-    pub(crate) fn pooled(&self) -> usize {
-        self.lock().len()
+    pub(crate) fn retained(&self) -> Option<usize> {
+        self.lock().as_ref().map(GlobalMemory::capacity)
     }
 }
 
@@ -264,7 +257,7 @@ mod tests {
         mem.write(p, 7, 3.5);
         pool.restore(mem);
         let mut mem = pool.checkout(50, false);
-        assert_eq!((pool.fresh(), pool.pooled()), (1, 0));
+        assert_eq!((pool.fresh(), pool.retained()), (1, None));
         assert_eq!(mem.capacity(), 100);
         assert_eq!(mem.allocated_words(), 0);
         let p = mem.alloc(50);
@@ -281,37 +274,33 @@ mod tests {
     }
 
     #[test]
-    fn a_request_past_every_retained_memory_allocates_exactly_and_frees_them() {
+    fn a_request_past_the_retained_memory_frees_it_and_allocates_exactly() {
         let pool = MemPool::default();
-        let (small, mid) = (pool.checkout(64, false), pool.checkout(128, false));
-        pool.restore(small);
-        pool.restore(mid);
-        assert_eq!(pool.pooled(), 2);
-        let mem = pool.checkout(64, false);
-        assert_eq!(mem.capacity(), 64, "the smallest memory that fits");
-        pool.restore(mem);
+        pool.restore(pool.checkout(64, false));
         let big = pool.checkout(1000, false);
         assert_eq!(big.capacity(), 1000);
         assert_eq!(
-            (pool.fresh(), pool.pooled()),
-            (3, 0),
-            "the outgrown memories are freed"
+            (pool.fresh(), pool.retained()),
+            (2, None),
+            "the outgrown memory is freed"
         );
         pool.restore(big);
         let mem = pool.checkout(10, false);
-        assert_eq!((mem.capacity(), pool.fresh()), (1000, 3));
+        assert_eq!((mem.capacity(), pool.fresh()), (1000, 2));
     }
 
     #[test]
-    fn memory_pool_is_bounded() {
+    fn the_larger_of_two_returned_memories_stays() {
         let pool = MemPool::default();
-        let held: Vec<_> = (0..MAX_POOLED_MEMORIES + 2)
-            .map(|_| pool.checkout(8, false))
-            .collect();
-        for mem in held {
-            pool.restore(mem);
-        }
-        assert_eq!(pool.pooled(), MAX_POOLED_MEMORIES);
+        let (small, big) = (pool.checkout(64, false), pool.checkout(128, false));
+        pool.restore(big);
+        pool.restore(small);
+        assert_eq!(pool.retained(), Some(128));
+        let (big, small) = (pool.checkout(8, false), pool.checkout(8, false));
+        assert_eq!((big.capacity(), small.capacity()), (128, 8));
+        pool.restore(small);
+        pool.restore(big);
+        assert_eq!(pool.retained(), Some(128));
     }
 
     #[test]

@@ -743,14 +743,14 @@ fn replay_claimed<K: BlockKernel + Sync + ?Sized>(
 /// schedule cache are shared across clones (and therefore across every
 /// launch issued through them), which is what lets `Session`-driven batch
 /// workloads stop hitting the allocator and re-decode after the first
-/// launch, and stop allocating device memory after the first call of each
-/// size (see [`Gpu::checkout_memory`]).
+/// launch, and stop allocating device memory once their largest call has
+/// run (see [`Gpu::checkout_memory`]).
 #[derive(Clone, Debug)]
 pub struct Gpu {
     pub cfg: GpuConfig,
     /// Reusable block-context buffers (see [`arena::BufPool`]).
     pool: Arc<BufPool>,
-    /// Device memories retained across calls (see [`arena::MemPool`]).
+    /// The device memory retained across calls (see [`arena::MemPool`]).
     memories: Arc<MemPool>,
     /// Cross-launch traced-schedule cache (see [`schedule::ScheduleCache`]).
     sched: Arc<ScheduleCache>,
@@ -810,19 +810,19 @@ impl Gpu {
     /// pool, shared by its clones; it goes back to the pool when the
     /// returned guard drops. Concurrent checkouts get distinct memories.
     ///
-    /// The smallest retained memory that is large enough is reused with
-    /// its allocator reset, so every allocation offset, simulated address
-    /// and cycle equals a fresh memory's. Unlike [`GlobalMemory::new`], a
-    /// reused memory is not zeroed: words the call neither stages nor
-    /// writes hold an earlier call's values. A batched call is safe on it
+    /// The memory the last call returned is reused when it is large
+    /// enough, with its allocator reset, so every allocation offset,
+    /// simulated address and cycle equals a fresh memory's. Unlike
+    /// [`GlobalMemory::new`], a reused memory is not zeroed: words the
+    /// call neither stages nor writes hold an earlier call's values. A batched call is safe on it
     /// for the same reason the parallel replay is: an executed block reads
     /// only its own staged slab, the flag words staged for it and words
     /// its launch wrote, which the sanitizer's initcheck enforces. With
     /// `sanitizer` on, the reused memory's host-init bitmap is cleared, so
     /// initcheck sees it as a fresh memory; otherwise the checkout does no
-    /// work proportional to its size. A request larger than every
-    /// retained memory allocates a fresh, zeroed one of exactly `words`
-    /// words and frees those it outgrew.
+    /// work proportional to its size. A request larger than the retained
+    /// memory frees it and allocates a fresh, zeroed one of exactly
+    /// `words` words.
     pub fn checkout_memory(&self, words: usize, sanitizer: SanitizerMode) -> PooledMemory<'_> {
         PooledMemory::new(&self.memories, words, sanitizer.is_on())
     }
@@ -1662,6 +1662,7 @@ mod tests {
         // Many independent ops across many warps: throughput-bound.
         let gpu = Gpu::quadro_6000();
         let mut mem = GlobalMemory::with_bytes(1 << 20);
+        let out = mem.alloc(112 * 256);
         let n = 256usize;
         let k = move |blk: &mut BlockCtx| {
             blk.for_each(|t| {
@@ -1677,7 +1678,7 @@ mod tests {
                     s = t.add(s, *a);
                 }
                 // Per-block output slab: blocks must write disjoint words.
-                t.gstore(DPtr(0), t.block_id * 256 + t.tid, s);
+                t.gstore(out, t.block_id * 256 + t.tid, s);
             });
         };
         let lc = LaunchConfig::new(112, 256).regs(24).shared_words(0);
@@ -1693,6 +1694,7 @@ mod tests {
         let gpu = Gpu::quadro_6000();
         let run = |regs: usize| {
             let mut mem = GlobalMemory::with_bytes(1 << 20);
+            let out = mem.alloc(112 * 64);
             let k = move |blk: &mut BlockCtx| {
                 blk.for_each(|t| {
                     let mut a = thread::RegArray::<thread::Rv>::zeroed(regs);
@@ -1703,7 +1705,7 @@ mod tests {
                         a.set(t, i, y);
                     }
                     let last = a.get(t, regs - 1);
-                    t.gstore(DPtr(0), t.block_id * 64 + t.tid, last);
+                    t.gstore(out, t.block_id * 64 + t.tid, last);
                 });
             };
             let lc = LaunchConfig::new(112, 64).regs(regs).shared_words(0);

@@ -484,9 +484,17 @@ impl WorkerGmem<'_> {
     /// group's stores each carry their own lane's block.
     #[inline]
     fn write_as(&mut self, word: usize, v: f32, tag: u32) {
-        // A store past the allocated extent has no owner slot; the
-        // sanitizer's memcheck, not this checker, reports it.
-        if let Some(owner) = self.owners.and_then(|o| o.get(word)) {
+        if let Some(owners) = self.owners {
+            // No correct kernel stores past the allocated extent, and the
+            // sanitizer's memcheck skips such a store before it lands.
+            let owner = owners.get(word).unwrap_or_else(|| {
+                panic!(
+                    "block {} stored to device word {word}, past the {}-word \
+                     allocated extent",
+                    tag - 1,
+                    owners.len()
+                )
+            });
             let prev = owner.swap(tag, Ordering::Relaxed);
             assert!(
                 prev == 0 || prev == tag,
@@ -708,17 +716,21 @@ mod tests {
         let p = m.alloc(100);
         let shared = m.share(true, false);
         assert_eq!(shared.owners.as_ref().map(Vec::len), Some(100));
-        let mut w = shared.worker(0);
-        w.write(p.word() + 99, 1.0);
-        // Past the extent: no owner slot, and no panic.
-        w.write(p.word() + 100, 2.0);
-        assert_eq!(w.read(p.word() + 100), 2.0);
+        shared.worker(0).write(p.word() + 99, 1.0);
         drop(shared);
         assert_eq!(
             m.init_snapshot().len(),
             2,
             "the snapshot covers the extent too"
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "past the 100-word allocated extent")]
+    fn a_checked_store_past_the_allocated_extent_panics() {
+        let mut m = GlobalMemory::new(1 << 16);
+        let p = m.alloc(100);
+        m.share(true, false).worker(0).write(p.word() + 100, 2.0);
     }
 
     #[test]

@@ -164,14 +164,21 @@ pub fn price(
     }
 }
 
-/// The slowest [`price`] of `key`'s shape over every approach, at its
-/// default plan: the envelope of any plan choice. Deadline budgets arm at
-/// it, and admission and fleet shares fall back to it for a plan `price`
-/// cannot judge. `None` when no approach prices the shape.
-pub fn worst_price(p: &ModelParams, cfg: &GpuConfig, key: &PlanKey, batch: usize) -> Option<f64> {
-    Approach::ALL
-        .into_iter()
-        .filter_map(|a| price(p, cfg, key, &Plan::new(a), batch))
+/// The slowest [`price`] of `key`'s shape over `approaches`, each at its
+/// default plan. Over [`Approach::ALL`] it is the envelope of any plan
+/// choice, where deadline budgets arm; over [`Approach::DEVICE`] it
+/// stands in for a device plan `price` cannot judge. `None` when none of
+/// `approaches` prices the shape.
+pub fn worst_price(
+    p: &ModelParams,
+    cfg: &GpuConfig,
+    key: &PlanKey,
+    approaches: &[Approach],
+    batch: usize,
+) -> Option<f64> {
+    approaches
+        .iter()
+        .filter_map(|&a| price(p, cfg, key, &Plan::new(a), batch))
         .reduce(f64::max)
 }
 

@@ -124,6 +124,10 @@ impl Approach {
         Approach::Hybrid,
     ];
 
+    /// The approaches that run on the device: all but the hybrid
+    /// baseline, whose CPU-bound panels regla-hybrid runs.
+    pub const DEVICE: [Approach; 3] = [Approach::PerThread, Approach::PerBlock, Approach::Tiled];
+
     pub fn name(self) -> &'static str {
         match self {
             Approach::PerThread => "one-problem-per-thread",

@@ -13,7 +13,7 @@ use regla_core::{Fleet, MatBatch, Op, OpOutput, RunOpts};
 use regla_gpu_sim::MathMode;
 
 /// Fallback per-problem service estimate (simulated seconds) for
-/// operations no approach of the predictive model prices (GEMM).
+/// operations no device approach of the predictive model prices (GEMM).
 const FALLBACK_EST_PER_PROBLEM_S: f64 = 1e-6;
 
 /// Why a request was shed (or failed) instead of being served.
@@ -321,9 +321,10 @@ impl ServeEngine {
 
     /// Modeled service seconds for `problems` problems of `key`'s shape on
     /// the fleet's first device: the price of the plan that dispatch
-    /// resolves, or the slowest approach's when the model cannot price it
-    /// (a deliberate single-device price: the admission controller wants a
-    /// stable, conservative unit, not the sharded optimum).
+    /// resolves, or the slowest device approach's when the model cannot
+    /// price it (a deliberate single-device price: the admission
+    /// controller wants a stable, conservative unit, not the sharded
+    /// optimum).
     fn service_estimate_s<T: DeviceScalar>(&self, key: &GroupKey, problems: usize) -> f64 {
         let session = self.fleet.sessions().next().expect("fleet has devices");
         let opts = self.dispatch_opts(key);
@@ -844,15 +845,16 @@ mod tests {
         assert!((priced - base - expected).abs() < 1e-12 * priced.max(1.0));
     }
 
-    /// A plan the model cannot price (LU 8x8 under a forced 1D layout) is
-    /// admitted at the slowest approach's price, not at the 1 µs-per-problem
-    /// fallback that only shapes no approach prices (GEMM) get.
+    /// A plan the model cannot price (8x8 LU and QR under a forced 1D
+    /// layout) is admitted at the slowest device approach's price: within
+    /// a small factor of what the plan that runs costs in simulation, not
+    /// at the hybrid baseline's price (hundreds of times more) nor at the
+    /// 1 µs-per-problem fallback that only shapes no device approach
+    /// prices (GEMM) get.
     #[test]
-    fn unpriceable_plans_are_admitted_at_the_worst_price() {
-        let opts = RunOpts::builder()
-            .layout(regla_core::Layout::RowCyclic)
-            .build()
-            .expect("valid opts");
+    fn unpriceable_plans_are_admitted_near_their_simulated_cost() {
+        let row = || RunOpts::builder().layout(regla_core::Layout::RowCyclic);
+        let opts = row().build().expect("valid opts");
         let engine = ServeEngine::new(
             one_device_fleet(),
             ServeConfig::default().opts(opts.clone()),
@@ -865,14 +867,25 @@ mod tests {
             math: MathMode::default(),
         };
         let session = engine.fleet().sessions().next().unwrap();
-        assert_eq!(session.price::<f32>(Op::Lu, 8, 8, 0, 64, &opts), None);
-        let worst = session
-            .price_or_worst::<f32>(Op::Lu, 8, 8, 0, 64, &opts)
-            .unwrap();
-        let estimate = engine.service_estimate_s::<f32>(&key(Op::Lu, 0), 64);
-        assert_eq!(estimate, session.config().cycles_to_secs(worst));
-        assert!(estimate > 64.0 * FALLBACK_EST_PER_PROBLEM_S);
-        let gemm = engine.service_estimate_s::<f32>(&key(Op::Gemm, 8), 64);
-        assert_eq!(gemm, 64.0 * FALLBACK_EST_PER_PROBLEM_S);
+        let count = 1024;
+        let a = MatBatch::from_fn(8, 8, count, |k, i, j| {
+            ((k + 3 * i + 5 * j) % 11) as f32 + if i == j { 16.0 } else { 0.0 }
+        });
+        let sampled = row()
+            .exec(regla_gpu_sim::ExecMode::Representative)
+            .build()
+            .expect("valid opts");
+        for op in [Op::Lu, Op::Qr] {
+            assert_eq!(session.price::<f32>(op, 8, 8, 0, count, &opts), None);
+            let estimate = engine.service_estimate_s::<f32>(&key(op, 0), count);
+            let run = session.run_with(op, &a, None, &sampled).unwrap().run;
+            let sim = run.stats.time_s;
+            assert!(
+                sim / 8.0 < estimate && estimate < 8.0 * sim,
+                "{op:?}: estimate {estimate:.2e} s, simulated {sim:.2e} s"
+            );
+        }
+        let gemm = engine.service_estimate_s::<f32>(&key(Op::Gemm, 8), count);
+        assert_eq!(gemm, count as f64 * FALLBACK_EST_PER_PROBLEM_S);
     }
 }

@@ -257,60 +257,57 @@ fn fleet_shares_price_the_plan_the_run_resolves() {
 }
 
 /// A plan the model cannot price (LU 8x8 under a forced 1D layout) weighs
-/// each device at the slowest approach's price on its own clock, not at
-/// the equal weights reserved for shapes no approach prices.
+/// each device at the slowest device approach's price on its own clock:
+/// here per-block at its default 2D layout, so the batch splits as it
+/// does without the forced layout, about 1 : 2 between a Quadro 6000 and
+/// a GT200, not evenly. Plans and the model's pricing conditions do not
+/// depend on the device, so a plan prices on every device of a fleet or
+/// on none; GEMM, which no approach prices, still splits evenly.
 #[test]
-fn unpriceable_plans_share_by_the_worst_price_envelope() {
-    let opts = RunOpts::builder()
-        .layout(Layout::RowCyclic)
-        .exec(ExecMode::Representative)
-        .build()
-        .unwrap();
-    let fleet = Fleet::builder()
-        .device(GpuConfig::quadro_6000())
-        .device(GpuConfig::gt200())
-        .opts(opts.clone())
-        .build()
-        .unwrap();
+fn unpriceable_plans_share_by_the_device_envelope() {
+    let opts = |layout| {
+        RunOpts::builder()
+            .layout(layout)
+            .exec(ExecMode::Representative)
+            .build()
+            .unwrap()
+    };
+    let fleet = |opts: &RunOpts| {
+        Fleet::builder()
+            .device(GpuConfig::quadro_6000())
+            .device(GpuConfig::gt200())
+            .opts(opts.clone())
+            .build()
+            .unwrap()
+    };
     let count = 4096;
-    let rates: Vec<f64> = fleet
-        .sessions()
-        .map(|s| {
-            assert_eq!(s.price::<f32>(Op::Lu, 8, 8, 0, count, &opts), None);
-            let key = PlanKey::new(Algorithm::Lu, 8, 8, 0, 1, count, opts.math);
-            let worst = regla::model::worst_price(s.params(), s.config(), &key, count).unwrap();
-            assert_eq!(
-                s.price_or_worst::<f32>(Op::Lu, 8, 8, 0, count, &opts),
-                Some(worst)
-            );
-            1.0 / s.config().cycles_to_secs(worst)
-        })
-        .collect();
-    let run = fleet.run(Op::Lu, &dd_batch(8, count, 5), None).unwrap();
-    let planned: Vec<usize> = run
-        .report
-        .devices
-        .iter()
-        .map(|d| d.planned_problems)
-        .collect();
-    let share0 = (count as f64 * rates[0] / (rates[0] + rates[1])).round() as usize;
-    assert_eq!(planned, [share0, count - share0]);
-    assert_ne!(
-        planned,
-        [count / 2, count / 2],
-        "not the equal fallback split"
+    let (a, b) = (dd_batch(8, count, 5), dd_batch(8, count, 6));
+    let planned = |fleet: &Fleet, op, b: Option<&MatBatch<f32>>| -> Vec<usize> {
+        let run = fleet.run(op, &a, b).unwrap();
+        run.report
+            .devices
+            .iter()
+            .map(|d| d.planned_problems)
+            .collect()
+    };
+    let (row, two_d) = (opts(Layout::RowCyclic), opts(Layout::TwoDCyclic));
+    let (row_fleet, two_d_fleet) = (fleet(&row), fleet(&two_d));
+    for s in row_fleet.sessions() {
+        assert_eq!(s.price::<f32>(Op::Lu, 8, 8, 0, count, &row), None);
+        let key = PlanKey::new(Algorithm::Lu, 8, 8, 0, 1, count, row.math);
+        let device =
+            regla::model::worst_price(s.params(), s.config(), &key, &Approach::DEVICE, count);
+        let priced = s.price_or_worst::<f32>(Op::Lu, 8, 8, 0, count, &row);
+        assert_eq!(priced, device);
+        assert_eq!(priced, s.price::<f32>(Op::Lu, 8, 8, 0, count, &two_d));
+    }
+    let split = planned(&row_fleet, Op::Lu, None);
+    assert_eq!(split, planned(&two_d_fleet, Op::Lu, None));
+    assert!(2 * split[1] > 3 * split[0], "planned = {split:?}");
+    assert_eq!(
+        planned(&row_fleet, Op::Gemm, Some(&b)),
+        [count / 2, count / 2]
     );
-    // GEMM: no approach prices, so the split stays equal.
-    let b = dd_batch(8, count, 6);
-    let gemm = fleet.run(Op::Gemm, &dd_batch(8, count, 5), Some(&b));
-    let planned: Vec<usize> = gemm
-        .unwrap()
-        .report
-        .devices
-        .iter()
-        .map(|d| d.planned_problems)
-        .collect();
-    assert_eq!(planned, [count / 2, count / 2]);
 }
 
 /// DESIGN §12's envelope: a deadline armed at the slowest approach's

@@ -31,11 +31,12 @@ fn by_case(text: &str) -> BTreeMap<String, String> {
 /// alone through the exclusive borrow of device memory (with the
 /// disjoint-write checker off), two and three claim every multi-unit
 /// launch's units through the worker pool. Three is more participants
-/// than a two-core host has cores.
+/// than a two-core host has cores. Every case runs on a fresh session: a
+/// cold schedule cache and a new, zeroed device memory.
 #[test]
 fn simulated_results_match_the_golden_file() {
     for threads in [1, 2, 3] {
-        assert_renders_golden(&Session::new(), threads);
+        assert_renders_golden(threads, Session::new);
     }
 }
 
@@ -70,7 +71,7 @@ fn golden_file_renders_on_a_poisoned_memory_pool() {
         "the poison computes nothing"
     );
     for threads in [1, 2, 3] {
-        assert_renders_golden(&session, threads);
+        assert_renders_golden(threads, || session.clone());
     }
     assert_eq!(
         session.gpu().memories_allocated(),
@@ -79,12 +80,12 @@ fn golden_file_renders_on_a_poisoned_memory_pool() {
     );
 }
 
-/// Render every golden case on `session` at `threads` replay threads and
-/// name each line that differs from the file.
-fn assert_renders_golden(session: &Session, threads: usize) {
+/// Render every golden case on a session from `session` at `threads`
+/// replay threads and name each line that differs from the file.
+fn assert_renders_golden(threads: usize, session: impl FnMut() -> Session) {
     assert_eq!(GOLDEN.lines().next(), Some(golden::HEADER));
     let want = by_case(GOLDEN);
-    let got = by_case(&golden::render(session, threads));
+    let got = by_case(&golden::render(threads, session));
     let mut diffs = Vec::new();
     for (name, line) in &got {
         match want.get(name) {
